@@ -46,6 +46,31 @@ def _csr_from_directed(num_nodes, rows, cols, payload_ids=None):
     return indptr, cols.astype(np.int64), payload_ids[order]
 
 
+def sorted_unique(keys):
+    """np.unique(keys) for 1-d integer keys, by a single sort.
+
+    On millions of `u * n + v` keys numpy's hash-based unique is over 20x
+    slower than this.
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def in_sorted(keys, sorted_keys):
+    """np.isin(keys, sorted_keys) by binary search.
+
+    `sorted_keys` must be sorted and duplicate-free. np.isin sorts the
+    concatenation of both arrays instead, which is over 10x slower on
+    millions of keys.
+    """
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < sorted_keys.size
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return hit
+
+
 @dataclass
 class SmeGraph:
     """Undirected enterprise graph with node and per-edge feature tables."""
@@ -129,10 +154,10 @@ class SmeGraph:
         upper = rows < self.indices
         return np.column_stack([rows[upper], self.indices[upper]]), self.edge_features[upper]
 
-    def edge_key_set(self):
-        """Set of u * n + v keys (u < v) for fast membership tests."""
+    def edge_keys(self):
+        """Sorted int64 keys u * n + v (u < v), one per undirected edge."""
         pairs, _ = self.undirected_edges()
-        return set((pairs[:, 0] * self.num_nodes + pairs[:, 1]).tolist())
+        return pairs[:, 0] * self.num_nodes + pairs[:, 1]
 
     def validate(self):
         """Check every structural invariant; raises InvalidInput on failure."""
@@ -299,36 +324,36 @@ class EnrichedGraph:
 def enrich(g, mined, tau):
     """Retain scored pairs at or above tau, deduplicated against the graph.
 
-    `mined` holds (u, v, score) with scores in [0, 1]. Pairs are
+    `mined` holds (u, v, score) triples, or is a `(pairs, scores)` tuple of
+    a (k, 2) int array and k scores; scores lie in [0, 1]. Pairs are
     canonicalized to u < v; self-pairs are dropped, duplicates keep their
     best score, and anything already observed is discarded.
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgument(f"tau must be in [0, 1], got {tau}")
-    mined = list(mined)
-    if not mined:
+    if isinstance(mined, tuple) and len(mined) == 2 and isinstance(mined[0], np.ndarray):
+        arr = np.asarray(mined[0], dtype=np.int64).reshape(-1, 2)
+        scores = np.asarray(mined[1], dtype=np.float64).reshape(-1)
+        if scores.size != arr.shape[0]:
+            raise InvalidArgument("need one score per mined pair")
+    else:
+        mined = list(mined)
+        arr = np.asarray([[u, v] for u, v, _ in mined], dtype=np.int64).reshape(-1, 2)
+        scores = np.asarray([s for _, _, s in mined], dtype=np.float64)
+    if not scores.size:
         return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
-    arr = np.asarray([[u, v] for u, v, _ in mined], dtype=np.int64)
-    scores = np.asarray([s for _, _, s in mined], dtype=np.float64)
     if np.any(scores < 0.0) or np.any(scores > 1.0) or not np.all(np.isfinite(scores)):
         raise InvalidInput("mined scores must lie in [0, 1]")
     if arr.min() < 0 or arr.max() >= g.num_nodes:
         raise InvalidArgument("mined pair endpoint out of range")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    keep = (lo != hi) & (scores >= tau)
-    lo, hi, scores = lo[keep], hi[keep], scores[keep]
-    observed = g.edge_key_set()
-    best = {}
-    for u, v, s in zip(lo.tolist(), hi.tolist(), scores.tolist()):
-        key = u * g.num_nodes + v
-        if key in observed:
-            continue
-        if key not in best or s > best[key][2]:
-            best[key] = (u, v, s)
-    kept = sorted(best.values())
-    if not kept:
-        return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
-    pairs = np.asarray([[u, v] for u, v, _ in kept], dtype=np.int64)
-    out_scores = np.asarray([s for _, _, s in kept], dtype=np.float64)
-    return EnrichedGraph(g, pairs, out_scores, tau)
+    keys = lo * g.num_nodes + hi
+    keep = (lo != hi) & (scores >= tau) & ~in_sorted(keys, g.edge_keys())
+    keys, scores = keys[keep], scores[keep]
+    # by key, best score first; the first row of each key is the one kept
+    order = np.lexsort((-scores, keys))
+    keys, first = np.unique(keys[order], return_index=True)
+    scores = scores[order][first]
+    pairs = np.column_stack([keys // g.num_nodes, keys % g.num_nodes])
+    return EnrichedGraph(g, pairs, scores, tau)

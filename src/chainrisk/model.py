@@ -6,6 +6,11 @@ including the last. The pair head scores concatenated embeddings
 small ReLU MLPs ending in a single logit. Dropout sits on each encoder
 layer input and each head hidden activation, training mode only.
 
+The pair head is computed in factored form: its first layer splits as
+[q_u ; q_v] W0 = (Q W0[:d])[u] + (Q W0[d:])[v], so the first-layer matmuls
+run once over the node rows of Q rather than once per pair, and the
+backward pass scatters the first-layer gradient once per endpoint.
+
 Backprop leans on the normalized adjacency being symmetric: the adjoint of
 `spmm(adj, .)` is `spmm(adj, .)` itself.
 """
@@ -141,39 +146,38 @@ def gcn_backward(dQ, cache, params):
     return grads
 
 
-def _head_forward(A, head, dropout_rate=0.0, rng=None, training=False):
+def _head_forward(Z, head, dropout_rate=0.0, rng=None, training=False):
+    """Every layer after the first, given the first layer's pre-activation Z."""
     inputs = []
     zs = []
     masks = []
-    n_hidden = len(head.weights) - 1
-    for i in range(n_hidden):
-        inputs.append(A)
-        Z = A @ head.weights[i] + head.biases[i]
+    for W, b in zip(head.weights[1:], head.biases[1:]):
         zs.append(Z)
         A, mask = dropout(relu(Z), dropout_rate, rng, training)
         masks.append(mask)
-    inputs.append(A)
-    logits = (A @ head.weights[-1] + head.biases[-1]).reshape(-1)
-    return logits, {"inputs": inputs, "zs": zs, "masks": masks, "rate": dropout_rate}
+        inputs.append(A)
+        Z = A @ W + b
+    return Z.reshape(-1), {"inputs": inputs, "zs": zs, "masks": masks, "rate": dropout_rate}
 
 
 def _head_backward(dlogits, cache, head):
+    """Gradients of layers 1.. and of the first bias, plus d(loss)/d(first pre-activation).
+
+    The first layer's weight gradient is left as None for the caller, which
+    knows how that layer's input was formed.
+    """
     if cache is None or "inputs" not in cache:
         raise ChainriskError("missing forward cache")
-    dY = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-    n_hidden = len(head.weights) - 1
+    dZ = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
     w_grads = [None] * len(head.weights)
     b_grads = [None] * len(head.biases)
-    w_grads[-1] = cache["inputs"][-1].T @ dY
-    b_grads[-1] = dY.sum(axis=0)
-    dA = dY @ head.weights[-1].T
-    for i in range(n_hidden - 1, -1, -1):
-        dA = dropout_grad(dA, cache["masks"][i], cache["rate"])
-        dZ = relu_grad(dA, cache["zs"][i])
-        w_grads[i] = cache["inputs"][i].T @ dZ
+    for i in range(len(head.weights) - 1, 0, -1):
+        w_grads[i] = cache["inputs"][i - 1].T @ dZ
         b_grads[i] = dZ.sum(axis=0)
-        dA = dZ @ head.weights[i].T
-    return w_grads, b_grads, dA
+        dA = dropout_grad(dZ @ head.weights[i].T, cache["masks"][i - 1], cache["rate"])
+        dZ = relu_grad(dA, cache["zs"][i - 1])
+    b_grads[0] = dZ.sum(axis=0)
+    return w_grads, b_grads, dZ
 
 
 def _check_ids(ids, num_nodes):
@@ -184,33 +188,35 @@ def _check_ids(ids, num_nodes):
 
 
 def _scatter_rows(num_rows, idx, rows):
-    """Segment-sum `rows` into `idx` slots (sorted reduceat beats np.add.at)."""
-    out = np.zeros((num_rows, rows.shape[1]))
-    if idx.size == 0:
-        return out
-    order = np.argsort(idx, kind="stable")
-    idx_sorted = idx[order]
-    rows_sorted = rows[order]
-    starts = np.r_[0, np.flatnonzero(np.diff(idx_sorted)) + 1]
-    out[idx_sorted[starts]] = np.add.reduceat(rows_sorted, starts, axis=0)
-    return out
+    """Segment-sum `rows` into `idx` slots: one flat bincount over (slot, column)."""
+    d = rows.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=num_rows * d)
+    return out.reshape(num_rows, d)
 
 
 def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False):
-    """Score node pairs from concatenated embeddings [q_u ; q_v]."""
+    """Score node pairs from concatenated embeddings [q_u ; q_v].
+
+    The first layer is applied per node, not per pair:
+    [q_u ; q_v] W0 = (Q W0[:d])[u] + (Q W0[d:])[v].
+    """
     pairs = _check_ids(pairs, Q.shape[0]).reshape(-1, 2)
-    A = np.concatenate([Q[pairs[:, 0]], Q[pairs[:, 1]]], axis=1)
-    logits, cache = _head_forward(A, head, dropout_rate, rng, training)
+    W0 = head.weights[0]
+    d = Q.shape[1]
+    Z = (Q @ W0[:d])[pairs[:, 0]] + (Q @ W0[d:])[pairs[:, 1]] + head.biases[0]
+    logits, cache = _head_forward(Z, head, dropout_rate, rng, training)
+    cache["Q"] = Q
     cache["pairs"] = pairs
-    cache["embed_dim"] = Q.shape[1]
-    cache["num_nodes"] = Q.shape[0]
     return logits, cache
 
 
 def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
     """Score single nodes from their embeddings."""
     nodes = _check_ids(nodes, Q.shape[0]).reshape(-1)
-    logits, cache = _head_forward(Q[nodes], head, dropout_rate, rng, training)
+    A = Q[nodes]
+    logits, cache = _head_forward(A @ head.weights[0] + head.biases[0], head, dropout_rate, rng, training)
+    cache["A"] = A
     cache["nodes"] = nodes
     cache["num_nodes"] = Q.shape[0]
     return logits, cache
@@ -218,14 +224,19 @@ def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
 
 def head_backward(dlogits, cache, head):
     """Head gradients plus the gradient scattered back onto embeddings."""
-    w_grads, b_grads, dA = _head_backward(dlogits, cache, head)
-    n = cache["num_nodes"]
+    w_grads, b_grads, dZ = _head_backward(dlogits, cache, head)
+    W0 = head.weights[0]
     if "pairs" in cache:
-        d = cache["embed_dim"]
-        dQ = _scatter_rows(n, cache["pairs"][:, 0], dA[:, :d])
-        dQ += _scatter_rows(n, cache["pairs"][:, 1], dA[:, d:])
+        # scatter dZ once per endpoint; both W0 halves and dQ follow on node rows
+        Q = cache["Q"]
+        n, d = Q.shape
+        S_u = _scatter_rows(n, cache["pairs"][:, 0], dZ)
+        S_v = _scatter_rows(n, cache["pairs"][:, 1], dZ)
+        w_grads[0] = np.vstack([Q.T @ S_u, Q.T @ S_v])
+        dQ = S_u @ W0[:d].T + S_v @ W0[d:].T
     else:
-        dQ = _scatter_rows(n, cache["nodes"], dA)
+        w_grads[0] = cache["A"].T @ dZ
+        dQ = _scatter_rows(cache["num_nodes"], cache["nodes"], dZ @ W0.T)
     return w_grads, b_grads, dQ
 
 

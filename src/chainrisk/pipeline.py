@@ -22,7 +22,15 @@ from .errors import (
     NoViableConfig,
     TrainingDivergence,
 )
-from .graph import EnrichedGraph, enrich, normalize_adjacency, spmm, standardize_columns
+from .graph import (
+    EnrichedGraph,
+    enrich,
+    in_sorted,
+    normalize_adjacency,
+    sorted_unique,
+    standardize_columns,
+)
+from .graph import spmm  # noqa: F401  unused here; perfbench still rebinds pipeline.spmm
 from .metrics import EvalReport, auc
 from .model import backward, init_classifier, score_examples
 from .nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
@@ -444,7 +452,7 @@ def grid_search(grid, data, config, max_workers=1):
     return GridSearchResult(best_config=best_config, table=table)
 
 
-def candidate_pairs(g, extra_pairs=None, max_hops=3, sme_only=True, adj=None):
+def candidate_pairs(g, extra_pairs=None, max_hops=3, sme_only=True):
     """Non-edges within `max_hops` hops, plus any extra labeled pairs.
 
     Bounding candidates to a small neighborhood radius keeps scoring far
@@ -453,43 +461,44 @@ def candidate_pairs(g, extra_pairs=None, max_hops=3, sme_only=True, adj=None):
     distance, so a 2-hop ball would contain none of them. Extra pairs
     (typically the held-out test pairs) are merged in after the same
     observed-edge and kind filters.
+
+    The search is a breadth-first frontier join on the CSR adjacency, run
+    for every source at once on `src * n + node` keys; paths may pass
+    through nodes of any kind. Its cost is proportional to the summed
+    `max_hops`-ball sizes of the sources, not to n².
     """
     if max_hops not in (2, 3, 4):
         raise InvalidArgument("max_hops must be 2, 3, or 4")
-    allowed = g.node_kind == "sme" if sme_only else np.ones(g.num_nodes, dtype=bool)
-    if adj is None:
-        adj = normalize_adjacency(g)
+    n = g.num_nodes
+    allowed = g.node_kind == "sme" if sme_only else np.ones(n, dtype=bool)
     sources = np.flatnonzero(allowed)
+    # level h holds the sorted keys of every (source, node) pair at distance h;
+    # a neighbour of a node at distance h lies at distance h - 1, h or h + 1,
+    # so a new level only has to be checked against the last two
+    prev = np.zeros(0, dtype=np.int64)
+    level = sources * n + sources
     chunks = []
-    block = 512
-    for start in range(0, sources.size, block):
-        src = sources[start:start + block]
-        reach = np.zeros((g.num_nodes, src.size))
-        reach[src, np.arange(src.size)] = 1.0
-        for _ in range(max_hops):
-            reach = spmm(adj, reach)  # diagonal keeps the ball growing outward
-        for i, u in enumerate(src.tolist()):
-            members = np.flatnonzero(reach[:, i] > 0.0)
-            cand = members[(members > u) & allowed[members]]
-            nbrs = g.neighbors(u)
-            if nbrs.size:
-                pos = np.minimum(np.searchsorted(nbrs, cand), nbrs.size - 1)
-                cand = cand[nbrs[pos] != cand]
-            if cand.size:
-                chunks.append(np.column_stack([np.full(cand.size, u), cand]))
+    for hop in range(1, max_hops + 1):
+        src, node = np.divmod(level, n)
+        deg = g.indptr[node + 1] - g.indptr[node]
+        # flat CSR positions of every frontier node's row, concatenated
+        offsets = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg - g.indptr[node], deg)
+        reached = sorted_unique(np.repeat(src, deg) * n + g.indices[offsets])
+        prev, level = level, reached[~(in_sorted(reached, prev) | in_sorted(reached, level))]
+        if hop >= 2:  # distance 1 is an observed edge
+            u, v = np.divmod(level, n)
+            chunks.append(level[(u < v) & allowed[v]])
     if extra_pairs is not None and len(extra_pairs):
         extra = np.asarray(extra_pairs, dtype=np.int64).reshape(-1, 2)
+        if extra.min() < 0 or extra.max() >= n:
+            raise InvalidArgument("extra pair endpoint out of range")
         lo = np.minimum(extra[:, 0], extra[:, 1])
         hi = np.maximum(extra[:, 0], extra[:, 1])
-        keep = (lo != hi) & allowed[lo] & allowed[hi]
-        keep &= ~np.fromiter(
-            (g.has_edge(int(u), int(v)) for u, v in zip(lo, hi)), dtype=bool, count=lo.size
-        )
-        if keep.any():
-            chunks.append(np.column_stack([lo[keep], hi[keep]]))
-    if not chunks:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.unique(np.vstack(chunks), axis=0)
+        keys = lo * n + hi
+        keep = (lo != hi) & allowed[lo] & allowed[hi] & ~in_sorted(keys, g.edge_keys())
+        chunks.append(keys[keep])
+    keys = sorted_unique(np.concatenate(chunks))
+    return np.column_stack([keys // n, keys % n])
 
 
 @dataclass
@@ -519,14 +528,13 @@ def run_stage1_mining(g, pair_set, config):
     _, reports = evaluate_model(result.model, data)
 
     test_pairs = data.examples[data.split == TEST]
-    cands = candidate_pairs(g, extra_pairs=test_pairs, max_hops=config.candidate_hops, adj=data.adj)
-    mined = []
+    cands = candidate_pairs(g, extra_pairs=test_pairs, max_hops=config.candidate_hops)
+    probs = np.zeros(0)
     if cands.shape[0]:
         logits, _ = score_examples(result.model, data.adj, data.X, cands)
         probs = sigmoid(logits)
-        mined = [(int(u), int(v), float(p)) for (u, v), p in zip(cands, probs)]
     known = data.examples[(data.labels == 1) & (data.split != TEST)]
-    mined += [(int(u), int(v), 1.0) for u, v in known]
+    mined = (np.vstack([cands, known]), np.concatenate([probs, np.ones(known.shape[0])]))
     enriched = enrich(g, mined, config.tau)
     return StageResult(
         model=result.model,

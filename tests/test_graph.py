@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrisk.errors import InvalidArgument, InvalidInput
 from chainrisk.graph import (
@@ -7,7 +9,9 @@ from chainrisk.graph import (
     SmeGraph,
     build_graph_from_similarity,
     enrich,
+    in_sorted,
     normalize_adjacency,
+    sorted_unique,
     spmm,
     standardize_columns,
 )
@@ -194,6 +198,27 @@ class TestSpmm:
             spmm(adj, np.ones((3, 2)))
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=40), st.lists(st.integers(-50, 50), max_size=40))
+def test_key_set_helpers_match_numpy(a, b):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    assert np.array_equal(sorted_unique(a), np.unique(a))
+    assert np.array_equal(in_sorted(a, np.unique(b)), np.isin(a, b))
+
+
+def enrich_dict_oracle(num_nodes, edges, mined, tau):
+    """Best score per canonical non-edge pair at or above tau, sorted by pair."""
+    observed = {(min(u, v), max(u, v)) for u, v in edges}
+    best = {}
+    for u, v, s in mined:
+        key = (min(u, v), max(u, v))
+        if u == v or s < tau or key in observed:
+            continue
+        best[key] = max(best.get(key, s), s)
+    return [(u, v, s) for (u, v), s in sorted(best.items())]
+
+
 class TestEnrich:
     def _graph(self):
         return SmeGraph.from_edge_list(
@@ -290,3 +315,27 @@ class TestEnrich:
         # mined edges carry zero payloads in the original feature columns
         mined_row = feats[pairs.tolist().index([0, 2])]
         assert np.all(mined_row[:-1] == 0.0)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from((0.0, 0.3, 0.7, 0.7, 1.0))),
+                 max_size=25),
+        st.sampled_from((0.0, 0.5, 0.7, 1.0)),
+    )
+    def test_triples_and_arrays_match_dict_oracle(self, mined, tau):
+        g = SmeGraph.from_edge_list(6, [(0, 1), (1, 2), (4, 5)], np.zeros((6, 1)))
+        expected = enrich_dict_oracle(6, [(0, 1), (1, 2), (4, 5)], mined, tau)
+        pairs = np.asarray([(u, v) for u, v, _ in mined], dtype=np.int64).reshape(-1, 2)
+        scores = np.asarray([s for _, _, s in mined], dtype=np.float64)
+        from_triples = enrich(g, mined, tau)
+        from_arrays = enrich(g, (pairs, scores), tau)
+        assert from_triples.mined_edges() == expected
+        for eg in (from_triples, from_arrays):
+            assert eg.mined_pairs.dtype == np.int64 and eg.mined_pairs.shape == (len(expected), 2)
+            assert eg.mined_scores.dtype == np.float64
+        assert from_arrays.mined_pairs.tobytes() == from_triples.mined_pairs.tobytes()
+        assert from_arrays.mined_scores.tobytes() == from_triples.mined_scores.tobytes()
+
+    def test_array_form_needs_one_score_per_pair(self):
+        with pytest.raises(InvalidArgument):
+            enrich(self._graph(), (np.array([[0, 2], [0, 3]]), np.array([0.9])), tau=0.5)

@@ -5,9 +5,11 @@ from chainrisk.errors import CheckpointVersionError, InvalidArgument
 from chainrisk.graph import SmeGraph, normalize_adjacency
 from chainrisk.model import (
     GcnClassifier,
+    _scatter_rows,
     backward,
     gcn_backward,
     gcn_forward,
+    head_backward,
     init_classifier,
     init_gcn,
     init_head,
@@ -162,6 +164,62 @@ class TestHeads:
         head = init_head(4, [2], make_rng(10, 2))
         with pytest.raises(InvalidArgument):
             pair_logits(np.zeros((3, 2)), [(0, 3)], head)
+
+
+def concatenated_pair_head(Q, pairs, head):
+    """The pair head in its unfactored form: one row [q_u ; q_v] per pair."""
+    A = np.concatenate([Q[pairs[:, 0]], Q[pairs[:, 1]]], axis=1)
+    Z = A @ head.weights[0] + head.biases[0]
+    return A, Z, (np.maximum(Z, 0.0) @ head.weights[1] + head.biases[1]).reshape(-1)
+
+
+class TestFactoredPairHead:
+    @pytest.mark.parametrize("seed,n,d,h,k", [(0, 7, 3, 5, 20), (1, 40, 16, 8, 300), (2, 2, 1, 1, 1)])
+    def test_matches_concatenated_forward(self, seed, n, d, h, k):
+        gen = np.random.default_rng(seed)
+        head = init_head(2 * d, [h], make_rng(seed, 2))
+        head.biases[0][:] = gen.normal(size=h)
+        Q = gen.normal(size=(n, d))
+        pairs = gen.integers(0, n, size=(k, 2))
+        logits, _ = pair_logits(Q, pairs, head)
+        _, _, expected = concatenated_pair_head(Q, pairs, head)
+        assert np.max(np.abs(logits - expected)) <= 1e-12
+
+    def test_matches_concatenated_backward(self, rng):
+        n, d, h = 30, 6, 4
+        head = init_head(2 * d, [h], make_rng(3, 2))
+        Q = rng.normal(size=(n, d))
+        pairs = np.vstack([rng.integers(0, n, size=(50, 2)), [(4, 4), (9, 2), (2, 9)]])
+        dlogits = rng.normal(size=pairs.shape[0])
+        logits, cache = pair_logits(Q, pairs, head)
+        w_grads, b_grads, dQ = head_backward(dlogits, cache, head)
+
+        A, Z, _ = concatenated_pair_head(Q, pairs, head)
+        dH = dlogits[:, None] @ head.weights[1].T
+        dZ = dH * (Z > 0.0)
+        dA = dZ @ head.weights[0].T
+        expected_dQ = np.zeros_like(Q)
+        np.add.at(expected_dQ, pairs[:, 0], dA[:, :d])
+        np.add.at(expected_dQ, pairs[:, 1], dA[:, d:])
+        assert np.max(np.abs(w_grads[0] - A.T @ dZ)) <= 1e-12
+        assert np.max(np.abs(b_grads[0] - dZ.sum(axis=0))) <= 1e-12
+        assert np.max(np.abs(dQ - expected_dQ)) <= 1e-12
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize(
+        "idx",
+        [[3, 1, 3, 0, 3, 1], [5, 4, 3, 2, 1, 0], [2, 2, 2, 2], [0], []],
+        ids=["repeated", "unsorted", "one-slot", "single", "empty"],
+    )
+    def test_matches_add_at_oracle(self, rng, idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        rows = rng.normal(size=(idx.size, 3))
+        expected = np.zeros((6, 3))
+        np.add.at(expected, idx, rows)
+        got = _scatter_rows(6, idx, rows)
+        assert got.shape == (6, 3)
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
 
 
 class TestBackward:

@@ -1,8 +1,13 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainrisk import pipeline
 from chainrisk.errors import InvalidArgument, InvalidInput, NoViableConfig
-from chainrisk.graph import SmeGraph, enrich
+from chainrisk.graph import NODE_KINDS, SmeGraph, enrich
 from chainrisk.metrics import auc
 from chainrisk.pipeline import (
     TEST,
@@ -294,6 +299,12 @@ class TestCandidatePairs:
         # (0,4) enters from the extras, (0,2) is already there, (0,1) is an edge
         assert set(map(tuple, cands.tolist())) == {(0, 2), (1, 3), (2, 4), (0, 4)}
 
+    @pytest.mark.parametrize("extra", [[(-1, 3)], [(0, 5)]])
+    def test_out_of_range_extra_pairs_rejected(self, extra):
+        g = SmeGraph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4)], np.zeros((5, 1)))
+        with pytest.raises(InvalidArgument):
+            candidate_pairs(g, extra_pairs=extra, max_hops=2)
+
     def test_non_sme_endpoints_excluded(self):
         # the owner node can sit on a path but never in a candidate pair
         g = SmeGraph.from_edge_list(
@@ -304,6 +315,76 @@ class TestCandidatePairs:
         assert set(map(tuple, cands.tolist())) == {(1, 3)}
         cands3 = candidate_pairs(g, max_hops=3)
         assert set(map(tuple, cands3.tolist())) == {(0, 3), (1, 3)}
+
+
+def bfs_candidates_oracle(num_nodes, edges, kinds, max_hops, extra, sme_only=True):
+    """Plain-Python candidate set: a BFS per allowed source, then the extras."""
+    nbrs = [set() for _ in range(num_nodes)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    allowed = [k == "sme" or not sme_only for k in kinds]
+    out = set()
+    for u in range(num_nodes):
+        if not allowed[u]:
+            continue
+        dist = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if dist[x] == max_hops:
+                continue
+            for y in nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        out |= {(u, v) for v in dist if v > u and allowed[v] and v not in nbrs[u]}
+    for a, b in extra:
+        lo, hi = min(a, b), max(a, b)
+        if lo != hi and allowed[lo] and allowed[hi] and hi not in nbrs[lo]:
+            out.add((lo, hi))
+    return sorted(out)
+
+
+@st.composite
+def kinded_graphs(draw):
+    """Small graphs with mixed node kinds, isolated nodes and extra pairs."""
+    n = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(NODE_KINDS), min_size=n, max_size=n))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=24)) if n else []
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    # extras may be reversed, self-pairs, observed edges or touch non-SME nodes
+    extra = draw(st.lists(st.tuples(node, node), max_size=8)) if n else []
+    return n, edges, kinds, extra
+
+
+class TestCandidatePairsOracle:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(kinded_graphs(), st.sampled_from((2, 3, 4)), st.booleans())
+    def test_matches_bfs_oracle(self, graph, max_hops, sme_only):
+        n, edges, kinds, extra = graph
+        g = SmeGraph.from_edge_list(
+            n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)), node_kind=kinds
+        )
+        got = candidate_pairs(g, extra_pairs=extra, max_hops=max_hops, sme_only=sme_only)
+        assert got.dtype == np.int64 and got.shape == (got.shape[0], 2)
+        assert list(map(tuple, got.tolist())) == bfs_candidates_oracle(
+            n, edges, kinds, max_hops, extra, sme_only
+        )
+
+    def test_makes_no_dense_propagation(self, monkeypatch):
+        from chainrisk.synthgen import generate, paper_calibrated
+
+        g, d_sc, _, _ = generate(paper_calibrated(num_smes=300, seed=4, sector_size=30))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("candidate search must not propagate through the adjacency")
+
+        monkeypatch.setattr(pipeline, "spmm", forbidden)
+        monkeypatch.setattr(pipeline, "normalize_adjacency", forbidden)
+        cands = candidate_pairs(g, extra_pairs=d_sc.pairs, max_hops=3)
+        assert cands.shape[0] > 0
 
 
 class TestStages:
