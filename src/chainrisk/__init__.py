@@ -16,35 +16,12 @@ from .errors import (
     TrainingDivergence,
     UndefinedMetric,
 )
-from .graph import (
-    EnrichedGraph,
-    NormalizedAdjacency,
-    SmeGraph,
-    build_graph_from_similarity,
-    enrich,
-    normalize_adjacency,
-    spmm,
-    standardize_columns,
-)
+from .graph import EnrichedGraph, SmeGraph, enrich, normalize_adjacency, spmm
 from .metrics import EvalReport, auc, ks, roc_points
-from .model import (
-    GcnClassifier,
-    GcnParams,
-    MlpHead,
-    backward,
-    gcn_forward,
-    init_classifier,
-    load_checkpoint,
-    node_logits,
-    pair_logits,
-    save_checkpoint,
-    score_examples,
-)
-from .nn import AdamState, adam_step, bce_loss, dropout, grad_check, relu, sigmoid
+from .model import load_checkpoint, save_checkpoint, score_examples
 from .pipeline import (
     GridSpec,
-    LabeledNodeSet,
-    LabeledPairSet,
+    LabeledSet,
     TaskData,
     TrainConfig,
     candidate_pairs,
@@ -56,7 +33,6 @@ from .pipeline import (
     train_task,
 )
 from .synthgen import (
-    ATTRIBUTES,
     GenConfig,
     GroundTruth,
     attribute_availability,

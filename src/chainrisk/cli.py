@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,8 +31,7 @@ from .nn import sigmoid
 from .pipeline import (
     TEST,
     GridSpec,
-    LabeledNodeSet,
-    LabeledPairSet,
+    LabeledSet,
     TaskData,
     TrainConfig,
     grid_search,
@@ -85,21 +85,24 @@ def _finish_manifest(manifest, out_dir, outputs, extra=None):
 def _train_config(args, raw):
     grid_section = raw.pop("grid", None)
     config = TrainConfig.from_dict(raw)
-    if args.seed is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "seed": args.seed})
-    if args.tau is not None:
-        config = TrainConfig.from_dict({**config.to_dict(), "tau": args.tau})
-    grid = None
-    if args.grid:
-        if grid_section is None:
-            grid = GridSpec().validate()
-        else:
-            grid = GridSpec(
-                learning_rates=tuple(grid_section.get("learning_rates", GridSpec.learning_rates)),
-                dropouts=tuple(grid_section.get("dropouts", GridSpec.dropouts)),
-                layer_counts=tuple(grid_section.get("layer_counts", GridSpec.layer_counts)),
-            ).validate()
-    return config, grid
+    overrides = {"seed": args.seed, "tau": args.tau}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    return config, _grid_spec(args.config, grid_section) if args.grid else None
+
+
+def _grid_spec(path, section):
+    """GridSpec from the config's optional `grid` object of axis lists."""
+    if section is None:
+        return GridSpec().validate()
+    known = [f.name for f in fields(GridSpec)]
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{path}: grid must be an object with keys {known}")
+    unknown = set(section) - set(known)
+    if unknown:
+        raise InvalidConfig(f"{path}: unknown grid keys: {sorted(unknown)}")
+    if not all(isinstance(v, list) and v for v in section.values()):
+        raise InvalidConfig(f"{path}: every grid axis must be a non-empty list")
+    return GridSpec(**{k: tuple(v) for k, v in section.items()}).validate()
 
 
 def cmd_generate(args):
@@ -113,9 +116,9 @@ def cmd_generate(args):
     graph, pair_set, node_set, truth = generate(config)
     outputs = dataio.write_graph(args.out, graph)
     sc_path = os.path.join(args.out, "labels_sc.tsv")
-    dataio.write_pair_labels(sc_path, pair_set.pairs, pair_set.labels)
+    dataio.write_pair_labels(sc_path, pair_set.examples, pair_set.labels)
     dp_path = os.path.join(args.out, "labels_dp.tsv")
-    dataio.write_node_labels(dp_path, node_set.nodes, node_set.labels)
+    dataio.write_node_labels(dp_path, node_set.examples, node_set.labels)
     gt_path = os.path.join(args.out, "ground_truth.tsv")
     dataio.write_ground_truth(gt_path, truth)
     outputs += [sc_path, dp_path, gt_path]
@@ -135,98 +138,80 @@ def cmd_generate(args):
     return 0
 
 
-def _load_training_inputs(args, stage):
+def _task_inputs(args, stage, config):
+    """Graph view, labeled set and input paths of one stage, for train and eval.
+
+    Stage sc reads the pair labels and, when they hold only positives, adds
+    `config.neg_ratio` sampled negatives per positive. Stage dp reads the
+    node labels and enriches the graph from --mined (none with
+    --no-enrich). Returns (view, labeled, inputs, num_mined).
+    """
     g = dataio.read_graph(args.data)
     inputs = [os.path.join(args.data, "nodes.csv"), os.path.join(args.data, "edges.tsv")]
+    num_mined = 0
     if stage == "sc":
-        path = os.path.join(args.data, "labels_sc.tsv")
-        pairs, labels = dataio.read_pair_labels(path)
-        inputs.append(path)
-        return g, pairs, labels, inputs
-    path = os.path.join(args.data, "labels_dp.tsv")
-    nodes, labels = dataio.read_node_labels(path)
-    inputs.append(path)
-    return g, nodes, labels, inputs
-
-
-def _resolve_enrichment(args, g, config):
-    """EnrichedGraph for stage dp / eval, from --mined or --no-enrich."""
-    if args.no_enrich:
-        return enrich(g, [], config.tau), None
-    if not args.mined:
-        raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")
-    mined = dataio.read_mined_edges(args.mined)
-    return enrich(g, mined, config.tau), args.mined
+        inputs.append(os.path.join(args.data, "labels_sc.tsv"))
+        examples, labels = dataio.read_pair_labels(inputs[-1])
+        if not labels.any():
+            raise InvalidInput("labels_sc.tsv has no positive pairs")
+        if labels.min() == 1:
+            negatives = sample_negatives(g, examples, config.neg_ratio, config.seed)
+            examples = np.vstack([examples, negatives])
+            labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
+        view = g
+    else:
+        inputs.append(os.path.join(args.data, "labels_dp.tsv"))
+        examples, labels = dataio.read_node_labels(inputs[-1])
+        mined = []
+        if not args.no_enrich:
+            if not args.mined:
+                raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")
+            mined = dataio.read_mined_edges(args.mined)
+            inputs.append(args.mined)
+        enriched = enrich(g, mined, config.tau)
+        view, num_mined = enriched.graph(), enriched.num_mined
+    labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
+    return view, labeled, inputs, num_mined
 
 
 def cmd_train(args):
     raw = _load_json(args.config)
     config, grid = _train_config(args, raw)
     os.makedirs(args.out, exist_ok=True)
-    g, examples, labels, inputs = _load_training_inputs(args, args.stage)
-
-    mined_input = None
-    if args.stage == "sc":
-        if not labels.max():
-            raise InvalidInput("labels_sc.tsv has no positive pairs")
-        if labels.min() == 1:
-            negatives = sample_negatives(g, examples, config.neg_ratio, config.seed)
-            examples = np.vstack([examples, negatives])
-            labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
-        split = stratified_split(labels, seed=config.seed)
-        labeled = LabeledPairSet(pairs=examples, labels=labels, split=split)
-        view = g
-    else:
-        enriched, mined_input = _resolve_enrichment(args, g, config)
-        if mined_input:
-            inputs.append(mined_input)
-        split = stratified_split(labels, seed=config.seed)
-        labeled = LabeledNodeSet(nodes=examples, labels=labels, split=split)
-        view = enriched
+    view, labeled, inputs, num_mined = _task_inputs(args, args.stage, config)
 
     manifest = _manifest_skeleton(f"train {args.stage}", config.to_dict(), inputs)
     extra = {"seed": config.seed, "stage": args.stage, "enriched": args.stage == "dp" and not args.no_enrich}
 
     grid_rows = None
     if grid is not None:
-        data = (
-            TaskData.for_pairs(view, labeled)
-            if args.stage == "sc"
-            else TaskData.for_nodes(view.graph(), labeled)
-        )
-        search = grid_search(grid, data, config, max_workers=_threads())
+        search = grid_search(grid, TaskData.build(view, labeled), config, max_workers=_threads())
         config = search.best_config
         grid_rows = search.table
         extra["grid_cells"] = len(search.table)
         extra["chosen_config"] = config.to_dict()
 
+    ckpt_meta = {
+        "stage": args.stage,
+        "seed": config.seed,
+        "config": config.to_dict(),
+        "feature_dim": int(view.node_features.shape[1]),
+    }
     if args.stage == "sc":
         result = run_stage1_mining(view, labeled, config)
         mined_path = os.path.join(args.out, "mined_edges.tsv")
         dataio.write_mined_edges(mined_path, result.enriched.mined_edges())
-        ckpt_meta = {
-            "stage": "sc",
-            "seed": config.seed,
-            "config": config.to_dict(),
-            "feature_dim": int(view.node_features.shape[1]),
-        }
-        extra["mined_edge_count"] = result.enriched.num_mined
+        num_mined = result.enriched.num_mined
         extra["candidate_count"] = result.candidate_count
         stage_outputs = [mined_path]
     else:
         result = run_stage2_default(view, labeled, config)
         scores_path = os.path.join(args.out, "scores_dp.tsv")
         dataio.write_scores(scores_path, result.scores)
-        ckpt_meta = {
-            "stage": "dp",
-            "seed": config.seed,
-            "config": config.to_dict(),
-            "feature_dim": int(view.graph().node_features.shape[1]),
-            "enriched": not args.no_enrich,
-            "mined_digest": dataio.sha256_file(mined_input) if mined_input else None,
-        }
-        extra["mined_edge_count"] = view.num_mined
+        ckpt_meta["enriched"] = not args.no_enrich
+        ckpt_meta["mined_digest"] = None if args.no_enrich else dataio.sha256_file(args.mined)
         stage_outputs = [scores_path]
+    extra["mined_edge_count"] = num_mined
 
     ckpt_path = os.path.join(args.out, f"checkpoint_{args.stage}.bin")
     save_checkpoint(ckpt_path, result.model, ckpt_meta)
@@ -267,24 +252,13 @@ def cmd_eval(args):
     model, meta = load_checkpoint(args.checkpoint)
     config = TrainConfig.from_dict(meta["config"])
     stage = meta["stage"]
+    if meta.get("enriched") and not (args.mined or args.no_enrich):
+        raise InvalidInput("checkpoint was trained on an enriched graph; pass --mined or --no-enrich")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
-    g, examples, labels, inputs = _load_training_inputs(args, stage)
+    view, labeled, inputs, _ = _task_inputs(args, stage, config)
     inputs.append(args.checkpoint)
-
-    if stage == "sc":
-        split = stratified_split(labels, seed=config.seed)
-        labeled = LabeledPairSet(pairs=examples, labels=labels, split=split)
-        data = TaskData.for_pairs(g, labeled)
-    else:
-        if meta.get("enriched") and not (args.mined or args.no_enrich):
-            raise InvalidInput("checkpoint was trained on an enriched graph; pass --mined or --no-enrich")
-        enriched, mined_input = _resolve_enrichment(args, g, config)
-        if mined_input:
-            inputs.append(mined_input)
-        split = stratified_split(labels, seed=config.seed)
-        labeled = LabeledNodeSet(nodes=examples, labels=labels, split=split)
-        data = TaskData.for_nodes(enriched.graph(), labeled)
+    data = TaskData.build(view, labeled)
 
     if data.X.shape[1] != model.gcn.weights[0].shape[0]:
         raise InvalidInput(
@@ -292,7 +266,7 @@ def cmd_eval(args):
             f"({model.gcn.weights[0].shape[0]})"
         )
     manifest = _manifest_skeleton(f"eval {stage}", config.to_dict(), inputs)
-    test_mask = labeled.mask(TEST)
+    test_mask = data.split == TEST
     logits, _ = score_examples(model, data.adj, data.X, data.examples[test_mask])
     probs = sigmoid(logits)
     y_test = data.labels[test_mask].astype(int)

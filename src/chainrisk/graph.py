@@ -2,10 +2,10 @@
 
 Adjacency lives in CSR form: `indptr` of length n+1 and `indices` sorted
 strictly increasing within each row. The raw adjacency is unweighted and
-stores both directions of every undirected edge; edge features are aligned
-with CSR entry order, so the two directions of one edge carry identical
-rows. Normalization produces the symmetric operator with self-loops that
-the propagation step multiplies by.
+stores both directions of every undirected edge; edge features are a plain
+table with one row per undirected edge, in the order of
+`SmeGraph.undirected_edges()`. Normalization produces the symmetric
+operator with self-loops that the propagation step multiplies by.
 """
 
 from dataclasses import dataclass, field
@@ -29,21 +29,13 @@ def standardize_columns(X):
     return out
 
 
-def _csr_from_directed(num_nodes, rows, cols, payload_ids=None):
-    """Build sorted CSR arrays from directed entry lists.
-
-    Returns (indptr, indices) and, when payload_ids is given, the payload id
-    per CSR entry in final order.
-    """
+def _csr_from_directed(num_nodes, rows, cols):
+    """Build sorted CSR arrays (indptr, indices) from directed entry lists."""
     order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
     counts = np.bincount(rows, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    if payload_ids is None:
-        return indptr, cols.astype(np.int64)
-    return indptr, cols.astype(np.int64), payload_ids[order]
+    return indptr, cols[order].astype(np.int64)
 
 
 def sorted_unique(keys):
@@ -71,6 +63,33 @@ def in_sorted(keys, sorted_keys):
     return hit
 
 
+def sample_pair_keys(gen, n, count, forbidden, draws, nodes=None, max_rounds=None):
+    """Up to `count` distinct uniform pairs as sorted keys u * n + v (u < v).
+
+    Each round draws `draws(need)` endpoints u, then as many v, from `nodes`
+    (all of [0, n) by default) with `gen`, and accepts the pairs in draw
+    order, first occurrence only, skipping self-pairs, keys in the sorted
+    duplicate-free array `forbidden` and keys already taken, until `count`
+    are taken; `max_rounds` caps the rounds, so fewer may come back.
+    """
+    keys = np.zeros(0, dtype=np.int64)
+    size = n if nodes is None else nodes.size
+    rounds = 0
+    while keys.size < count and (max_rounds is None or rounds < max_rounds):
+        us = gen.integers(0, size, size=draws(count - keys.size))
+        vs = gen.integers(0, size, size=us.size)
+        if nodes is not None:
+            us, vs = nodes[us], nodes[vs]
+        drawn = np.minimum(us, vs) * n + np.maximum(us, vs)
+        ok = (us != vs) & ~in_sorted(drawn, forbidden) & ~in_sorted(drawn, keys)
+        drawn = drawn[ok]
+        _, first = np.unique(drawn, return_index=True)
+        fresh = drawn[np.sort(first)][: count - keys.size]
+        keys = sorted_unique(np.concatenate([keys, fresh]))
+        rounds += 1
+    return keys
+
+
 @dataclass
 class SmeGraph:
     """Undirected enterprise graph with node and per-edge feature tables."""
@@ -87,8 +106,8 @@ class SmeGraph:
         """Construct from unique undirected edges given as (u, v) pairs.
 
         Pairs may come in either order; duplicates and self-loops are
-        rejected. `edge_features` has one row per undirected edge and is
-        mirrored onto both stored directions.
+        rejected. `edge_features` has one row per given edge; it is stored
+        reordered to match `undirected_edges()`.
         """
         node_features = np.asarray(node_features, dtype=np.float64)
         if node_features.ndim != 2 or node_features.shape[0] != num_nodes:
@@ -108,8 +127,7 @@ class SmeGraph:
             if np.unique(key).size != m:
                 raise InvalidInput("duplicate undirected edges")
         else:
-            lo = np.zeros(0, dtype=np.int64)
-            hi = np.zeros(0, dtype=np.int64)
+            lo = hi = key = np.zeros(0, dtype=np.int64)
         if edge_features is None:
             edge_features = np.zeros((m, 0), dtype=np.float64)
         edge_features = np.asarray(edge_features, dtype=np.float64)
@@ -124,16 +142,15 @@ class SmeGraph:
             if not np.all(np.isin(node_kind, NODE_KINDS)):
                 raise InvalidInput(f"node_kind tags must be one of {NODE_KINDS}")
 
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        eids = np.concatenate([np.arange(m), np.arange(m)])
-        indptr, indices, eids = _csr_from_directed(num_nodes, rows, cols, eids)
+        indptr, indices = _csr_from_directed(
+            num_nodes, np.concatenate([lo, hi]), np.concatenate([hi, lo])
+        )
         return cls(
             num_nodes=num_nodes,
             indptr=indptr,
             indices=indices,
             node_features=node_features,
-            edge_features=edge_features[eids] if m > 0 else np.zeros((0, edge_features.shape[1])),
+            edge_features=edge_features[np.argsort(key)],
             node_kind=node_kind,
         )
 
@@ -143,16 +160,11 @@ class SmeGraph:
     def neighbors(self, u):
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def has_edge(self, u, v):
-        row = self.neighbors(u)
-        i = np.searchsorted(row, v)
-        return i < row.size and row[i] == v
-
     def undirected_edges(self):
-        """(m, 2) array of edges with u < v, plus matching feature rows."""
+        """(m, 2) array of edges with u < v in key order, plus the feature table."""
         rows = np.repeat(np.arange(self.num_nodes), self.degrees())
         upper = rows < self.indices
-        return np.column_stack([rows[upper], self.indices[upper]]), self.edge_features[upper]
+        return np.column_stack([rows[upper], self.indices[upper]]), self.edge_features
 
     def edge_keys(self):
         """Sorted int64 keys u * n + v (u < v), one per undirected edge."""
@@ -169,22 +181,19 @@ class SmeGraph:
         rows = np.repeat(np.arange(n), np.diff(self.indptr))
         if rows.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise InvalidInput("column index out of range")
-        for u in range(n):
-            row = self.neighbors(u)
-            if np.any(np.diff(row) <= 0):
-                raise InvalidInput(f"row {u} not strictly increasing")
+        # consecutive entries of one row must increase; a step across a row start may not
+        within = rows[1:] == rows[:-1]
+        bad = np.flatnonzero(within & (np.diff(self.indices) <= 0))
+        if bad.size:
+            raise InvalidInput(f"row {rows[bad[0]]} not strictly increasing")
         if np.any(rows == self.indices):
             raise InvalidInput("self-loop present")
         # symmetry: sorting entries by (col, row) must reproduce (row, col)
         order = np.lexsort((rows, self.indices))
         if not (np.array_equal(self.indices[order], rows) and np.array_equal(rows[order], self.indices)):
             raise InvalidInput("adjacency is not symmetric")
-        if self.edge_features.shape[0] != self.indices.size:
-            raise InvalidInput("edge feature rows must match stored directed edges")
-        if self.edge_features.size and not np.allclose(
-            self.edge_features[order], self.edge_features, rtol=0.0, atol=0.0
-        ):
-            raise InvalidInput("edge directions carry different feature rows")
+        if self.edge_features.shape[0] != self.indices.size // 2:
+            raise InvalidInput("edge feature rows must match undirected edges")
 
 
 @dataclass
@@ -195,12 +204,6 @@ class NormalizedAdjacency:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-
-    def dense(self):
-        out = np.zeros((self.num_nodes, self.num_nodes))
-        rows = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
-        out[rows, self.indices] = self.values
-        return out
 
 
 def normalize_adjacency(g):
@@ -237,44 +240,6 @@ def spmm(adj, H):
     return out
 
 
-def build_graph_from_similarity(X, k):
-    """Connect each node to its k most cosine-similar peers, then symmetrize.
-
-    Expects feature rows already standardized per column. Ties are broken by
-    ascending node index so the edge set is reproducible bit for bit.
-    Zero-norm rows score 0 against everything.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise InvalidArgument("X must be a matrix with at least 2 rows")
-    if not np.all(np.isfinite(X)):
-        raise InvalidInput("feature matrix contains non-finite values")
-    n = X.shape[0]
-    if k < 1 or k >= n:
-        raise InvalidArgument(f"k must be in [1, num_nodes), got {k} for {n} nodes")
-    norms = np.linalg.norm(X, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    Xn = X / safe[:, None]
-    srcs = []
-    dsts = []
-    block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        sims = Xn[start:stop] @ Xn.T
-        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        # stable sort on -sims leaves equal scores in index order
-        order = np.argsort(-sims, axis=1, kind="stable")
-        nbrs = order[:, :k]
-        srcs.append(np.repeat(np.arange(start, stop), k))
-        dsts.append(nbrs.reshape(-1))
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    edges = np.unique(np.column_stack([lo, hi]), axis=0)
-    return SmeGraph.from_edge_list(n, edges, node_features=X)
-
-
 @dataclass
 class EnrichedGraph:
     """Base graph plus mined candidate edges that cleared the threshold."""
@@ -297,27 +262,19 @@ class EnrichedGraph:
         ]
 
     def graph(self):
-        """Combined view used for propagation.
-
-        Edge features gain one trailing provenance column: 0 for observed
-        edges, 1 for mined ones. Mined edges carry zero feature payloads.
-        The adjacency of a zero-mined enrichment equals the base adjacency.
-        """
-        if self._view is not None:
-            return self._view
-        base_pairs, base_feats = self.base.undirected_edges()
-        fe = base_feats.shape[1]
-        all_pairs = np.vstack([base_pairs, self.mined_pairs.reshape(-1, 2)])
-        feats = np.zeros((all_pairs.shape[0], fe + 1))
-        feats[: base_pairs.shape[0], :fe] = base_feats
-        feats[base_pairs.shape[0]:, fe] = 1.0
-        self._view = SmeGraph.from_edge_list(
-            self.base.num_nodes,
-            all_pairs,
-            node_features=self.base.node_features,
-            edge_features=feats,
-            node_kind=self.base.node_kind,
-        )
+        """Combined view used for propagation: `base` itself when nothing
+        was mined, else base plus mined edges, which carry zero feature rows."""
+        if self.num_mined == 0:
+            return self.base
+        if self._view is None:
+            base_pairs, base_feats = self.base.undirected_edges()
+            self._view = SmeGraph.from_edge_list(
+                self.base.num_nodes,
+                np.vstack([base_pairs, self.mined_pairs]),
+                node_features=self.base.node_features,
+                edge_features=np.vstack([base_feats, np.zeros((self.num_mined, base_feats.shape[1]))]),
+                node_kind=self.base.node_kind,
+            )
         return self._view
 
 

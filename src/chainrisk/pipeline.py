@@ -27,6 +27,7 @@ from .graph import (
     enrich,
     in_sorted,
     normalize_adjacency,
+    sample_pair_keys,
     sorted_unique,
     standardize_columns,
 )
@@ -44,44 +45,35 @@ MIN_IMPROVEMENT = 1e-6
 
 
 @dataclass
-class LabeledPairSet:
-    """Supervised node pairs (u < v) with 0/1 labels and split tags."""
+class LabeledSet:
+    """Supervised examples with 0/1 labels and split tags.
 
-    pairs: np.ndarray
+    `examples` is an (n, 2) array of node pairs (u < v) for pair tasks or a
+    1-d array of node ids for node tasks; `kind` follows its rank.
+    """
+
+    examples: np.ndarray
     labels: np.ndarray
     split: np.ndarray
 
-    def validate(self):
-        pairs = np.asarray(self.pairs)
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise InvalidInput("pairs must be an (n, 2) array")
-        if np.any(pairs[:, 0] >= pairs[:, 1]):
-            raise InvalidInput("pairs must be in canonical order u < v")
-        keys = pairs[:, 0] * (pairs.max() + 1) + pairs[:, 1]
-        if np.unique(keys).size != pairs.shape[0]:
-            raise InvalidInput("duplicate pairs")
-        _validate_labels_and_split(self.labels, self.split, pairs.shape[0])
-
-    def mask(self, split):
-        return np.asarray(self.split) == split
-
-
-@dataclass
-class LabeledNodeSet:
-    """Supervised nodes with 0/1 labels and split tags."""
-
-    nodes: np.ndarray
-    labels: np.ndarray
-    split: np.ndarray
+    @property
+    def kind(self):
+        return "pair" if np.ndim(self.examples) == 2 else "node"
 
     def validate(self):
-        nodes = np.asarray(self.nodes)
-        if np.unique(nodes).size != nodes.size:
-            raise InvalidInput("duplicate nodes")
-        _validate_labels_and_split(self.labels, self.split, nodes.size)
-
-    def mask(self, split):
-        return np.asarray(self.split) == split
+        examples = np.asarray(self.examples)
+        if self.kind == "node":
+            if np.unique(examples).size != examples.size:
+                raise InvalidInput("duplicate nodes")
+        else:
+            if examples.shape[1] != 2:
+                raise InvalidInput("pairs must be an (n, 2) array")
+            if np.any(examples[:, 0] >= examples[:, 1]):
+                raise InvalidInput("pairs must be in canonical order u < v")
+            keys = examples[:, 0] * (examples.max() + 1) + examples[:, 1]
+            if np.unique(keys).size != examples.shape[0]:
+                raise InvalidInput("duplicate pairs")
+        _validate_labels_and_split(self.labels, self.split, examples.shape[0])
 
 
 def _validate_labels_and_split(labels, split, n):
@@ -214,52 +206,33 @@ def sample_negatives(g, positives, ratio, seed, nodes=None):
         raise InvalidArgument("ratio must be positive")
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
     count = int(round(ratio * positives.shape[0]))
-    if nodes is None:
-        nodes = np.arange(g.num_nodes)
-    else:
-        nodes = np.asarray(nodes, dtype=np.int64)
-    allowed = np.zeros(g.num_nodes, dtype=bool)
+    n = g.num_nodes
+    nodes = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    allowed = np.zeros(n, dtype=bool)
     allowed[nodes] = True
-    forbidden = set()
-    for u in nodes:
-        nbrs = g.neighbors(u)
-        for v in nbrs[allowed[nbrs]]:
-            if u < v:
-                forbidden.add(int(u) * g.num_nodes + int(v))
-    for u, v in positives:
-        if allowed[u] and allowed[v]:
-            forbidden.add(int(min(u, v)) * g.num_nodes + int(max(u, v)))
-    possible = nodes.size * (nodes.size - 1) // 2 - len(forbidden)
+    edges = g.edge_keys()
+    lo = np.minimum(positives[:, 0], positives[:, 1])
+    hi = np.maximum(positives[:, 0], positives[:, 1])
+    forbidden = sorted_unique(np.concatenate([
+        edges[allowed[edges // n] & allowed[edges % n]],
+        (lo * n + hi)[allowed[lo] & allowed[hi]],
+    ]))
+    possible = nodes.size * (nodes.size - 1) // 2 - forbidden.size
     if count > possible:
         raise InvalidInput(
             f"requested {count} negatives but only {possible} non-edge pairs exist"
         )
     gen = make_rng(seed, rng_streams.NEGATIVES)
-    chosen = set()
     if possible <= 4 * count:
-        pool = []
-        for i, u in enumerate(nodes):
-            for v in nodes[i + 1:]:
-                a, b = (u, v) if u < v else (v, u)
-                if int(a) * g.num_nodes + int(b) not in forbidden:
-                    pool.append((int(a), int(b)))
-        picked = gen.choice(len(pool), size=count, replace=False)
-        result = [pool[i] for i in picked]
+        # every allowed non-edge, in the order of the pairs (nodes[i], nodes[j]), i < j
+        iu, iv = np.triu_indices(nodes.size, k=1)
+        u, v = nodes[iu], nodes[iv]
+        pool = np.minimum(u, v) * n + np.maximum(u, v)
+        pool = pool[~in_sorted(pool, forbidden)]
+        keys = np.sort(pool[gen.choice(pool.size, size=count, replace=False)])
     else:
-        result = []
-        while len(result) < count:
-            us = nodes[gen.integers(0, nodes.size, size=2 * (count - len(result)))]
-            vs = nodes[gen.integers(0, nodes.size, size=us.size)]
-            for u, v in zip(us.tolist(), vs.tolist()):
-                if u == v or len(result) >= count:
-                    continue
-                a, b = (u, v) if u < v else (v, u)
-                key = a * g.num_nodes + b
-                if key in forbidden or key in chosen:
-                    continue
-                chosen.add(key)
-                result.append((a, b))
-    return np.asarray(sorted(result), dtype=np.int64)
+        keys = sample_pair_keys(gen, n, count, forbidden, lambda need: 2 * need, nodes=nodes)
+    return np.column_stack([keys // n, keys % n])
 
 
 def prepare_features(X):
@@ -284,28 +257,20 @@ class TaskData:
     kind: str
 
     @classmethod
-    def for_pairs(cls, g_view, pair_set):
-        pair_set.validate()
+    def build(cls, g_view, labeled):
+        """Normalized adjacency, prepared features and the examples of a LabeledSet."""
+        labeled.validate()
         return cls(
             adj=normalize_adjacency(g_view),
             X=prepare_features(g_view.node_features),
-            examples=np.asarray(pair_set.pairs, dtype=np.int64),
-            labels=np.asarray(pair_set.labels, dtype=np.float64),
-            split=np.asarray(pair_set.split),
-            kind="pair",
+            examples=np.asarray(labeled.examples, dtype=np.int64),
+            labels=np.asarray(labeled.labels, dtype=np.float64),
+            split=np.asarray(labeled.split),
+            kind=labeled.kind,
         )
 
-    @classmethod
-    def for_nodes(cls, g_view, node_set):
-        node_set.validate()
-        return cls(
-            adj=normalize_adjacency(g_view),
-            X=prepare_features(g_view.node_features),
-            examples=np.asarray(node_set.nodes, dtype=np.int64),
-            labels=np.asarray(node_set.labels, dtype=np.float64),
-            split=np.asarray(node_set.split),
-            kind="node",
-        )
+    # perfbench/workloads.py still calls this name; the next benchmark change can move it to `build`
+    for_pairs = build
 
 
 @dataclass
@@ -523,7 +488,7 @@ def run_stage1_mining(g, pair_set, config):
     pairs only; mined (unlabeled) pairs never enter the reports.
     """
     config.validate()
-    data = TaskData.for_pairs(g, pair_set)
+    data = TaskData.build(g, pair_set)
     result = train_task(data, config)
     _, reports = evaluate_model(result.model, data)
 
@@ -550,7 +515,7 @@ def run_stage2_default(g_sc, node_set, config):
     """Train a fresh node scorer on the enriched view; emit every node's score."""
     config.validate()
     g_view = g_sc.graph() if isinstance(g_sc, EnrichedGraph) else g_sc
-    data = TaskData.for_nodes(g_view, node_set)
+    data = TaskData.build(g_view, node_set)
     result = train_task(data, config)
     _, reports = evaluate_model(result.model, data)
     all_logits, _ = score_examples(result.model, data.adj, data.X, np.arange(g_view.num_nodes))

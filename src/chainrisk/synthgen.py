@@ -25,8 +25,8 @@ import numpy as np
 
 from . import rng as rng_streams
 from .errors import InvalidArgument, InvalidConfig
-from .graph import SmeGraph
-from .pipeline import LabeledNodeSet, LabeledPairSet, stratified_split
+from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
+from .pipeline import LabeledSet, stratified_split
 from .rng import make_rng
 
 ATTRIBUTES = ("revenue", "shareholder", "mortgage", "recruitment", "patent")
@@ -222,7 +222,7 @@ def generate(config):
     hidden_mask = np.zeros(m, dtype=bool)
     hidden_mask[gen.permutation(m)[: int(round(config.hidden_fraction * m))]] = True
 
-    supply_keys = set((supply_edges[:, 0] * n + supply_edges[:, 1]).tolist())
+    supply_keys = sorted_unique(supply_edges[:, 0] * n + supply_edges[:, 1])
     social_edges = _sample_social_edges(config, gen, n, supply_keys)
 
     X = _node_features(config, gen, tiers, latent, social_edges, n)
@@ -237,8 +237,8 @@ def generate(config):
 
     pair_set = _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges,
                             supply_edges[hidden_mask])
-    node_set = LabeledNodeSet(
-        nodes=np.arange(n, dtype=np.int64),
+    node_set = LabeledSet(
+        examples=np.arange(n, dtype=np.int64),
         labels=labels.copy(),
         split=stratified_split(labels, seed=config.seed),
     )
@@ -329,25 +329,10 @@ def _match_blocks(blocks, budgets, accept_breadth, n):
 def _sample_social_edges(config, gen, n, supply_keys):
     """Uniform cross-firm ties that never coincide with a supply link."""
     target = int(round(config.social_density * n * (n - 1) / 2))
-    chosen = {}
-    attempts = 0
-    while len(chosen) < target and attempts < 60:
-        need = target - len(chosen)
-        us = gen.integers(0, n, size=max(64, 2 * need))
-        vs = gen.integers(0, n, size=us.size)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v or len(chosen) >= target:
-                continue
-            a, b = (u, v) if u < v else (v, u)
-            key = a * n + b
-            if key in supply_keys or key in chosen:
-                continue
-            chosen[key] = (a, b)
-        attempts += 1
-    if len(chosen) < target:
+    keys = sample_pair_keys(gen, n, target, supply_keys, lambda need: max(64, 2 * need), max_rounds=60)
+    if keys.size < target:
         raise InvalidConfig("social_density too high for the available pairs")
-    out = np.asarray(sorted(chosen.values()), dtype=np.int64).reshape(-1, 2)
-    return out
+    return np.column_stack([keys // n, keys % n])
 
 
 def _node_features(config, gen, tiers, latent, social_edges, n):
@@ -398,8 +383,7 @@ def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, hidd
     n_pos = positives.shape[0]
     n_neg = int(round(config.neg_ratio * n_pos))
     n_hard = int(round(config.hard_negative_fraction * n_neg))
-    social_keys = set((social_edges[:, 0] * n + social_edges[:, 1]).tolist()) if social_edges.size else set()
-    taken = set(supply_keys) | social_keys
+    taken = sorted_unique(np.concatenate([supply_keys, social_edges[:, 0] * n + social_edges[:, 1]]))
 
     hard_pool = []
     num_sectors = sectors.max() + 1
@@ -413,31 +397,18 @@ def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, hidd
             lo = np.minimum(rr.reshape(-1), cc.reshape(-1))
             hi = np.maximum(rr.reshape(-1), cc.reshape(-1))
             keys = lo * n + hi
-            fresh = np.asarray([k not in taken for k in keys.tolist()])
-            hard_pool.append(np.column_stack([lo[fresh], hi[fresh]]))
-    hard_pool = np.vstack(hard_pool) if hard_pool else np.zeros((0, 2), dtype=np.int64)
-    n_hard = min(n_hard, hard_pool.shape[0])
-    picked = gen.choice(hard_pool.shape[0], size=n_hard, replace=False) if n_hard else []
-    negatives = [tuple(map(int, hard_pool[i])) for i in picked]
-    neg_keys = {a * n + b for a, b in negatives}
+            hard_pool.append(keys[~in_sorted(keys, taken)])
+    hard_pool = np.concatenate(hard_pool) if hard_pool else np.zeros(0, dtype=np.int64)
+    n_hard = min(n_hard, hard_pool.size)
+    hard = hard_pool[gen.choice(hard_pool.size, size=n_hard, replace=False)] if n_hard else hard_pool[:0]
+    taken = sorted_unique(np.concatenate([taken, hard]))
+    uniform = sample_pair_keys(gen, n, n_neg - n_hard, taken, lambda need: 4 * need)
+    neg_keys = sorted_unique(np.concatenate([hard, uniform]))
 
-    while len(negatives) < n_neg:
-        us = gen.integers(0, n, size=4 * (n_neg - len(negatives)))
-        vs = gen.integers(0, n, size=us.size)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v or len(negatives) >= n_neg:
-                continue
-            a, b = (u, v) if u < v else (v, u)
-            key = a * n + b
-            if key in taken or key in neg_keys:
-                continue
-            neg_keys.add(key)
-            negatives.append((a, b))
-
-    pairs = np.vstack([positives, np.asarray(sorted(negatives), dtype=np.int64).reshape(-1, 2)])
-    labels = np.r_[np.ones(n_pos, dtype=np.int8), np.zeros(len(negatives), dtype=np.int8)]
+    pairs = np.vstack([positives, np.column_stack([neg_keys // n, neg_keys % n])])
+    labels = np.r_[np.ones(n_pos, dtype=np.int8), np.zeros(neg_keys.size, dtype=np.int8)]
     split = stratified_split(labels, seed=config.seed)
-    return LabeledPairSet(pairs=pairs, labels=labels, split=split)
+    return LabeledSet(examples=pairs, labels=labels, split=split)
 
 
 def attribute_availability(g, attribute, rf_depth):

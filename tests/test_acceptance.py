@@ -236,7 +236,7 @@ def test_criterion_8_protocol_conformance(tmp_path):
 
     # early stopping: frozen learning rate halts exactly patience epochs after epoch 1
     g, node_set = toy_node_task()
-    data = TaskData.for_nodes(g, node_set)
+    data = TaskData.build(g, node_set)
     frozen = train_task(data, TrainConfig(seed=1, learning_rate=0.0, dropout=0.0, patience=5,
                                           max_epochs=60, hidden_dim=8, embed_dim=4, head_hidden=4))
     stop_ok = len(frozen.trace) == 6 and frozen.best_epoch == 1

@@ -44,6 +44,17 @@ def dataset(tmp_path, gen_config):
     return str(out)
 
 
+def positives_only_copy(tmp_path, dataset):
+    """Copy of `dataset` whose labels_sc.tsv keeps only the positive pairs."""
+    pairs, labels = dataio.read_pair_labels(os.path.join(dataset, "labels_sc.tsv"))
+    pos_dir = tmp_path / "posonly"
+    pos_dir.mkdir()
+    for name in ("nodes.csv", "edges.tsv", "labels_dp.tsv"):
+        (pos_dir / name).write_bytes((tmp_path / "data" / name).read_bytes())
+    dataio.write_pair_labels(pos_dir / "labels_sc.tsv", pairs[labels == 1], labels[labels == 1])
+    return pos_dir
+
+
 class TestGenerate:
     def test_writes_all_artifacts_with_manifest(self, tmp_path, gen_config):
         out = tmp_path / "d1"
@@ -104,12 +115,7 @@ class TestTrainSc:
         assert len(manifest["trace"]) >= manifest["chosen_epoch"]
 
     def test_positive_only_labels_trigger_negative_sampling(self, tmp_path, dataset, train_config):
-        pairs, labels = dataio.read_pair_labels(os.path.join(dataset, "labels_sc.tsv"))
-        pos_dir = tmp_path / "posonly"
-        pos_dir.mkdir()
-        for name in ("nodes.csv", "edges.tsv", "labels_dp.tsv"):
-            (pos_dir / name).write_bytes((tmp_path / "data" / name).read_bytes())
-        dataio.write_pair_labels(pos_dir / "labels_sc.tsv", pairs[labels == 1], labels[labels == 1])
+        pos_dir = positives_only_copy(tmp_path, dataset)
         out = tmp_path / "sc2"
         assert main(["train", "sc", "--data", str(pos_dir), "--config", train_config,
                      "--out", str(out)]) == 0
@@ -128,6 +134,24 @@ class TestTrainSc:
         assert len(rows) == 1 + 4  # header + cells
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["grid_cells"] == 4
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"learning_rate": [0.5]}, "unknown grid keys: ['learning_rate']"),
+        ([0.1], "grid must be an object"),
+        ({"dropouts": 0.1}, "every grid axis must be a non-empty list"),
+        ({"dropouts": []}, "every grid axis must be a non-empty list"),
+    ])
+    def test_malformed_grid_section_exits_two(self, tmp_path, dataset, train_config, capsys, grid, message):
+        cfg = json.loads(open(train_config).read())
+        cfg["grid"] = grid
+        grid_cfg = tmp_path / "badgrid.json"
+        grid_cfg.write_text(json.dumps(cfg))
+        out = tmp_path / "scbad"
+        assert main(["train", "sc", "--data", dataset, "--config", str(grid_cfg),
+                     "--out", str(out), "--grid"]) == 2
+        err = capsys.readouterr().err
+        assert str(grid_cfg) in err and message in err
+        assert not (out / "grid_table.tsv").exists()
 
     def test_missing_data_dir_exits_two(self, tmp_path, train_config):
         assert main(["train", "sc", "--data", str(tmp_path / "void"),
@@ -215,6 +239,19 @@ class TestEval:
         assert report["auc"] == manifest["metrics"]["test"]["auc"]
         assert report["ks"] == manifest["metrics"]["test"]["ks"]
         assert (eval_out / "roc_points.tsv").exists()
+
+    def test_positive_only_sc_checkpoint_evaluates_like_training(self, tmp_path, dataset, train_config):
+        pos_dir = positives_only_copy(tmp_path, dataset)
+        out = tmp_path / "sc"
+        assert main(["train", "sc", "--data", str(pos_dir), "--config", train_config,
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        eval_out = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint_sc.bin"),
+                     "--data", str(pos_dir), "--out", str(eval_out)]) == 0
+        report = json.loads((eval_out / "eval_report.json").read_text())
+        assert report["auc"] == manifest["metrics"]["test"]["auc"]
+        assert report["ks"] == manifest["metrics"]["test"]["ks"]
 
     def test_missing_checkpoint_exits_two(self, tmp_path, dataset):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.bin"),

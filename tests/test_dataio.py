@@ -56,17 +56,17 @@ class TestLabelFiles:
     def test_pair_labels_round_trip(self, tmp_path, economy):
         _, d_sc, _, _ = economy
         path = tmp_path / "labels_sc.tsv"
-        dataio.write_pair_labels(path, d_sc.pairs, d_sc.labels)
+        dataio.write_pair_labels(path, d_sc.examples, d_sc.labels)
         pairs, labels = dataio.read_pair_labels(path)
-        assert np.array_equal(pairs, d_sc.pairs)
+        assert np.array_equal(pairs, d_sc.examples)
         assert np.array_equal(labels, d_sc.labels)
 
     def test_node_labels_round_trip(self, tmp_path, economy):
         _, _, d_dp, _ = economy
         path = tmp_path / "labels_dp.tsv"
-        dataio.write_node_labels(path, d_dp.nodes, d_dp.labels)
+        dataio.write_node_labels(path, d_dp.examples, d_dp.labels)
         nodes, labels = dataio.read_node_labels(path)
-        assert np.array_equal(nodes, d_dp.nodes)
+        assert np.array_equal(nodes, d_dp.examples)
         assert np.array_equal(labels, d_dp.labels)
 
     def test_malformed_label_line_reports_position(self, tmp_path):

@@ -7,33 +7,16 @@ from chainrisk.errors import InvalidArgument, InvalidInput
 from chainrisk.graph import (
     EnrichedGraph,
     SmeGraph,
-    build_graph_from_similarity,
     enrich,
     in_sorted,
     normalize_adjacency,
+    sample_pair_keys,
     sorted_unique,
     spmm,
     standardize_columns,
 )
 
 from conftest import dense_from_csr, random_graph
-
-
-def knn_union_oracle(X, k):
-    """Brute-force cosine kNN with low-index tie break, then union symmetrize."""
-    n = len(X)
-    sims = np.zeros((n, n))
-    for u in range(n):
-        for v in range(n):
-            nu = np.linalg.norm(X[u])
-            nv = np.linalg.norm(X[v])
-            sims[u, v] = 0.0 if nu == 0 or nv == 0 else float(np.dot(X[u], X[v]) / (nu * nv))
-    edges = set()
-    for u in range(n):
-        others = sorted((v for v in range(n) if v != u), key=lambda v: (-sims[u, v], v))
-        for v in others[:k]:
-            edges.add((min(u, v), max(u, v)))
-    return edges
 
 
 class TestStandardize:
@@ -50,16 +33,28 @@ class TestSmeGraph:
         g = SmeGraph.from_edge_list(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
         g.validate()
         assert list(g.degrees()) == [1, 2, 1]
-        assert g.has_edge(1, 0) and g.has_edge(1, 2)
-        assert not g.has_edge(0, 2)
+        assert g.edge_keys().tolist() == [0 * 3 + 1, 1 * 3 + 2]
+        assert in_sorted(np.array([0 * 3 + 1, 1 * 3 + 2, 0 * 3 + 2]), g.edge_keys()).tolist() == [
+            True, True, False
+        ]
+        # hand-built CSR: row 0 holds (2, 1), out of order
+        unsorted = SmeGraph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]),
+                            np.zeros((3, 1)), np.zeros((2, 0)), np.full(3, "sme"))
+        with pytest.raises(InvalidInput, match="row 0 not strictly increasing"):
+            unsorted.validate()
+        # hand-built CSR: row 1 lists column 0 twice
+        repeated = SmeGraph(2, np.array([0, 1, 3]), np.array([1, 0, 0]),
+                            np.zeros((2, 1)), np.zeros((1, 0)), np.full(2, "sme"))
+        with pytest.raises(InvalidInput, match="row 1 not strictly increasing"):
+            repeated.validate()
 
-    def test_edge_features_mirrored_on_both_directions(self):
+    def test_edge_features_follow_undirected_edge_order(self):
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-        g = SmeGraph.from_edge_list(3, [(0, 1), (1, 2)], np.zeros((3, 1)), edge_features=feats)
+        g = SmeGraph.from_edge_list(3, [(2, 1), (0, 1)], np.zeros((3, 1)), edge_features=feats)
         g.validate()
         pairs, rows = g.undirected_edges()
         assert pairs.tolist() == [[0, 1], [1, 2]]
-        assert np.array_equal(rows, feats)
+        assert np.array_equal(rows, feats[::-1])
 
     def test_duplicate_edges_rejected(self):
         with pytest.raises(InvalidInput):
@@ -74,75 +69,30 @@ class TestSmeGraph:
             SmeGraph.from_edge_list(2, [(0, 1)], np.zeros((2, 1)), node_kind=["sme", "bank"])
 
 
-class TestSimilarityConstruction:
-    def test_identical_rows_link_to_each_other(self):
-        X = np.array([[1.0, 2.0], [1.0, 2.0]])
-        g = build_graph_from_similarity(X, k=1)
-        pairs, _ = g.undirected_edges()
-        assert pairs.tolist() == [[0, 1]]
-
-    def test_orthogonal_rows_break_ties_by_index(self):
-        # all similarities are 0, so every node picks its lowest-index peer
-        X = np.eye(3)
-        g = build_graph_from_similarity(X, k=1)
-        pairs, _ = g.undirected_edges()
-        assert set(map(tuple, pairs.tolist())) == knn_union_oracle(X, 1) == {(0, 1), (0, 2)}
-
-    def test_union_symmetrization_keeps_degree_at_least_k(self, rng):
-        X = rng.normal(size=(10, 4))
-        g = build_graph_from_similarity(X, k=3)
-        assert np.all(g.degrees() >= 3)
-
-    def test_matches_bruteforce_oracle(self, rng):
-        X = rng.normal(size=(12, 3))
-        g = build_graph_from_similarity(X, k=2)
-        pairs, _ = g.undirected_edges()
-        assert set(map(tuple, pairs.tolist())) == knn_union_oracle(X, 2)
-
-    def test_permutation_equivariance_without_ties(self, rng):
-        X = rng.normal(size=(9, 5))
-        perm = rng.permutation(9)
-        g = build_graph_from_similarity(X, k=2)
-        gp = build_graph_from_similarity(X[perm], k=2)
-        # relabel original edges through the permutation's inverse
-        inv = np.argsort(perm)
-        pairs, _ = g.undirected_edges()
-        relabeled = {(min(inv[u], inv[v]), max(inv[u], inv[v])) for u, v in pairs.tolist()}
-        ppairs, _ = gp.undirected_edges()
-        assert relabeled == set(map(tuple, ppairs.tolist()))
-
-    def test_k_too_large_rejected(self):
-        with pytest.raises(InvalidArgument):
-            build_graph_from_similarity(np.eye(3), k=3)
-
-    def test_nonfinite_features_rejected(self):
-        X = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(InvalidInput):
-            build_graph_from_similarity(X, k=1)
-
-
 class TestNormalization:
     def test_single_isolated_node(self):
         g = SmeGraph.from_edge_list(1, np.zeros((0, 2)), np.zeros((1, 1)))
         adj = normalize_adjacency(g)
-        assert adj.dense().tolist() == [[1.0]]
+        assert dense_from_csr(adj.num_nodes, adj.indptr, adj.indices, adj.values).tolist() == [[1.0]]
 
     def test_two_node_edge_gives_all_half(self):
         g = SmeGraph.from_edge_list(2, [(0, 1)], np.zeros((2, 1)))
         adj = normalize_adjacency(g)
-        assert np.allclose(adj.dense(), 0.5)
+        assert np.allclose(dense_from_csr(adj.num_nodes, adj.indptr, adj.indices, adj.values), 0.5)
 
     def test_path_graph_hand_values(self):
         # degrees+1 = (2, 3, 2)
         g = SmeGraph.from_edge_list(3, [(0, 1), (1, 2)], np.zeros((3, 1)))
-        dense = normalize_adjacency(g).dense()
+        adj = normalize_adjacency(g)
+        dense = dense_from_csr(3, adj.indptr, adj.indices, adj.values)
         assert abs(dense[0, 1] - 1.0 / np.sqrt(6.0)) < 1e-15
         assert abs(dense[1, 1] - 1.0 / 3.0) < 1e-15
         assert abs(dense[0, 0] - 0.5) < 1e-15
 
     def test_isolated_node_inside_larger_graph(self):
         g = SmeGraph.from_edge_list(3, [(0, 1)], np.zeros((3, 1)))
-        dense = normalize_adjacency(g).dense()
+        adj = normalize_adjacency(g)
+        dense = dense_from_csr(3, adj.indptr, adj.indices, adj.values)
         assert dense[2, 2] == 1.0
         assert np.all(dense[2, :2] == 0.0)
 
@@ -207,6 +157,53 @@ def test_key_set_helpers_match_numpy(a, b):
     assert np.array_equal(in_sorted(a, np.unique(b)), np.isin(a, b))
 
 
+def sequential_sampler_oracle(gen, n, count, forbidden, draws, nodes=None, max_rounds=None):
+    """The per-draw loop the generator and `sample_negatives` ran before
+    `sample_pair_keys` replaced it."""
+    size = n if nodes is None else len(nodes)
+    chosen = set()
+    rounds = 0
+    while len(chosen) < count and (max_rounds is None or rounds < max_rounds):
+        us = gen.integers(0, size, size=draws(count - len(chosen)))
+        vs = gen.integers(0, size, size=us.size)
+        if nodes is not None:
+            us, vs = nodes[us], nodes[vs]
+        for u, v in zip(us.tolist(), vs.tolist()):
+            if u == v or len(chosen) >= count:
+                continue
+            key = min(u, v) * n + max(u, v)
+            if key not in forbidden:
+                chosen.add(key)
+        rounds += 1
+    return sorted(chosen)
+
+
+DRAW_RULES = (lambda need: 2 * need, lambda need: max(64, 2 * need), lambda need: 4 * need)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_sample_pair_keys_matches_sequential_loop(data):
+    n = data.draw(st.integers(2, 12))
+    nodes = data.draw(st.one_of(st.none(), st.permutations(range(n)).map(np.array)))
+    if nodes is not None:
+        nodes = nodes[: data.draw(st.integers(2, n))]
+    pool = {min(u, v) * n + max(u, v) for u in (range(n) if nodes is None else nodes.tolist())
+            for v in (range(n) if nodes is None else nodes.tolist()) if u != v}
+    forbidden = sorted(data.draw(st.sets(st.sampled_from(sorted(pool)))))
+    max_rounds = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+    count = data.draw(st.integers(0, len(pool) - len(forbidden) if max_rounds is None else len(pool)))
+    draws = data.draw(st.sampled_from(DRAW_RULES))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    gen_a, gen_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_pair_keys(gen_a, n, count, np.asarray(forbidden, dtype=np.int64), draws,
+                           nodes=nodes, max_rounds=max_rounds)
+    expected = sequential_sampler_oracle(gen_b, n, count, set(forbidden), draws,
+                                         nodes=nodes, max_rounds=max_rounds)
+    assert got.dtype == np.int64 and got.tolist() == expected
+    assert gen_a.integers(0, 2**62) == gen_b.integers(0, 2**62)  # same share of the stream
+
+
 def enrich_dict_oracle(num_nodes, edges, mined, tau):
     """Best score per canonical non-edge pair at or above tau, sorted by pair."""
     observed = {(min(u, v), max(u, v)) for u, v in edges}
@@ -230,6 +227,7 @@ class TestEnrich:
         eg = enrich(g, [], tau=0.5)
         assert eg.num_mined == 0
         view = eg.graph()
+        assert view is g
         assert np.array_equal(view.indptr, g.indptr)
         assert np.array_equal(view.indices, g.indices)
 
@@ -303,18 +301,14 @@ class TestEnrich:
         with pytest.raises(InvalidInput):
             enrich(self._graph(), [(0, 2, 1.2)], tau=0.5)
 
-    def test_provenance_column_marks_mined_edges(self):
+    def test_mined_edges_carry_zero_feature_rows(self):
         g = self._graph()
         eg = enrich(g, [(0, 2, 0.9)], tau=0.5)
         view = eg.graph()
         view.validate()
         pairs, feats = view.undirected_edges()
-        flag = dict(zip(map(tuple, pairs.tolist()), feats[:, -1].tolist()))
-        assert flag[(0, 2)] == 1.0
-        assert flag[(0, 1)] == 0.0 and flag[(1, 2)] == 0.0
-        # mined edges carry zero payloads in the original feature columns
-        mined_row = feats[pairs.tolist().index([0, 2])]
-        assert np.all(mined_row[:-1] == 0.0)
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert feats.tolist() == [[1.0], [0.0], [1.0]]
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 from chainrisk import pipeline
 from chainrisk.errors import InvalidArgument, InvalidInput, NoViableConfig
-from chainrisk.graph import NODE_KINDS, SmeGraph, enrich
+from chainrisk.graph import NODE_KINDS, SmeGraph, enrich, in_sorted
 from chainrisk.metrics import auc
 from chainrisk.pipeline import (
     TEST,
     TRAIN,
     VAL,
     GridSpec,
-    LabeledNodeSet,
-    LabeledPairSet,
+    LabeledSet,
     TaskData,
     TrainConfig,
     candidate_pairs,
@@ -47,7 +46,7 @@ def toy_node_task(n=60, seed=5):
     g = SmeGraph.from_edge_list(n, edges, X)
     labels = (X[:, 0] > 0).astype(np.int8)
     split = stratified_split(labels, seed=seed)
-    return g, LabeledNodeSet(nodes=np.arange(n), labels=labels, split=split)
+    return g, LabeledSet(examples=np.arange(n), labels=labels, split=split)
 
 
 class TestStratifiedSplit:
@@ -112,9 +111,9 @@ class TestSampleNegatives:
         negs = sample_negatives(g, positives, ratio=3.0, seed=8)
         pos_set = {tuple(p) for p in positives.tolist()}
         seen = set()
+        assert not in_sorted(negs[:, 0] * g.num_nodes + negs[:, 1], g.edge_keys()).any()
         for u, v in negs.tolist():
             assert u < v
-            assert not g.has_edge(u, v)
             assert (u, v) not in pos_set
             assert (u, v) not in seen
             seen.add((u, v))
@@ -135,7 +134,7 @@ class TestSampleNegatives:
 class TestTrainTask:
     def test_separable_task_reaches_perfect_train_auc(self):
         g, node_set = toy_node_task()
-        data = TaskData.for_nodes(g, node_set)
+        data = TaskData.build(g, node_set)
         config = TrainConfig(seed=1, num_layers=1, learning_rate=0.01, dropout=0.0,
                              hidden_dim=16, embed_dim=8, head_hidden=8,
                              max_epochs=200, patience=50)
@@ -152,7 +151,7 @@ class TestTrainTask:
 
     def test_frozen_learning_rate_stops_after_patience(self):
         g, node_set = toy_node_task()
-        data = TaskData.for_nodes(g, node_set)
+        data = TaskData.build(g, node_set)
         config = TrainConfig(seed=1, learning_rate=0.0, dropout=0.0, patience=1,
                              max_epochs=50, hidden_dim=8, embed_dim=4, head_hidden=4)
         result = train_task(data, config)
@@ -160,7 +159,7 @@ class TestTrainTask:
 
     def test_patience_counts_epochs_after_last_improvement(self):
         g, node_set = toy_node_task()
-        data = TaskData.for_nodes(g, node_set)
+        data = TaskData.build(g, node_set)
         config = TrainConfig(seed=3, num_layers=1, learning_rate=0.01, dropout=0.0,
                              hidden_dim=16, embed_dim=8, head_hidden=8,
                              max_epochs=500, patience=7)
@@ -173,7 +172,7 @@ class TestTrainTask:
         from chainrisk.errors import TrainingDivergence
 
         g, node_set = toy_node_task()
-        data = TaskData.for_nodes(g, node_set)
+        data = TaskData.build(g, node_set)
         config = TrainConfig(seed=1, max_epochs=20, patience=5,
                              hidden_dim=8, embed_dim=4, head_hidden=4)
         real_backward = pipeline.backward
@@ -193,7 +192,7 @@ class TestTrainTask:
 
     def test_bit_identical_traces_for_same_seed(self):
         g, node_set = toy_node_task()
-        data = TaskData.for_nodes(g, node_set)
+        data = TaskData.build(g, node_set)
         config = TrainConfig(seed=9, max_epochs=30, patience=10, dropout=0.3,
                              hidden_dim=8, embed_dim=4, head_hidden=4)
         a = train_task(data, config)
@@ -206,7 +205,7 @@ class TestTrainTask:
 class TestGridSearch:
     def _data(self):
         g, node_set = toy_node_task(n=48, seed=6)
-        return TaskData.for_nodes(g, node_set)
+        return TaskData.build(g, node_set)
 
     def test_single_cell_grid_returns_that_cell(self):
         data = self._data()
@@ -383,7 +382,7 @@ class TestCandidatePairsOracle:
 
         monkeypatch.setattr(pipeline, "spmm", forbidden)
         monkeypatch.setattr(pipeline, "normalize_adjacency", forbidden)
-        cands = candidate_pairs(g, extra_pairs=d_sc.pairs, max_hops=3)
+        cands = candidate_pairs(g, extra_pairs=d_sc.examples, max_hops=3)
         assert cands.shape[0] > 0
 
 
@@ -421,8 +420,8 @@ class TestStages:
 
     def test_single_class_labels_rejected(self):
         g, d_sc, d_dp, gt = self._mining_setup()
-        all_positive = LabeledNodeSet(
-            nodes=d_dp.nodes,
+        all_positive = LabeledSet(
+            examples=d_dp.examples,
             labels=np.ones_like(d_dp.labels),
             split=d_dp.split,
         )
@@ -444,20 +443,20 @@ class TestStages:
 class TestLabeledSets:
     def test_pair_set_rejects_wrong_order(self):
         with pytest.raises(InvalidInput):
-            LabeledPairSet(
-                pairs=np.array([(2, 1)]), labels=np.array([1]), split=np.array([TRAIN])
+            LabeledSet(
+                examples=np.array([(2, 1)]), labels=np.array([1]), split=np.array([TRAIN])
             ).validate()
 
     def test_node_set_rejects_duplicates(self):
         with pytest.raises(InvalidInput):
-            LabeledNodeSet(
-                nodes=np.array([1, 1]), labels=np.array([0, 1]), split=np.array([TRAIN, TRAIN])
+            LabeledSet(
+                examples=np.array([1, 1]), labels=np.array([0, 1]), split=np.array([TRAIN, TRAIN])
             ).validate()
 
     def test_split_must_contain_both_classes(self):
         with pytest.raises(InvalidInput):
-            LabeledNodeSet(
-                nodes=np.arange(6),
+            LabeledSet(
+                examples=np.arange(6),
                 labels=np.array([1, 1, 0, 1, 0, 1]),
                 split=np.array([TRAIN, TRAIN, TRAIN, VAL, VAL, TEST]),
             ).validate()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chainrisk.errors import InvalidArgument, InvalidConfig
+from chainrisk.graph import in_sorted
 from chainrisk.pipeline import TEST, TRAIN, VAL
 from chainrisk.synthgen import (
     ATTRIBUTE_COLUMNS,
@@ -57,7 +58,7 @@ class TestGenerate:
         g2, sc2, dp2, gt2 = generate(cfg)
         assert np.array_equal(g1.indices, g2.indices)
         assert np.array_equal(g1.node_features, g2.node_features)
-        assert np.array_equal(sc1.pairs, sc2.pairs)
+        assert np.array_equal(sc1.examples, sc2.examples)
         assert np.array_equal(dp1.labels, dp2.labels)
         assert np.array_equal(gt1.supply_edges, gt2.supply_edges)
 
@@ -79,18 +80,19 @@ class TestGenerate:
 
     def test_positives_are_exactly_the_hidden_links(self, small_economy):
         _, (g, d_sc, _, gt) = small_economy
-        positives = {tuple(p) for p in d_sc.pairs[d_sc.labels == 1].tolist()}
+        positives = {tuple(p) for p in d_sc.examples[d_sc.labels == 1].tolist()}
         assert positives == {tuple(e) for e in gt.hidden_supply().tolist()}
         # and none of them leaked into the observed adjacency
-        for u, v in list(positives)[:50]:
-            assert not g.has_edge(u, v)
+        pos = d_sc.examples[d_sc.labels == 1]
+        assert not in_sorted(pos[:, 0] * g.num_nodes + pos[:, 1], g.edge_keys()).any()
 
     def test_negatives_are_true_non_links(self, small_economy):
         _, (g, d_sc, _, gt) = small_economy
         supply = {tuple(e) for e in gt.supply_edges.tolist()}
-        for u, v in d_sc.pairs[d_sc.labels == 0].tolist():
+        negatives = d_sc.examples[d_sc.labels == 0]
+        for u, v in negatives.tolist():
             assert (u, v) not in supply
-            assert not g.has_edge(u, v)
+        assert not in_sorted(negatives[:, 0] * g.num_nodes + negatives[:, 1], g.edge_keys()).any()
 
     def test_negative_ratio_respected(self, small_economy):
         cfg, (_, d_sc, _, _) = small_economy
