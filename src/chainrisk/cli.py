@@ -141,12 +141,15 @@ def cmd_generate(args):
 def _task_inputs(args, stage, config):
     """Graph view, labeled set and input paths of one stage, for train and eval.
 
-    Stage sc reads the pair labels and, when they hold only positives, adds
-    `config.neg_ratio` sampled negatives per positive. Stage dp reads the
-    node labels and enriches the graph from --mined (none with
-    --no-enrich). Returns (view, labeled, inputs, num_mined).
+    Stage sc takes neither --mined nor --no-enrich; it reads the pair labels
+    and, when they hold only positives, adds `config.neg_ratio` sampled
+    negatives per positive. Stage dp reads the node labels and enriches the
+    graph from --mined, or uses the base graph with --no-enrich. Returns
+    (view, labeled, inputs, num_mined).
     """
-    g = dataio.read_graph(args.data)
+    if stage == "sc" and (args.mined or args.no_enrich):
+        raise InvalidInput("stage sc takes neither --mined nor --no-enrich")
+    g = view = dataio.read_graph(args.data)
     inputs = [os.path.join(args.data, "nodes.csv"), os.path.join(args.data, "edges.tsv")]
     num_mined = 0
     if stage == "sc":
@@ -156,20 +159,20 @@ def _task_inputs(args, stage, config):
             raise InvalidInput("labels_sc.tsv has no positive pairs")
         if labels.min() == 1:
             negatives = sample_negatives(g, examples, config.neg_ratio, config.seed)
+            if not len(negatives):
+                raise InvalidInput(f"neg_ratio {config.neg_ratio} samples no negatives for the "
+                                   f"{len(examples)} positives of labels_sc.tsv")
             examples = np.vstack([examples, negatives])
             labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
-        view = g
     else:
         inputs.append(os.path.join(args.data, "labels_dp.tsv"))
         examples, labels = dataio.read_node_labels(inputs[-1])
-        mined = []
         if not args.no_enrich:
             if not args.mined:
                 raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")
-            mined = dataio.read_mined_edges(args.mined)
+            enriched = enrich(g, dataio.read_mined_edges(args.mined), config.tau)
             inputs.append(args.mined)
-        enriched = enrich(g, mined, config.tau)
-        view, num_mined = enriched.graph(), enriched.num_mined
+            view, num_mined = enriched.graph(), enriched.num_mined
     labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
     return view, labeled, inputs, num_mined
 
@@ -200,7 +203,7 @@ def cmd_train(args):
     if args.stage == "sc":
         result = run_stage1_mining(view, labeled, config)
         mined_path = os.path.join(args.out, "mined_edges.tsv")
-        dataio.write_mined_edges(mined_path, result.enriched.mined_edges())
+        dataio.write_mined_edges(mined_path, result.enriched.mined_pairs, result.enriched.mined_scores)
         num_mined = result.enriched.num_mined
         extra["candidate_count"] = result.candidate_count
         stage_outputs = [mined_path]
@@ -304,16 +307,18 @@ def build_parser():
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--tau", type=float, default=None, help="retention threshold override")
     p_train.add_argument("--grid", action="store_true", help="grid search before the final fit")
-    p_train.add_argument("--mined", default=None, help="mined_edges.tsv from a prior sc run (stage dp)")
-    p_train.add_argument("--no-enrich", action="store_true", help="stage dp ablation without mined edges")
+    enrichment = p_train.add_mutually_exclusive_group()
+    enrichment.add_argument("--mined", default=None, help="mined_edges.tsv from a prior sc run (stage dp)")
+    enrichment.add_argument("--no-enrich", action="store_true", help="stage dp ablation without mined edges")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True)
     p_eval.add_argument("--out", default=None, help="defaults to the checkpoint directory")
-    p_eval.add_argument("--mined", default=None)
-    p_eval.add_argument("--no-enrich", action="store_true")
+    enrichment = p_eval.add_mutually_exclusive_group()
+    enrichment.add_argument("--mined", default=None, help="mined_edges.tsv (stage dp)")
+    enrichment.add_argument("--no-enrich", action="store_true", help="stage dp on the base graph")
     p_eval.set_defaults(func=cmd_eval)
     return parser
 

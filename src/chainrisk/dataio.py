@@ -54,54 +54,62 @@ def write_graph(out_dir, g):
     return [nodes_path, edges_path]
 
 
+def _parse_rows(path, sep, parse, width=None):
+    """[parse(cells, lineno) for each line of `path` split on `sep`].
+
+    Every line must have `width` cells (the first line's count when None).
+    A wrong count, or a ValueError from `parse` (a cell that is not a
+    number, a row that breaks the format), raises InvalidInput naming
+    `path:line`.
+    """
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cells = line.rstrip("\n").split(sep)
+            width = width or len(cells)
+            try:
+                if len(cells) != width:
+                    raise ValueError(f"expected {width} cells, got {len(cells)}")
+                rows.append(parse(cells, lineno))
+            except ValueError as err:
+                raise InvalidInput(f"{path}:{lineno}: {err}") from None
+    return rows
+
+
+def _node_row(cells, lineno):
+    if lineno == 1:
+        if cells[:2] != ["id", "kind"]:
+            raise ValueError("expected header starting with id,kind")
+        return cells
+    if int(cells[0]) != lineno - 2:
+        raise ValueError("ids must be dense and ordered")
+    return cells[1], list(map(float, cells[2:]))
+
+
+def _edge_row(cells, _):
+    if len(cells) < 2:
+        raise ValueError("need at least u and v")
+    u, v = int(cells[0]), int(cells[1])
+    if not u < v:
+        raise ValueError("edges must satisfy u < v")
+    return (u, v), list(map(float, cells[2:]))
+
+
 def read_graph(data_dir):
     nodes_path = os.path.join(data_dir, "nodes.csv")
     edges_path = os.path.join(data_dir, "edges.tsv")
-    kinds = []
-    feats = []
-    with open(nodes_path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[:2] != ["id", "kind"]:
-            raise InvalidInput(f"{nodes_path}: expected header starting with id,kind")
-        num_cols = len(header) - 2
-        for lineno, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(header):
-                raise InvalidInput(f"{nodes_path}:{lineno}: expected {len(header)} cells")
-            if int(cells[0]) != lineno - 2:
-                raise InvalidInput(f"{nodes_path}:{lineno}: ids must be dense and ordered")
-            kinds.append(cells[1])
-            feats.append([float(c) for c in cells[2:]])
-    n = len(kinds)
-    X = np.asarray(feats, dtype=np.float64).reshape(n, num_cols)
-
-    edges = []
-    edge_feats = []
-    fe = None
-    with open(edges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) < 2:
-                raise InvalidInput(f"{edges_path}:{lineno}: need at least u and v")
-            u, v = int(cells[0]), int(cells[1])
-            if not u < v:
-                raise InvalidInput(f"{edges_path}:{lineno}: edges must satisfy u < v")
-            row = [float(c) for c in cells[2:]]
-            if fe is None:
-                fe = len(row)
-            elif len(row) != fe:
-                raise InvalidInput(f"{edges_path}:{lineno}: inconsistent edge feature count")
-            edges.append((u, v))
-            edge_feats.append(row)
-    fe = fe or 0
-    feats = np.zeros((len(edges), fe))
-    for i, row in enumerate(edge_feats):
-        feats[i] = row
+    rows = _parse_rows(nodes_path, ",", _node_row)
+    if not rows:
+        raise InvalidInput(f"{nodes_path}:1: expected header starting with id,kind")
+    kinds = [kind for kind, _ in rows[1:]]
+    X = np.asarray([feats for _, feats in rows[1:]], dtype=np.float64).reshape(len(kinds), len(rows[0]) - 2)
+    edges = _parse_rows(edges_path, "\t", _edge_row)
+    fe = len(edges[0][1]) if edges else 0
     return SmeGraph.from_edge_list(
-        n,
-        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        len(kinds),
+        np.asarray([e for e, _ in edges], dtype=np.int64).reshape(-1, 2),
         node_features=X,
-        edge_features=feats,
+        edge_features=np.asarray([f for _, f in edges], dtype=np.float64).reshape(len(edges), fe),
         node_kind=np.asarray(kinds, dtype="U8"),
     )
 
@@ -110,17 +118,16 @@ def write_node_labels(path, nodes, labels):
     _write_lines(path, (f"{int(u)}\t{int(y)}" for u, y in zip(nodes, labels)))
 
 
+def _label(cell, form):
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected `{form}`")
+    return int(cell)
+
+
 def read_node_labels(path):
-    nodes = []
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != 2 or cells[1] not in ("0", "1"):
-                raise InvalidInput(f"{path}:{lineno}: expected `node<TAB>0|1`")
-            nodes.append(int(cells[0]))
-            labels.append(int(cells[1]))
-    return np.asarray(nodes, dtype=np.int64), np.asarray(labels, dtype=np.int8)
+    rows = _parse_rows(path, "\t", lambda c, _: (int(c[0]), _label(c[1], "node<TAB>0|1")), width=2)
+    return (np.asarray([u for u, _ in rows], dtype=np.int64),
+            np.asarray([y for _, y in rows], dtype=np.int8))
 
 
 def write_pair_labels(path, pairs, labels):
@@ -130,16 +137,11 @@ def write_pair_labels(path, pairs, labels):
 
 
 def read_pair_labels(path):
-    pairs = []
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != 3 or cells[2] not in ("0", "1"):
-                raise InvalidInput(f"{path}:{lineno}: expected `u<TAB>v<TAB>0|1`")
-            pairs.append((int(cells[0]), int(cells[1])))
-            labels.append(int(cells[2]))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2), np.asarray(labels, dtype=np.int8)
+    rows = _parse_rows(
+        path, "\t", lambda c, _: (int(c[0]), int(c[1]), _label(c[2], "u<TAB>v<TAB>0|1")), width=3
+    )
+    table = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    return table[:, :2].copy(), table[:, 2].astype(np.int8)
 
 
 def write_ground_truth(path, truth):
@@ -154,23 +156,21 @@ def write_ground_truth(path, truth):
 def read_ground_truth(path):
     from .synthgen import GroundTruth
 
-    supply = []
-    hidden = []
-    tiers = []
-    labels = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\n").split("\t")
-            if cells[0] == "supply" and len(cells) == 4:
-                supply.append((int(cells[1]), int(cells[2])))
-                hidden.append(bool(int(cells[3])))
-            elif cells[0] == "node" and len(cells) == 4:
-                if int(cells[1]) != len(tiers):
-                    raise InvalidInput(f"{path}:{lineno}: node ids must be dense and ordered")
-                tiers.append(int(cells[2]))
-                labels.append(int(cells[3]))
-            else:
-                raise InvalidInput(f"{path}:{lineno}: unknown record {cells[0]!r}")
+    supply, hidden, tiers, labels = [], [], [], []
+
+    def record(cells, _):
+        if cells[0] == "supply":
+            supply.append((int(cells[1]), int(cells[2])))
+            hidden.append(bool(int(cells[3])))
+        elif cells[0] == "node":
+            if int(cells[1]) != len(tiers):
+                raise ValueError("node ids must be dense and ordered")
+            tiers.append(int(cells[2]))
+            labels.append(int(cells[3]))
+        else:
+            raise ValueError(f"unknown record {cells[0]!r}")
+
+    _parse_rows(path, "\t", record, width=4)
     return GroundTruth(
         supply_edges=np.asarray(supply, dtype=np.int64).reshape(-1, 2),
         hidden_mask=np.asarray(hidden, dtype=bool),
@@ -179,19 +179,15 @@ def read_ground_truth(path):
     )
 
 
-def write_mined_edges(path, mined):
-    _write_lines(path, (f"{int(u)}\t{int(v)}\t{_fmt(s)}" for u, v, s in mined))
+def write_mined_edges(path, pairs, scores):
+    _write_lines(path, (f"{u}\t{v}\t{_fmt(s)}" for (u, v), s in zip(np.asarray(pairs).tolist(), scores)))
 
 
 def read_mined_edges(path):
-    mined = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != 3:
-                raise InvalidInput(f"{path}:{lineno}: expected `u<TAB>v<TAB>score`")
-            mined.append((int(cells[0]), int(cells[1]), float(cells[2])))
-    return mined
+    """(pairs, scores): a (k, 2) int64 array and k float64 scores."""
+    rows = _parse_rows(path, "\t", lambda c, _: (int(c[0]), int(c[1]), float(c[2])), width=3)
+    return (np.asarray([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2),
+            np.asarray([r[2] for r in rows], dtype=np.float64))
 
 
 def write_roc_points(path, points):

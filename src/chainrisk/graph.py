@@ -133,6 +133,8 @@ class SmeGraph:
         edge_features = np.asarray(edge_features, dtype=np.float64)
         if edge_features.shape[0] != m:
             raise InvalidInput(f"expected {m} edge feature rows, got {edge_features.shape[0]}")
+        if not np.all(np.isfinite(edge_features)):
+            raise InvalidInput("edge_features contain non-finite values")
         if node_kind is None:
             node_kind = np.full(num_nodes, "sme", dtype="U8")
         else:
@@ -156,9 +158,6 @@ class SmeGraph:
 
     def degrees(self):
         return np.diff(self.indptr)
-
-    def neighbors(self, u):
-        return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
     def undirected_edges(self):
         """(m, 2) array of edges with u < v in key order, plus the feature table."""
@@ -254,13 +253,6 @@ class EnrichedGraph:
     def num_mined(self):
         return int(self.mined_pairs.shape[0])
 
-    def mined_edges(self):
-        """List of (u, v, score) tuples in canonical order."""
-        return [
-            (int(u), int(v), float(s))
-            for (u, v), s in zip(self.mined_pairs, self.mined_scores)
-        ]
-
     def graph(self):
         """Combined view used for propagation: `base` itself when nothing
         was mined, else base plus mined edges, which carry zero feature rows."""
@@ -281,22 +273,17 @@ class EnrichedGraph:
 def enrich(g, mined, tau):
     """Retain scored pairs at or above tau, deduplicated against the graph.
 
-    `mined` holds (u, v, score) triples, or is a `(pairs, scores)` tuple of
-    a (k, 2) int array and k scores; scores lie in [0, 1]. Pairs are
-    canonicalized to u < v; self-pairs are dropped, duplicates keep their
-    best score, and anything already observed is discarded.
+    `mined` is a `(pairs, scores)` tuple of a (k, 2) int array and k scores
+    in [0, 1]. Pairs are canonicalized to u < v; self-pairs are dropped,
+    duplicates keep their best score, and anything already observed is
+    discarded.
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgument(f"tau must be in [0, 1], got {tau}")
-    if isinstance(mined, tuple) and len(mined) == 2 and isinstance(mined[0], np.ndarray):
-        arr = np.asarray(mined[0], dtype=np.int64).reshape(-1, 2)
-        scores = np.asarray(mined[1], dtype=np.float64).reshape(-1)
-        if scores.size != arr.shape[0]:
-            raise InvalidArgument("need one score per mined pair")
-    else:
-        mined = list(mined)
-        arr = np.asarray([[u, v] for u, v, _ in mined], dtype=np.int64).reshape(-1, 2)
-        scores = np.asarray([s for _, _, s in mined], dtype=np.float64)
+    arr = np.asarray(mined[0], dtype=np.int64).reshape(-1, 2)
+    scores = np.asarray(mined[1], dtype=np.float64).reshape(-1)
+    if scores.size != arr.shape[0]:
+        raise InvalidArgument("need one score per mined pair")
     if not scores.size:
         return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
     if np.any(scores < 0.0) or np.any(scores > 1.0) or not np.all(np.isfinite(scores)):

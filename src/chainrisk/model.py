@@ -1,15 +1,17 @@
-"""GCN encoder plus the two scoring heads, with hand-written backprop.
+"""GCN encoder plus one scoring head for pairs and nodes, with hand-written backprop.
 
 The encoder applies H <- relu(A_hat @ H @ W) per layer, ReLU on every layer
-including the last. The pair head scores concatenated embeddings
-[q_u ; q_v] (u < v by convention), the node head scores q_u alone; both are
-small ReLU MLPs ending in a single logit. Dropout sits on each encoder
-layer input and each head hidden activation, training mode only.
+including the last. The head is a one-hidden-layer ReLU MLP ending in a
+single logit. It scores a row of k endpoint ids from the concatenated
+embeddings [q_e1 ; ... ; q_ek]: k = 2 for pairs (u < v by convention),
+k = 1 for nodes. Dropout sits on each encoder layer input and on the head's
+hidden activation, training mode only.
 
-The pair head is computed in factored form: its first layer splits as
-[q_u ; q_v] W0 = (Q W0[:d])[u] + (Q W0[d:])[v], so the first-layer matmuls
-run once over the node rows of Q rather than once per pair, and the
-backward pass scatters the first-layer gradient once per endpoint.
+The head's first layer is computed in factored form: it splits as
+[q_e1 ; ... ; q_ek] W0 = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek],
+so the first-layer matmuls run once over the node rows of Q rather than
+once per example, and the backward pass scatters the first-layer gradient
+once per endpoint.
 
 Backprop leans on the normalized adjacency being symmetric: the adjoint of
 `spmm(adj, .)` is `spmm(adj, .)` itself.
@@ -42,7 +44,7 @@ class GcnParams:
 
 @dataclass
 class MlpHead:
-    """Hidden (weight, bias) pairs with ReLU between, then a 1-logit layer."""
+    """One hidden ReLU layer, then a 1-logit layer: weights [W0, W1], biases [b0, b1]."""
 
     weights: list
     biases: list
@@ -87,11 +89,9 @@ def init_gcn(dims, rng):
     return GcnParams(weights=[_uniform_init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)])
 
 
-def init_head(in_dim, hidden_dims, rng):
-    widths = [in_dim] + list(hidden_dims) + [1]
-    weights = [_uniform_init(rng, widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
-    biases = [np.zeros(widths[i + 1]) for i in range(len(widths) - 1)]
-    return MlpHead(weights=weights, biases=biases)
+def init_head(in_dim, hidden, rng):
+    weights = [_uniform_init(rng, in_dim, hidden), _uniform_init(rng, hidden, 1)]
+    return MlpHead(weights=weights, biases=[np.zeros(hidden), np.zeros(1)])
 
 
 def init_classifier(task, in_dim, num_layers, hidden_dim, embed_dim, head_hidden, rng):
@@ -102,7 +102,7 @@ def init_classifier(task, in_dim, num_layers, hidden_dim, embed_dim, head_hidden
     dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [embed_dim]
     gcn = init_gcn(dims, rng)
     head_in = 2 * embed_dim if task == "pair" else embed_dim
-    head = init_head(head_in, [head_hidden], rng)
+    head = init_head(head_in, head_hidden, rng)
     return GcnClassifier(gcn=gcn, head=head, task=task)
 
 
@@ -146,40 +146,6 @@ def gcn_backward(dQ, cache, params):
     return grads
 
 
-def _head_forward(Z, head, dropout_rate=0.0, rng=None, training=False):
-    """Every layer after the first, given the first layer's pre-activation Z."""
-    inputs = []
-    zs = []
-    masks = []
-    for W, b in zip(head.weights[1:], head.biases[1:]):
-        zs.append(Z)
-        A, mask = dropout(relu(Z), dropout_rate, rng, training)
-        masks.append(mask)
-        inputs.append(A)
-        Z = A @ W + b
-    return Z.reshape(-1), {"inputs": inputs, "zs": zs, "masks": masks, "rate": dropout_rate}
-
-
-def _head_backward(dlogits, cache, head):
-    """Gradients of layers 1.. and of the first bias, plus d(loss)/d(first pre-activation).
-
-    The first layer's weight gradient is left as None for the caller, which
-    knows how that layer's input was formed.
-    """
-    if cache is None or "inputs" not in cache:
-        raise ChainriskError("missing forward cache")
-    dZ = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-    w_grads = [None] * len(head.weights)
-    b_grads = [None] * len(head.biases)
-    for i in range(len(head.weights) - 1, 0, -1):
-        w_grads[i] = cache["inputs"][i - 1].T @ dZ
-        b_grads[i] = dZ.sum(axis=0)
-        dA = dropout_grad(dZ @ head.weights[i].T, cache["masks"][i - 1], cache["rate"])
-        dZ = relu_grad(dA, cache["zs"][i - 1])
-    b_grads[0] = dZ.sum(axis=0)
-    return w_grads, b_grads, dZ
-
-
 def _check_ids(ids, num_nodes):
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
@@ -195,48 +161,55 @@ def _scatter_rows(num_rows, idx, rows):
     return out.reshape(num_rows, d)
 
 
-def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False):
-    """Score node pairs from concatenated embeddings [q_u ; q_v].
+def _head_logits(Q, examples, head, dropout_rate, rng, training):
+    """Score rows of k endpoint ids from [q_e1 ; ... ; q_ek], factored per endpoint.
 
-    The first layer is applied per node, not per pair:
-    [q_u ; q_v] W0 = (Q W0[:d])[u] + (Q W0[d:])[v].
+    The first layer runs once over the node rows of Q:
+    Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0.
     """
-    pairs = _check_ids(pairs, Q.shape[0]).reshape(-1, 2)
-    W0 = head.weights[0]
     d = Q.shape[1]
-    Z = (Q @ W0[:d])[pairs[:, 0]] + (Q @ W0[d:])[pairs[:, 1]] + head.biases[0]
-    logits, cache = _head_forward(Z, head, dropout_rate, rng, training)
-    cache["Q"] = Q
-    cache["pairs"] = pairs
-    return logits, cache
+    W0, W1 = head.weights
+    Z = (Q @ W0[:d])[examples[:, 0]]
+    for j in range(1, examples.shape[1]):
+        Z += (Q @ W0[j * d:(j + 1) * d])[examples[:, j]]
+    Z += head.biases[0]
+    H, mask = dropout(relu(Z), dropout_rate, rng, training)
+    logits = (H @ W1 + head.biases[1]).reshape(-1)
+    return logits, {"Q": Q, "examples": examples, "Z": Z, "H": H, "mask": mask, "rate": dropout_rate}
+
+
+def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False):
+    """Score node pairs from concatenated embeddings [q_u ; q_v]."""
+    pairs = _check_ids(pairs, Q.shape[0]).reshape(-1, 2)
+    return _head_logits(Q, pairs, head, dropout_rate, rng, training)
 
 
 def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
     """Score single nodes from their embeddings."""
-    nodes = _check_ids(nodes, Q.shape[0]).reshape(-1)
-    A = Q[nodes]
-    logits, cache = _head_forward(A @ head.weights[0] + head.biases[0], head, dropout_rate, rng, training)
-    cache["A"] = A
-    cache["nodes"] = nodes
-    cache["num_nodes"] = Q.shape[0]
-    return logits, cache
+    nodes = _check_ids(nodes, Q.shape[0]).reshape(-1, 1)
+    return _head_logits(Q, nodes, head, dropout_rate, rng, training)
 
 
 def head_backward(dlogits, cache, head):
-    """Head gradients plus the gradient scattered back onto embeddings."""
-    w_grads, b_grads, dZ = _head_backward(dlogits, cache, head)
-    W0 = head.weights[0]
-    if "pairs" in cache:
-        # scatter dZ once per endpoint; both W0 halves and dQ follow on node rows
-        Q = cache["Q"]
-        n, d = Q.shape
-        S_u = _scatter_rows(n, cache["pairs"][:, 0], dZ)
-        S_v = _scatter_rows(n, cache["pairs"][:, 1], dZ)
-        w_grads[0] = np.vstack([Q.T @ S_u, Q.T @ S_v])
-        dQ = S_u @ W0[:d].T + S_v @ W0[d:].T
-    else:
-        w_grads[0] = cache["A"].T @ dZ
-        dQ = _scatter_rows(cache["num_nodes"], cache["nodes"], dZ @ W0.T)
+    """Head gradients plus the gradient scattered back onto embeddings.
+
+    dZ is scattered once per endpoint column; the W0 blocks and dQ follow
+    on node rows.
+    """
+    if cache is None or "Z" not in cache:
+        raise ChainriskError("missing forward cache")
+    W0, W1 = head.weights
+    Q, examples = cache["Q"], cache["examples"]
+    n, d = Q.shape
+    dlogits = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
+    dH = dropout_grad(dlogits @ W1.T, cache["mask"], cache["rate"])
+    dZ = relu_grad(dH, cache["Z"])
+    scattered = [_scatter_rows(n, examples[:, j], dZ) for j in range(examples.shape[1])]
+    dQ = scattered[0] @ W0[:d].T
+    for j in range(1, len(scattered)):
+        dQ += scattered[j] @ W0[j * d:(j + 1) * d].T
+    w_grads = [np.vstack([Q.T @ S for S in scattered]), cache["H"].T @ dlogits]
+    b_grads = [dZ.sum(axis=0), dlogits.sum(axis=0)]
     return w_grads, b_grads, dQ
 
 
@@ -281,30 +254,59 @@ def save_checkpoint(path, model, meta):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _chain(shapes):
+    """Widths [w0, w1, ...] if `shapes` is [[w0, w1], [w1, w2], ...] of positive ints, else None."""
+    try:
+        widths = [shapes[0][0]] + [s[1] for s in shapes]
+    except (TypeError, LookupError):
+        return None
+    ok = all(type(w) is int and w > 0 for w in widths)
+    return widths if ok and shapes == [[a, b] for a, b in zip(widths, widths[1:])] else None
+
+
 def load_checkpoint(path):
-    """Returns (model, meta). Raises CheckpointVersionError on a bad version."""
+    """Returns (model, meta) for a checkpoint this head can score.
+
+    Raises CheckpointVersionError on a bad version, and InvalidInput naming
+    `path` on a short or non-JSON header, a task other than pair/node, an
+    encoder whose widths do not chain, a head other than [k * embed, h]
+    then [h, 1], or a payload of the wrong length.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidInput(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(version, CHECKPOINT_VERSION)
-        (blob_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        payload = fh.read()
-    gcn = GcnParams(weights=[np.zeros(s) for s in header["gcn_shapes"]])
-    head = MlpHead(
-        weights=[np.zeros(s) for s in header["head_w_shapes"]],
-        biases=[np.zeros(s) for s in header["head_b_shapes"]],
+        raw = fh.read()
+    start = len(CHECKPOINT_MAGIC) + 8
+    if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise InvalidInput(f"{path} is not a checkpoint file")
+    if len(raw) < start:
+        raise InvalidInput(f"{path}: truncated checkpoint header")
+    version, blob_len = struct.unpack_from("<II", raw, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointVersionError(version, CHECKPOINT_VERSION)
+    try:
+        header = json.loads(raw[start:start + blob_len].decode("utf-8"))
+    except ValueError as err:
+        raise InvalidInput(f"{path}: checkpoint header is not JSON ({err})") from None
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)):
+        raise InvalidInput(f"{path}: checkpoint header must be an object with a meta object")
+    k = {"pair": 2, "node": 1}.get(header.get("task"))
+    if k is None:
+        raise InvalidInput(f"{path}: checkpoint task must be 'pair' or 'node', got {header.get('task')!r}")
+    enc, head = _chain(header.get("gcn_shapes")), _chain(header.get("head_w_shapes"))
+    if enc is None or head is None or len(head) != 3 or head[0] != k * enc[-1] or head[2] != 1 \
+            or header.get("head_b_shapes") != [[head[1]], [1]]:
+        raise InvalidInput(f"{path}: checkpoint must hold a chained encoder and a [{k} * embed, h], [h, 1] head")
+    model = GcnClassifier(
+        gcn=GcnParams(weights=[np.zeros(s) for s in header["gcn_shapes"]]),
+        head=MlpHead(weights=[np.zeros(head[:2]), np.zeros(head[1:])], biases=[np.zeros(head[1]), np.zeros(1)]),
+        task=header["task"],
     )
-    model = GcnClassifier(gcn=gcn, head=head, task=header["task"])
+    params = model.parameters()
+    payload = raw[start + blob_len:]
+    expected = 8 * sum(p.size for p in params)
+    if len(payload) != expected:
+        raise InvalidInput(f"{path}: checkpoint payload has {len(payload)} bytes, expected {expected}")
     offset = 0
-    for p in model.parameters():
-        count = p.size
-        chunk = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        p[:] = chunk.reshape(p.shape)
-        offset += count * 8
-    if offset != len(payload):
-        raise InvalidInput("checkpoint payload size mismatch")
+    for p in params:
+        p[:] = np.frombuffer(payload, dtype="<f8", count=p.size, offset=offset).reshape(p.shape)
+        offset += 8 * p.size
     return model, header["meta"]

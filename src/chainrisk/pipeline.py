@@ -417,8 +417,8 @@ def grid_search(grid, data, config, max_workers=1):
     return GridSearchResult(best_config=best_config, table=table)
 
 
-def candidate_pairs(g, extra_pairs=None, max_hops=3, sme_only=True):
-    """Non-edges within `max_hops` hops, plus any extra labeled pairs.
+def candidate_pairs(g, extra_pairs=None, max_hops=3):
+    """SME non-edges within `max_hops` hops, plus any extra labeled pairs.
 
     Bounding candidates to a small neighborhood radius keeps scoring far
     below the all-pairs quadratic blowup. Three hops is the useful default:
@@ -435,7 +435,7 @@ def candidate_pairs(g, extra_pairs=None, max_hops=3, sme_only=True):
     if max_hops not in (2, 3, 4):
         raise InvalidArgument("max_hops must be 2, 3, or 4")
     n = g.num_nodes
-    allowed = g.node_kind == "sme" if sme_only else np.ones(n, dtype=bool)
+    allowed = g.node_kind == "sme"
     sources = np.flatnonzero(allowed)
     # level h holds the sorted keys of every (source, node) pair at distance h;
     # a neighbour of a node at distance h lies at distance h - 1, h or h + 1,

@@ -175,9 +175,6 @@ class GroundTruth:
     def hidden_supply(self):
         return self.supply_edges[self.hidden_mask]
 
-    def partner_counts(self):
-        return np.bincount(self.supply_edges.reshape(-1), minlength=self.num_nodes)
-
     def supply_graph(self):
         """Full supply network as a bare graph (for partner-count analyses)."""
         return SmeGraph.from_edge_list(

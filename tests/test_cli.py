@@ -6,6 +6,7 @@ import pytest
 
 from chainrisk import dataio
 from chainrisk.cli import main
+from chainrisk.errors import InvalidInput
 
 
 @pytest.fixture()
@@ -42,6 +43,17 @@ def dataset(tmp_path, gen_config):
     out = tmp_path / "data"
     assert main(["generate", "--config", gen_config, "--out", str(out)]) == 0
     return str(out)
+
+
+def corrupt_cell(path, lineno, col, value="x"):
+    """Overwrite one cell of a delimited text file in place."""
+    sep = "," if str(path).endswith(".csv") else "\t"
+    lines = open(path, encoding="utf-8").read().split("\n")
+    cells = lines[lineno - 1].split(sep)
+    cells[col] = value
+    lines[lineno - 1] = sep.join(cells)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
 
 
 def positives_only_copy(tmp_path, dataset):
@@ -120,6 +132,25 @@ class TestTrainSc:
         assert main(["train", "sc", "--data", str(pos_dir), "--config", train_config,
                      "--out", str(out)]) == 0
 
+    def test_neg_ratio_that_samples_no_negatives_exits_two(self, tmp_path, dataset, train_config, capsys):
+        pos_dir = positives_only_copy(tmp_path, dataset)
+        cfg = json.loads(open(train_config).read())
+        cfg["neg_ratio"] = 0.001
+        cfg_path = tmp_path / "tiny_ratio.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "sc", "--data", str(pos_dir), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sc")]) == 2
+        _, labels = dataio.read_pair_labels(pos_dir / "labels_sc.tsv")
+        assert round(0.001 * labels.size) == 0
+        err = capsys.readouterr().err
+        assert "neg_ratio 0.001" in err and f"{labels.size} positives" in err
+
+    @pytest.mark.parametrize("flags", [["--no-enrich"], ["--mined", "mined_edges.tsv"]], ids=["no-enrich", "mined"])
+    def test_enrichment_flags_rejected(self, tmp_path, dataset, train_config, capsys, flags):
+        assert main(["train", "sc", "--data", dataset, "--config", train_config,
+                     "--out", str(tmp_path / "sc"), *flags]) == 2
+        assert "stage sc takes neither --mined nor --no-enrich" in capsys.readouterr().err
+
     def test_grid_emits_full_table(self, tmp_path, dataset, train_config):
         cfg = json.loads(open(train_config).read())
         cfg["max_epochs"] = 12
@@ -192,6 +223,13 @@ class TestTrainDp:
     def test_requires_enrichment_choice(self, tmp_path, dataset, train_config):
         assert main(["train", "dp", "--data", dataset, "--config", train_config,
                      "--out", str(tmp_path / "dp")]) == 2
+
+    def test_mined_and_no_enrich_are_mutually_exclusive(self, tmp_path, dataset, train_config):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "dp", "--data", dataset, "--config", train_config, "--out", str(tmp_path / "dp"),
+                  "--mined", str(tmp_path / "mined_edges.tsv"), "--no-enrich"])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "dp").exists()
 
     def test_no_enrich_trains(self, tmp_path, dataset, train_config):
         out = tmp_path / "dp"
@@ -293,3 +331,54 @@ class TestEval:
                      "--out", str(dp_out), "--mined", str(sc_out / "mined_edges.tsv")]) == 0
         assert main(["eval", "--checkpoint", str(dp_out / "checkpoint_dp.bin"),
                      "--data", dataset]) == 2
+
+    @pytest.mark.parametrize("flags", [["--mined", "/nonexistent"], ["--no-enrich"]], ids=["mined", "no-enrich"])
+    def test_sc_checkpoint_rejects_enrichment_flags(self, tmp_path, dataset, train_config, capsys, flags):
+        out = tmp_path / "sc"
+        assert main(["train", "sc", "--data", dataset, "--config", train_config,
+                     "--out", str(out)]) == 0
+        assert main(["eval", "--checkpoint", str(out / "checkpoint_sc.bin"), "--data", dataset,
+                     "--out", str(tmp_path / "ev"), *flags]) == 2
+        assert "stage sc takes neither --mined nor --no-enrich" in capsys.readouterr().err
+
+    def test_mined_and_no_enrich_are_mutually_exclusive(self, tmp_path, dataset):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["eval", "--checkpoint", str(tmp_path / "checkpoint_dp.bin"), "--data", dataset,
+                  "--mined", str(tmp_path / "mined_edges.tsv"), "--no-enrich"])
+        assert exit_info.value.code == 2
+
+    def test_truncated_checkpoint_exits_two(self, tmp_path, dataset, train_config, capsys):
+        out = tmp_path / "dp"
+        assert main(["train", "dp", "--data", dataset, "--config", train_config,
+                     "--out", str(out), "--no-enrich"]) == 0
+        ckpt = out / "checkpoint_dp.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:40])
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", dataset, "--no-enrich"]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+
+# (file, line, column) of the corrupted cell, and the command that reads the file
+CORRUPT_CELLS = [
+    ("nodes.csv", 3, 2, ["train", "dp", "--no-enrich"]),
+    ("edges.tsv", 3, 2, ["train", "dp", "--no-enrich"]),
+    ("labels_dp.tsv", 3, 0, ["train", "dp", "--no-enrich"]),
+    ("labels_sc.tsv", 3, 1, ["train", "sc"]),
+    ("mined_edges.tsv", 2, 2, ["train", "dp", "--mined", "mined_edges.tsv"]),
+    ("ground_truth.tsv", 3, 3, None),  # no command reads it; its reader is called directly
+]
+
+
+@pytest.mark.parametrize("name,lineno,col,command", CORRUPT_CELLS, ids=[c[0] for c in CORRUPT_CELLS])
+def test_non_numeric_cell_exits_two_with_path_and_line(tmp_path, dataset, train_config, capsys,
+                                                       name, lineno, col, command):
+    path = os.path.join(dataset, name)
+    if name == "mined_edges.tsv":
+        dataio.write_mined_edges(path, np.array([[0, 5], [1, 7]]), np.array([0.95, 0.97]))
+    corrupt_cell(path, lineno, col)
+    if command is None:
+        with pytest.raises(InvalidInput, match=f"{path}:{lineno}:"):
+            dataio.read_ground_truth(path)
+        return
+    argv = [path if arg == name else arg for arg in command]
+    assert main(argv + ["--data", dataset, "--config", train_config, "--out", str(tmp_path / "o")]) == 2
+    assert f"{path}:{lineno}:" in capsys.readouterr().err

@@ -96,10 +96,13 @@ class TestGroundTruthFile:
 
 class TestMinedAndMisc:
     def test_mined_edges_round_trip(self, tmp_path):
-        mined = [(0, 5, 0.925), (2, 3, 1.0)]
+        pairs, scores = np.array([[0, 5], [2, 3]]), np.array([0.925, 1.0])
         path = tmp_path / "mined_edges.tsv"
-        dataio.write_mined_edges(path, mined)
-        assert dataio.read_mined_edges(path) == mined
+        dataio.write_mined_edges(path, pairs, scores)
+        assert path.read_text() == "0\t5\t0.925\n2\t3\t1.0\n"
+        got_pairs, got_scores = dataio.read_mined_edges(path)
+        assert got_pairs.dtype == np.int64 and got_pairs.tolist() == pairs.tolist()
+        assert got_scores.dtype == np.float64 and got_scores.tolist() == scores.tolist()
 
     def test_digest_changes_with_content(self, tmp_path):
         a = tmp_path / "a.txt"

@@ -68,6 +68,14 @@ class TestSmeGraph:
         with pytest.raises(InvalidInput):
             SmeGraph.from_edge_list(2, [(0, 1)], np.zeros((2, 1)), node_kind=["sme", "bank"])
 
+    @pytest.mark.parametrize("table", ["node", "edge"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, table, bad):
+        node_feats, edge_feats = np.zeros((3, 1)), np.zeros((2, 1))
+        (node_feats if table == "node" else edge_feats)[1, 0] = bad
+        with pytest.raises(InvalidInput, match=f"{table}_features contain non-finite values"):
+            SmeGraph.from_edge_list(3, [(0, 1), (1, 2)], node_feats, edge_features=edge_feats)
+
 
 class TestNormalization:
     def test_single_isolated_node(self):
@@ -216,6 +224,16 @@ def enrich_dict_oracle(num_nodes, edges, mined, tau):
     return [(u, v, s) for (u, v), s in sorted(best.items())]
 
 
+def as_arrays(triples):
+    """(pairs, scores) arrays from (u, v, score) triples."""
+    pairs = np.asarray([(u, v) for u, v, _ in triples], dtype=np.int64).reshape(-1, 2)
+    return pairs, np.asarray([s for _, _, s in triples], dtype=np.float64)
+
+
+def mined_triples(eg):
+    return [(int(u), int(v), float(s)) for (u, v), s in zip(eg.mined_pairs, eg.mined_scores)]
+
+
 class TestEnrich:
     def _graph(self):
         return SmeGraph.from_edge_list(
@@ -224,7 +242,7 @@ class TestEnrich:
 
     def test_empty_mined_keeps_adjacency(self):
         g = self._graph()
-        eg = enrich(g, [], tau=0.5)
+        eg = enrich(g, as_arrays([]), tau=0.5)
         assert eg.num_mined == 0
         view = eg.graph()
         assert view is g
@@ -233,7 +251,7 @@ class TestEnrich:
 
     def test_observed_duplicates_are_dropped(self):
         g = self._graph()
-        eg = enrich(g, [(0, 1, 0.9)], tau=0.5)
+        eg = enrich(g, as_arrays([(0, 1, 0.9)]), tau=0.5)
         assert eg.num_mined == 0
 
     def test_matches_linear_scan_oracle(self, rng):
@@ -253,20 +271,20 @@ class TestEnrich:
             if len(seen) == 8:
                 break
         expected = {(u, v) for u, v, s in cands if s >= 0.7 and (u, v) not in observed}
-        eg = enrich(g, cands, tau=0.7)
-        assert {(u, v) for u, v, _ in eg.mined_edges()} == expected
+        eg = enrich(g, as_arrays(cands), tau=0.7)
+        assert {(u, v) for u, v, _ in mined_triples(eg)} == expected
 
     def test_monotone_in_tau(self, rng):
         g = self._graph()
-        cands = [(0, 2, 0.95), (0, 3, 0.6), (2, 4, 0.8), (3, 4, 0.3)]
+        cands = as_arrays([(0, 2, 0.95), (0, 3, 0.6), (2, 4, 0.8), (3, 4, 0.3)])
         kept = {}
         for tau in (0.2, 0.5, 0.9):
-            kept[tau] = {(u, v) for u, v, _ in enrich(g, cands, tau).mined_edges()}
+            kept[tau] = {(u, v) for u, v, _ in mined_triples(enrich(g, cands, tau))}
         assert kept[0.9] <= kept[0.5] <= kept[0.2]
 
     def test_idempotent_for_fixed_inputs(self):
         g = self._graph()
-        cands = [(0, 2, 0.95), (3, 4, 0.75)]
+        cands = as_arrays([(0, 2, 0.95), (3, 4, 0.75)])
         a = enrich(g, cands, tau=0.7)
         b = enrich(g, cands, tau=0.7)
         assert np.array_equal(a.mined_pairs, b.mined_pairs)
@@ -274,36 +292,36 @@ class TestEnrich:
 
     def test_scores_respect_threshold(self):
         g = self._graph()
-        eg = enrich(g, [(0, 2, 0.71), (0, 3, 0.69)], tau=0.7)
+        eg = enrich(g, as_arrays([(0, 2, 0.71), (0, 3, 0.69)]), tau=0.7)
         assert np.all(eg.mined_scores >= 0.7)
         assert eg.num_mined == 1
 
     def test_duplicate_candidates_keep_best_score(self):
         g = self._graph()
-        eg = enrich(g, [(0, 2, 0.8), (2, 0, 0.9)], tau=0.7)
-        assert eg.mined_edges() == [(0, 2, 0.9)]
+        eg = enrich(g, as_arrays([(0, 2, 0.8), (2, 0, 0.9)]), tau=0.7)
+        assert mined_triples(eg) == [(0, 2, 0.9)]
 
     def test_bad_tau_rejected(self):
         with pytest.raises(InvalidArgument):
-            enrich(self._graph(), [], tau=1.5)
+            enrich(self._graph(), as_arrays([]), tau=1.5)
 
     def test_tau_one_keeps_only_certain_scores(self):
         g = self._graph()
-        eg = enrich(g, [(0, 2, 0.9999), (0, 3, 1.0)], tau=1.0)
-        assert eg.mined_edges() == [(0, 3, 1.0)]
+        eg = enrich(g, as_arrays([(0, 2, 0.9999), (0, 3, 1.0)]), tau=1.0)
+        assert mined_triples(eg) == [(0, 3, 1.0)]
 
     def test_tau_zero_retains_every_candidate(self):
         g = self._graph()
-        eg = enrich(g, [(0, 2, 0.0), (0, 3, 0.4), (2, 4, 0.9)], tau=0.0)
+        eg = enrich(g, as_arrays([(0, 2, 0.0), (0, 3, 0.4), (2, 4, 0.9)]), tau=0.0)
         assert eg.num_mined == 3
 
     def test_bad_score_rejected(self):
         with pytest.raises(InvalidInput):
-            enrich(self._graph(), [(0, 2, 1.2)], tau=0.5)
+            enrich(self._graph(), as_arrays([(0, 2, 1.2)]), tau=0.5)
 
     def test_mined_edges_carry_zero_feature_rows(self):
         g = self._graph()
-        eg = enrich(g, [(0, 2, 0.9)], tau=0.5)
+        eg = enrich(g, as_arrays([(0, 2, 0.9)]), tau=0.5)
         view = eg.graph()
         view.validate()
         pairs, feats = view.undirected_edges()
@@ -319,16 +337,10 @@ class TestEnrich:
     def test_triples_and_arrays_match_dict_oracle(self, mined, tau):
         g = SmeGraph.from_edge_list(6, [(0, 1), (1, 2), (4, 5)], np.zeros((6, 1)))
         expected = enrich_dict_oracle(6, [(0, 1), (1, 2), (4, 5)], mined, tau)
-        pairs = np.asarray([(u, v) for u, v, _ in mined], dtype=np.int64).reshape(-1, 2)
-        scores = np.asarray([s for _, _, s in mined], dtype=np.float64)
-        from_triples = enrich(g, mined, tau)
-        from_arrays = enrich(g, (pairs, scores), tau)
-        assert from_triples.mined_edges() == expected
-        for eg in (from_triples, from_arrays):
-            assert eg.mined_pairs.dtype == np.int64 and eg.mined_pairs.shape == (len(expected), 2)
-            assert eg.mined_scores.dtype == np.float64
-        assert from_arrays.mined_pairs.tobytes() == from_triples.mined_pairs.tobytes()
-        assert from_arrays.mined_scores.tobytes() == from_triples.mined_scores.tobytes()
+        eg = enrich(g, as_arrays(mined), tau)
+        assert mined_triples(eg) == expected
+        assert eg.mined_pairs.dtype == np.int64 and eg.mined_pairs.shape == (len(expected), 2)
+        assert eg.mined_scores.dtype == np.float64
 
     def test_array_form_needs_one_score_per_pair(self):
         with pytest.raises(InvalidArgument):

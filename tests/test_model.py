@@ -1,7 +1,11 @@
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from chainrisk.errors import CheckpointVersionError, InvalidArgument
+from chainrisk.errors import CheckpointVersionError, InvalidArgument, InvalidInput
 from chainrisk.graph import SmeGraph, normalize_adjacency
 from chainrisk.model import (
     GcnClassifier,
@@ -101,21 +105,21 @@ class TestForward:
 
 class TestHeads:
     def test_zero_embeddings_score_half(self):
-        head = init_head(4, [3], make_rng(5, 2))
+        head = init_head(4, 3, make_rng(5, 2))
         Q = np.zeros((6, 2))
         logits, _ = pair_logits(Q, [(0, 1), (2, 3)], head)
         assert np.allclose(logits, 0.0)
         assert np.allclose(sigmoid(logits), 0.5)
 
     def test_single_pair_matches_batched_row(self, rng):
-        head = init_head(8, [5], make_rng(6, 2))
+        head = init_head(8, 5, make_rng(6, 2))
         Q = rng.normal(size=(10, 4))
         batch, _ = pair_logits(Q, [(1, 2), (3, 4), (5, 6)], head)
         single, _ = pair_logits(Q, [(3, 4)], head)
         assert batch[1] == single[0]
 
     def test_pair_head_matches_scalar_loop_oracle(self, rng):
-        head = init_head(6, [4], make_rng(7, 2))
+        head = init_head(6, 4, make_rng(7, 2))
         Q = rng.normal(size=(8, 3))
         pairs = [(0, 1), (2, 5), (7, 3), (4, 4), (6, 0), (1, 7), (5, 5), (2, 2), (3, 6), (0, 7)]
         logits, _ = pair_logits(Q, pairs, head)
@@ -133,7 +137,7 @@ class TestHeads:
             assert abs(out - logits[i]) < 1e-12
 
     def test_pair_order_matters(self, rng):
-        head = init_head(6, [4], make_rng(8, 2))
+        head = init_head(6, 4, make_rng(8, 2))
         Q = rng.normal(size=(4, 3))
         fwd, _ = pair_logits(Q, [(0, 1)], head)
         rev, _ = pair_logits(Q, [(1, 0)], head)
@@ -153,7 +157,7 @@ class TestHeads:
         assert np.allclose(logits, [0.5, 9.5], atol=1e-15)
 
     def test_node_list_permutation_permutes_outputs(self, rng):
-        head = init_head(3, [4], make_rng(9, 2))
+        head = init_head(3, 4, make_rng(9, 2))
         Q = rng.normal(size=(7, 3))
         order = [5, 1, 4, 0]
         base, _ = node_logits(Q, order, head)
@@ -161,48 +165,64 @@ class TestHeads:
         assert np.allclose(base[::-1], shuffled)
 
     def test_out_of_range_ids_rejected(self):
-        head = init_head(4, [2], make_rng(10, 2))
+        head = init_head(4, 2, make_rng(10, 2))
         with pytest.raises(InvalidArgument):
             pair_logits(np.zeros((3, 2)), [(0, 3)], head)
 
 
-def concatenated_pair_head(Q, pairs, head):
-    """The pair head in its unfactored form: one row [q_u ; q_v] per pair."""
-    A = np.concatenate([Q[pairs[:, 0]], Q[pairs[:, 1]]], axis=1)
+def concatenated_head(Q, examples, head):
+    """The head in its unfactored form: one row [q_e1 ; ... ; q_ek] per example."""
+    A = np.concatenate([Q[examples[:, j]] for j in range(examples.shape[1])], axis=1)
     Z = A @ head.weights[0] + head.biases[0]
     return A, Z, (np.maximum(Z, 0.0) @ head.weights[1] + head.biases[1]).reshape(-1)
 
 
+def head_logits(Q, examples, head):
+    """pair_logits for k = 2 endpoint columns, node_logits for k = 1."""
+    if examples.shape[1] == 2:
+        return pair_logits(Q, examples, head)
+    return node_logits(Q, examples.reshape(-1), head)
+
+
+FORWARD_CASES = [(0, 7, 3, 5, 20), (1, 40, 16, 8, 300), (2, 2, 1, 1, 1)]
+
+
 class TestFactoredPairHead:
-    @pytest.mark.parametrize("seed,n,d,h,k", [(0, 7, 3, 5, 20), (1, 40, 16, 8, 300), (2, 2, 1, 1, 1)])
-    def test_matches_concatenated_forward(self, seed, n, d, h, k):
+    @pytest.mark.parametrize("seed,n,d,h,rows,k", [
+        pytest.param(*case, k, id=("node-" if k == 1 else "") + "-".join(map(str, case)))
+        for k in (2, 1) for case in FORWARD_CASES
+    ])
+    def test_matches_concatenated_forward(self, seed, n, d, h, rows, k):
         gen = np.random.default_rng(seed)
-        head = init_head(2 * d, [h], make_rng(seed, 2))
+        head = init_head(k * d, h, make_rng(seed, 2))
         head.biases[0][:] = gen.normal(size=h)
         Q = gen.normal(size=(n, d))
-        pairs = gen.integers(0, n, size=(k, 2))
-        logits, _ = pair_logits(Q, pairs, head)
-        _, _, expected = concatenated_pair_head(Q, pairs, head)
+        examples = gen.integers(0, n, size=(rows, k))
+        logits, _ = head_logits(Q, examples, head)
+        _, _, expected = concatenated_head(Q, examples, head)
         assert np.max(np.abs(logits - expected)) <= 1e-12
 
-    def test_matches_concatenated_backward(self, rng):
+    @pytest.mark.parametrize("k", [2, 1], ids=["pair", "node"])
+    def test_matches_concatenated_backward(self, rng, k):
         n, d, h = 30, 6, 4
-        head = init_head(2 * d, [h], make_rng(3, 2))
+        head = init_head(k * d, h, make_rng(3, 2))
         Q = rng.normal(size=(n, d))
-        pairs = np.vstack([rng.integers(0, n, size=(50, 2)), [(4, 4), (9, 2), (2, 9)]])
-        dlogits = rng.normal(size=pairs.shape[0])
-        logits, cache = pair_logits(Q, pairs, head)
+        examples = np.vstack([rng.integers(0, n, size=(50, 2)), [(4, 4), (9, 2), (2, 9)]])[:, :k]
+        dlogits = rng.normal(size=examples.shape[0])
+        logits, cache = head_logits(Q, examples, head)
         w_grads, b_grads, dQ = head_backward(dlogits, cache, head)
 
-        A, Z, _ = concatenated_pair_head(Q, pairs, head)
+        A, Z, _ = concatenated_head(Q, examples, head)
         dH = dlogits[:, None] @ head.weights[1].T
         dZ = dH * (Z > 0.0)
         dA = dZ @ head.weights[0].T
         expected_dQ = np.zeros_like(Q)
-        np.add.at(expected_dQ, pairs[:, 0], dA[:, :d])
-        np.add.at(expected_dQ, pairs[:, 1], dA[:, d:])
+        for j in range(k):
+            np.add.at(expected_dQ, examples[:, j], dA[:, j * d:(j + 1) * d])
         assert np.max(np.abs(w_grads[0] - A.T @ dZ)) <= 1e-12
         assert np.max(np.abs(b_grads[0] - dZ.sum(axis=0))) <= 1e-12
+        assert np.max(np.abs(w_grads[1] - np.maximum(Z, 0.0).T @ dlogits[:, None])) <= 1e-12
+        assert np.max(np.abs(b_grads[1] - dlogits.sum())) <= 1e-12
         assert np.max(np.abs(dQ - expected_dQ)) <= 1e-12
 
 
@@ -303,3 +323,66 @@ class TestCheckpoint:
         loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
         after, _ = score_examples(loaded, adj, g.node_features, nodes)
         assert np.array_equal(before, after)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def split_checkpoint(raw):
+    """(header dict, payload bytes) of a v1 checkpoint file's bytes."""
+    (blob_len,) = struct.unpack_from("<I", raw, 12)
+    return json.loads(raw[16:16 + blob_len]), raw[16 + blob_len:]
+
+
+def join_checkpoint(header, payload):
+    blob = json.dumps(header).encode("utf-8")
+    return b"CHRKGCN1" + struct.pack("<II", 1, len(blob)) + blob + payload
+
+
+def _set(key, value):
+    def change(header, payload):
+        header[key] = value
+        return join_checkpoint(header, payload)
+    return change
+
+
+# each turns a valid pair checkpoint (embed 4, head hidden 6) into one the head cannot score
+BROKEN_CHECKPOINTS = {
+    "short-header": lambda h, p: join_checkpoint(h, p)[:11],
+    "cut-json": lambda h, p: join_checkpoint(h, p)[:40],
+    "non-json": lambda h, p: join_checkpoint(h, p).replace(b'"task"', b'#task#'),
+    "header-not-object": lambda h, p: join_checkpoint([h], p),
+    "task": _set("task", "edge"),
+    "three-layer-head": _set("head_w_shapes", [[8, 6], [6, 6], [6, 1]]),
+    "head-in-width": _set("head_w_shapes", [[4, 6], [6, 1]]),
+    "head-out-width": _set("head_w_shapes", [[8, 6], [6, 2]]),
+    "head-biases": _set("head_b_shapes", [[6], [2]]),
+    "unchained-encoder": _set("gcn_shapes", [[5, 8], [7, 4]]),
+    "short-payload": lambda h, p: join_checkpoint(h, p[:-8]),
+    "long-payload": lambda h, p: join_checkpoint(h, p + bytes(8)),
+}
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("name", sorted(BROKEN_CHECKPOINTS))
+    def test_unscorable_checkpoint_rejected(self, tmp_path, name):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_classifier("pair", 5, 2, 8, 4, 6, make_rng(1, 1)), {"stage": "sc"})
+        path.write_bytes(BROKEN_CHECKPOINTS[name](*split_checkpoint(path.read_bytes())))
+        with pytest.raises(InvalidInput, match=str(path)):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("task", ["pair", "node"])
+    def test_checkpoint_of_the_previous_head_scores_the_same(self, task):
+        """Checkpoints written by the unfactored node head load and score as they did."""
+        g = random_graph(np.random.default_rng(2024), 12, 0.3, num_features=4)
+        examples = np.array([(u, (u + 5) % 12) for u in range(12)]) if task == "pair" else np.arange(12)
+        with open(os.path.join(DATA, "checkpoint_v1_logits.json"), encoding="utf-8") as fh:
+            expected = np.asarray(json.load(fh)[task])
+        model, meta = load_checkpoint(os.path.join(DATA, f"checkpoint_v1_{task}.bin"))
+        assert meta == {"stage": task, "seed": 31}
+        logits, _ = score_examples(model, normalize_adjacency(g), g.node_features, examples)
+        if task == "pair":
+            assert np.array_equal(logits, expected)
+        else:  # the node head's first layer now sums in a different order
+            assert np.max(np.abs(logits - expected)) <= 1e-12

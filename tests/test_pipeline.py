@@ -316,13 +316,13 @@ class TestCandidatePairs:
         assert set(map(tuple, cands3.tolist())) == {(0, 3), (1, 3)}
 
 
-def bfs_candidates_oracle(num_nodes, edges, kinds, max_hops, extra, sme_only=True):
-    """Plain-Python candidate set: a BFS per allowed source, then the extras."""
+def bfs_candidates_oracle(num_nodes, edges, kinds, max_hops, extra):
+    """Plain-Python candidate set: a BFS per SME source, then the extras."""
     nbrs = [set() for _ in range(num_nodes)]
     for u, v in edges:
         nbrs[u].add(v)
         nbrs[v].add(u)
-    allowed = [k == "sme" or not sme_only for k in kinds]
+    allowed = [k == "sme" for k in kinds]
     out = set()
     for u in range(num_nodes):
         if not allowed[u]:
@@ -360,16 +360,16 @@ def kinded_graphs(draw):
 
 class TestCandidatePairsOracle:
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(kinded_graphs(), st.sampled_from((2, 3, 4)), st.booleans())
-    def test_matches_bfs_oracle(self, graph, max_hops, sme_only):
+    @given(kinded_graphs(), st.sampled_from((2, 3, 4)))
+    def test_matches_bfs_oracle(self, graph, max_hops):
         n, edges, kinds, extra = graph
         g = SmeGraph.from_edge_list(
             n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)), node_kind=kinds
         )
-        got = candidate_pairs(g, extra_pairs=extra, max_hops=max_hops, sme_only=sme_only)
+        got = candidate_pairs(g, extra_pairs=extra, max_hops=max_hops)
         assert got.dtype == np.int64 and got.shape == (got.shape[0], 2)
         assert list(map(tuple, got.tolist())) == bfs_candidates_oracle(
-            n, edges, kinds, max_hops, extra, sme_only
+            n, edges, kinds, max_hops, extra
         )
 
     def test_makes_no_dense_propagation(self, monkeypatch):
@@ -400,13 +400,13 @@ class TestStages:
         result = run_stage1_mining(g, d_sc, config)
         assert set(result.reports) == {"train", "val", "test"}
         assert result.candidate_count > 0
-        assert all(s >= config.tau for _, _, s in result.enriched.mined_edges())
+        assert np.all(result.enriched.mined_scores >= config.tau)
 
     def test_stage2_scores_every_node(self):
         g, d_sc, d_dp, gt = self._mining_setup()
         config = TrainConfig(seed=0, num_layers=1, max_epochs=40, patience=10,
                              dropout=0.1, embed_dim=16, hidden_dim=16, head_hidden=16)
-        result = run_stage2_default(enrich(g, [], config.tau), d_dp, config)
+        result = run_stage2_default(enrich(g, (np.zeros((0, 2)), np.zeros(0)), config.tau), d_dp, config)
         assert result.scores.shape == (g.num_nodes,)
         assert np.all((result.scores >= 0) & (result.scores <= 1))
         assert result.reports["test"].num_pos > 0
@@ -436,7 +436,8 @@ class TestStages:
         a = run_stage1_mining(g, d_sc, config)
         b = run_stage1_mining(g, d_sc, config)
         assert a.trace == b.trace
-        assert a.enriched.mined_edges() == b.enriched.mined_edges()
+        assert np.array_equal(a.enriched.mined_pairs, b.enriched.mined_pairs)
+        assert np.array_equal(a.enriched.mined_scores, b.enriched.mined_scores)
         assert a.reports["test"].auc == b.reports["test"].auc
 
 
