@@ -82,9 +82,17 @@ def _finish_manifest(manifest, out_dir, outputs, extra=None):
     return path
 
 
+def _parse_config(path, parse, raw):
+    """parse(raw), naming `path` in a rejection."""
+    try:
+        return parse(raw)
+    except InvalidConfig as err:
+        raise InvalidConfig(f"{path}: {err}") from None
+
+
 def _train_config(args, raw):
-    grid_section = raw.pop("grid", None)
-    config = TrainConfig.from_dict(raw)
+    grid_section = raw.pop("grid", None) if isinstance(raw, dict) else None
+    config = _parse_config(args.config, TrainConfig.from_dict, raw)
     overrides = {"seed": args.seed, "tau": args.tau}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None}).validate()
     return config, _grid_spec(args.config, grid_section) if args.grid else None
@@ -106,10 +114,9 @@ def _grid_spec(path, section):
 
 
 def cmd_generate(args):
-    raw = _load_json(args.config)
+    config = _parse_config(args.config, gen_config_from_dict, _load_json(args.config))
     if args.seed is not None:
-        raw["seed"] = args.seed
-    config = gen_config_from_dict(raw)
+        config = replace(config, seed=args.seed).validate()
     os.makedirs(args.out, exist_ok=True)
     manifest = _manifest_skeleton("generate", config.to_dict(), [args.config])
 
@@ -253,8 +260,10 @@ def cmd_eval(args):
     if not os.path.exists(args.checkpoint):
         raise InvalidInput(f"checkpoint not found: {args.checkpoint}")
     model, meta = load_checkpoint(args.checkpoint)
-    config = TrainConfig.from_dict(meta["config"])
-    stage = meta["stage"]
+    stage = meta.get("stage")
+    if stage not in ("sc", "dp") or not isinstance(meta.get("config"), dict):
+        raise InvalidInput(f"{args.checkpoint}: checkpoint meta needs a stage of sc or dp and a config object")
+    config = _parse_config(args.checkpoint, TrainConfig.from_dict, meta["config"])
     if meta.get("enriched") and not (args.mined or args.no_enrich):
         raise InvalidInput("checkpoint was trained on an enriched graph; pass --mined or --no-enrich")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))

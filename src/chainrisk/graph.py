@@ -195,14 +195,58 @@ class SmeGraph:
             raise InvalidInput("edge feature rows must match undirected edges")
 
 
+# entry positions k < SPMM_SLICES run as one slice each; later ones (hub rows only) share one pass
+SPMM_SLICES = 32
+
+
 @dataclass
 class NormalizedAdjacency:
-    """Symmetrically normalized adjacency with self-loops, CSR with values."""
+    """Symmetrically normalized adjacency with self-loops, CSR with values.
+
+    Construction also builds the layout `spmm` runs over, so the arrays must
+    not be changed afterwards. Rows are sorted by stored-entry count, longest
+    first (stable), and slice k holds the column ids and values of the k-th
+    entry of every row that has one, for k < min(SPMM_SLICES, longest row);
+    those rows are a prefix of the sorted order. Entries at positions
+    >= SPMM_SLICES, which only hub rows have, are kept as one flat run of
+    segments, one segment per hub row. Building costs O(nnz + n log n).
+    """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    _slices: list = field(init=False, repr=False, compare=False)
+    _rank: np.ndarray = field(init=False, repr=False, compare=False)
+    _hubs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, nnz = self.num_nodes, self.indices.size
+        counts = np.diff(self.indptr)
+        if (self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != nnz
+                or np.any(counts < 0) or self.values.shape != (nnz,)):
+            raise InvalidArgument("malformed CSR operator")
+        if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
+            raise InvalidArgument("column index out of range")
+        order = np.argsort(-counts, kind="stable")
+        sorted_counts = counts[order]
+        starts = self.indptr[:-1][order]
+        # sizes[k] = rows with more than k entries, read off the descending counts
+        depth = min(SPMM_SLICES, int(sorted_counts[0])) if n else 0
+        sizes = np.searchsorted(-sorted_counts, -np.arange(depth + 1), side="left")
+        # each row's place in the sorted order; empty rows, which sort last, share the zero row after slice 0
+        self._rank = np.empty(n, dtype=np.int64)
+        self._rank[order] = np.minimum(np.arange(n), sizes[0])
+        self._slices = []
+        for k in range(depth):
+            pos = starts[: sizes[k]] + k
+            self._slices.append((self.indices[pos], self.values[pos][:, None]))
+        self._hubs = None
+        if sizes[depth]:
+            lens = sorted_counts[: sizes[depth]] - depth
+            seg = np.cumsum(lens) - lens
+            pos = np.arange(lens.sum()) + np.repeat(starts[: lens.size] + depth - seg, lens)
+            self._hubs = (self.indices[pos], self.values[pos][:, None], seg)
 
 
 def normalize_adjacency(g):
@@ -224,19 +268,44 @@ def normalize_adjacency(g):
 
 
 def spmm(adj, H):
-    """Sparse-dense product adj @ H with a deterministic reduction order."""
+    """Sparse-dense product adj @ H with a deterministic reduction order.
+
+    Runs over the layout of `NormalizedAdjacency`: slice 0 gives each row's
+    first term, slices 1, 2, ... are added in order onto a prefix of a tail
+    array, hub rows add their remaining entries with one `np.add.reduceat`,
+    and the rows are gathered back into their original order. Each row thus
+    sums as entry 0 + (entry 1 + entry 2 + ...), the order `np.add.reduceat`
+    over the CSR row uses for rows of at most 8 entries, so those rows match
+    it bit for bit; longer rows agree to rounding. The number of passes is
+    at most SPMM_SLICES + 2 whatever the longest row.
+    """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != adj.num_nodes:
         raise InvalidArgument(f"H must be ({adj.num_nodes}, d), got {H.shape}")
-    out = np.zeros((adj.num_nodes, H.shape[1]))
-    if adj.indices.size == 0:
-        return out
-    contrib = H[adj.indices]
-    contrib *= adj.values[:, None]
-    row_len = np.diff(adj.indptr)
-    nonempty = row_len > 0
-    out[nonempty] = np.add.reduceat(contrib, adj.indptr[:-1][nonempty], axis=0)
-    return out
+    if not adj._slices:
+        return np.zeros((adj.num_nodes, H.shape[1]))
+    # column ids were range-checked when the layout was built, so take need not check them
+    (cols, vals), *rest = adj._slices
+    head = np.empty((cols.size + 1, H.shape[1]))
+    np.take(H, cols, axis=0, out=head[:-1], mode="clip")
+    head[:-1] *= vals
+    head[-1] = 0.0
+    if rest:
+        cols, vals = rest[0]
+        tail = np.take(H, cols, axis=0, mode="clip")
+        tail *= vals
+        buf = np.empty_like(tail)
+        for cols, vals in rest[1:]:
+            term = np.take(H, cols, axis=0, out=buf[: cols.size], mode="clip")
+            term *= vals
+            tail[: cols.size] += term
+        if adj._hubs is not None:
+            cols, vals, seg = adj._hubs
+            term = np.take(H, cols, axis=0, mode="clip")
+            term *= vals
+            tail[: seg.size] += np.add.reduceat(term, seg, axis=0)
+        head[: tail.shape[0]] += tail
+    return np.take(head, adj._rank, axis=0)
 
 
 @dataclass

@@ -7,9 +7,10 @@ dropout, and depth. Identical (data, config, seed) triples reproduce
 bit-identical traces, mined edges, and reports.
 """
 
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 
 import numpy as np
@@ -133,11 +134,51 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidConfig(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**d).validate()
+        return cls(**config_fields(cls, d, "training")).validate()
+
+
+def _finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def config_fields(cls, raw, what):
+    """Keyword arguments for the config dataclass `cls` from a parsed JSON value.
+
+    `raw` must be an object whose keys are fields of `cls`, including every
+    field without a default. Each value must match its field's type: int
+    fields take ints, float fields take finite ints or floats, and tuple
+    fields take lists of those, passed on as tuples; a bool is never a
+    number. Raises InvalidConfig naming the key.
+    """
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{what} config must be a JSON object, got {type(raw).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise InvalidConfig(f"unknown {what} config keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in raw:
+            raise InvalidConfig(f"{what} config requires {f.name}")
+    kwargs = {}
+    for key, value in raw.items():
+        kind = types[key]
+        if kind is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        elif kind is float:
+            ok = _finite_number(value)
+        else:
+            ok = isinstance(value, list) and all(_finite_number(x) for x in value)
+            value = tuple(value) if ok else value
+        if not ok:
+            expected = {int: "an integer", float: "a finite number"}.get(kind, "a list of finite numbers")
+            raise InvalidConfig(f"{what} config key {key!r} must be {expected}, got {json.dumps(value)}")
+        kwargs[key] = value
+    return kwargs
 
 
 @dataclass

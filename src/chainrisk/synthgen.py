@@ -26,7 +26,7 @@ import numpy as np
 from . import rng as rng_streams
 from .errors import InvalidArgument, InvalidConfig
 from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
-from .pipeline import LabeledSet, stratified_split
+from .pipeline import LabeledSet, config_fields, stratified_split
 from .rng import make_rng
 
 ATTRIBUTES = ("revenue", "shareholder", "mortgage", "recruitment", "patent")
@@ -103,18 +103,7 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        if "tier_shares" in d:
-            d["tier_shares"] = tuple(d["tier_shares"])
-        if "availability" in d:
-            d["availability"] = tuple(d["availability"])
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidConfig(f"unknown generator config keys: {sorted(unknown)}")
-        if "num_smes" not in d:
-            raise InvalidConfig("generator config requires num_smes")
-        return cls(**d).validate()
+        return cls(**config_fields(cls, d, "generator")).validate()
 
 
 def paper_calibrated(num_smes=5000, seed=0, **overrides):
@@ -140,19 +129,15 @@ PRESETS = {"paper-calibrated": paper_calibrated, "null": null_preset}
 
 def gen_config_from_dict(d):
     """Config from a parsed JSON object, honoring an optional "preset" key."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"generator config must be a JSON object, got {type(d).__name__}")
     d = dict(d)
     preset = d.pop("preset", None)
     if preset is None:
         return GenConfig.from_dict(d)
-    if preset not in PRESETS:
+    if not isinstance(preset, str) or preset not in PRESETS:
         raise InvalidConfig(f"unknown preset {preset!r}, have {sorted(PRESETS)}")
-    if "num_smes" not in d:
-        raise InvalidConfig("generator config requires num_smes")
-    if "tier_shares" in d:
-        d["tier_shares"] = tuple(d["tier_shares"])
-    if "availability" in d:
-        d["availability"] = tuple(d["availability"])
-    return PRESETS[preset](**d)
+    return PRESETS[preset](**config_fields(GenConfig, d, "generator"))
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 from chainrisk import dataio
 from chainrisk.cli import main
 from chainrisk.errors import InvalidInput
+from chainrisk.model import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -355,6 +356,57 @@ class TestEval:
         ckpt.write_bytes(ckpt.read_bytes()[:40])
         assert main(["eval", "--checkpoint", str(ckpt), "--data", dataset, "--no-enrich"]) == 2
         assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [
+        {"stage": "dp"},
+        {"stage": "xx", "config": {}},
+        {"stage": "dp", "config": [1, 2]},
+        {"stage": "dp", "config": {"max_epochs": "5"}},
+    ], ids=["no-config", "bad-stage", "config-list", "config-typed"])
+    def test_checkpoint_meta_is_checked(self, tmp_path, dataset, train_config, capsys, meta):
+        out = tmp_path / "dp"
+        assert main(["train", "dp", "--data", dataset, "--config", train_config,
+                     "--out", str(out), "--no-enrich"]) == 0
+        ckpt = out / "checkpoint_dp.bin"
+        model, _ = load_checkpoint(str(ckpt))
+        save_checkpoint(str(ckpt), model, meta)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", dataset, "--no-enrich"]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+
+# configs the typed parser rejects, and the key its message names
+BAD_TRAIN_CONFIGS = [
+    ({"max_epochs": "5"}, "max_epochs"),
+    ([1, 2], "object"),
+    ({"learning_rate": None}, "learning_rate"),
+    ({"num_layers": 1.0}, "num_layers"),
+    ({"tau": True}, "tau"),
+]
+BAD_GEN_CONFIGS = [
+    ({"num_smes": "300"}, "num_smes"),
+    ([1], "object"),
+    ({"num_smes": 300, "seed": True}, "seed"),
+    ({"preset": "paper-calibrated", "num_smes": 300, "tier_shares": [0.3, "0.4", 0.3]}, "tier_shares"),
+]
+
+
+@pytest.mark.parametrize("config,key", BAD_TRAIN_CONFIGS, ids=[k for _, k in BAD_TRAIN_CONFIGS])
+def test_mistyped_train_config_exits_two(tmp_path, capsys, config, key):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps(config))
+    assert main(["train", "dp", "--no-enrich", "--data", str(tmp_path / "none"), "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
+
+
+@pytest.mark.parametrize("config,key", BAD_GEN_CONFIGS, ids=[k for _, k in BAD_GEN_CONFIGS])
+def test_mistyped_generator_config_exits_two(tmp_path, capsys, config, key):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and key in err
 
 
 # (file, line, column) of the corrupted cell, and the command that reads the file

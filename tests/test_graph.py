@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from chainrisk.errors import InvalidArgument, InvalidInput
 from chainrisk.graph import (
+    SPMM_SLICES,
     EnrichedGraph,
+    NormalizedAdjacency,
     SmeGraph,
     enrich,
     in_sorted,
@@ -154,6 +156,83 @@ class TestSpmm:
         adj = normalize_adjacency(g)
         with pytest.raises(InvalidArgument):
             spmm(adj, np.ones((3, 2)))
+
+
+def reduceat_spmm(adj, H):
+    """The kernel `spmm` used before the sliced layout: one nnz x d
+    contribution array reduced per CSR row with np.add.reduceat."""
+    out = np.zeros((adj.num_nodes, H.shape[1]))
+    if adj.indices.size == 0:
+        return out
+    contrib = H[adj.indices]
+    contrib *= adj.values[:, None]
+    nonempty = np.diff(adj.indptr) > 0
+    out[nonempty] = np.add.reduceat(contrib, adj.indptr[:-1][nonempty], axis=0)
+    return out
+
+
+@st.composite
+def operators(draw, max_row):
+    """A normalized adjacency, or a hand-built operator with empty rows,
+    whose rows hold at most `max_row` entries."""
+    n = draw(st.integers(1, min(max_row + 8, 3 * SPMM_SLICES)))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+        if draw(st.booleans()):  # a star whose hub may outgrow the slices
+            pairs += [(0, v) for v in range(1, n)]
+        deg, keys = np.zeros(n, dtype=int), set()
+        for u, v in pairs:
+            key = (min(u, v), max(u, v))
+            if u != v and key not in keys and max(deg[u], deg[v]) < max_row - 1:
+                keys.add(key)
+                deg[[u, v]] += 1
+        edges = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2)
+        return normalize_adjacency(SmeGraph.from_edge_list(n, edges, np.zeros((n, 1))))
+    row_strategy = st.one_of(st.just([]), st.just(list(range(min(n, max_row)))),
+                             st.sets(st.integers(0, n - 1), max_size=min(n, max_row, 6)).map(sorted))
+    rows = [draw(row_strategy) for _ in range(n)]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=indptr[1:])
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=indices.size)
+    return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(operators(max_row=3 * SPMM_SLICES), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_spmm_matches_dense_oracle(adj, d, seed):
+    H = np.random.default_rng(seed).normal(size=(adj.num_nodes, d))
+    dense = dense_from_csr(adj.num_nodes, adj.indptr, adj.indices, adj.values)
+    out = spmm(adj, H)
+    assert out.shape == (adj.num_nodes, d)
+    assert np.max(np.abs(out - dense @ H), initial=0.0) <= 1e-12
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(operators(max_row=8), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_spmm_is_bit_identical_to_reduceat_on_short_rows(adj, d, seed):
+    H = np.random.default_rng(seed).normal(size=(adj.num_nodes, d))
+    assert spmm(adj, H).tobytes() == reduceat_spmm(adj, H).tobytes()
+
+
+def test_spmm_layout_of_a_large_star_stays_within_the_slice_cap():
+    n = 50_001
+    g = SmeGraph.from_edge_list(n, np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]),
+                                np.zeros((n, 1)))
+    adj = normalize_adjacency(g)
+    assert len(adj._slices) <= SPMM_SLICES
+    assert adj._hubs is not None
+    H = np.random.default_rng(0).normal(size=(n, 3))
+    assert np.max(np.abs(spmm(adj, H) - reduceat_spmm(adj, H))) <= 1e-12
+
+
+def test_malformed_operator_rejected():
+    with pytest.raises(InvalidArgument):
+        NormalizedAdjacency(num_nodes=2, indptr=np.array([0, 1, 2]), indices=np.array([0, 2]),
+                            values=np.ones(2))
+    with pytest.raises(InvalidArgument):
+        NormalizedAdjacency(num_nodes=2, indptr=np.array([0, 2, 1]), indices=np.array([0]),
+                            values=np.ones(1))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
