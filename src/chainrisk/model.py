@@ -13,6 +13,28 @@ so the first-layer matmuls run once over the node rows of Q rather than
 once per example, and the backward pass scatters the first-layer gradient
 once per endpoint.
 
+A training forward keeps one joint keep-mask for the head's hidden layer:
+the dropout draw ANDed with Z > 0. The forward scales Z by it in place
+(H = Z * keep / (1 - rate)) and the backward reuses it
+(dZ = dlogits * W1^T * keep / (1 - rate)), so relu and dropout cost one
+pass each way. The backward scatters dZ onto node rows through a
+`ScatterPlan` per endpoint column; training builds the plans once for its
+fixed example rows and passes them in.
+
+A scoring-only forward (training=False) keeps no cache: the encoder applies
+its relus in place, and the head forms the `Q W0` blocks once and scores
+the examples in blocks of `SCORE_BLOCK` rows, so its memory is set by the
+block size rather than the row count.
+`gcn_forward` takes the first propagation `spmm(adj, X)` precomputed
+(`propagated`) when that layer has no dropout; `TaskData.propagated` in
+`pipeline` holds it once per task.
+
+Each change above keeps every value's arithmetic as it was, so same-seed
+outputs stay bit-identical: the plans add each node's rows left to right
+into zeros, as `np.bincount` did, and on one BLAS thread each scoring
+block sends its rows through the gemv kernel path of one full pass (see
+`SCORE_BLOCK`).
+
 Backprop leans on the normalized adjacency being symmetric: the adjoint of
 `spmm(adj, .)` is `spmm(adj, .)` itself.
 """
@@ -25,10 +47,18 @@ import numpy as np
 
 from .errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
 from .graph import spmm
-from .nn import dropout, dropout_grad, relu, relu_grad
+from .nn import dropout, dropout_grad, dropout_mask, relu, relu_grad
 
 CHECKPOINT_MAGIC = b"CHRKGCN1"
 CHECKPOINT_VERSION = 1
+
+# rows per block of a scoring-only head pass, a multiple of 1024. OpenBLAS's
+# gemv sends a row through its 4-row kernel or its tail kernel by the row's
+# place in its thread's share. A full block splits on the 4-row grid over 1,
+# 2, 4 or 8 threads, so on one thread every row takes the path it takes in one
+# full pass; on more, rows at the thread split of a partial block (or of the
+# full pass) can differ from it in the last bit
+SCORE_BLOCK = 8192
 
 
 @dataclass
@@ -106,8 +136,14 @@ def init_classifier(task, in_dim, num_layers, hidden_dim, embed_dim, head_hidden
     return GcnClassifier(gcn=gcn, head=head, task=task)
 
 
-def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False):
-    """Run the encoder; returns (embeddings, cache for backward)."""
+def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None):
+    """Run the encoder; returns (embeddings, cache for backward).
+
+    A scoring-only forward (training=False) keeps no cache and applies each
+    relu in place. `propagated`, if given, must be `spmm(adj, X)`; the
+    first layer uses it in place of its own product whenever it applies no
+    dropout.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != adj.num_nodes:
         raise InvalidArgument(f"X has {X.shape[0]} rows for {adj.num_nodes} nodes")
@@ -115,15 +151,20 @@ def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False):
         raise InvalidArgument(
             f"X width {X.shape[1]} does not match W0 input {params.weights[0].shape[0]}"
         )
+    if propagated is not None and np.shape(propagated) != X.shape:
+        raise InvalidArgument(f"propagated features have shape {np.shape(propagated)}, X has {X.shape}")
     H = X
     layers = []
-    for W in params.weights:
+    for l, W in enumerate(params.weights):
         D, mask = dropout(H, dropout_rate, rng, training)
-        S = spmm(adj, D)
+        S = propagated if l == 0 and mask is None and propagated is not None else spmm(adj, D)
         Z = S @ W
-        H = relu(Z)
-        layers.append({"S": S, "Z": Z, "mask": mask})
-    cache = {"adj": adj, "layers": layers, "rate": dropout_rate}
+        if training:
+            layers.append({"S": S, "Z": Z, "mask": mask})
+            H = relu(Z)
+        else:
+            H = np.maximum(Z, 0.0, out=Z)
+    cache = {"adj": adj, "layers": layers, "rate": dropout_rate} if training else None
     return H, cache
 
 
@@ -153,29 +194,99 @@ def _check_ids(ids, num_nodes):
     return ids
 
 
-def _scatter_rows(num_rows, idx, rows):
-    """Segment-sum `rows` into `idx` slots: one flat bincount over (slot, column)."""
-    d = rows.shape[1]
-    flat = (idx[:, None] * d + np.arange(d)).reshape(-1)
-    out = np.bincount(flat, weights=rows.reshape(-1), minlength=num_rows * d)
-    return out.reshape(num_rows, d)
+@dataclass
+class ScatterPlan:
+    """Row sums per node for one fixed column of node ids.
+
+    `apply(rows)` returns the (num_rows, width) array whose row u is the sum
+    of rows[i] over every i with ids[i] == u. It adds each node's rows left
+    to right into a zeroed buffer, the order one `np.bincount` over
+    (id, column) keys uses, so its sums are bit-identical to that kernel's,
+    signed zeros included. The layout is built once: the ids are sorted
+    stably, the distinct nodes are ordered by occurrence count (most
+    first), and slice k holds the input row of every node's k-th
+    occurrence. Those nodes are a prefix of the order, so each slice is one
+    contiguous add onto a prefix of the buffer.
+    """
+
+    num_rows: int
+    num_ids: int
+    nodes: np.ndarray  # distinct ids, most occurrences first
+    gather: np.ndarray  # input rows, slice by slice
+    sizes: np.ndarray  # nodes in each slice: a prefix of `nodes`
+
+    @classmethod
+    def build(cls, ids, num_rows):
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        nodes, first, counts = np.unique(ids[order], return_index=True, return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        nodes, first, counts = nodes[by_count], first[by_count], counts[by_count]
+        # slice k holds the nodes with more than k occurrences; counts descend
+        sizes = np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left")
+        slices = [order[first[:size] + k] for k, size in enumerate(sizes)]
+        gather = np.concatenate([np.zeros(0, dtype=np.int64)] + slices)
+        return cls(num_rows, ids.size, nodes, gather, sizes)
+
+    def apply(self, rows):
+        if rows.shape[0] != self.num_ids:
+            raise InvalidArgument(f"scatter plan built for {self.num_ids} rows, got {rows.shape[0]}")
+        buf = np.zeros((self.nodes.size, rows.shape[1]))
+        start = 0
+        for size in self.sizes:
+            buf[:size] += rows[self.gather[start:start + size]]
+            start += size
+        out = np.zeros((self.num_rows, rows.shape[1]))
+        out[self.nodes] = buf
+        return out
+
+
+def scatter_plans(examples, num_nodes):
+    """One ScatterPlan per endpoint column of `examples` (pairs or node ids)."""
+    examples = np.asarray(examples, dtype=np.int64)
+    if examples.ndim == 1:
+        examples = examples[:, None]
+    return [ScatterPlan.build(examples[:, j], num_nodes) for j in range(examples.shape[1])]
+
+
+def _first_layer(blocks, examples, bias):
+    """Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0 for rows of endpoint ids."""
+    Z = blocks[0][examples[:, 0]]
+    for j in range(1, len(blocks)):
+        Z += blocks[j][examples[:, j]]
+    Z += bias
+    return Z
 
 
 def _head_logits(Q, examples, head, dropout_rate, rng, training):
     """Score rows of k endpoint ids from [q_e1 ; ... ; q_ek], factored per endpoint.
 
-    The first layer runs once over the node rows of Q:
-    Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0.
+    The first layer runs once over the node rows of Q. A training forward
+    returns the cache `head_backward` needs; a scoring-only one returns
+    None for it and works through SCORE_BLOCK rows at a time.
     """
     d = Q.shape[1]
     W0, W1 = head.weights
-    Z = (Q @ W0[:d])[examples[:, 0]]
-    for j in range(1, examples.shape[1]):
-        Z += (Q @ W0[j * d:(j + 1) * d])[examples[:, j]]
-    Z += head.biases[0]
-    H, mask = dropout(relu(Z), dropout_rate, rng, training)
-    logits = (H @ W1 + head.biases[1]).reshape(-1)
-    return logits, {"Q": Q, "examples": examples, "Z": Z, "H": H, "mask": mask, "rate": dropout_rate}
+    b0, b1 = head.biases
+    blocks = [Q @ W0[j * d:(j + 1) * d] for j in range(examples.shape[1])]
+    if not training:
+        logits = np.empty(examples.shape[0])
+        for start in range(0, examples.shape[0], SCORE_BLOCK):
+            Z = _first_layer(blocks, examples[start:start + SCORE_BLOCK], b0)
+            np.maximum(Z, 0.0, out=Z)
+            logits[start:start + Z.shape[0]] = (Z @ W1 + b1).reshape(-1)
+        return logits, None
+    Z = _first_layer(blocks, examples, b0)
+    keep = Z > 0.0
+    mask = dropout_mask(Z.shape, dropout_rate, rng, training)
+    if mask is not None:
+        keep &= mask
+    rate = 0.0 if mask is None else dropout_rate
+    H = np.multiply(Z, keep, out=Z)  # backward needs only the mask, so H takes Z's buffer
+    if rate:
+        H /= 1.0 - rate
+    logits = (H @ W1 + b1).reshape(-1)
+    return logits, {"Q": Q, "examples": examples, "H": H, "keep": keep, "rate": rate}
 
 
 def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False):
@@ -190,21 +301,27 @@ def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
     return _head_logits(Q, nodes, head, dropout_rate, rng, training)
 
 
-def head_backward(dlogits, cache, head):
+def head_backward(dlogits, cache, head, plans=None):
     """Head gradients plus the gradient scattered back onto embeddings.
 
-    dZ is scattered once per endpoint column; the W0 blocks and dQ follow
-    on node rows.
+    dZ is scattered once per endpoint column, through `plans` (from
+    `scatter_plans` on the same examples) or through plans built here; the
+    W0 blocks and dQ follow on node rows. Needs the cache of a training
+    forward.
     """
-    if cache is None or "Z" not in cache:
-        raise ChainriskError("missing forward cache")
+    if cache is None or "keep" not in cache:
+        raise ChainriskError("missing forward cache (backward needs a training-mode forward)")
     W0, W1 = head.weights
     Q, examples = cache["Q"], cache["examples"]
     n, d = Q.shape
     dlogits = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-    dH = dropout_grad(dlogits @ W1.T, cache["mask"], cache["rate"])
-    dZ = relu_grad(dH, cache["Z"])
-    scattered = [_scatter_rows(n, examples[:, j], dZ) for j in range(examples.shape[1])]
+    dZ = dlogits * W1.T
+    dZ *= cache["keep"]
+    if cache["rate"]:
+        dZ /= 1.0 - cache["rate"]
+    if plans is None:
+        plans = scatter_plans(examples, n)
+    scattered = [plan.apply(dZ) for plan in plans]
     dQ = scattered[0] @ W0[:d].T
     for j in range(1, len(scattered)):
         dQ += scattered[j] @ W0[j * d:(j + 1) * d].T
@@ -213,9 +330,14 @@ def head_backward(dlogits, cache, head):
     return w_grads, b_grads, dQ
 
 
-def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False):
-    """Full forward pass: encoder then the model's head on `examples`."""
-    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training)
+def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, propagated=None):
+    """Full forward pass: encoder then the model's head on `examples`.
+
+    Returns (logits, caches). Only a training forward's caches can go to
+    `backward`; at dropout_rate 0 it draws nothing from `rng`.
+    `propagated` is `spmm(adj, X)` if the caller holds it.
+    """
+    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated)
     if model.task == "pair":
         logits, head_cache = pair_logits(Q, examples, model.head, dropout_rate, rng, training)
     else:
@@ -223,10 +345,14 @@ def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training
     return logits, (gcn_cache, head_cache)
 
 
-def backward(model, dlogits, caches):
-    """Gradients for all parameters, aligned with model.parameters()."""
+def backward(model, dlogits, caches, plans=None):
+    """Gradients for all parameters, aligned with model.parameters().
+
+    `plans` are the head's scatter plans for the scored examples, if the
+    caller keeps them.
+    """
     gcn_cache, head_cache = caches
-    w_grads, b_grads, dQ = head_backward(dlogits, head_cache, model.head)
+    w_grads, b_grads, dQ = head_backward(dlogits, head_cache, model.head, plans)
     gcn_grads = gcn_backward(dQ, gcn_cache, model.gcn)
     out = list(gcn_grads)
     for w, b in zip(w_grads, b_grads):

@@ -1,5 +1,4 @@
-"""Dense numeric kernel: activations, binary cross-entropy, dropout, Adam,
-and finite-difference gradient checking.
+"""Dense numeric kernel: activations, binary cross-entropy, dropout and Adam.
 
 Everything runs in float64. Functions are pure unless the name says
 otherwise (`adam_step` updates parameters in place, which is the point).
@@ -52,16 +51,23 @@ def bce_logit_grad(probs, y):
     return (probs - y) / probs.shape[0]
 
 
+def dropout_mask(shape, rate, rng=None, training=False):
+    """Survivor mask of inverted dropout, or None in eval mode or at rate 0."""
+    if not 0.0 <= rate < 1.0:
+        raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    return rng.random(shape) >= rate
+
+
 def dropout(x, rate, rng=None, training=False):
     """Inverted dropout. Returns (output, mask); mask is None in eval mode.
 
     Survivors are scaled by 1/(1-rate) so the expectation is unchanged.
     """
-    if not 0.0 <= rate < 1.0:
-        raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    mask = dropout_mask(x.shape, rate, rng, training)
+    if mask is None:
         return x, None
-    mask = rng.random(x.shape) >= rate
     return x * mask / (1.0 - rate), mask
 
 
@@ -107,27 +113,3 @@ def adam_step(params, grads, state, lr, weight_decay=0.0):
         m[:] = state.beta1 * m + (1.0 - state.beta1) * g
         v[:] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
         p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-
-
-def grad_check(f, params, h=1e-5):
-    """Max relative error between analytic and central-difference gradients.
-
-    `f(params) -> (scalar, grads)` with grads aligned to `params`. Each
-    coordinate is perturbed by +/- h in place and restored. The relative
-    error denominator is max(|analytic|, |numeric|, 1e-8).
-    """
-    _, analytic = f(params)
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        g = np.asarray(g)
-        for idx in np.ndindex(p.shape):
-            keep = p[idx]
-            p[idx] = keep + h
-            hi = f(params)[0]
-            p[idx] = keep - h
-            lo = f(params)[0]
-            p[idx] = keep
-            numeric = (hi - lo) / (2.0 * h)
-            denom = max(abs(numeric), abs(g[idx]), 1e-8)
-            worst = max(worst, abs(numeric - g[idx]) / denom)
-    return worst

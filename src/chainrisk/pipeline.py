@@ -11,6 +11,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -30,11 +31,11 @@ from .graph import (
     normalize_adjacency,
     sample_pair_keys,
     sorted_unique,
+    spmm,
     standardize_columns,
 )
-from .graph import spmm  # noqa: F401  unused here; perfbench still rebinds pipeline.spmm
 from .metrics import EvalReport, auc
-from .model import backward, init_classifier, score_examples
+from .model import backward, init_classifier, scatter_plans, score_examples
 from .nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
 from .rng import make_rng
 
@@ -286,9 +287,12 @@ def prepare_features(X):
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TaskData:
-    """Everything one training run needs, already in tensor form."""
+    """Everything one training run needs, already in tensor form.
+
+    Frozen, and X is made read-only, so `propagated` cannot go stale.
+    """
 
     adj: object
     X: np.ndarray
@@ -296,6 +300,17 @@ class TaskData:
     labels: np.ndarray
     split: np.ndarray
     kind: str
+
+    def __post_init__(self):
+        self.X.flags.writeable = False
+
+    @cached_property
+    def propagated(self):
+        """spmm(adj, X), computed on first use and shared by every pass whose
+        first encoder layer applies no dropout (read-only)."""
+        product = spmm(self.adj, self.X)
+        product.flags.writeable = False
+        return product
 
     @classmethod
     def build(cls, g_view, labeled):
@@ -338,6 +353,7 @@ def train_task(data, config):
     y_va = data.labels[va]
     ex_tr = data.examples[tr]
     ex_va = data.examples[va]
+    plans = scatter_plans(ex_tr, data.adj.num_nodes)
 
     model = init_classifier(
         data.kind,
@@ -359,19 +375,19 @@ def train_task(data, config):
     stagnant = 0
     for epoch in range(1, config.max_epochs + 1):
         logits, caches = score_examples(
-            model, data.adj, data.X, ex_tr, config.dropout, drop_rng, training=True
+            model, data.adj, data.X, ex_tr, config.dropout, drop_rng, training=True, propagated=data.propagated
         )
         probs = sigmoid(logits)
         train_loss = bce_loss(probs, y_tr)
         if not np.isfinite(train_loss):
             raise TrainingDivergence(f"non-finite training loss at epoch {epoch}", epoch=epoch)
-        grads = backward(model, bce_logit_grad(probs, y_tr), caches)
+        grads = backward(model, bce_logit_grad(probs, y_tr), caches, plans)
         try:
             adam_step(params, grads, state, config.learning_rate, config.weight_decay)
         except TrainingDivergence as err:
             raise TrainingDivergence(str(err), epoch=epoch) from None
 
-        val_logits, _ = score_examples(model, data.adj, data.X, ex_va)
+        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, propagated=data.propagated)
         val_loss = bce_loss(sigmoid(val_logits), y_va)
         if not np.isfinite(val_loss):
             raise TrainingDivergence(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
@@ -394,7 +410,7 @@ def train_task(data, config):
 
 def evaluate_model(model, data):
     """Probabilities for every labeled example plus one report per split."""
-    logits, _ = score_examples(model, data.adj, data.X, data.examples)
+    logits, _ = score_examples(model, data.adj, data.X, data.examples, propagated=data.propagated)
     probs = sigmoid(logits)
     reports = {}
     for tag, name in SPLIT_NAMES.items():
@@ -426,7 +442,7 @@ def grid_search(grid, data, config, max_workers=1):
         try:
             result = train_task(data, cfg)
             va = data.split == VAL
-            logits, _ = score_examples(result.model, data.adj, data.X, data.examples[va])
+            logits, _ = score_examples(result.model, data.adj, data.X, data.examples[va], propagated=data.propagated)
             row["val_auc"] = auc(sigmoid(logits), data.labels[va].astype(int))
             row["best_epoch"] = result.best_epoch
             row["status"] = "ok"
@@ -537,7 +553,7 @@ def run_stage1_mining(g, pair_set, config):
     cands = candidate_pairs(g, extra_pairs=test_pairs, max_hops=config.candidate_hops)
     probs = np.zeros(0)
     if cands.shape[0]:
-        logits, _ = score_examples(result.model, data.adj, data.X, cands)
+        logits, _ = score_examples(result.model, data.adj, data.X, cands, propagated=data.propagated)
         probs = sigmoid(logits)
     known = data.examples[(data.labels == 1) & (data.split != TEST)]
     mined = (np.vstack([cands, known]), np.concatenate([probs, np.ones(known.shape[0])]))
@@ -559,7 +575,8 @@ def run_stage2_default(g_sc, node_set, config):
     data = TaskData.build(g_view, node_set)
     result = train_task(data, config)
     _, reports = evaluate_model(result.model, data)
-    all_logits, _ = score_examples(result.model, data.adj, data.X, np.arange(g_view.num_nodes))
+    all_logits, _ = score_examples(result.model, data.adj, data.X, np.arange(g_view.num_nodes),
+                                   propagated=data.propagated)
     return StageResult(
         model=result.model,
         reports=reports,

@@ -101,10 +101,6 @@ class GenConfig:
         d["availability"] = list(self.availability)
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**config_fields(cls, d, "generator")).validate()
-
 
 def paper_calibrated(num_smes=5000, seed=0, **overrides):
     """Preset tuned to the qualitative exploratory findings.
@@ -134,7 +130,7 @@ def gen_config_from_dict(d):
     d = dict(d)
     preset = d.pop("preset", None)
     if preset is None:
-        return GenConfig.from_dict(d)
+        return GenConfig(**config_fields(GenConfig, d, "generator")).validate()
     if not isinstance(preset, str) or preset not in PRESETS:
         raise InvalidConfig(f"unknown preset {preset!r}, have {sorted(PRESETS)}")
     return PRESETS[preset](**config_fields(GenConfig, d, "generator"))

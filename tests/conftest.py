@@ -15,6 +15,30 @@ def random_graph(rng, n, edge_prob, num_features=3):
     return SmeGraph.from_edge_list(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), X)
 
 
+def grad_check(f, params, h=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    `f(params) -> (scalar, grads)` with grads aligned to `params`. Each
+    coordinate is perturbed by +/- h in place and restored. The relative
+    error denominator is max(|analytic|, |numeric|, 1e-8).
+    """
+    _, analytic = f(params)
+    worst = 0.0
+    for p, g in zip(params, analytic):
+        g = np.asarray(g)
+        for idx in np.ndindex(p.shape):
+            keep = p[idx]
+            p[idx] = keep + h
+            hi = f(params)[0]
+            p[idx] = keep - h
+            lo = f(params)[0]
+            p[idx] = keep
+            numeric = (hi - lo) / (2.0 * h)
+            denom = max(abs(numeric), abs(g[idx]), 1e-8)
+            worst = max(worst, abs(numeric - g[idx]) / denom)
+    return worst
+
+
 def dense_from_csr(num_nodes, indptr, indices, values=None):
     """Independent dense reconstruction of a CSR matrix, plain loops."""
     out = np.zeros((num_nodes, num_nodes))

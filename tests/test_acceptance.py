@@ -14,7 +14,7 @@ import pytest
 from chainrisk.graph import SmeGraph, normalize_adjacency
 from chainrisk.metrics import auc, ks
 from chainrisk.model import backward, init_classifier, score_examples
-from chainrisk.nn import bce_logit_grad, bce_loss, grad_check, sigmoid
+from chainrisk.nn import bce_logit_grad, bce_loss, sigmoid
 from chainrisk.pipeline import (
     TEST,
     TRAIN,
@@ -38,7 +38,7 @@ from chainrisk.synthgen import (
     partner_default_curve,
 )
 
-from conftest import dense_from_csr, random_graph
+from conftest import dense_from_csr, grad_check, random_graph
 from test_metrics import auc_pairwise_oracle, ks_sweep_oracle
 from test_pipeline import toy_node_task
 
@@ -87,11 +87,18 @@ def two_stage_runs():
     return runs
 
 
-def _min_preact_distance(caches):
-    """Smallest |pre-activation| across the encoder and head layers."""
-    gcn_cache, head_cache = caches
+def _min_preact_distance(model, caches, examples):
+    """Smallest |pre-activation| across the encoder and head layers.
+
+    The head's pre-activation is rebuilt from the embeddings, since the
+    head keeps only its keep-mask.
+    """
+    gcn_cache, _ = caches
     values = [np.abs(layer["Z"]).min() for layer in gcn_cache["layers"]]
-    values.append(np.abs(head_cache["Z"]).min())
+    Q = np.maximum(gcn_cache["layers"][-1]["Z"], 0.0)
+    rows = np.asarray(examples).reshape(len(examples), -1)
+    A = np.concatenate([Q[rows[:, j]] for j in range(rows.shape[1])], axis=1)
+    values.append(np.abs(A @ model.head.weights[0] + model.head.biases[0]).min())
     return min(values)
 
 
@@ -117,14 +124,14 @@ def test_criterion_1_gradient_correctness():
             jitter = make_rng(97, attempt)
             for p in candidate.parameters():
                 p += jitter.uniform(-0.3, 0.3, size=p.shape)
-            _, caches = score_examples(candidate, adj, g.node_features, examples)
-            if _min_preact_distance(caches) > 1e-3:
+            _, caches = score_examples(candidate, adj, g.node_features, examples, training=True)
+            if _min_preact_distance(candidate, caches, examples) > 1e-3:
                 model = candidate
                 break
         assert model is not None, "could not place relu inputs away from zero"
 
         def f(_):
-            logits, caches = score_examples(model, adj, g.node_features, examples)
+            logits, caches = score_examples(model, adj, g.node_features, examples, training=True)
             probs = sigmoid(logits)
             return bce_loss(probs, y), backward(model, bce_logit_grad(probs, y), caches)
 

@@ -1,12 +1,14 @@
 """The benchmark in perfbench/ drives chainrisk from outside; these tests
 check the names it relies on without editing it."""
 
+import inspect
 import os
 
 import numpy as np
 import pytest
 
-from chainrisk import pipeline, synthgen
+from chainrisk import model, pipeline, synthgen
+from chainrisk.nn import sigmoid
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -41,3 +43,45 @@ def test_task_data_for_pairs_accepts_generated_pair_set():
     assert np.array_equal(data.examples, pair_set.examples)
     assert np.array_equal(data.split, pair_set.split)
     assert data.X.shape[0] == g.num_nodes
+
+
+def test_score_examples_keeps_the_positions_layers_reads():
+    # layers.score_call reads the examples at a[3] and the training flag at a[6]
+    names = list(inspect.signature(model.score_examples).parameters)
+    assert names[3] == "examples" and names[6] == "training"
+
+
+def test_traced_stage1_scores_its_candidates_in_one_call(perfbench_path, monkeypatch):
+    import layers
+    from tracer import Tracer
+
+    g, pair_set, _, _ = synthgen.generate(synthgen.paper_calibrated(num_smes=300, seed=7, sector_size=50))
+    config = pipeline.TrainConfig(seed=3, num_layers=1, max_epochs=30, patience=8,
+                                  hidden_dim=16, embed_dim=16, head_hidden=16)
+    # no candidate of this small economy reaches the benchmark's tau of 0.9, so the
+    # share is checked at the median candidate score of an untraced run of the same seed
+    calls = []
+    real = pipeline.score_examples
+    monkeypatch.setattr(pipeline, "score_examples", lambda *a, **k: calls.append(real(*a, **k)) or calls[-1])
+    pipeline.run_stage1_mining(g, pair_set, config)
+    monkeypatch.setattr(pipeline, "score_examples", real)
+    probs = sigmoid(calls[-1][0])
+    monkeypatch.setattr(layers, "TAU", float(np.median(probs)))
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        result = pipeline.run_stage1_mining(g, pair_set, config)
+    finally:
+        tracer.restore()
+    spans = tracer.spans
+    scoring = [s for i, s in enumerate(spans)
+               if s[0] == "model.score_examples" and tracer.parent_name(i) == "pipeline.run_stage1_mining"]
+    assert len(scoring) == 1
+    assert scoring[0][4]["rows"] == result.candidate_count == probs.size
+    flags = [s[4]["training"] for i, s in enumerate(spans)
+             if s[0] == "model.score_examples" and tracer.parent_name(i) == "pipeline.train_task"]
+    assert flags == [True, False] * len(result.trace)
+    metrics = layers.summarize(tracer, 0, len(spans))
+    assert metrics["pipeline.mined_share"] == np.mean(probs >= layers.TAU) > 0
+    assert metrics["pipeline.train_task.epochs"] == len(result.trace)

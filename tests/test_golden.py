@@ -1,13 +1,23 @@
-"""Pinned outputs of the seeded samplers.
+"""Pinned outputs of the seeded samplers and of training.
 
-The digests were recorded before the three rejection samplers (social ties
-and uniform negatives in the generator, `sample_negatives`) were merged into
-`graph.sample_pair_keys`; any change to how they consume the random stream
-shows up here.
+The sampler digests were recorded before the three rejection samplers
+(social ties and uniform negatives in the generator, `sample_negatives`)
+were merged into `graph.sample_pair_keys`; any change to how they consume
+the random stream shows up here.
+
+The training digests (parameters and loss trace of `train_task`, mined pairs
+and scores of `run_stage1_mining`) were recorded before the head's joint
+keep-mask, the per-training-set scatter plan, the cached first propagation
+and block-bounded scoring went in; each of those must leave every bit of
+the outputs as it was. BLAS results can depend on the thread count, so the
+training runs in a child process pinned to one BLAS thread.
 """
 
 import hashlib
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -95,3 +105,74 @@ def test_sample_negatives_dense_pool_branch_is_pinned():
     assert _array_digest(full) == ((9, 2), "443f7f152bfb7663cb9d4bd4d777d00c1289ade4a79f190c96629df15713deca")
     subset = sample_negatives(g, [(13, 2), (7, 4), (0, 1)], 1.0, 9, nodes=np.array([13, 2, 7, 4, 9, 11, 0]))
     assert _array_digest(subset) == ((3, 2), "3a02b769fe8f822c0a4c0233955f7478e35b5bbaa1cc227c7ba5baa39670d324")
+
+
+# train_task configs on paper_calibrated(num_smes=2000, seed=0): a 1-layer pair
+# task that stops early (best epoch 31 of 46), a 2-layer node task at dropout 0.3
+TRAIN_CASES = {
+    "pair": dict(seed=0, num_layers=1, dropout=0.1, max_epochs=60, patience=15),
+    "node": dict(seed=0, num_layers=2, dropout=0.3, max_epochs=60, patience=15),
+}
+# tau 0.5 lets model-scored candidates into the enriched graph, not only known links
+MINING_TAU = 0.5
+TRAINING_DIGESTS = {
+    "pair": {
+        "epochs": 46,
+        "best_epoch": 31,
+        "parameters": "e18c064cc09a4c84df2c6d50a7921d83457cf553b9ae94448dc47a9571718c7e",
+        "trace": "4798a59bbf6730f1b544ad5aa01c822e7b5cd8fca0bda41943a316891e5d4ad1",
+    },
+    "node": {
+        "epochs": 60,
+        "best_epoch": 53,
+        "parameters": "05f8f842ca24636c5ab7c47e86d7a562345320ad73f9ffadb161277434482d0b",
+        "trace": "cdc17d620481e2bfeb87ccb112e5a0680d7c740596962c2a9c0f2a74d5e9fe22",
+    },
+    "mining": {
+        "candidates": 29457,
+        "mined": 1252,
+        "pairs": "392ecf43ea8f64326b9f4b2872f36c505db56b3c37cc8509b08b15b4f256043b",
+        "scores": "a51a58749124b1beeb9d08a26f41857626b3c191c710cf220fc0d3f41f237ee1",
+    },
+}
+
+
+def _float_digest(a):
+    return hashlib.sha256(np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes()).hexdigest()
+
+
+def training_digests():
+    """Digests of the TRAIN_CASES runs and of one stage-1 mining run."""
+    from chainrisk.pipeline import TaskData, TrainConfig, run_stage1_mining, train_task
+
+    g, pair_set, node_set, _ = synthgen.generate(synthgen.paper_calibrated(num_smes=2000, seed=0))
+    out = {}
+    for name, labeled in (("pair", pair_set), ("node", node_set)):
+        result = train_task(TaskData.build(g, labeled), TrainConfig(**TRAIN_CASES[name]))
+        out[name] = {
+            "epochs": len(result.trace),
+            "best_epoch": result.best_epoch,
+            "parameters": _float_digest(np.concatenate([p.reshape(-1) for p in result.model.parameters()])),
+            "trace": _float_digest([(r["epoch"], r["train_loss"], r["val_loss"]) for r in result.trace]),
+        }
+    stage = run_stage1_mining(g, pair_set, TrainConfig(tau=MINING_TAU, **TRAIN_CASES["pair"]))
+    out["mining"] = {
+        "candidates": stage.candidate_count,
+        "mined": stage.enriched.num_mined,
+        "pairs": _array_digest(stage.enriched.mined_pairs)[1],
+        "scores": _float_digest(stage.enriched.mined_scores),
+    }
+    return out
+
+
+def test_training_and_mining_are_pinned():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    child = subprocess.run(
+        [sys.executable, "-c", "import json, test_golden; print(json.dumps(test_golden.training_digests()))"],
+        cwd=here, env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == TRAINING_DIGESTS

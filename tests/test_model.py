@@ -1,15 +1,21 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainrisk.errors import CheckpointVersionError, InvalidArgument, InvalidInput
-from chainrisk.graph import SmeGraph, normalize_adjacency
+from chainrisk import model as model_module
+from chainrisk.errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
+from chainrisk.graph import SmeGraph, normalize_adjacency, spmm
 from chainrisk.model import (
     GcnClassifier,
-    _scatter_rows,
+    ScatterPlan,
     backward,
     gcn_backward,
     gcn_forward,
@@ -21,12 +27,13 @@ from chainrisk.model import (
     node_logits,
     pair_logits,
     save_checkpoint,
+    scatter_plans,
     score_examples,
 )
-from chainrisk.nn import bce_logit_grad, bce_loss, grad_check, sigmoid
+from chainrisk.nn import bce_logit_grad, bce_loss, sigmoid
 from chainrisk.rng import make_rng
 
-from conftest import random_graph
+from conftest import grad_check, random_graph
 
 
 def single_node_adj():
@@ -177,11 +184,11 @@ def concatenated_head(Q, examples, head):
     return A, Z, (np.maximum(Z, 0.0) @ head.weights[1] + head.biases[1]).reshape(-1)
 
 
-def head_logits(Q, examples, head):
+def head_logits(Q, examples, head, training=False):
     """pair_logits for k = 2 endpoint columns, node_logits for k = 1."""
     if examples.shape[1] == 2:
-        return pair_logits(Q, examples, head)
-    return node_logits(Q, examples.reshape(-1), head)
+        return pair_logits(Q, examples, head, training=training)
+    return node_logits(Q, examples.reshape(-1), head, training=training)
 
 
 FORWARD_CASES = [(0, 7, 3, 5, 20), (1, 40, 16, 8, 300), (2, 2, 1, 1, 1)]
@@ -209,7 +216,7 @@ class TestFactoredPairHead:
         Q = rng.normal(size=(n, d))
         examples = np.vstack([rng.integers(0, n, size=(50, 2)), [(4, 4), (9, 2), (2, 9)]])[:, :k]
         dlogits = rng.normal(size=examples.shape[0])
-        logits, cache = head_logits(Q, examples, head)
+        logits, cache = head_logits(Q, examples, head, training=True)
         w_grads, b_grads, dQ = head_backward(dlogits, cache, head)
 
         A, Z, _ = concatenated_head(Q, examples, head)
@@ -226,20 +233,199 @@ class TestFactoredPairHead:
         assert np.max(np.abs(dQ - expected_dQ)) <= 1e-12
 
 
-class TestScatterRows:
+def bincount_scatter(num_rows, idx, rows):
+    """The row scatter the scatter plans replaced: one flat bincount over (slot, column)."""
+    d = rows.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).reshape(-1)
+    out = np.bincount(flat, weights=rows.reshape(-1), minlength=num_rows * d)
+    return out.reshape(num_rows, d)
+
+
+def add_at_scatter(num_rows, idx, rows):
+    out = np.zeros((num_rows, rows.shape[1]))
+    np.add.at(out, idx, rows)
+    return out
+
+
+# ids in [0, 8), in some draws with one node repeated 64 to 96 times
+scatter_ids = st.one_of(
+    st.lists(st.integers(0, 7), max_size=40),
+    st.tuples(st.integers(0, 7), st.integers(64, 96),
+              st.lists(st.integers(0, 7), max_size=20)).map(lambda t: [t[0]] * t[1] + t[2]),
+).flatmap(lambda ids: st.permutations(ids).map(list))
+# finite cells, with zeros of both signs over-represented
+scatter_cells = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+
+
+class TestScatterPlan:
     @pytest.mark.parametrize(
         "idx",
-        [[3, 1, 3, 0, 3, 1], [5, 4, 3, 2, 1, 0], [2, 2, 2, 2], [0], []],
-        ids=["repeated", "unsorted", "one-slot", "single", "empty"],
+        [[3, 1, 3, 0, 3, 1], [5, 4, 3, 2, 1, 0], [2, 2, 2, 2], [0], [], [4] * 70 + [1, 4, 0]],
+        ids=["repeated", "unsorted", "one-slot", "single", "empty", "hub"],
     )
-    def test_matches_add_at_oracle(self, rng, idx):
+    def test_matches_bincount_and_add_at(self, rng, idx):
         idx = np.asarray(idx, dtype=np.int64)
         rows = rng.normal(size=(idx.size, 3))
-        expected = np.zeros((6, 3))
-        np.add.at(expected, idx, rows)
-        got = _scatter_rows(6, idx, rows)
+        got = ScatterPlan.build(idx, 6).apply(rows)
         assert got.shape == (6, 3)
-        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
+        assert got.tobytes() == bincount_scatter(6, idx, rows).tobytes()
+        assert got.tobytes() == add_at_scatter(6, idx, rows).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ids=scatter_ids, data=st.data())
+    def test_bit_identical_to_bincount(self, ids, data):
+        idx = np.asarray(ids, dtype=np.int64)
+        width = data.draw(st.integers(1, 3))
+        cells = data.draw(st.lists(scatter_cells, min_size=idx.size * width, max_size=idx.size * width))
+        rows = np.asarray(cells, dtype=np.float64).reshape(idx.size, width)
+        got = ScatterPlan.build(idx, 8).apply(rows)
+        assert got.tobytes() == bincount_scatter(8, idx, rows).tobytes()
+        assert got.tobytes() == add_at_scatter(8, idx, rows).tobytes()
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        rows = np.full((3, 2), -0.0)
+        got = ScatterPlan.build([1, 1, 2], 3).apply(rows)
+        assert not np.signbit(got).any()
+
+    def test_one_slice_per_occurrence_of_the_busiest_node(self):
+        idx = np.array([2] * 70 + [0, 2, 0])
+        plan = ScatterPlan.build(idx, 3)
+        assert plan.sizes.tolist() == [2, 2] + [1] * 69 and plan.nodes.tolist() == [2, 0]
+        rows = np.random.default_rng(4).normal(size=(idx.size, 2))
+        assert plan.apply(rows).tobytes() == bincount_scatter(3, idx, rows).tobytes()
+
+    def test_rejects_rows_of_another_length(self):
+        with pytest.raises(InvalidArgument):
+            ScatterPlan.build([0, 1], 2).apply(np.zeros((3, 1)))
+
+    def test_one_plan_per_endpoint_column(self):
+        pairs = np.array([(0, 1), (2, 1), (0, 3)])
+        plans = scatter_plans(pairs, 4)
+        rows = np.arange(6.0).reshape(3, 2)
+        assert len(plans) == 2 and len(scatter_plans(np.array([3, 0]), 4)) == 1
+        for j, plan in enumerate(plans):
+            assert np.array_equal(plan.apply(rows), bincount_scatter(4, pairs[:, j], rows))
+
+    @pytest.mark.parametrize("k", [2, 1], ids=["pair", "node"])
+    def test_head_backward_same_with_and_without_plans(self, rng, k):
+        head = init_head(k * 5, 4, make_rng(4, 2))
+        Q = rng.normal(size=(20, 5))
+        examples = rng.integers(0, 20, size=(60, k))
+        dlogits = rng.normal(size=60)
+        _, cache = head_logits(Q, examples, head, training=True)
+        built = head_backward(dlogits, cache, head)
+        planned = head_backward(dlogits, cache, head, scatter_plans(examples, 20))
+        for a, b in zip(built[0] + built[1] + [built[2]], planned[0] + planned[1] + [planned[2]]):
+            assert a.tobytes() == b.tobytes()
+
+
+def unblocked_logits(Q, examples, head):
+    """The scoring forward as one pass over every row."""
+    d = Q.shape[1]
+    W0, W1 = head.weights
+    Z = (Q @ W0[:d])[examples[:, 0]]
+    for j in range(1, examples.shape[1]):
+        Z += (Q @ W0[j * d:(j + 1) * d])[examples[:, j]]
+    Z += head.biases[0]
+    return (np.maximum(Z, 0.0) @ W1 + head.biases[1]).reshape(-1)
+
+
+def scoring_case(rows, k=2, n=600, d=16, h=64, seed=5):
+    gen = np.random.default_rng(seed)
+    head = init_head(k * d, h, make_rng(seed, 2))
+    head.biases[0][:] = gen.normal(size=h)
+    return gen.normal(size=(n, d)), gen.integers(0, n, size=(rows, k)), head
+
+
+def blocked_matches_unblocked(rows, k):
+    """Bytes of the blocked logits equal the unblocked ones, for SCORE_BLOCK 1024 and 4096."""
+    Q, examples, head = scoring_case(rows, k)
+    expected = unblocked_logits(Q, examples, head)
+    same, saved = [], model_module.SCORE_BLOCK
+    try:
+        for block in (1024, 4096):
+            model_module.SCORE_BLOCK = block
+            logits, cache = head_logits(Q, examples, head)
+            same.append(cache is None and logits.tobytes() == expected.tobytes())
+    finally:
+        model_module.SCORE_BLOCK = saved
+    return same
+
+
+class TestBlockedScoring:
+    @pytest.mark.parametrize("k", [2, 1], ids=["pair", "node"])
+    def test_bit_identical_to_one_pass_on_one_blas_thread(self, k):
+        """10,241+ rows end in a ragged block. On several BLAS threads, OpenBLAS's gemv
+        sends the rows at each thread split of a partial block (or of the one pass)
+        through its tail kernel, so the comparison runs in a one-thread child."""
+        here = os.path.dirname(os.path.abspath(__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here]))
+        code = f"import test_model; print(test_model.blocked_matches_unblocked(10241 + 4093, {k}))"
+        child = subprocess.run([sys.executable, "-c", code], cwd=here, env=env,
+                               capture_output=True, text=True, check=False)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["[True,", "True]"]
+
+    @pytest.mark.parametrize("block", [1024, 4096])
+    def test_rows_agree_with_one_pass(self, monkeypatch, block):
+        monkeypatch.setattr(model_module, "SCORE_BLOCK", block)
+        Q, examples, head = scoring_case(3 * block + 517)
+        logits, cache = pair_logits(Q, examples, head)
+        assert cache is None
+        assert np.max(np.abs(logits - unblocked_logits(Q, examples, head))) <= 1e-12
+
+    def test_peak_memory_set_by_the_block(self, monkeypatch):
+        monkeypatch.setattr(model_module, "SCORE_BLOCK", 1024)
+        h = 64
+        for rows in (4 * 1024, 16 * 1024):
+            Q, examples, head = scoring_case(rows, n=200, h=h)
+            tracemalloc.start()
+            try:
+                logits, _ = pair_logits(Q, examples, head)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # the output, two n x h first-layer blocks, and a few block x h arrays (the
+            # previous block's Z lives on while the next one is gathered)
+            bound = 8 * (rows + 2 * 200 * h + 4 * 1024 * h)
+            assert peak <= bound, (rows, peak, bound)
+            # one full pass would hold a rows x h array
+            assert peak < 8 * rows * h or rows == 4 * 1024
+
+    def test_scoring_forward_cannot_be_backpropagated(self):
+        Q, examples, head = scoring_case(20)
+        logits, cache = pair_logits(Q, examples, head)
+        with pytest.raises(ChainriskError):
+            head_backward(np.ones_like(logits), cache, head)
+
+
+class TestPropagated:
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_precomputed_first_propagation_changes_nothing(self, rng, layers):
+        g = random_graph(rng, 25, 0.2, num_features=3)
+        adj = normalize_adjacency(g)
+        model = init_classifier("node", 3, layers, 6, 5, 4, make_rng(2, 1))
+        nodes = np.arange(25)
+        plain, _ = score_examples(model, adj, g.node_features, nodes)
+        cached, _ = score_examples(model, adj, g.node_features, nodes, propagated=spmm(adj, g.node_features))
+        assert plain.tobytes() == cached.tobytes()
+
+    def test_dropout_forward_ignores_it(self, rng):
+        g = random_graph(rng, 25, 0.2, num_features=3)
+        adj = normalize_adjacency(g)
+        model = init_classifier("node", 3, 1, 6, 5, 4, make_rng(2, 1))
+        wrong = np.full((25, 3), 7.0)
+        a, _ = score_examples(model, adj, g.node_features, np.arange(25), 0.3, make_rng(1, 5), training=True)
+        b, _ = score_examples(model, adj, g.node_features, np.arange(25), 0.3, make_rng(1, 5), training=True,
+                              propagated=wrong)
+        assert a.tobytes() == b.tobytes()
+
+    def test_wrong_shape_rejected(self, rng):
+        g = random_graph(rng, 6, 0.4, num_features=3)
+        params = init_gcn([3, 2], make_rng(1, 2))
+        with pytest.raises(InvalidArgument):
+            gcn_forward(normalize_adjacency(g), g.node_features, params, propagated=np.zeros((6, 2)))
 
 
 class TestBackward:
@@ -258,16 +444,16 @@ class TestBackward:
 
     def test_zero_upstream_gives_zero_gradients(self):
         model, adj, X, examples, _ = self._setup("pair")
-        logits, caches = score_examples(model, adj, X, examples)
+        logits, caches = score_examples(model, adj, X, examples, training=True)
         grads = backward(model, np.zeros_like(logits), caches)
         assert all(np.all(gr == 0.0) for gr in grads)
 
     def test_gradients_scale_linearly(self):
         model, adj, X, examples, y = self._setup("node")
-        logits, caches = score_examples(model, adj, X, examples)
+        logits, caches = score_examples(model, adj, X, examples, training=True)
         d = bce_logit_grad(sigmoid(logits), y)
         g1 = backward(model, d, caches)
-        logits2, caches2 = score_examples(model, adj, X, examples)
+        logits2, caches2 = score_examples(model, adj, X, examples, training=True)
         g2 = backward(model, 2.0 * d, caches2)
         for a, b in zip(g1, g2):
             assert np.allclose(2.0 * a, b, atol=1e-12)
@@ -278,14 +464,13 @@ class TestBackward:
         params = model.parameters()
 
         def f(_):
-            logits, caches = score_examples(model, adj, X, examples)
+            logits, caches = score_examples(model, adj, X, examples, training=True)
             probs = sigmoid(logits)
             return bce_loss(probs, y), backward(model, bce_logit_grad(probs, y), caches)
 
         assert grad_check(f, params) < 1e-4
 
     def test_missing_cache_raises(self):
-        from chainrisk.errors import ChainriskError
         from chainrisk.model import GcnParams
 
         with pytest.raises(ChainriskError):

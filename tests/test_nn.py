@@ -10,11 +10,12 @@ from chainrisk.nn import (
     bce_logit_grad,
     bce_loss,
     dropout,
-    grad_check,
     relu,
     sigmoid,
 )
 from chainrisk.rng import make_rng
+
+from conftest import grad_check
 
 
 class TestActivations:

@@ -131,6 +131,24 @@ class TestSampleNegatives:
         assert negs.max() < 10
 
 
+class TestTaskData:
+    def test_propagated_is_the_first_product_and_cannot_go_stale(self):
+        import dataclasses
+
+        from chainrisk.graph import spmm
+
+        g, node_set = toy_node_task()
+        data = TaskData.build(g, node_set)
+        assert data.propagated.tobytes() == spmm(data.adj, data.X).tobytes()
+        assert data.propagated is data.propagated
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.propagated[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.X = np.zeros_like(data.X)
+
+
 class TestTrainTask:
     def test_separable_task_reaches_perfect_train_auc(self):
         g, node_set = toy_node_task()
@@ -178,9 +196,9 @@ class TestTrainTask:
         real_backward = pipeline.backward
         calls = {"n": 0}
 
-        def poisoned(model, dlogits, caches):
+        def poisoned(model, dlogits, caches, plans=None):
             calls["n"] += 1
-            grads = real_backward(model, dlogits, caches)
+            grads = real_backward(model, dlogits, caches, plans)
             if calls["n"] == 3:
                 grads[0] = grads[0] + np.nan
             return grads

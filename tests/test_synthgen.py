@@ -38,7 +38,7 @@ class TestGenConfig:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(InvalidConfig):
-            GenConfig.from_dict({"num_smes": 100, "flux_capacitor": 1})
+            gen_config_from_dict({"num_smes": 100, "flux_capacitor": 1})
 
     def test_preset_dispatch(self):
         cfg = gen_config_from_dict({"preset": "paper-calibrated", "num_smes": 500, "seed": 9})
