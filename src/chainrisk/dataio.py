@@ -10,70 +10,126 @@ written with shortest round-trip repr, so a load-save cycle is lossless.
   ground_truth.tsv  typed rows: `supply u v hidden` and `node id tier label`
   mined_edges.tsv `u<TAB>v<TAB>score`
   roc_points.tsv  `fpr<TAB>tpr`
+
+The readers of the files a command reads (nodes, edges, both label files and
+mined edges) parse a file in one numpy pass when it is in the canonical
+grammar the writers produce:
+
+  - lines end in LF; no line is blank and no CR appears anywhere;
+  - past the nodes.csv header, every byte is an ASCII digit, `+`, `-`, `.`,
+    `e`, `E`, the separator, LF or a letter of a node kind;
+  - every line has the cell count of the header (nodes.csv) or of the first
+    line; an integer cell is `[+-]?[0-9]+` within int64, a float cell is a
+    number `float` reads in that alphabet, a label is `0` or `1` and a kind
+    is `sme`, `owner` or `consumer`;
+  - node ids are 0, 1, 2, ... in order and edges have u < v.
+
+Any other file goes to the row parser `_parse_rows`, whose result is used as
+is: it accepts Python `int`/`float` syntax (surrounding whitespace, `_` digit
+separators, `nan`, CR and CRLF line breaks) and reports the first bad line as
+`path:line`. Both paths give the same arrays on every file the bulk path
+reads. `read_ground_truth`, which no command calls, uses the row parser only.
 """
 
 import hashlib
+import io
 import json
 import os
 import time
+import warnings
 
 import numpy as np
 
 from .errors import InvalidInput
-from .graph import SmeGraph
+from .graph import NODE_KINDS, SmeGraph
 
-
-def _fmt(value):
-    return repr(float(value))
+# bytes of a bulk-read line besides its separator: number characters and LF
+_NUMBER_BYTES = b"0123456789+-.eE\n"
+_KIND_BYTES = bytes(sorted(set("".join(NODE_KINDS).encode())))
+# one character wider than the longest tag, so that a longer kind, cut to this
+# width, matches no tag
+_KIND_DTYPE = f"U{max(map(len, NODE_KINDS)) + 1}"
 
 
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        fh.write("".join([f"{line}\n" for line in lines]))
 
 
 def write_graph(out_dir, g):
     nodes_path = os.path.join(out_dir, "nodes.csv")
     edges_path = os.path.join(out_dir, "edges.tsv")
-    fn = g.node_features.shape[1]
-    header = "id,kind," + ",".join(f"f{i + 1}" for i in range(fn)) if fn else "id,kind"
-    lines = [header]
-    for u in range(g.num_nodes):
-        feats = ",".join(_fmt(v) for v in g.node_features[u])
-        lines.append(f"{u},{g.node_kind[u]},{feats}" if fn else f"{u},{g.node_kind[u]}")
-    _write_lines(nodes_path, lines)
+    header = ",".join(["id", "kind", *(f"f{i + 1}" for i in range(g.node_features.shape[1]))])
+    rows = enumerate(zip(g.node_kind.tolist(), g.node_features.tolist()))
+    _write_lines(nodes_path, [header] + [",".join([str(u), kind, *map(repr, x)]) for u, (kind, x) in rows])
 
     pairs, feats = g.undirected_edges()
-    rows = []
-    for (u, v), row in zip(pairs.tolist(), feats):
-        cells = [str(u), str(v)] + [_fmt(x) for x in row]
-        rows.append("\t".join(cells))
-    _write_lines(edges_path, rows)
+    _write_lines(edges_path, ["\t".join([str(u), str(v), *map(repr, row)])
+                              for (u, v), row in zip(pairs.tolist(), feats.tolist())])
     return [nodes_path, edges_path]
+
+
+def _read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _parse_rows(path, sep, parse, width=None):
     """[parse(cells, lineno) for each line of `path` split on `sep`].
 
-    Every line must have `width` cells (the first line's count when None).
-    A wrong count, or a ValueError from `parse` (a cell that is not a
-    number, a row that breaks the format), raises InvalidInput naming
-    `path:line`.
+    Lines end at LF, CR or CRLF. Every line must have `width` cells (the
+    first line's count when None). A wrong count, bytes that are not UTF-8,
+    or a ValueError from `parse` (a cell that is not a number, a row that
+    breaks the format) raises InvalidInput naming `path:line`.
     """
+    data = _read_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[: err.start].decode("utf-8")
+        lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+        raise InvalidInput(f"{path}:{lineno}: not UTF-8 text") from None
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cells = line.rstrip("\n").split(sep)
-            width = width or len(cells)
-            try:
-                if len(cells) != width:
-                    raise ValueError(f"expected {width} cells, got {len(cells)}")
-                rows.append(parse(cells, lineno))
-            except ValueError as err:
-                raise InvalidInput(f"{path}:{lineno}: {err}") from None
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        cells = line.rstrip("\n").split(sep)
+        width = width or len(cells)
+        try:
+            if len(cells) != width:
+                raise ValueError(f"expected {width} cells, got {len(cells)}")
+            rows.append(parse(cells, lineno))
+        except ValueError as err:
+            raise InvalidInput(f"{path}:{lineno}: {err}") from None
     return rows
+
+
+def _bulk_rows(data, sep, dtype, letters=b""):
+    """The lines of `data` (bytes) as a structured array of `dtype`, or None.
+
+    None declines the file: a byte other than a number character, `sep`, LF
+    or one of `letters`, a blank line, a line whose cell count differs from
+    the dtype's, or a cell numpy cannot convert.
+    """
+    if data.translate(None, _NUMBER_BYTES + sep.encode() + letters):
+        return None
+    if data.startswith(b"\n") or b"\n\n" in data:  # loadtxt skips blank lines
+        return None
+    if not data:
+        return np.zeros(0, dtype=dtype)
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads an integer cell such as 1.0 through float, with this warning
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=sep, comments=None, quotechar=None,
+                              ndmin=1, encoding="ascii")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _int(cell):
+    value = int(cell)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{cell!r} is out of the int64 range")
+    return value
 
 
 def _node_row(cells, lineno):
@@ -83,39 +139,63 @@ def _node_row(cells, lineno):
         return cells
     if int(cells[0]) != lineno - 2:
         raise ValueError("ids must be dense and ordered")
+    if cells[1] not in NODE_KINDS:
+        raise ValueError(f"node kind must be one of {NODE_KINDS}, got {cells[1]!r}")
     return cells[1], list(map(float, cells[2:]))
 
 
 def _edge_row(cells, _):
     if len(cells) < 2:
         raise ValueError("need at least u and v")
-    u, v = int(cells[0]), int(cells[1])
+    u, v = _int(cells[0]), _int(cells[1])
     if not u < v:
         raise ValueError("edges must satisfy u < v")
     return (u, v), list(map(float, cells[2:]))
 
 
-def read_graph(data_dir):
-    nodes_path = os.path.join(data_dir, "nodes.csv")
-    edges_path = os.path.join(data_dir, "edges.tsv")
-    rows = _parse_rows(nodes_path, ",", _node_row)
+def _read_nodes(path):
+    """(kinds, X) of nodes.csv."""
+    head, _, body = _read_bytes(path).partition(b"\n")
+    try:
+        header = head.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        header = []
+    if header[:2] == ["id", "kind"] and b"\r" not in head:
+        dtype = [("id", "i8"), ("kind", _KIND_DTYPE), ("f", "f8", (len(header) - 2,))]
+        table = _bulk_rows(body, ",", dtype, _KIND_BYTES)
+        if (table is not None and np.array_equal(table["id"], np.arange(table.size))
+                and np.isin(table["kind"], NODE_KINDS).all()):
+            return table["kind"], np.ascontiguousarray(table["f"])
+    rows = _parse_rows(path, ",", _node_row)
     if not rows:
-        raise InvalidInput(f"{nodes_path}:1: expected header starting with id,kind")
+        raise InvalidInput(f"{path}:1: expected header starting with id,kind")
     kinds = [kind for kind, _ in rows[1:]]
-    X = np.asarray([feats for _, feats in rows[1:]], dtype=np.float64).reshape(len(kinds), len(rows[0]) - 2)
-    edges = _parse_rows(edges_path, "\t", _edge_row)
-    fe = len(edges[0][1]) if edges else 0
-    return SmeGraph.from_edge_list(
-        len(kinds),
-        np.asarray([e for e, _ in edges], dtype=np.int64).reshape(-1, 2),
-        node_features=X,
-        edge_features=np.asarray([f for _, f in edges], dtype=np.float64).reshape(len(edges), fe),
-        node_kind=np.asarray(kinds, dtype="U8"),
-    )
+    return kinds, np.asarray([f for _, f in rows[1:]], dtype=np.float64).reshape(len(kinds), len(rows[0]) - 2)
+
+
+def _read_edges(path):
+    """(pairs, features) of edges.tsv."""
+    data = _read_bytes(path)
+    width = data.partition(b"\n")[0].count(b"\t") + 1
+    if width >= 2:
+        table = _bulk_rows(data, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))])
+        if table is not None and np.all(table["uv"][:, 0] < table["uv"][:, 1]):
+            return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
+    rows = _parse_rows(path, "\t", _edge_row)
+    fe = len(rows[0][1]) if rows else 0
+    return (np.asarray([e for e, _ in rows], dtype=np.int64).reshape(-1, 2),
+            np.asarray([f for _, f in rows], dtype=np.float64).reshape(len(rows), fe))
+
+
+def read_graph(data_dir):
+    kinds, X = _read_nodes(os.path.join(data_dir, "nodes.csv"))
+    pairs, feats = _read_edges(os.path.join(data_dir, "edges.tsv"))
+    return SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats, node_kind=kinds)
 
 
 def write_node_labels(path, nodes, labels):
-    _write_lines(path, (f"{int(u)}\t{int(y)}" for u, y in zip(nodes, labels)))
+    rows = zip(np.asarray(nodes, dtype=np.int64).tolist(), np.asarray(labels, dtype=np.int64).tolist())
+    _write_lines(path, [f"{u}\t{y}" for u, y in rows])
 
 
 def _label(cell, form):
@@ -124,33 +204,48 @@ def _label(cell, form):
     return int(cell)
 
 
+def _bulk_labels(path, num_ids):
+    """(ids, int8 labels) of a label file whose lines are `num_ids` integer
+    cells and a 0/1 cell, or None when the bulk path declines."""
+    table = _bulk_rows(_read_bytes(path), "\t", [("ids", "i8", (num_ids,)), ("label", "U2")])
+    if table is None:
+        return None
+    positive = table["label"] == "1"
+    if not np.all(positive | (table["label"] == "0")):
+        return None
+    return np.ascontiguousarray(table["ids"]), positive.astype(np.int8)
+
+
 def read_node_labels(path):
-    rows = _parse_rows(path, "\t", lambda c, _: (int(c[0]), _label(c[1], "node<TAB>0|1")), width=2)
+    bulk = _bulk_labels(path, 1)
+    if bulk is not None:
+        return bulk[0][:, 0].copy(), bulk[1]
+    rows = _parse_rows(path, "\t", lambda c, _: (_int(c[0]), _label(c[1], "node<TAB>0|1")), width=2)
     return (np.asarray([u for u, _ in rows], dtype=np.int64),
             np.asarray([y for _, y in rows], dtype=np.int8))
 
 
 def write_pair_labels(path, pairs, labels):
-    _write_lines(
-        path, (f"{int(u)}\t{int(v)}\t{int(y)}" for (u, v), y in zip(np.asarray(pairs), labels))
-    )
+    rows = zip(np.asarray(pairs, dtype=np.int64).tolist(), np.asarray(labels, dtype=np.int64).tolist())
+    _write_lines(path, [f"{u}\t{v}\t{y}" for (u, v), y in rows])
 
 
 def read_pair_labels(path):
+    bulk = _bulk_labels(path, 2)
+    if bulk is not None:
+        return bulk
     rows = _parse_rows(
-        path, "\t", lambda c, _: (int(c[0]), int(c[1]), _label(c[2], "u<TAB>v<TAB>0|1")), width=3
+        path, "\t", lambda c, _: (_int(c[0]), _int(c[1]), _label(c[2], "u<TAB>v<TAB>0|1")), width=3
     )
     table = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     return table[:, :2].copy(), table[:, 2].astype(np.int8)
 
 
 def write_ground_truth(path, truth):
-    lines = []
-    for (u, v), hidden in zip(truth.supply_edges.tolist(), truth.hidden_mask.tolist()):
-        lines.append(f"supply\t{u}\t{v}\t{int(hidden)}")
-    for u in range(truth.num_nodes):
-        lines.append(f"node\t{u}\t{int(truth.tiers[u])}\t{int(truth.default_labels[u])}")
-    _write_lines(path, lines)
+    supply = zip(truth.supply_edges.tolist(), truth.hidden_mask.tolist())
+    nodes = zip(truth.tiers.astype(np.int64).tolist(), truth.default_labels.astype(np.int64).tolist())
+    _write_lines(path, [f"supply\t{u}\t{v}\t{int(hidden)}" for (u, v), hidden in supply]
+                 + [f"node\t{u}\t{tier}\t{label}" for u, (tier, label) in enumerate(nodes)])
 
 
 def read_ground_truth(path):
@@ -160,7 +255,7 @@ def read_ground_truth(path):
 
     def record(cells, _):
         if cells[0] == "supply":
-            supply.append((int(cells[1]), int(cells[2])))
+            supply.append((_int(cells[1]), _int(cells[2])))
             hidden.append(bool(int(cells[3])))
         elif cells[0] == "node":
             if int(cells[1]) != len(tiers):
@@ -180,22 +275,26 @@ def read_ground_truth(path):
 
 
 def write_mined_edges(path, pairs, scores):
-    _write_lines(path, (f"{u}\t{v}\t{_fmt(s)}" for (u, v), s in zip(np.asarray(pairs).tolist(), scores)))
+    rows = zip(np.asarray(pairs).tolist(), np.asarray(scores, dtype=np.float64).tolist())
+    _write_lines(path, [f"{u}\t{v}\t{s!r}" for (u, v), s in rows])
 
 
 def read_mined_edges(path):
     """(pairs, scores): a (k, 2) int64 array and k float64 scores."""
-    rows = _parse_rows(path, "\t", lambda c, _: (int(c[0]), int(c[1]), float(c[2])), width=3)
+    table = _bulk_rows(_read_bytes(path), "\t", [("pair", "i8", (2,)), ("score", "f8")])
+    if table is not None:
+        return np.ascontiguousarray(table["pair"]), table["score"].copy()
+    rows = _parse_rows(path, "\t", lambda c, _: (_int(c[0]), _int(c[1]), float(c[2])), width=3)
     return (np.asarray([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2),
             np.asarray([r[2] for r in rows], dtype=np.float64))
 
 
 def write_roc_points(path, points):
-    _write_lines(path, (f"{_fmt(fpr)}\t{_fmt(tpr)}" for fpr, tpr in points))
+    _write_lines(path, [f"{fpr!r}\t{tpr!r}" for fpr, tpr in np.asarray(points, dtype=np.float64).tolist()])
 
 
 def write_scores(path, scores):
-    _write_lines(path, (f"{i}\t{_fmt(s)}" for i, s in enumerate(scores)))
+    _write_lines(path, [f"{i}\t{s!r}" for i, s in enumerate(np.asarray(scores, dtype=np.float64).tolist())])
 
 
 def sha256_file(path):

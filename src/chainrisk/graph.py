@@ -30,12 +30,13 @@ def standardize_columns(X):
 
 
 def _csr_from_directed(num_nodes, rows, cols):
-    """Build sorted CSR arrays (indptr, indices) from directed entry lists."""
-    order = np.lexsort((cols, rows))
+    """Build sorted CSR arrays (indptr, indices) from distinct directed entries."""
+    # one sort of the int64 keys row * n + col; distinct keys leave no ties
+    keys = np.sort(rows * num_nodes + cols)
     counts = np.bincount(rows, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    return indptr, cols[order].astype(np.int64)
+    return indptr, keys % num_nodes
 
 
 def sorted_unique(keys):
@@ -124,10 +125,11 @@ class SmeGraph:
             if np.any(lo == hi):
                 raise InvalidInput("self-loops are not allowed")
             key = lo * num_nodes + hi
-            if np.unique(key).size != m:
+            order = np.argsort(key)
+            if np.any(np.diff(key[order]) == 0):
                 raise InvalidInput("duplicate undirected edges")
         else:
-            lo = hi = key = np.zeros(0, dtype=np.int64)
+            lo = hi = order = np.zeros(0, dtype=np.int64)
         if edge_features is None:
             edge_features = np.zeros((m, 0), dtype=np.float64)
         edge_features = np.asarray(edge_features, dtype=np.float64)
@@ -138,11 +140,13 @@ class SmeGraph:
         if node_kind is None:
             node_kind = np.full(num_nodes, "sme", dtype="U8")
         else:
-            node_kind = np.asarray(node_kind, dtype="U8")
+            # check the exact tags first: narrowing to U8 would cut "consumerXYZ" to "consumer"
+            node_kind = np.asarray(node_kind)
             if node_kind.shape != (num_nodes,):
                 raise InvalidInput("node_kind must have one tag per node")
             if not np.all(np.isin(node_kind, NODE_KINDS)):
                 raise InvalidInput(f"node_kind tags must be one of {NODE_KINDS}")
+            node_kind = node_kind.astype("U8")
 
         indptr, indices = _csr_from_directed(
             num_nodes, np.concatenate([lo, hi]), np.concatenate([hi, lo])
@@ -152,7 +156,7 @@ class SmeGraph:
             indptr=indptr,
             indices=indices,
             node_features=node_features,
-            edge_features=edge_features[np.argsort(key)],
+            edge_features=edge_features[order],
             node_kind=node_kind,
         )
 

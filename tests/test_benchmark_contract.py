@@ -1,13 +1,16 @@
 """The benchmark in perfbench/ drives chainrisk from outside; these tests
 check the names it relies on without editing it."""
 
+import contextlib
 import inspect
+import io
+import json
 import os
 
 import numpy as np
 import pytest
 
-from chainrisk import model, pipeline, synthgen
+from chainrisk import cli, dataio, model, pipeline, synthgen
 from chainrisk.nn import sigmoid
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -34,6 +37,42 @@ def test_every_traced_name_is_still_bound(perfbench_path):
         tracer.restore()
     for owner, attr, raw in patched:
         assert vars(owner)[attr] is raw, f"{owner.__name__}.{attr} was not restored"
+
+
+def test_traced_readers_and_writers_take_a_path_first(perfbench_path):
+    # layers.install sizes the file at a[0] of every READERS/WRITERS call, and
+    # the directory or output list of read_graph/write_graph
+    import layers
+
+    for name in layers.READERS + layers.WRITERS:
+        first = next(iter(inspect.signature(getattr(dataio, name)).parameters.values()))
+        assert (first.name, first.kind) == ("path", first.POSITIONAL_OR_KEYWORD), name
+    for name, arg in (("read_graph", "data_dir"), ("write_graph", "out_dir")):
+        assert next(iter(inspect.signature(getattr(dataio, name)).parameters)) == arg
+
+
+def test_traced_cli_run_counts_the_bytes_it_reads(perfbench_path, tmp_path):
+    import layers
+    from tracer import Tracer
+
+    gen, train = tmp_path / "gen.json", tmp_path / "train.json"
+    gen.write_text(json.dumps({"preset": "paper-calibrated", "num_smes": 300, "seed": 7, "sector_size": 50}))
+    train.write_text(json.dumps({"num_layers": 1, "max_epochs": 5, "patience": 4, "hidden_dim": 16,
+                                 "embed_dim": 16, "head_hidden": 16, "seed": 3}))
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--config", str(gen), "--out", data]) == 0
+        tracer = Tracer()
+        layers.install(tracer)
+        try:
+            assert cli.main(["train", "dp", "--data", data, "--config", str(train), "--out", run,
+                             "--no-enrich"]) == 0
+            assert cli.main(["eval", "--checkpoint", os.path.join(run, "checkpoint_dp.bin"), "--data", data,
+                             "--no-enrich"]) == 0
+        finally:
+            tracer.restore()
+    read = sum(os.path.getsize(os.path.join(data, f)) for f in ("nodes.csv", "edges.tsv", "labels_dp.tsv"))
+    assert layers.summarize(tracer, 0, len(tracer.spans))["dataio.bytes_read"] == 2 * read > 0
 
 
 def test_task_data_for_pairs_accepts_generated_pair_set():

@@ -434,3 +434,43 @@ def test_non_numeric_cell_exits_two_with_path_and_line(tmp_path, dataset, train_
     argv = [path if arg == name else arg for arg in command]
     assert main(argv + ["--data", dataset, "--config", train_config, "--out", str(tmp_path / "o")]) == 2
     assert f"{path}:{lineno}:" in capsys.readouterr().err
+
+
+def on_line(lineno, edit):
+    """A whole-file edit that applies `edit` to the bytes of line `lineno`."""
+    def apply(data):
+        lines = data.split(b"\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        return b"\n".join(lines)
+    return apply
+
+
+# (file, edit of its bytes, line a rejection must name or None when it is read, command)
+CORRUPT_BYTES = {
+    "long-kind": ("nodes.csv", on_line(6, lambda b: b.replace(b",sme,", b",consumerXYZ,")), 6,
+                  ["train", "dp", "--no-enrich"]),
+    "not-utf8": ("nodes.csv", on_line(4, lambda b: b + b"\xff"), 4, ["train", "dp", "--no-enrich"]),
+    "int64-overflow": ("labels_dp.tsv", on_line(3, lambda b: b"9" * 25 + b[b.index(b"\t"):]), 3,
+                       ["train", "dp", "--no-enrich"]),
+    "blank-line": ("edges.tsv", on_line(5, lambda b: b"\n" + b), 5, ["train", "dp", "--no-enrich"]),
+    "lone-cr": ("labels_sc.tsv", on_line(3, lambda b: b.replace(b"\t", b"\r", 1)), 3, ["train", "sc"]),
+    "crlf": ("labels_dp.tsv", lambda data: data.replace(b"\n", b"\r\n"), None,
+             ["train", "dp", "--no-enrich"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_BYTES))
+def test_corrupt_bytes_exit_zero_or_two_with_path_and_line(tmp_path, dataset, train_config, capsys, case):
+    name, edit, lineno, command = CORRUPT_BYTES[case]
+    path = os.path.join(dataset, name)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(data))
+    code = main(command + ["--data", dataset, "--config", train_config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if lineno is None:
+        assert code == 0, err
+    else:
+        assert code == 2 and f"{path}:{lineno}:" in err

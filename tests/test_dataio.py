@@ -1,5 +1,10 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from chainrisk import dataio
 from chainrisk.errors import InvalidInput
@@ -7,6 +12,7 @@ from chainrisk.graph import SmeGraph
 from chainrisk.synthgen import generate, paper_calibrated
 
 from conftest import random_graph
+from test_golden import GENERATE_DIGESTS
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +56,16 @@ class TestGraphRoundTrip:
         (tmp_path / "edges.tsv").write_text("1\t0\n")
         with pytest.raises(InvalidInput):
             dataio.read_graph(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["consumerXYZ", "consumers"])
+    @pytest.mark.parametrize("reader", ["bulk first", "row parser"])
+    def test_long_kind_rejected_not_truncated(self, tmp_path, reader, kind):
+        # cut to 8 characters, either would read as consumer
+        (tmp_path / "nodes.csv").write_text(f"id,kind,f1\n0,sme,1.0\n1,{kind},2.0\n")
+        (tmp_path / "edges.tsv").write_text("0\t1\n")
+        with rows_only() if reader == "row parser" else contextlib.nullcontext():
+            with pytest.raises(InvalidInput, match="nodes.csv:3: node kind must be one of"):
+                dataio.read_graph(tmp_path)
 
 
 class TestLabelFiles:
@@ -123,3 +139,188 @@ class TestMinedAndMisc:
         assert dataio.utc_timestamps() == 1700000000.0
         monkeypatch.delenv("SOURCE_DATE_EPOCH")
         assert dataio.utc_timestamps() > 1700000000.0
+
+
+class Declined(Exception):
+    """The bulk path handed a file to the row parser."""
+
+
+def bulk_only():
+    """Readers run with the row parser replaced by a Declined raise."""
+    return mock.patch.object(dataio, "_parse_rows", side_effect=Declined)
+
+
+def rows_only():
+    """Readers run with the bulk path declining every file."""
+    return mock.patch.object(dataio, "_bulk_rows", return_value=None)
+
+
+def _arrays(out):
+    if isinstance(out, SmeGraph):
+        return [np.asarray(out.num_nodes), out.indptr, out.indices, out.node_features, out.edge_features,
+                out.node_kind]
+    return list(out)
+
+
+def assert_same_arrays(got, want):
+    for a, b in zip(_arrays(got), _arrays(want), strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def write_dataset(out, g, pairs=None, pair_labels=None, nodes=None, node_labels=None, rng=None):
+    """Writer output of one dataset: the graph, label files when given, and
+    mined edges scored by `rng` on the labeled pairs."""
+    dataio.write_graph(out, g)
+    if nodes is not None:
+        dataio.write_node_labels(out / "labels_dp.tsv", nodes, node_labels)
+    if pairs is not None:
+        dataio.write_pair_labels(out / "labels_sc.tsv", pairs, pair_labels)
+        dataio.write_mined_edges(out / "mined_edges.tsv", pairs, rng.random(len(pairs)))
+
+
+# file name -> (reader, whether the reader takes the file's directory)
+BULK_READERS = {
+    "nodes.csv": (dataio.read_graph, True),
+    "edges.tsv": (dataio.read_graph, True),
+    "labels_dp.tsv": (dataio.read_node_labels, False),
+    "labels_sc.tsv": (dataio.read_pair_labels, False),
+    "mined_edges.tsv": (dataio.read_mined_edges, False),
+}
+
+
+def _economy(name):
+    g, pair_set, node_set, _ = generate(paper_calibrated(**GENERATE_DIGESTS[name][0]))
+    return dict(g=g, pairs=pair_set.examples, pair_labels=pair_set.labels,
+                nodes=node_set.examples, node_labels=node_set.labels)
+
+
+def _mixed_kinds():
+    rng = np.random.default_rng(4)
+    g = SmeGraph.from_edge_list(5, [(0, 1), (1, 4), (2, 3)], rng.normal(size=(5, 2)),
+                                edge_features=rng.normal(size=(3, 2)),
+                                node_kind=["sme", "owner", "consumer", "sme", "owner"])
+    return dict(g=g)
+
+
+BULK_DATASETS = {
+    "cli-300": lambda: _economy("cli-300"),
+    "paper-2000": lambda: _economy("paper-2000"),
+    "mixed-kinds": _mixed_kinds,
+    "featureless-edges": lambda: dict(g=random_graph(np.random.default_rng(6), 12, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_DATASETS))
+def test_bulk_path_reads_writer_output(tmp_path, name):
+    """Writer output never reaches the row parser, and reads as it does there."""
+    write_dataset(tmp_path, rng=np.random.default_rng(1), **BULK_DATASETS[name]())
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == sorted(BULK_READERS if name in GENERATE_DIGESTS else ["nodes.csv", "edges.tsv"])
+    for fname in files:
+        read, whole_dir = BULK_READERS[fname]
+        target = tmp_path if whole_dir else tmp_path / fname
+        with bulk_only():
+            got = read(target)
+        with rows_only():
+            want = read(target)
+        assert_same_arrays(got, want)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    """A directory holding an 8-node dataset in every bulk-read format, and the bytes of each file."""
+    out = tmp_path_factory.mktemp("small")
+    rng = np.random.default_rng(5)
+    g = SmeGraph.from_edge_list(
+        8, [(0, 1), (0, 5), (1, 2), (2, 7), (3, 4), (4, 6)], rng.normal(size=(8, 2)) * [1.0, 1e-6],
+        edge_features=rng.normal(size=(6, 1)) * 1e5,
+        node_kind=["sme", "owner", "consumer", "sme", "sme", "owner", "sme", "consumer"],
+    )
+    write_dataset(out, g, pairs=[(0, 1), (2, 7), (3, 6)], pair_labels=[1, 0, 1],
+                  nodes=np.arange(8), node_labels=[0, 1] * 4, rng=rng)
+    return out, {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+# cells that each parser may read differently: signs, separators, digit
+# separators, non-finite and non-ASCII numbers, over-long kinds, line breaks
+TOKENS = ["", " ", "x", "1_0", "+1", "-1", "01", "-0", "nan", "inf", "1.0", "1e3", ".5", "5.", "1e", "\u0663",
+          "9" * 20, "0", "1", "2", "7", "sme", "owner", "consumerXYZ", "consumers", "sme ", "\t", ",", "\r",
+          "\r\n", "\n"]
+
+
+@st.composite
+def corruptions(draw, data, sep):
+    """`data` with one random cell, row or byte changed, or its line breaks converted."""
+    lines = data.split(b"\n")[:-1]
+    what = draw(st.sampled_from(["cell", "row", "byte", "line break"]))
+    if what == "byte":
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        pos = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from([b"\r", b"\n", b"\t", b",", b" ", b"\xff", b"\x00"])
+                    | st.binary(min_size=1, max_size=1))
+        if op == "insert":
+            return data[:pos] + byte + data[pos:]
+        return data[:pos] + (byte if op == "replace" else b"") + data[pos + 1:]
+    if what == "line break":
+        if draw(st.booleans()):
+            return data.replace(b"\n", draw(st.sampled_from([b"\r\n", b"\r"])))
+        lines[draw(st.integers(0, len(lines) - 1))] += b"\r"  # one CRLF line
+        return b"".join(line + b"\n" for line in lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    if what == "cell":
+        cells = lines[i].split(sep)
+        j = draw(st.integers(0, len(cells) - 1))
+        cells[j] = draw(st.sampled_from(TOKENS) | st.text(max_size=3)).encode()
+        lines[i] = sep.join(cells)
+    else:
+        op = draw(st.sampled_from(["delete", "duplicate", "blank", "extra cell", "drop cell", "swap"]))
+        j = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "blank":
+            lines.insert(i, b"")
+        elif op == "extra cell":
+            lines[i] += sep + b"1"
+        elif op == "drop cell":
+            lines[i] = lines[i].rpartition(sep)[0]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(line + b"\n" for line in lines)
+
+
+def _outcome(read, target):
+    try:
+        return read(target)
+    except InvalidInput as err:
+        return err
+
+
+@pytest.mark.parametrize("name", sorted(BULK_READERS))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(draw=st.data())
+def test_bulk_path_declines_or_matches_row_parser(small_dataset, name, draw):
+    """On a corrupted file the bulk path declines or returns the row parser's
+    arrays; it never accepts a file the row parser rejects."""
+    out, files = small_dataset
+    read, whole_dir = BULK_READERS[name]
+    target = out if whole_dir else out / name
+    (out / name).write_bytes(draw.draw(corruptions(files[name], b"," if name.endswith(".csv") else b"\t")))
+    try:
+        with rows_only():
+            want = _outcome(read, target)
+        try:
+            with bulk_only():
+                got = _outcome(read, target)
+        except Declined:
+            event("declined")
+            return
+        if isinstance(want, InvalidInput):  # a check after parsing, which both paths reach
+            event("read in bulk, rejected after parsing")
+            assert isinstance(got, InvalidInput) and str(got) == str(want)
+        else:
+            event("read in bulk")
+            assert_same_arrays(got, want)
+    finally:
+        (out / name).write_bytes(files[name])

@@ -9,15 +9,20 @@ The training digests (parameters and loss trace of `train_task`, mined pairs
 and scores of `run_stage1_mining`) were recorded before the head's joint
 keep-mask, the per-training-set scatter plan, the cached first propagation
 and block-bounded scoring went in; each of those must leave every bit of
-the outputs as it was. BLAS results can depend on the thread count, so the
+the outputs as it was. The CLI digests (`train sc`, `train dp --no-enrich`
+and `eval` on the 300-SME economy) were recorded before the text readers
+and writers went bulk. BLAS results can depend on the thread count, so the
 training runs in a child process pinned to one BLAS thread.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -165,14 +170,62 @@ def training_digests():
     return out
 
 
-def test_training_and_mining_are_pinned():
+# train config of the CLI digests: the CLI tests' small model
+CLI_TRAIN = dict(learning_rate=0.01, dropout=0.1, num_layers=1, max_epochs=30, patience=8,
+                 hidden_dim=16, embed_dim=16, head_hidden=16, seed=3)
+CLI_DIGESTS = {
+    "mined_edges.tsv": "76a3fd088f74c5bf7a64e3fd8153b3ac354c4743a522bfa0cbac3816895232da",
+    "scores_dp.tsv": "f4d901f0c83beff4fef4f13c17e4fb4b2c099b0fd56964005c11c025a22265e5",
+    "checkpoint_dp.bin": "4d1112ffea00ae95306f5bc8d4c9c703467a51bdfa6e52284aee9c9f6f486a6a",
+    "roc_points.tsv": "1616176b541908a3e6345757b254bc2f031e8b5d905db68bacc1d6973e536e5d",
+    "eval_report.json": "52d57717872ce5a4f896ff3c2c32f4f67f938509b2a3bc82759d93cfeac01b34",
+}
+
+
+def cli_digests():
+    """Digests of the outputs of generate, train sc, train dp --no-enrich and eval."""
+    from chainrisk.cli import main
+
+    kwargs = GENERATE_DIGESTS["cli-300"][0]
+    with tempfile.TemporaryDirectory() as work:
+        gen, train = os.path.join(work, "gen.json"), os.path.join(work, "train.json")
+        with open(gen, "w", encoding="utf-8") as fh:
+            json.dump(dict(preset="paper-calibrated", **kwargs), fh)
+        with open(train, "w", encoding="utf-8") as fh:
+            json.dump(CLI_TRAIN, fh)
+        data, sc, dp, ev = (os.path.join(work, d) for d in ("data", "sc", "dp", "ev"))
+        commands = [
+            ["generate", "--config", gen, "--out", data],
+            ["train", "sc", "--data", data, "--config", train, "--out", sc],
+            ["train", "dp", "--data", data, "--config", train, "--out", dp, "--no-enrich"],
+            ["eval", "--checkpoint", os.path.join(dp, "checkpoint_dp.bin"), "--data", data, "--out", ev,
+             "--no-enrich"],
+        ]
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        outputs = {"mined_edges.tsv": sc, "scores_dp.tsv": dp, "checkpoint_dp.bin": dp,
+                   "roc_points.tsv": ev, "eval_report.json": ev}
+        return {name: dataio.sha256_file(os.path.join(d, name)) for name, d in outputs.items()}
+
+
+def _one_blas_thread(call):
+    """json.loads of the printed result of `test_golden.<call>()` in a child on one BLAS thread."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, here]))
     child = subprocess.run(
-        [sys.executable, "-c", "import json, test_golden; print(json.dumps(test_golden.training_digests()))"],
+        [sys.executable, "-c", f"import json, test_golden; print(json.dumps(test_golden.{call}()))"],
         cwd=here, env=env, capture_output=True, text=True, check=False,
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == TRAINING_DIGESTS
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_training_and_mining_are_pinned():
+    assert _one_blas_thread("training_digests") == TRAINING_DIGESTS
+
+
+def test_cli_outputs_are_pinned():
+    assert _one_blas_thread("cli_digests") == CLI_DIGESTS

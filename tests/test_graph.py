@@ -9,6 +9,7 @@ from chainrisk.graph import (
     EnrichedGraph,
     NormalizedAdjacency,
     SmeGraph,
+    _csr_from_directed,
     enrich,
     in_sorted,
     normalize_adjacency,
@@ -69,6 +70,10 @@ class TestSmeGraph:
     def test_bad_node_kind_rejected(self):
         with pytest.raises(InvalidInput):
             SmeGraph.from_edge_list(2, [(0, 1)], np.zeros((2, 1)), node_kind=["sme", "bank"])
+
+    def test_long_node_kind_rejected_not_truncated(self):
+        with pytest.raises(InvalidInput, match="node_kind tags"):
+            SmeGraph.from_edge_list(2, [(0, 1)], np.zeros((2, 1)), node_kind=["sme", "consumerXYZ"])
 
     @pytest.mark.parametrize("table", ["node", "edge"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -242,6 +247,17 @@ def test_key_set_helpers_match_numpy(a, b):
     b = np.asarray(b, dtype=np.int64)
     assert np.array_equal(sorted_unique(a), np.unique(a))
     assert np.array_equal(in_sorted(a, np.unique(b)), np.isin(a, b))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_csr_build_matches_lexsort_order(n, data):
+    keys = data.draw(st.lists(st.integers(0, n * n - 1), unique=True, max_size=60))
+    rows, cols = np.divmod(np.asarray(keys, dtype=np.int64), n)
+    indptr, indices = _csr_from_directed(n, rows, cols)
+    counts = np.bincount(rows, minlength=n)
+    assert indptr.tobytes() == np.r_[0, np.cumsum(counts)].astype(np.int64).tobytes()
+    assert (indices.dtype, indices.tobytes()) == (np.int64, cols[np.lexsort((cols, rows))].tobytes())
 
 
 def sequential_sampler_oracle(gen, n, count, forbidden, draws, nodes=None, max_rounds=None):
