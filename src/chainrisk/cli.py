@@ -83,7 +83,7 @@ def _finish_manifest(manifest, out_dir, outputs, extra=None):
 
 
 def _parse_config(path, parse, raw):
-    """parse(raw), naming `path` in a rejection."""
+    """parse(raw), naming the config file `path` in an InvalidConfig."""
     try:
         return parse(raw)
     except InvalidConfig as err:
@@ -95,11 +95,12 @@ def _train_config(args, raw):
     config = _parse_config(args.config, TrainConfig.from_dict, raw)
     overrides = {"seed": args.seed, "tau": args.tau}
     config = replace(config, **{k: v for k, v in overrides.items() if v is not None}).validate()
-    return config, _grid_spec(args.config, grid_section) if args.grid else None
+    return config, _grid_spec(args.config, grid_section, config) if args.grid else None
 
 
-def _grid_spec(path, section):
-    """GridSpec from the config's optional `grid` object of axis lists."""
+def _grid_spec(path, section, config):
+    """GridSpec from the config's optional `grid` object of axis lists, each
+    value checked as that field of `config`."""
     if section is None:
         return GridSpec().validate()
     known = [f.name for f in fields(GridSpec)]
@@ -110,6 +111,13 @@ def _grid_spec(path, section):
         raise InvalidConfig(f"{path}: unknown grid keys: {sorted(unknown)}")
     if not all(isinstance(v, list) and v for v in section.values()):
         raise InvalidConfig(f"{path}: every grid axis must be a non-empty list")
+    key = {"learning_rates": "learning_rate", "dropouts": "dropout", "layer_counts": "num_layers"}
+    for axis, values in section.items():
+        for value in values:
+            try:
+                TrainConfig.from_dict({**config.to_dict(), key[axis]: value})
+            except InvalidConfig as err:
+                raise InvalidConfig(f"{path}: grid axis {axis}: {err}") from None
     return GridSpec(**{k: tuple(v) for k, v in section.items()}).validate()
 
 
@@ -120,7 +128,7 @@ def cmd_generate(args):
     os.makedirs(args.out, exist_ok=True)
     manifest = _manifest_skeleton("generate", config.to_dict(), [args.config])
 
-    graph, pair_set, node_set, truth = generate(config)
+    graph, pair_set, node_set, truth = _parse_config(args.config, generate, config)
     outputs = dataio.write_graph(args.out, graph)
     sc_path = os.path.join(args.out, "labels_sc.tsv")
     dataio.write_pair_labels(sc_path, pair_set.examples, pair_set.labels)

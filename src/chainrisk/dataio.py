@@ -256,12 +256,14 @@ def read_ground_truth(path):
     def record(cells, _):
         if cells[0] == "supply":
             supply.append((_int(cells[1]), _int(cells[2])))
-            hidden.append(bool(int(cells[3])))
+            hidden.append(_label(cells[3], "supply<TAB>u<TAB>v<TAB>0|1"))
         elif cells[0] == "node":
             if int(cells[1]) != len(tiers):
                 raise ValueError("node ids must be dense and ordered")
+            if cells[2] not in ("0", "1", "2"):
+                raise ValueError("a tier is 0, 1 or 2")
             tiers.append(int(cells[2]))
-            labels.append(int(cells[3]))
+            labels.append(_label(cells[3], "node<TAB>id<TAB>tier<TAB>0|1"))
         else:
             raise ValueError(f"unknown record {cells[0]!r}")
 

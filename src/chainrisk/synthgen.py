@@ -2,10 +2,10 @@
 
 The generator builds a three-tier supply network (raw-material suppliers,
 manufacturers, retailers) organized into sectors. Within a sector, each
-firm manages a partner budget and trades with its nearest peers in a
-latent product space: a firm proposes to its budget-many closest
-adjacent-tier neighbors and accepts proposals from a somewhat wider
-circle, so realized partner counts stay close to the budgets while a thin
+firm has a partner budget and ranks its adjacent-tier peers nearest first
+in a latent product space; two firms link when either ranks the other
+under its budget and the other ranks it under `accept_breadth` times its
+own budget. Realized partner counts stay close to the budgets while a thin
 heavy tail of well-connected firms survives. A configured fraction of the
 true supply links is withheld from the observed graph and exposed as
 positive pairs for the mining task, which is what makes the two-stage
@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import rng as rng_streams
-from .errors import InvalidArgument, InvalidConfig
+from .errors import InvalidArgument, InvalidConfig, InvalidInput
 from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
 from .pipeline import LabeledSet, config_fields, stratified_split
 from .rng import make_rng
@@ -185,10 +185,7 @@ def generate(config):
     counts = _tier_counts(n, config.tier_shares)
     tiers = np.repeat(np.arange(3, dtype=np.int8), counts)
     num_sectors = max(1, int(round(n / config.sector_size)))
-    sectors = np.empty(n, dtype=np.int64)
-    for t in range(3):
-        members = np.flatnonzero(tiers == t)
-        sectors[members] = np.arange(members.size) % num_sectors
+    sectors = np.concatenate([np.arange(c) % num_sectors for c in counts])  # round-robin per tier
 
     centers = gen.normal(size=(num_sectors, PROFILE_DIM))
     latent = centers[sectors] + gen.normal(scale=config.profile_spread, size=(n, PROFILE_DIM))
@@ -213,13 +210,13 @@ def generate(config):
 
     graph = _observed_graph(config, gen, n, tiers, supply_edges[~hidden_mask], social_edges, X)
 
-    pair_set = _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges,
-                            supply_edges[hidden_mask])
-    node_set = LabeledSet(
-        examples=np.arange(n, dtype=np.int64),
-        labels=labels.copy(),
-        split=stratified_split(labels, seed=config.seed),
-    )
+    try:  # a tiny economy can leave a label class too small to split
+        pair_set = _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges,
+                                supply_edges[hidden_mask])
+        node_split = stratified_split(labels, seed=config.seed)
+    except InvalidInput as err:
+        raise InvalidConfig(f"the generated labels cannot be split: {err}") from None
+    node_set = LabeledSet(examples=np.arange(n, dtype=np.int64), labels=labels.copy(), split=node_split)
     truth = GroundTruth(
         supply_edges=supply_edges,
         hidden_mask=hidden_mask,
@@ -234,74 +231,74 @@ BUDGET_VALUES = np.array([2, 3, 4, 5, 6, 7, 9, 12, 15])
 BUDGET_PROBS = np.array([0.10, 0.22, 0.26, 0.20, 0.10, 0.05, 0.035, 0.025, 0.01])
 
 
-def _sample_supply_edges(config, gen, tiers, sectors, latent):
-    """Budgeted nearest-neighbor matching over same-sector adjacent-tier pairs.
-
-    Each firm proposes to its `budget` nearest adjacent-tier peers in latent
-    space and accepts proposals from its `accept_breadth * budget` nearest;
-    an edge forms when a proposal lands inside the acceptance circle. The
-    budget scale is calibrated so the realized edge count matches
-    supply_density times the admissible pair count.
-    """
-    num_sectors = int(sectors.max()) + 1
-    blocks = []
-    admissible = 0
-    for s in range(num_sectors):
+def _sector_blocks(tiers, sectors):
+    """(rows, cols): the ascending ids of sector s's tier t and tier t + 1,
+    for each s and t in (0, 1) with both sides non-empty; tiers ascend with
+    the id, so every row id is below every column id."""
+    for s in range(int(sectors.max()) + 1):
         for t in (0, 1):
             rows = np.flatnonzero((sectors == s) & (tiers == t))
             cols = np.flatnonzero((sectors == s) & (tiers == t + 1))
-            if rows.size == 0 or cols.size == 0:
-                continue
-            d2 = np.sum((latent[rows][:, None, :] - latent[cols][None, :, :]) ** 2, axis=2)
-            blocks.append((rows, cols, d2))
-            admissible += d2.size
-    if admissible == 0:
+            if rows.size and cols.size:
+                yield rows, cols
+
+
+def _ranked_pairs(tiers, sectors, latent):
+    """Every same-sector adjacent-tier pair (u, v), u < v, in key order, and
+    per pair v's rank in u's stable nearest-first order and u's rank in v's."""
+    pairs, ranks = [], []
+    for rows, cols in _sector_blocks(tiers, sectors):
+        d2 = np.sum((latent[rows][:, None, :] - latent[cols][None, :, :]) ** 2, axis=2)
+        by_row = np.argsort(np.argsort(d2, axis=1, kind="stable"), axis=1)  # rank of col j for row i
+        by_col = np.argsort(np.argsort(d2, axis=0, kind="stable"), axis=0)  # rank of row i for col j
+        pairs.append(np.column_stack([np.repeat(rows, cols.size), np.tile(cols, rows.size)]))
+        ranks.append(np.column_stack([by_row.reshape(-1), by_col.reshape(-1)]))
+    if not pairs:
         raise InvalidConfig("degenerate sector structure; no admissible supply pairs")
-    target = config.supply_density * admissible
+    pairs, ranks = np.concatenate(pairs), np.concatenate(ranks)
+    order = np.argsort(pairs[:, 0] * tiers.size + pairs[:, 1])
+    return pairs[order], ranks[order]
+
+
+def _sample_supply_edges(config, gen, tiers, sectors, latent):
+    """Budgeted nearest-neighbor matching over same-sector adjacent-tier pairs.
+
+    Each firm ranks its adjacent-tier peers nearest first in latent space
+    (ties by id). A pair links when either side ranks the other under its
+    `budget` (a proposal) and the other ranks it under
+    `int(accept_breadth * budget)` (an acceptance). The ranks are fixed;
+    only the budget scale is calibrated, over up to four rounds, so the
+    realized edge count matches supply_density times the admissible pair
+    count.
+    """
+    pairs, ranks = _ranked_pairs(tiers, sectors, latent)
+    target = config.supply_density * pairs.shape[0]
     shape = gen.choice(BUDGET_VALUES, size=tiers.size, p=BUDGET_PROBS / BUDGET_PROBS.sum())
     scale = 2.0 * target / float(shape.sum())  # matching yields roughly half the proposals
-    edges = None
     for _ in range(4):
         budgets = np.maximum(1, np.rint(scale * shape).astype(np.int64))
-        edges = _match_blocks(blocks, budgets, config.accept_breadth, tiers.size)
-        if edges.shape[0] == 0:
-            scale *= 2.0
-            continue
-        ratio = target / edges.shape[0]
+        edges = _match_blocks(pairs, ranks, budgets, config.accept_breadth)
+        ratio = target / edges.shape[0] if edges.shape[0] else 2.0
         if 0.95 <= ratio <= 1.05:
             break
         scale *= ratio
-    if edges is None or edges.shape[0] == 0:
+    if edges.shape[0] == 0:
         raise InvalidConfig("supply_density too low for the sector structure")
     return edges
 
 
-def _match_blocks(blocks, budgets, accept_breadth, n):
-    proposed = [set() for _ in range(n)]
-    accepted = [set() for _ in range(n)]
-    for rows, cols, d2 in blocks:
-        row_order = np.argsort(d2, axis=1, kind="stable")
-        col_order = np.argsort(d2, axis=0, kind="stable")
-        for i, u in enumerate(rows.tolist()):
-            k = budgets[u]
-            picks = cols[row_order[i, : min(k, cols.size)]]
-            proposed[u].update(picks.tolist())
-            wide = cols[row_order[i, : min(int(accept_breadth * k), cols.size)]]
-            accepted[u].update(wide.tolist())
-        for j, v in enumerate(cols.tolist()):
-            k = budgets[v]
-            picks = rows[col_order[: min(k, rows.size), j]]
-            proposed[v].update(picks.tolist())
-            wide = rows[col_order[: min(int(accept_breadth * k), rows.size), j]]
-            accepted[v].update(wide.tolist())
-    edges = set()
-    for u in range(n):
-        for v in proposed[u]:
-            if u in accepted[v]:
-                edges.add((u, v) if u < v else (v, u))
-    if not edges:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.asarray(sorted(edges), dtype=np.int64)
+def _match_blocks(pairs, ranks, budgets, accept_breadth):
+    """The pairs (u, v) that link at these budgets.
+
+    `ranks[:, 0]` is v's rank in u's nearest-first order and `ranks[:, 1]`
+    u's rank in v's. A pair links when one side proposes, ranking the other
+    under its budget, and the other accepts, ranking it under
+    int(accept_breadth * budget).
+    """
+    budget = budgets[pairs]
+    wide = (accept_breadth * budget).astype(np.int64)
+    links = np.any((ranks < budget) & (ranks[:, ::-1] < wide[:, ::-1]), axis=1)
+    return pairs[links]
 
 
 def _sample_social_edges(config, gen, n, supply_keys):
@@ -319,8 +316,7 @@ def _node_features(config, gen, tiers, latent, social_edges, n):
     X[:, 3:3 + PROFILE_DIM] = latent + gen.normal(scale=config.profile_noise, size=latent.shape)
 
     has_social = np.zeros(n, dtype=bool)
-    if social_edges.size:
-        has_social[social_edges.reshape(-1)] = True
+    has_social[social_edges.reshape(-1)] = True
 
     # upstream revenue swings harder than downstream (market demand shocks)
     revenue_sigma = np.array([1.0, 0.7, 0.45])[tiers.astype(np.int64)]
@@ -354,32 +350,24 @@ def _observed_graph(config, gen, n, tiers, observed_supply, social_edges, X):
     )
 
 
-def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, hidden_edges):
+def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, positives):
     """Positives are the withheld supply links; negatives mix plausible
     same-sector pairs with uniform random ones, all verified non-links."""
-    positives = hidden_edges.reshape(-1, 2)
     n_pos = positives.shape[0]
     n_neg = int(round(config.neg_ratio * n_pos))
     n_hard = int(round(config.hard_negative_fraction * n_neg))
     taken = sorted_unique(np.concatenate([supply_keys, social_edges[:, 0] * n + social_edges[:, 1]]))
 
-    hard_pool = []
-    num_sectors = sectors.max() + 1
-    for s in range(num_sectors):
-        for t in (0, 1):
-            rows = np.flatnonzero((sectors == s) & (tiers == t))
-            cols = np.flatnonzero((sectors == s) & (tiers == t + 1))
-            if rows.size == 0 or cols.size == 0:
-                continue
-            rr, cc = np.meshgrid(rows, cols, indexing="ij")
-            lo = np.minimum(rr.reshape(-1), cc.reshape(-1))
-            hi = np.maximum(rr.reshape(-1), cc.reshape(-1))
-            keys = lo * n + hi
-            hard_pool.append(keys[~in_sorted(keys, taken)])
-    hard_pool = np.concatenate(hard_pool) if hard_pool else np.zeros(0, dtype=np.int64)
+    hard_pool = np.concatenate([(rows[:, None] * n + cols).reshape(-1)
+                                for rows, cols in _sector_blocks(tiers, sectors)])
+    hard_pool = hard_pool[~in_sorted(hard_pool, taken)]
     n_hard = min(n_hard, hard_pool.size)
     hard = hard_pool[gen.choice(hard_pool.size, size=n_hard, replace=False)] if n_hard else hard_pool[:0]
     taken = sorted_unique(np.concatenate([taken, hard]))
+    free = n * (n - 1) // 2 - taken.size
+    if n_neg - n_hard > free:
+        raise InvalidConfig(f"neg_ratio {config.neg_ratio} needs {n_neg - n_hard} more negative pairs, "
+                            f"but only {free} pairs are unlinked")
     uniform = sample_pair_keys(gen, n, n_neg - n_hard, taken, lambda need: 4 * need)
     neg_keys = sorted_unique(np.concatenate([hard, uniform]))
 

@@ -172,6 +172,10 @@ class TestTrainSc:
         ([0.1], "grid must be an object"),
         ({"dropouts": 0.1}, "every grid axis must be a non-empty list"),
         ({"dropouts": []}, "every grid axis must be a non-empty list"),
+        ({"learning_rates": ["fast"]}, "grid axis learning_rates: training config key 'learning_rate' must be"),
+        ({"layer_counts": [True]}, "grid axis layer_counts: training config key 'num_layers' must be an integer"),
+        ({"layer_counts": [4]}, "grid axis layer_counts: num_layers must be 1, 2, or 3"),
+        ({"dropouts": [0.1, 1.5]}, "grid axis dropouts: dropout must be in [0, 1)"),
     ])
     def test_malformed_grid_section_exits_two(self, tmp_path, dataset, train_config, capsys, grid, message):
         cfg = json.loads(open(train_config).read())
@@ -407,6 +411,19 @@ def test_mistyped_generator_config_exits_two(tmp_path, capsys, config, key):
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and key in err
+
+
+@pytest.mark.parametrize("config", [
+    {"num_smes": 50, "social_density": 0.9},
+    {"num_smes": 200, "neg_ratio": 1000},
+    {"num_smes": 12, "supply_density": 0.999},
+])
+def test_more_negatives_than_free_pairs_exits_two(tmp_path, capsys, config):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "neg_ratio" in err
 
 
 # (file, line, column) of the corrupted cell, and the command that reads the file

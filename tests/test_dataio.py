@@ -109,6 +109,14 @@ class TestGroundTruthFile:
         with pytest.raises(InvalidInput):
             dataio.read_ground_truth(path)
 
+    @pytest.mark.parametrize("line", ["node\t0\t300\t1", "supply\t0\t1\t7", "node\t0\t1\t5"],
+                             ids=["tier", "hidden", "label"])
+    def test_out_of_range_cell_reports_position(self, tmp_path, line):
+        path = tmp_path / "ground_truth.tsv"
+        path.write_text(f"{line}\n")
+        with pytest.raises(InvalidInput, match=f"{path}:1:"):
+            dataio.read_ground_truth(path)
+
 
 class TestMinedAndMisc:
     def test_mined_edges_round_trip(self, tmp_path):

@@ -3,7 +3,9 @@
 The sampler digests were recorded before the three rejection samplers
 (social ties and uniform negatives in the generator, `sample_negatives`)
 were merged into `graph.sample_pair_keys`; any change to how they consume
-the random stream shows up here.
+the random stream shows up here. The `knobs-600` economy, with non-default
+sector size, acceptance breadth and supply density, was recorded before
+supply matching became a rank rule over precomputed ranks.
 
 The training digests (parameters and loss trace of `train_task`, mined pairs
 and scores of `run_stage1_mining`) were recorded before the head's joint
@@ -50,6 +52,16 @@ GENERATE_DIGESTS = {
             "labels_sc.tsv": "b1be08280dcf6319ea1cd27e8145b4be457b41c57615b767bf5ff589a5daefb2",
             "labels_dp.tsv": "d067c864fb7a7d1e5b2c6534b35b3452c52c56bcdd695bb375e780cbf9483ae3",
             "ground_truth.tsv": "b39a9622f6a20dfcf90fd5c739bfb84e97439a9cd2dcf5fc57b1be0efc3d7d95",
+        },
+    ),
+    "knobs-600": (
+        dict(num_smes=600, seed=5, sector_size=30, accept_breadth=1.5, supply_density=0.2),
+        {
+            "nodes.csv": "d9d518c8f258fd80ed9ea7c48865a8cc9947d4fd9930c62a85f8b2dfa1b2f46d",
+            "edges.tsv": "be41aa2e27a58f440b44eb5b06e546e2282e34a69c586d8ebb2e3b3879498808",
+            "labels_sc.tsv": "9a5e40cabb03cb67c10b5e5b9c863d469cdc56ba614611aa16a5abd7d934af21",
+            "labels_dp.tsv": "051107aaa59147a10f21abd21b1c671a8611e7c3bf5dffb5995ec3329b00fb9c",
+            "ground_truth.tsv": "0d46617ac5e6c9dda2230f8e87c7b39dc364288dca634bcffefc37a187355a83",
         },
     ),
 }

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainrisk.errors import InvalidArgument, InvalidConfig
 from chainrisk.graph import in_sorted
@@ -8,6 +10,8 @@ from chainrisk.synthgen import (
     ATTRIBUTE_COLUMNS,
     ATTRIBUTES,
     GenConfig,
+    _match_blocks,
+    _ranked_pairs,
     attribute_availability,
     gen_config_from_dict,
     generate,
@@ -222,3 +226,111 @@ class TestPartnerCurve:
         _, (g, _, _, _) = small_economy
         with pytest.raises(InvalidArgument):
             partner_default_curve(g, np.array([0, 1]))
+
+
+def _oracle_blocks(tiers, sectors, latent):
+    """The sector blocks and distances as the set-based matcher took them."""
+    blocks = []
+    for s in range(int(sectors.max()) + 1):
+        for t in (0, 1):
+            rows = np.flatnonzero((sectors == s) & (tiers == t))
+            cols = np.flatnonzero((sectors == s) & (tiers == t + 1))
+            if rows.size == 0 or cols.size == 0:
+                continue
+            d2 = np.sum((latent[rows][:, None, :] - latent[cols][None, :, :]) ** 2, axis=2)
+            blocks.append((rows, cols, d2))
+    return blocks
+
+
+def _oracle_match(blocks, budgets, accept_breadth, n):
+    """The matcher the rank rule replaced: per-firm proposal and acceptance sets."""
+    proposed = [set() for _ in range(n)]
+    accepted = [set() for _ in range(n)]
+    for rows, cols, d2 in blocks:
+        row_order = np.argsort(d2, axis=1, kind="stable")
+        col_order = np.argsort(d2, axis=0, kind="stable")
+        for i, u in enumerate(rows.tolist()):
+            k = budgets[u]
+            picks = cols[row_order[i, : min(k, cols.size)]]
+            proposed[u].update(picks.tolist())
+            wide = cols[row_order[i, : min(int(accept_breadth * k), cols.size)]]
+            accepted[u].update(wide.tolist())
+        for j, v in enumerate(cols.tolist()):
+            k = budgets[v]
+            picks = rows[col_order[: min(k, rows.size), j]]
+            proposed[v].update(picks.tolist())
+            wide = rows[col_order[: min(int(accept_breadth * k), rows.size), j]]
+            accepted[v].update(wide.tolist())
+    edges = set()
+    for u in range(n):
+        for v in proposed[u]:
+            if u in accepted[v]:
+                edges.add((u, v) if u < v else (v, u))
+    if not edges:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.asarray(sorted(edges), dtype=np.int64)
+
+
+def _assert_matches_oracle(tiers, sectors, latent, budgets, accept_breadth):
+    want = _oracle_match(_oracle_blocks(tiers, sectors, latent), budgets, accept_breadth, tiers.size)
+    got = _match_blocks(*_ranked_pairs(tiers, sectors, latent), budgets, accept_breadth)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def block_sets(draw):
+    """Tiers, sectors, latents on a coarse grid (so distances tie often) and
+    budgets up to past every block's size."""
+    counts = draw(st.lists(st.integers(0, 24), min_size=3, max_size=3).filter(any))
+    n = sum(counts)
+    tiers = np.repeat(np.arange(3, dtype=np.int8), counts)
+    sectors = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=np.int64)
+    latent = np.array(draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n)), dtype=float)
+    budgets = np.array(draw(st.lists(st.integers(1, 30), min_size=n, max_size=n)), dtype=np.int64)
+    return tiers, sectors, 0.5 * latent.reshape(n, 2), budgets
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(block_sets(), st.sampled_from([1.0, 1.5, 3.0, 7.3]))
+def test_rank_rule_matches_the_set_based_matcher(blocks, accept_breadth):
+    tiers, sectors, latent, budgets = blocks
+    if not _oracle_blocks(tiers, sectors, latent):
+        with pytest.raises(InvalidConfig):
+            _ranked_pairs(tiers, sectors, latent)
+        return
+    _assert_matches_oracle(tiers, sectors, latent, budgets, accept_breadth)
+
+
+def test_rank_rule_skips_a_sector_with_an_empty_tier():
+    # sector 1 has no tier-2 firm, so only its tier 0-1 block exists
+    tiers = np.repeat(np.arange(3, dtype=np.int8), [6, 6, 4])
+    sectors = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0])
+    latent = np.round(np.random.default_rng(4).normal(size=(16, 2)))
+    for accept_breadth in (1.0, 1.5, 3.0, 7.3):
+        _assert_matches_oracle(tiers, sectors, latent, np.arange(16) % 5 + 1, accept_breadth)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(num_smes=50, social_density=0.9),
+    dict(num_smes=200, neg_ratio=1000),
+    dict(num_smes=12, supply_density=0.999),
+])
+def test_more_negatives_than_free_pairs_is_rejected(overrides):
+    with pytest.raises(InvalidConfig, match="neg_ratio"):
+        generate(GenConfig(**overrides))
+
+
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(num_smes=st.integers(12, 80), seed=st.integers(0, 20), supply_density=_open_unit,
+       hidden_fraction=_open_unit, social_density=_open_unit, hard_negative_fraction=st.floats(0.0, 1.0),
+       neg_ratio=st.floats(0.0, 1000.0, exclude_min=True), sector_size=st.integers(10, 40),
+       accept_breadth=st.floats(1.0, 8.0))
+def test_generate_succeeds_or_rejects_the_config(**knobs):
+    try:
+        generate(GenConfig(**knobs))
+    except InvalidConfig:
+        pass
