@@ -153,14 +153,25 @@ def cmd_generate(args):
     return 0
 
 
+def _read_node_ids(read, path, num_nodes):
+    """read(path); a node id outside [0, num_nodes) in its first array is an InvalidInput naming its line."""
+    ids, values = read(path)
+    bad = np.argwhere((ids < 0) | (ids >= num_nodes))
+    if bad.size:
+        at = tuple(bad[0])
+        raise InvalidInput(f"{path}:{at[0] + 1}: node id {ids[at]} is out of range for a graph of {num_nodes} nodes")
+    return ids, values
+
+
 def _task_inputs(args, stage, config):
     """Graph view, labeled set and input paths of one stage, for train and eval.
 
     Stage sc takes neither --mined nor --no-enrich; it reads the pair labels
     and, when they hold only positives, adds `config.neg_ratio` sampled
-    negatives per positive. Stage dp reads the node labels and enriches the
-    graph from --mined, or uses the base graph with --no-enrich. Returns
-    (view, labeled, inputs, num_mined).
+    negatives per positive among the SMEs, the nodes candidate search scores.
+    Stage dp reads the node labels and enriches the graph from --mined, or
+    uses the base graph with --no-enrich. Every node id read must lie in the
+    graph. Returns (view, labeled, inputs, num_mined).
     """
     if stage == "sc" and (args.mined or args.no_enrich):
         raise InvalidInput("stage sc takes neither --mined nor --no-enrich")
@@ -169,11 +180,12 @@ def _task_inputs(args, stage, config):
     num_mined = 0
     if stage == "sc":
         inputs.append(os.path.join(args.data, "labels_sc.tsv"))
-        examples, labels = dataio.read_pair_labels(inputs[-1])
+        examples, labels = _read_node_ids(dataio.read_pair_labels, inputs[-1], g.num_nodes)
         if not labels.any():
             raise InvalidInput("labels_sc.tsv has no positive pairs")
         if labels.min() == 1:
-            negatives = sample_negatives(g, examples, config.neg_ratio, config.seed)
+            sme = np.flatnonzero(g.node_kind == "sme")
+            negatives = sample_negatives(g, examples, config.neg_ratio, config.seed, nodes=sme)
             if not len(negatives):
                 raise InvalidInput(f"neg_ratio {config.neg_ratio} samples no negatives for the "
                                    f"{len(examples)} positives of labels_sc.tsv")
@@ -181,11 +193,11 @@ def _task_inputs(args, stage, config):
             labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
     else:
         inputs.append(os.path.join(args.data, "labels_dp.tsv"))
-        examples, labels = dataio.read_node_labels(inputs[-1])
+        examples, labels = _read_node_ids(dataio.read_node_labels, inputs[-1], g.num_nodes)
         if not args.no_enrich:
             if not args.mined:
                 raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")
-            enriched = enrich(g, dataio.read_mined_edges(args.mined), config.tau)
+            enriched = enrich(g, _read_node_ids(dataio.read_mined_edges, args.mined, g.num_nodes), config.tau)
             inputs.append(args.mined)
             view, num_mined = enriched.graph(), enriched.num_mined
     labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))

@@ -5,7 +5,9 @@ strictly increasing within each row. The raw adjacency is unweighted and
 stores both directions of every undirected edge; edge features are a plain
 table with one row per undirected edge, in the order of
 `SmeGraph.undirected_edges()`. Normalization produces the symmetric
-operator with self-loops that the propagation step multiplies by.
+operator with self-loops that the propagation step multiplies by. Both
+sparse row sums, `spmm` and the head's `ScatterPlan`, run over the layout
+of `row_slices`, each in its own summation order.
 """
 
 from dataclasses import dataclass, field
@@ -199,6 +201,26 @@ class SmeGraph:
             raise InvalidInput("edge feature rows must match undirected edges")
 
 
+def row_slices(indptr, depth):
+    """(order, sizes, rank, positions) of the CSR row partition `indptr`.
+
+    `order` lists the rows by entry count, most first (stable); `sizes[k]`,
+    for k <= depth cut to the longest row, counts the rows with more than k
+    entries, a prefix of `order`. `rank[r]` is row r's place in `order`,
+    but every empty row points at place `sizes[0]`, one shared zero row.
+    `positions[k]`, k < depth, holds the flat position of the k-th entry of
+    each of the first `sizes[k]` rows.
+    """
+    counts = np.diff(indptr)
+    order = np.argsort(-counts, kind="stable")
+    depth = min(depth, int(counts.max(initial=0)))
+    sizes = np.searchsorted(-counts[order], -np.arange(depth + 1), side="left")
+    rank = np.empty(counts.size, dtype=np.int64)
+    rank[order] = np.minimum(np.arange(counts.size), sizes[0])
+    starts = indptr[:-1][order]
+    return order, sizes, rank, [starts[:sizes[k]] + k for k in range(depth)]
+
+
 # entry positions k < SPMM_SLICES run as one slice each; later ones (hub rows only) share one pass
 SPMM_SLICES = 32
 
@@ -208,12 +230,9 @@ class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops, CSR with values.
 
     Construction also builds the layout `spmm` runs over, so the arrays must
-    not be changed afterwards. Rows are sorted by stored-entry count, longest
-    first (stable), and slice k holds the column ids and values of the k-th
-    entry of every row that has one, for k < min(SPMM_SLICES, longest row);
-    those rows are a prefix of the sorted order. Entries at positions
-    >= SPMM_SLICES, which only hub rows have, are kept as one flat run of
-    segments, one segment per hub row. Building costs O(nnz + n log n).
+    not be changed afterwards: slice k of `row_slices(indptr, SPMM_SLICES)`
+    as column ids and values, and the entries past SPMM_SLICES, which only
+    hub rows have, as one flat run of segments, one per hub row.
     """
 
     num_nodes: int
@@ -226,31 +245,19 @@ class NormalizedAdjacency:
 
     def __post_init__(self):
         n, nnz = self.num_nodes, self.indices.size
-        counts = np.diff(self.indptr)
         if (self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != nnz
-                or np.any(counts < 0) or self.values.shape != (nnz,)):
+                or np.any(np.diff(self.indptr) < 0) or self.values.shape != (nnz,)):
             raise InvalidArgument("malformed CSR operator")
         if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
             raise InvalidArgument("column index out of range")
-        order = np.argsort(-counts, kind="stable")
-        sorted_counts = counts[order]
-        starts = self.indptr[:-1][order]
-        # sizes[k] = rows with more than k entries, read off the descending counts
-        depth = min(SPMM_SLICES, int(sorted_counts[0])) if n else 0
-        sizes = np.searchsorted(-sorted_counts, -np.arange(depth + 1), side="left")
-        # each row's place in the sorted order; empty rows, which sort last, share the zero row after slice 0
-        self._rank = np.empty(n, dtype=np.int64)
-        self._rank[order] = np.minimum(np.arange(n), sizes[0])
-        self._slices = []
-        for k in range(depth):
-            pos = starts[: sizes[k]] + k
-            self._slices.append((self.indices[pos], self.values[pos][:, None]))
-        self._hubs = None
-        if sizes[depth]:
-            lens = sorted_counts[: sizes[depth]] - depth
-            seg = np.cumsum(lens) - lens
-            pos = np.arange(lens.sum()) + np.repeat(starts[: lens.size] + depth - seg, lens)
-            self._hubs = (self.indices[pos], self.values[pos][:, None], seg)
+        order, sizes, self._rank, positions = row_slices(self.indptr, SPMM_SLICES)
+        self._slices = [(self.indices[pos], self.values[pos][:, None]) for pos in positions]
+        hubs = order[: sizes[-1]]
+        starts = self.indptr[hubs] + len(positions)
+        lens = self.indptr[hubs + 1] - starts
+        seg = np.cumsum(lens) - lens
+        pos = np.arange(lens.sum()) + np.repeat(starts - seg, lens)
+        self._hubs = (self.indices[pos], self.values[pos][:, None], seg) if hubs.size else None
 
 
 def normalize_adjacency(g):
@@ -312,6 +319,58 @@ def spmm(adj, H):
     return np.take(head, adj._rank, axis=0)
 
 
+def check_ids(ids, num_nodes):
+    """`ids` as an int64 array; InvalidArgument if one lies outside [0, num_nodes)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
+        raise InvalidArgument("node id out of range")
+    return ids
+
+
+@dataclass
+class ScatterPlan:
+    """Row sums per node for one fixed column of node ids.
+
+    `apply(rows)` returns the (num_rows, width) array whose row u is the sum
+    of rows[i] over every i with ids[i] == u. The layout is `row_slices` of
+    the ids' stable sort with one row per node, so slice k holds the input
+    row of each node's k-th occurrence. Each node's rows add left to right
+    from zero, the order of one `np.bincount` over (id, column) keys, so the
+    sums are bit-identical to that kernel's, signed zeros included.
+    """
+
+    num_ids: int
+    slices: list  # per k, the input rows of the k-th occurrences
+    rank: np.ndarray  # each node's row of the buffer; absent nodes share its last, zero row
+
+    @classmethod
+    def build(cls, ids, num_rows):
+        ids = check_ids(ids, num_rows).reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=num_rows), out=indptr[1:])
+        _, _, rank, positions = row_slices(indptr, ids.size)
+        return cls(ids.size, [order[pos] for pos in positions], rank)
+
+    def apply(self, rows):
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[0] != self.num_ids:
+            raise InvalidArgument(f"scatter plan built for {self.num_ids} rows, got {rows.shape[0]}")
+        nodes = self.slices[0].size if self.slices else 0
+        buf = np.zeros((nodes + 1, rows.shape[1]))
+        # slices and ranks index within rows and buf, so take need not check them
+        for idx in self.slices:
+            buf[: idx.size] += np.take(rows, idx, axis=0, mode="clip")
+        return np.take(buf, self.rank, axis=0, mode="clip")
+
+
+def scatter_plans(examples, num_nodes):
+    """One ScatterPlan per endpoint column of `examples` (pairs or node ids)."""
+    examples = np.asarray(examples, dtype=np.int64)
+    columns = examples.T if examples.ndim == 2 else [examples]
+    return [ScatterPlan.build(ids, num_nodes) for ids in columns]
+
+
 @dataclass
 class EnrichedGraph:
     """Base graph plus mined candidate edges that cleared the threshold."""
@@ -353,7 +412,7 @@ def enrich(g, mined, tau):
     """
     if not 0.0 <= tau <= 1.0:
         raise InvalidArgument(f"tau must be in [0, 1], got {tau}")
-    arr = np.asarray(mined[0], dtype=np.int64).reshape(-1, 2)
+    arr = check_ids(mined[0], g.num_nodes).reshape(-1, 2)
     scores = np.asarray(mined[1], dtype=np.float64).reshape(-1)
     if scores.size != arr.shape[0]:
         raise InvalidArgument("need one score per mined pair")
@@ -361,8 +420,6 @@ def enrich(g, mined, tau):
         return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
     if np.any(scores < 0.0) or np.any(scores > 1.0) or not np.all(np.isfinite(scores)):
         raise InvalidInput("mined scores must lie in [0, 1]")
-    if arr.min() < 0 or arr.max() >= g.num_nodes:
-        raise InvalidArgument("mined pair endpoint out of range")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     keys = lo * g.num_nodes + hi

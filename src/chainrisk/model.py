@@ -18,8 +18,8 @@ the dropout draw ANDed with Z > 0. The forward scales Z by it in place
 (H = Z * keep / (1 - rate)) and the backward reuses it
 (dZ = dlogits * W1^T * keep / (1 - rate)), so relu and dropout cost one
 pass each way. The backward scatters dZ onto node rows through a
-`ScatterPlan` per endpoint column; training builds the plans once for its
-fixed example rows and passes them in.
+`graph.ScatterPlan` per endpoint column; training builds the plans once
+for its fixed example rows and passes them in.
 
 A scoring-only forward (training=False) keeps no cache: the encoder applies
 its relus in place, and the head forms the `Q W0` blocks once and scores
@@ -30,10 +30,7 @@ block size rather than the row count.
 `pipeline` holds it once per task.
 
 Each change above keeps every value's arithmetic as it was, so same-seed
-outputs stay bit-identical: the plans add each node's rows left to right
-into zeros, as `np.bincount` did, and on one BLAS thread each scoring
-block sends its rows through the gemv kernel path of one full pass (see
-`SCORE_BLOCK`).
+outputs stay bit-identical (scoring blocks on one BLAS thread: see `SCORE_BLOCK`).
 
 Backprop leans on the normalized adjacency being symmetric: the adjoint of
 `spmm(adj, .)` is `spmm(adj, .)` itself.
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
-from .graph import spmm
+from .graph import check_ids, scatter_plans, spmm
 from .nn import dropout, dropout_grad, dropout_mask, relu, relu_grad
 
 CHECKPOINT_MAGIC = b"CHRKGCN1"
@@ -187,68 +184,6 @@ def gcn_backward(dQ, cache, params):
     return grads
 
 
-def _check_ids(ids, num_nodes):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= num_nodes):
-        raise InvalidArgument("node id out of range")
-    return ids
-
-
-@dataclass
-class ScatterPlan:
-    """Row sums per node for one fixed column of node ids.
-
-    `apply(rows)` returns the (num_rows, width) array whose row u is the sum
-    of rows[i] over every i with ids[i] == u. It adds each node's rows left
-    to right into a zeroed buffer, the order one `np.bincount` over
-    (id, column) keys uses, so its sums are bit-identical to that kernel's,
-    signed zeros included. The layout is built once: the ids are sorted
-    stably, the distinct nodes are ordered by occurrence count (most
-    first), and slice k holds the input row of every node's k-th
-    occurrence. Those nodes are a prefix of the order, so each slice is one
-    contiguous add onto a prefix of the buffer.
-    """
-
-    num_rows: int
-    num_ids: int
-    nodes: np.ndarray  # distinct ids, most occurrences first
-    gather: np.ndarray  # input rows, slice by slice
-    sizes: np.ndarray  # nodes in each slice: a prefix of `nodes`
-
-    @classmethod
-    def build(cls, ids, num_rows):
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        order = np.argsort(ids, kind="stable")
-        nodes, first, counts = np.unique(ids[order], return_index=True, return_counts=True)
-        by_count = np.argsort(-counts, kind="stable")
-        nodes, first, counts = nodes[by_count], first[by_count], counts[by_count]
-        # slice k holds the nodes with more than k occurrences; counts descend
-        sizes = np.searchsorted(-counts, -np.arange(counts.max(initial=0)), side="left")
-        slices = [order[first[:size] + k] for k, size in enumerate(sizes)]
-        gather = np.concatenate([np.zeros(0, dtype=np.int64)] + slices)
-        return cls(num_rows, ids.size, nodes, gather, sizes)
-
-    def apply(self, rows):
-        if rows.shape[0] != self.num_ids:
-            raise InvalidArgument(f"scatter plan built for {self.num_ids} rows, got {rows.shape[0]}")
-        buf = np.zeros((self.nodes.size, rows.shape[1]))
-        start = 0
-        for size in self.sizes:
-            buf[:size] += rows[self.gather[start:start + size]]
-            start += size
-        out = np.zeros((self.num_rows, rows.shape[1]))
-        out[self.nodes] = buf
-        return out
-
-
-def scatter_plans(examples, num_nodes):
-    """One ScatterPlan per endpoint column of `examples` (pairs or node ids)."""
-    examples = np.asarray(examples, dtype=np.int64)
-    if examples.ndim == 1:
-        examples = examples[:, None]
-    return [ScatterPlan.build(examples[:, j], num_nodes) for j in range(examples.shape[1])]
-
-
 def _first_layer(blocks, examples, bias):
     """Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0 for rows of endpoint ids."""
     Z = blocks[0][examples[:, 0]]
@@ -291,13 +226,13 @@ def _head_logits(Q, examples, head, dropout_rate, rng, training):
 
 def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False):
     """Score node pairs from concatenated embeddings [q_u ; q_v]."""
-    pairs = _check_ids(pairs, Q.shape[0]).reshape(-1, 2)
+    pairs = check_ids(pairs, Q.shape[0]).reshape(-1, 2)
     return _head_logits(Q, pairs, head, dropout_rate, rng, training)
 
 
 def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
     """Score single nodes from their embeddings."""
-    nodes = _check_ids(nodes, Q.shape[0]).reshape(-1, 1)
+    nodes = check_ids(nodes, Q.shape[0]).reshape(-1, 1)
     return _head_logits(Q, nodes, head, dropout_rate, rng, training)
 
 

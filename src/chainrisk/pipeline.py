@@ -26,16 +26,18 @@ from .errors import (
 )
 from .graph import (
     EnrichedGraph,
+    check_ids,
     enrich,
     in_sorted,
     normalize_adjacency,
     sample_pair_keys,
+    scatter_plans,
     sorted_unique,
     spmm,
     standardize_columns,
 )
 from .metrics import EvalReport, auc
-from .model import backward, init_classifier, scatter_plans, score_examples
+from .model import backward, init_classifier, score_examples
 from .nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
 from .rng import make_rng
 
@@ -511,9 +513,7 @@ def candidate_pairs(g, extra_pairs=None, max_hops=3):
             u, v = np.divmod(level, n)
             chunks.append(level[(u < v) & allowed[v]])
     if extra_pairs is not None and len(extra_pairs):
-        extra = np.asarray(extra_pairs, dtype=np.int64).reshape(-1, 2)
-        if extra.min() < 0 or extra.max() >= n:
-            raise InvalidArgument("extra pair endpoint out of range")
+        extra = check_ids(extra_pairs, n).reshape(-1, 2)
         lo = np.minimum(extra[:, 0], extra[:, 1])
         hi = np.maximum(extra[:, 0], extra[:, 1])
         keys = lo * n + hi

@@ -18,7 +18,6 @@ Default labels follow a logistic model in the true partner count, so more
 supply partners means lower default risk.
 """
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from . import rng as rng_streams
 from .errors import InvalidArgument, InvalidConfig, InvalidInput
 from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
-from .pipeline import LabeledSet, config_fields, stratified_split
+from .pipeline import LabeledSet, _largest_remainder, config_fields, stratified_split
 from .rng import make_rng
 
 ATTRIBUTES = ("revenue", "shareholder", "mortgage", "recruitment", "patent")
@@ -163,15 +162,6 @@ class GroundTruth:
         )
 
 
-def _tier_counts(n, shares):
-    raw = [s * n for s in shares]
-    counts = [int(math.floor(r)) for r in raw]
-    order = np.argsort([-(r - c) for r, c in zip(raw, counts)], kind="stable")
-    for i in range(n - sum(counts)):
-        counts[order[i]] += 1
-    return counts
-
-
 def generate(config):
     """Build one economy: graph, labeled sets, and the ground truth.
 
@@ -182,7 +172,7 @@ def generate(config):
     n = config.num_smes
     gen = make_rng(config.seed, rng_streams.GENERATOR)
 
-    counts = _tier_counts(n, config.tier_shares)
+    counts = _largest_remainder(n, config.tier_shares)  # no tier is left empty
     tiers = np.repeat(np.arange(3, dtype=np.int8), counts)
     num_sectors = max(1, int(round(n / config.sector_size)))
     sectors = np.concatenate([np.arange(c) % num_sectors for c in counts])  # round-robin per tier
@@ -234,13 +224,16 @@ BUDGET_PROBS = np.array([0.10, 0.22, 0.26, 0.20, 0.10, 0.05, 0.035, 0.025, 0.01]
 def _sector_blocks(tiers, sectors):
     """(rows, cols): the ascending ids of sector s's tier t and tier t + 1,
     for each s and t in (0, 1) with both sides non-empty; tiers ascend with
-    the id, so every row id is below every column id."""
-    for s in range(int(sectors.max()) + 1):
-        for t in (0, 1):
-            rows = np.flatnonzero((sectors == s) & (tiers == t))
-            cols = np.flatnonzero((sectors == s) & (tiers == t + 1))
-            if rows.size and cols.size:
-                yield rows, cols
+    the id, so every row id is below every column id. One stable sort on
+    `sector * 3 + tier` lays out every (sector, tier) group, ids ascending."""
+    num_sectors = int(sectors.max()) + 1
+    keys = sectors.astype(np.int64) * 3 + tiers
+    order = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[order], np.arange(3 * num_sectors + 1))
+    for s, t in np.ndindex(num_sectors, 2):
+        lo, mid, hi = bounds[3 * s + t:3 * s + t + 3]
+        if lo < mid < hi:
+            yield order[lo:mid], order[mid:hi]
 
 
 def _ranked_pairs(tiers, sectors, latent):

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,22 @@ def dense_from_csr(num_nodes, indptr, indices, values=None):
         for j in range(indptr[u], indptr[u + 1]):
             out[u, indices[j]] = 1.0 if values is None else values[j]
     return out
+
+
+def one_blas_thread(module, call):
+    """json.loads of the printed `module.call` (a call expression such as
+    `f(1)`), run in a child process pinned to one BLAS thread, since BLAS
+    results can depend on the thread count."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, here]))
+    child = subprocess.run(
+        [sys.executable, "-c", f"import json, {module}; print(json.dumps({module}.{call}))"],
+        cwd=here, env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
 
 
 @pytest.fixture

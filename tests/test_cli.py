@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 from chainrisk import dataio
-from chainrisk.cli import main
+from chainrisk.cli import _task_inputs, main
 from chainrisk.errors import InvalidInput
+from chainrisk.graph import SmeGraph
 from chainrisk.model import load_checkpoint, save_checkpoint
+from chainrisk.pipeline import TRAIN, TrainConfig, stratified_split
 
 
 @pytest.fixture()
@@ -491,3 +494,63 @@ def test_corrupt_bytes_exit_zero_or_two_with_path_and_line(tmp_path, dataset, tr
         assert code == 0, err
     else:
         assert code == 2 and f"{path}:{lineno}:" in err
+
+
+def first_train_line(path, seed):
+    """Line of the first row of a pair label file that `stratified_split` puts in train."""
+    _, labels = dataio.read_pair_labels(path)
+    return 1 + int(np.flatnonzero(stratified_split(labels, seed=seed) == TRAIN)[0])
+
+
+# (file, line or None for the first train row, cell, bad id, command)
+OUT_OF_RANGE_IDS = {
+    "train-dp": ("labels_dp.tsv", 6, 0, "100000", ["train", "dp", "--no-enrich"]),
+    "train-dp-negative": ("labels_dp.tsv", 6, 0, "-1", ["train", "dp", "--no-enrich"]),
+    "train-sc": ("labels_sc.tsv", None, 1, "300", ["train", "sc"]),
+    "train-sc-negative": ("labels_sc.tsv", None, 0, "-7", ["train", "sc"]),
+    "mined": ("mined_edges.tsv", 2, 1, "100000", ["train", "dp", "--mined", "mined_edges.tsv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_IDS))
+def test_out_of_range_id_exits_two_with_path_line_and_id(tmp_path, dataset, train_config, capsys, case):
+    name, lineno, col, bad, command = OUT_OF_RANGE_IDS[case]
+    path = os.path.join(dataset, name)
+    if name == "mined_edges.tsv":
+        dataio.write_mined_edges(path, np.array([[0, 5], [1, 7]]), np.array([0.95, 0.97]))
+    lineno = lineno or first_train_line(path, json.loads(open(train_config).read())["seed"])
+    corrupt_cell(path, lineno, col, bad)
+    argv = [path if arg == name else arg for arg in command]
+    code = main(argv + ["--data", dataset, "--config", train_config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"{path}:{lineno}: node id {bad} is out of range" in err
+
+
+@pytest.mark.parametrize("bad", ["100000", "-1"])
+def test_eval_of_out_of_range_labels_exits_two_with_path_and_line(tmp_path, dataset, train_config, capsys, bad):
+    out = tmp_path / "dp"
+    assert main(["train", "dp", "--data", dataset, "--config", train_config,
+                 "--out", str(out), "--no-enrich"]) == 0
+    path = os.path.join(dataset, "labels_dp.tsv")
+    corrupt_cell(path, 6, 0, bad)
+    assert main(["eval", "--checkpoint", str(out / "checkpoint_dp.bin"), "--data", dataset,
+                 "--out", str(tmp_path / "ev"), "--no-enrich"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:6: node id {bad} is out of range" in err and "Traceback" not in err
+
+
+def test_positive_only_negatives_are_drawn_among_smes(tmp_path):
+    """20 SMEs, 10 owners and 10 consumers: every sampled negative joins two SMEs,
+    the only pairs candidate search scores."""
+    kinds = np.array(["sme"] * 20 + ["owner"] * 10 + ["consumer"] * 10)
+    edges = [(u, u + 1) for u in range(39)]
+    g = SmeGraph.from_edge_list(40, edges, np.zeros((40, 1)), node_kind=kinds)
+    dataio.write_graph(str(tmp_path), g)
+    positives = np.array([(0, 5), (2, 9), (4, 13), (7, 18)])
+    dataio.write_pair_labels(str(tmp_path / "labels_sc.tsv"), positives, np.ones(4, dtype=np.int8))
+    args = argparse.Namespace(data=str(tmp_path), mined=None, no_enrich=False)
+    _, labeled, _, _ = _task_inputs(args, "sc", TrainConfig(neg_ratio=3.0, seed=1))
+    negatives = labeled.examples[labeled.labels == 0]
+    assert negatives.shape == (12, 2)
+    assert np.all(kinds[negatives] == "sme")

@@ -22,8 +22,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 
 import numpy as np
@@ -32,6 +30,8 @@ import pytest
 from chainrisk import dataio, synthgen
 from chainrisk.graph import SmeGraph
 from chainrisk.pipeline import sample_negatives
+
+from conftest import one_blas_thread
 
 GENERATE_DIGESTS = {
     "cli-300": (
@@ -112,6 +112,14 @@ def test_sample_negatives_rejection_branch_is_pinned(cli_economy):
     ]
     for (pos, ratio, seed, nodes), expected in cases:
         assert _array_digest(sample_negatives(g, pos, ratio, seed, nodes=nodes)) == expected
+
+
+def test_sample_negatives_over_all_sme_nodes_draws_as_over_all_nodes(cli_economy):
+    g, positives = cli_economy
+    sme = np.flatnonzero(g.node_kind == "sme")
+    assert np.array_equal(sme, np.arange(g.num_nodes))
+    expected = sample_negatives(g, positives, 1.0, 3).tobytes()
+    assert sample_negatives(g, positives, 1.0, 3, nodes=sme).tobytes() == expected
 
 
 def test_sample_negatives_dense_pool_branch_is_pinned():
@@ -221,23 +229,9 @@ def cli_digests():
         return {name: dataio.sha256_file(os.path.join(d, name)) for name, d in outputs.items()}
 
 
-def _one_blas_thread(call):
-    """json.loads of the printed result of `test_golden.<call>()` in a child on one BLAS thread."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, here]))
-    child = subprocess.run(
-        [sys.executable, "-c", f"import json, test_golden; print(json.dumps(test_golden.{call}()))"],
-        cwd=here, env=env, capture_output=True, text=True, check=False,
-    )
-    assert child.returncode == 0, child.stderr
-    return json.loads(child.stdout.splitlines()[-1])
-
-
 def test_training_and_mining_are_pinned():
-    assert _one_blas_thread("training_digests") == TRAINING_DIGESTS
+    assert one_blas_thread("test_golden", "training_digests()") == TRAINING_DIGESTS
 
 
 def test_cli_outputs_are_pinned():
-    assert _one_blas_thread("cli_digests") == CLI_DIGESTS
+    assert one_blas_thread("test_golden", "cli_digests()") == CLI_DIGESTS

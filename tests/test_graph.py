@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainrisk.errors import InvalidArgument, InvalidInput
@@ -13,6 +13,7 @@ from chainrisk.graph import (
     enrich,
     in_sorted,
     normalize_adjacency,
+    row_slices,
     sample_pair_keys,
     sorted_unique,
     spmm,
@@ -161,6 +162,25 @@ class TestSpmm:
         adj = normalize_adjacency(g)
         with pytest.raises(InvalidArgument):
             spmm(adj, np.ones((3, 2)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=14), st.integers(0, 8))
+@example([], 3)  # no rows
+@example([0, 0, 0], 2)  # every row empty
+@example([5], 2)  # a single row, longer than the depth
+@example([0, 3, 0, 3, 1], 2)  # empty rows and ties
+def test_row_slices_match_a_per_row_listing(counts, depth):
+    indptr = np.r_[0, np.cumsum(counts)].astype(np.int64)
+    order, sizes, rank, positions = row_slices(indptr, depth)
+    by_count = sorted(range(len(counts)), key=lambda r: -counts[r])  # Python's sort is stable
+    depth = min(depth, max(counts, default=0))
+    assert order.tolist() == by_count
+    assert sizes.tolist() == [sum(c > k for c in counts) for k in range(depth + 1)]
+    zero_row = sum(c > 0 for c in counts)
+    assert rank.tolist() == [by_count.index(r) if counts[r] else zero_row for r in range(len(counts))]
+    assert [p.tolist() for p in positions] == [[indptr[r] + k for r in by_count if counts[r] > k]
+                                               for k in range(depth)]
 
 
 def reduceat_spmm(adj, H):

@@ -1,8 +1,6 @@
 import json
 import os
 import struct
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -12,10 +10,9 @@ from hypothesis import strategies as st
 
 from chainrisk import model as model_module
 from chainrisk.errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
-from chainrisk.graph import SmeGraph, normalize_adjacency, spmm
+from chainrisk.graph import ScatterPlan, SmeGraph, normalize_adjacency, spmm
 from chainrisk.model import (
     GcnClassifier,
-    ScatterPlan,
     backward,
     gcn_backward,
     gcn_forward,
@@ -33,7 +30,7 @@ from chainrisk.model import (
 from chainrisk.nn import bce_logit_grad, bce_loss, sigmoid
 from chainrisk.rng import make_rng
 
-from conftest import grad_check, random_graph
+from conftest import grad_check, one_blas_thread, random_graph
 
 
 def single_node_adj():
@@ -290,13 +287,18 @@ class TestScatterPlan:
     def test_one_slice_per_occurrence_of_the_busiest_node(self):
         idx = np.array([2] * 70 + [0, 2, 0])
         plan = ScatterPlan.build(idx, 3)
-        assert plan.sizes.tolist() == [2, 2] + [1] * 69 and plan.nodes.tolist() == [2, 0]
+        assert [s.size for s in plan.slices] == [2, 2] + [1] * 69 and plan.rank.tolist() == [1, 2, 0]
         rows = np.random.default_rng(4).normal(size=(idx.size, 2))
         assert plan.apply(rows).tobytes() == bincount_scatter(3, idx, rows).tobytes()
 
     def test_rejects_rows_of_another_length(self):
         with pytest.raises(InvalidArgument):
             ScatterPlan.build([0, 1], 2).apply(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("ids", [[0, 3], [-1, 1]], ids=["past-end", "negative"])
+    def test_rejects_ids_outside_the_rows(self, ids):
+        with pytest.raises(InvalidArgument, match="node id out of range"):
+            ScatterPlan.build(ids, 3)
 
     def test_one_plan_per_endpoint_column(self):
         pairs = np.array([(0, 1), (2, 1), (0, 3)])
@@ -358,14 +360,7 @@ class TestBlockedScoring:
         """10,241+ rows end in a ragged block. On several BLAS threads, OpenBLAS's gemv
         sends the rows at each thread split of a partial block (or of the one pass)
         through its tail kernel, so the comparison runs in a one-thread child."""
-        here = os.path.dirname(os.path.abspath(__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([os.path.join(os.path.dirname(here), "src"), here]))
-        code = f"import test_model; print(test_model.blocked_matches_unblocked(10241 + 4093, {k}))"
-        child = subprocess.run([sys.executable, "-c", code], cwd=here, env=env,
-                               capture_output=True, text=True, check=False)
-        assert child.returncode == 0, child.stderr
-        assert child.stdout.split() == ["[True,", "True]"]
+        assert one_blas_thread("test_model", f"blocked_matches_unblocked(10241 + 4093, {k})") == [True, True]
 
     @pytest.mark.parametrize("block", [1024, 4096])
     def test_rows_agree_with_one_pass(self, monkeypatch, block):

@@ -185,6 +185,15 @@ class TestTrainTask:
         if len(result.trace) < config.max_epochs:
             assert len(result.trace) == result.best_epoch + config.patience
 
+    @pytest.mark.parametrize("bad", [60, -1])
+    def test_out_of_range_example_is_an_invalid_argument(self, bad):
+        g, node_set = toy_node_task()
+        node_set.examples[np.flatnonzero(node_set.split == TRAIN)[0]] = bad
+        data = TaskData.build(g, node_set)
+        with pytest.raises(InvalidArgument, match="node id out of range"):
+            train_task(data, TrainConfig(seed=1, max_epochs=3, patience=1, hidden_dim=8, embed_dim=4,
+                                         head_hidden=4))
+
     def test_divergence_reports_the_failing_epoch(self, monkeypatch):
         from chainrisk import pipeline
         from chainrisk.errors import TrainingDivergence

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from chainrisk.errors import InvalidArgument, InvalidConfig
 from chainrisk.graph import in_sorted
-from chainrisk.pipeline import TEST, TRAIN, VAL
+from chainrisk.pipeline import TEST, TRAIN, VAL, _largest_remainder
 from chainrisk.synthgen import (
     ATTRIBUTE_COLUMNS,
     ATTRIBUTES,
     GenConfig,
     _match_blocks,
     _ranked_pairs,
+    _sector_blocks,
     attribute_availability,
     gen_config_from_dict,
     generate,
@@ -228,18 +229,22 @@ class TestPartnerCurve:
             partner_default_curve(g, np.array([0, 1]))
 
 
-def _oracle_blocks(tiers, sectors, latent):
-    """The sector blocks and distances as the set-based matcher took them."""
+def _scan_blocks(tiers, sectors):
+    """The sector blocks by two full-length masks per sector and tier."""
     blocks = []
     for s in range(int(sectors.max()) + 1):
         for t in (0, 1):
             rows = np.flatnonzero((sectors == s) & (tiers == t))
             cols = np.flatnonzero((sectors == s) & (tiers == t + 1))
-            if rows.size == 0 or cols.size == 0:
-                continue
-            d2 = np.sum((latent[rows][:, None, :] - latent[cols][None, :, :]) ** 2, axis=2)
-            blocks.append((rows, cols, d2))
+            if rows.size and cols.size:
+                blocks.append((rows, cols))
     return blocks
+
+
+def _oracle_blocks(tiers, sectors, latent):
+    """The sector blocks and distances as the set-based matcher took them."""
+    return [(rows, cols, np.sum((latent[rows][:, None, :] - latent[cols][None, :, :]) ** 2, axis=2))
+            for rows, cols in _scan_blocks(tiers, sectors)]
 
 
 def _oracle_match(blocks, budgets, accept_breadth, n):
@@ -302,6 +307,18 @@ def test_rank_rule_matches_the_set_based_matcher(blocks, accept_breadth):
     _assert_matches_oracle(tiers, sectors, latent, budgets, accept_breadth)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), min_size=1, max_size=60))
+def test_sector_blocks_match_the_mask_scan(firms):
+    """Tiers and sectors in any order, with empty sides and empty sectors."""
+    tiers = np.array([t for t, _ in firms], dtype=np.int8)
+    sectors = np.array([s for _, s in firms], dtype=np.int64)
+    got, want = list(_sector_blocks(tiers, sectors)), _scan_blocks(tiers, sectors)
+    assert len(got) == len(want)
+    for (rows, cols), (want_rows, want_cols) in zip(got, want):
+        assert rows.tobytes() == want_rows.tobytes() and cols.tobytes() == want_cols.tobytes()
+
+
 def test_rank_rule_skips_a_sector_with_an_empty_tier():
     # sector 1 has no tier-2 firm, so only its tier 0-1 block exists
     tiers = np.repeat(np.arange(3, dtype=np.int8), [6, 6, 4])
@@ -309,6 +326,20 @@ def test_rank_rule_skips_a_sector_with_an_empty_tier():
     latent = np.round(np.random.default_rng(4).normal(size=(16, 2)))
     for accept_breadth in (1.0, 1.5, 3.0, 7.3):
         _assert_matches_oracle(tiers, sectors, latent, np.arange(16) % 5 + 1, accept_breadth)
+
+
+def test_a_tiny_tier_share_still_gets_a_firm():
+    shares = (0.01, 0.45, 0.54)
+    assert _largest_remainder(40, shares) == [1, 18, 21]
+    _, _, _, truth = generate(GenConfig(num_smes=40, tier_shares=shares, sector_size=10))
+    assert np.bincount(truth.tiers).tolist() == [1, 18, 21]
+
+
+def test_a_tiny_middle_tier_is_rejected_as_a_config():
+    shares = (0.45, 0.01, 0.54)
+    assert _largest_remainder(40, shares) == [18, 1, 21]
+    with pytest.raises(InvalidConfig):
+        generate(GenConfig(num_smes=40, tier_shares=shares, sector_size=10))
 
 
 @pytest.mark.parametrize("overrides", [
