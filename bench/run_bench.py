@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Stage-1 phase bench: one paper-calibrated economy, one JSON file per run.
+
+    python3 bench/run_bench.py --smes 50000 --label n50000-mine
+
+Run it from the root of a chainrisk checkout; the package is imported from
+./src. It writes `BENCH_<label>.json` into --out (default: bench/) with
+numpy and the standard library only, measuring this process alone
+(`perf_counter`, `getrusage`, `tracemalloc`).
+
+The run goes through stage 1 one phase at a time, as
+`pipeline.run_stage1_mining` does:
+
+    generate   synthgen.generate(paper_calibrated(--smes, --seed))
+    build      pipeline.TaskData.build on the pair set
+    train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
+               every run has EPOCHS epochs)
+    evaluate   pipeline.evaluate_model (gives the test AUC)
+    candidates pipeline.candidate_pairs
+    scoring    model.score_examples over the candidates
+    enrich     graph.enrich at the config's tau
+
+The training shape is perfbench's `mine-5k` shape: one layer, embedding
+and head width 64, dropout 0.1, learning rate 0.03. For each phase the
+file holds its seconds and the process's peak RSS when it ended. For
+train_task it also holds every epoch's milliseconds (one epoch runs from
+one training `score_examples` call to the next), their mean, and the
+minor page faults of the whole call. `peak_rss_mb` is the peak RSS at the
+end of the phases. After it is read, train_task runs once more under
+`tracemalloc`, whose peak is `train_task.tracemalloc_peak_mb`; its
+validation losses must equal the timed run's. `outputs` holds sha256
+digests of the validation losses, the candidate logits and the mined
+edges, so two checkouts whose outputs are byte-identical show equal
+digests.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import sys
+import tracemalloc
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from chainrisk import graph, model, pipeline, synthgen  # noqa: E402
+from chainrisk.nn import sigmoid  # noqa: E402
+
+EPOCHS = 10
+SHAPE = dict(num_layers=1, embed_dim=64, head_hidden=64, dropout=0.1, learning_rate=0.03)
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+
+
+def sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class Phases:
+    """Seconds and peak RSS per phase, in the order they ran."""
+
+    def __init__(self):
+        self.out = {}
+
+    def run(self, name, call, *args):
+        t0 = perf_counter()
+        result = call(*args)
+        self.out[name] = {"s": perf_counter() - t0, "peak_rss_mb": peak_rss_mb()}
+        return result
+
+
+def timed_training(data, config):
+    """train_task with the start of every epoch and the minor faults of the call."""
+    starts = []
+    score = pipeline.score_examples
+
+    def marking(*args, **kwargs):
+        if kwargs.get("training"):
+            starts.append(perf_counter())
+        return score(*args, **kwargs)
+
+    pipeline.score_examples = marking
+    try:
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = pipeline.train_task(data, config)
+        end = perf_counter()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    finally:
+        pipeline.score_examples = score
+    return result, 1e3 * np.diff(starts + [end]), faults
+
+
+def traced_peak_mb(data, config):
+    tracemalloc.start()
+    try:
+        result = pipeline.train_task(data, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak / 2**20
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smes", type=int, required=True, help="SMEs in the economy (5000 or 50000)")
+    parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=os.path.join(ROOT, "bench"))
+    args = parser.parse_args(argv)
+
+    config = pipeline.TrainConfig(seed=args.seed, max_epochs=EPOCHS, patience=EPOCHS - 1, **SHAPE)
+    phases = Phases()
+    g, pair_set, _, _ = phases.run("generate", synthgen.generate,
+                                   synthgen.paper_calibrated(num_smes=args.smes, seed=args.seed))
+    data = phases.run("build", pipeline.TaskData.build, g, pair_set)
+    (result, epoch_ms, faults) = phases.run("train_task", timed_training, data, config)
+    phases.out["train_task"].update(
+        epochs=len(result.trace),
+        epoch_ms=[round(float(ms), 3) for ms in epoch_ms],
+        mean_epoch_ms=float(np.mean(epoch_ms)),
+        minor_faults=int(faults),
+    )
+    _, reports = phases.run("evaluate", pipeline.evaluate_model, result.model, data)
+    test_pairs = data.examples[data.split == pipeline.TEST]
+    cands = phases.run("candidates", pipeline.candidate_pairs, g, test_pairs, config.candidate_hops)
+    logits, _ = phases.run("scoring", model.score_examples, result.model, data.adj, data.X, cands,
+                           0.0, None, False, data.propagated)
+    known = data.examples[(data.labels == 1) & (data.split != pipeline.TEST)]
+    mined = (np.vstack([cands, known]), np.concatenate([sigmoid(logits), np.ones(known.shape[0])]))
+    enriched = phases.run("enrich", graph.enrich, g, mined, config.tau)
+
+    stage_peak_rss_mb = peak_rss_mb()
+    val_losses = [row["val_loss"] for row in result.trace]
+    traced, peak_mb = traced_peak_mb(data, config)
+    if [row["val_loss"] for row in traced.trace] != val_losses:
+        raise SystemExit("train_task under tracemalloc gave different validation losses")
+    phases.out["train_task"]["tracemalloc_peak_mb"] = peak_mb
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    record = {
+        "label": args.label,
+        "smes": args.smes,
+        "nodes": g.num_nodes,
+        "seed": args.seed,
+        "train_rows": int(np.sum(data.split == pipeline.TRAIN)),
+        "config": config.to_dict(),
+        "phases": phases.out,
+        "peak_rss_mb": stage_peak_rss_mb,
+        "test_auc": reports["test"].auc,
+        "candidates": int(cands.shape[0]),
+        "mined_edges": enriched.num_mined,
+        "outputs": {
+            "val_losses": sha256(np.asarray(val_losses)),
+            "candidate_logits": sha256(logits),
+            "mined_edges": sha256(enriched.mined_pairs, enriched.mined_scores),
+        },
+        "environment": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        },
+    }
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    train = phases.out["train_task"]
+    print(f"{path}: train_task {train['s']:.2f} s, {train['mean_epoch_ms']:.1f} ms/epoch, "
+          f"peak RSS {record['peak_rss_mb']:.1f} MB, tracemalloc peak {peak_mb:.1f} MB")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

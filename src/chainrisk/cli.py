@@ -34,6 +34,7 @@ from .pipeline import (
     LabeledSet,
     TaskData,
     TrainConfig,
+    first_invalid_example,
     grid_search,
     run_stage1_mining,
     run_stage2_default,
@@ -163,6 +164,15 @@ def _read_node_ids(read, path, num_nodes):
     return ids, values
 
 
+def _read_labels(read, path, num_nodes):
+    """_read_node_ids for a label file, whose examples a LabeledSet must also accept."""
+    examples, labels = _read_node_ids(read, path, num_nodes)
+    bad = first_invalid_example(examples)
+    if bad is not None:
+        raise InvalidInput(f"{path}:{bad[0] + 1}: {bad[1]}")
+    return examples, labels
+
+
 def _task_inputs(args, stage, config):
     """Graph view, labeled set and input paths of one stage, for train and eval.
 
@@ -171,7 +181,9 @@ def _task_inputs(args, stage, config):
     negatives per positive among the SMEs, the nodes candidate search scores.
     Stage dp reads the node labels and enriches the graph from --mined, or
     uses the base graph with --no-enrich. Every node id read must lie in the
-    graph. Returns (view, labeled, inputs, num_mined).
+    graph, and the label files must hold canonical pairs (u < v) and no
+    repeated example; a breach names its `path:line`.
+    Returns (view, labeled, inputs, num_mined).
     """
     if stage == "sc" and (args.mined or args.no_enrich):
         raise InvalidInput("stage sc takes neither --mined nor --no-enrich")
@@ -180,7 +192,7 @@ def _task_inputs(args, stage, config):
     num_mined = 0
     if stage == "sc":
         inputs.append(os.path.join(args.data, "labels_sc.tsv"))
-        examples, labels = _read_node_ids(dataio.read_pair_labels, inputs[-1], g.num_nodes)
+        examples, labels = _read_labels(dataio.read_pair_labels, inputs[-1], g.num_nodes)
         if not labels.any():
             raise InvalidInput("labels_sc.tsv has no positive pairs")
         if labels.min() == 1:
@@ -193,7 +205,7 @@ def _task_inputs(args, stage, config):
             labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
     else:
         inputs.append(os.path.join(args.data, "labels_dp.tsv"))
-        examples, labels = _read_node_ids(dataio.read_node_labels, inputs[-1], g.num_nodes)
+        examples, labels = _read_labels(dataio.read_node_labels, inputs[-1], g.num_nodes)
         if not args.no_enrich:
             if not args.mined:
                 raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")

@@ -358,9 +358,10 @@ class ScatterPlan:
             raise InvalidArgument(f"scatter plan built for {self.num_ids} rows, got {rows.shape[0]}")
         nodes = self.slices[0].size if self.slices else 0
         buf = np.zeros((nodes + 1, rows.shape[1]))
+        term = np.empty((nodes, rows.shape[1]))
         # slices and ranks index within rows and buf, so take need not check them
         for idx in self.slices:
-            buf[: idx.size] += np.take(rows, idx, axis=0, mode="clip")
+            buf[: idx.size] += np.take(rows, idx, axis=0, out=term[: idx.size], mode="clip")
         return np.take(buf, self.rank, axis=0, mode="clip")
 
 

@@ -21,6 +21,17 @@ pass each way. The backward scatters dZ onto node rows through a
 `graph.ScatterPlan` per endpoint column; training builds the plans once
 for its fixed example rows and passes them in.
 
+A training step allocates one float64 array of rows x head width, plus
+one byte per element for each mask and SCORE_BLOCK-row gather blocks: Z is
+gathered from the first endpoint block and the later blocks are added
+SCORE_BLOCK rows at a time; the dropout uniforms are drawn in chunks
+(`nn.dropout_mask`); Z becomes H in place; and the backward takes the W1
+gradient H^T dlogits first, then builds dZ in H's buffer. So a training
+head cache feeds exactly one backward: `head_backward` removes the
+keep-mask from it, and a second call raises ChainriskError. The buffer
+lives as long as the cache; `train_task` replaces its caches when the next
+forward returns, so at most two such arrays are alive at once.
+
 A scoring-only forward (training=False) keeps no cache: the encoder applies
 its relus in place, and the head forms the `Q W0` blocks once and scores
 the examples in blocks of `SCORE_BLOCK` rows, so its memory is set by the
@@ -185,10 +196,19 @@ def gcn_backward(dQ, cache, params):
 
 
 def _first_layer(blocks, examples, bias):
-    """Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0 for rows of endpoint ids."""
+    """Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0 for rows of endpoint ids.
+
+    Later endpoint blocks are gathered SCORE_BLOCK rows at a time into one
+    reused buffer, so besides Z the pass holds one block of rows.
+    """
     Z = blocks[0][examples[:, 0]]
+    if len(blocks) > 1:
+        buf = np.empty((min(SCORE_BLOCK, Z.shape[0]), Z.shape[1]))
     for j in range(1, len(blocks)):
-        Z += blocks[j][examples[:, j]]
+        for start in range(0, Z.shape[0], SCORE_BLOCK):
+            ids = examples[start:start + SCORE_BLOCK, j]
+            # ids were range-checked by the caller, so take need not check them
+            Z[start:start + ids.size] += np.take(blocks[j], ids, axis=0, out=buf[: ids.size], mode="clip")
     Z += bias
     return Z
 
@@ -239,19 +259,25 @@ def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
 def head_backward(dlogits, cache, head, plans=None):
     """Head gradients plus the gradient scattered back onto embeddings.
 
-    dZ is scattered once per endpoint column, through `plans` (from
-    `scatter_plans` on the same examples) or through plans built here; the
-    W0 blocks and dQ follow on node rows. Needs the cache of a training
-    forward.
+    The W1 gradient H^T dlogits comes first; dZ is then built in H's
+    buffer and the keep-mask leaves the cache, so the cache feeds exactly
+    one backward and a second call raises ChainriskError (the cache's "H"
+    holds dZ from then on). dZ is scattered once per endpoint column,
+    through `plans` (from `scatter_plans` on the same examples) or through
+    plans built here; the W0 blocks and dQ follow on node rows. Needs the
+    cache of a training forward.
     """
     if cache is None or "keep" not in cache:
-        raise ChainriskError("missing forward cache (backward needs a training-mode forward)")
+        raise ChainriskError("missing forward cache (backward needs a training-mode forward, "
+                             "and each forward feeds one backward)")
     W0, W1 = head.weights
     Q, examples = cache["Q"], cache["examples"]
     n, d = Q.shape
     dlogits = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-    dZ = dlogits * W1.T
-    dZ *= cache["keep"]
+    keep, H = cache.pop("keep"), cache["H"]
+    w1_grad = H.T @ dlogits
+    dZ = np.multiply(dlogits, W1.T, out=H)
+    dZ *= keep
     if cache["rate"]:
         dZ /= 1.0 - cache["rate"]
     if plans is None:
@@ -260,7 +286,7 @@ def head_backward(dlogits, cache, head, plans=None):
     dQ = scattered[0] @ W0[:d].T
     for j in range(1, len(scattered)):
         dQ += scattered[j] @ W0[j * d:(j + 1) * d].T
-    w_grads = [np.vstack([Q.T @ S for S in scattered]), cache["H"].T @ dlogits]
+    w_grads = [np.vstack([Q.T @ S for S in scattered]), w1_grad]
     b_grads = [dZ.sum(axis=0), dlogits.sum(axis=0)]
     return w_grads, b_grads, dQ
 
@@ -269,7 +295,7 @@ def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training
     """Full forward pass: encoder then the model's head on `examples`.
 
     Returns (logits, caches). Only a training forward's caches can go to
-    `backward`; at dropout_rate 0 it draws nothing from `rng`.
+    `backward`, and only once; at dropout_rate 0 it draws nothing from `rng`.
     `propagated` is `spmm(adj, X)` if the caller holds it.
     """
     Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated)
@@ -284,7 +310,7 @@ def backward(model, dlogits, caches, plans=None):
     """Gradients for all parameters, aligned with model.parameters().
 
     `plans` are the head's scatter plans for the scored examples, if the
-    caller keeps them.
+    caller keeps them. The head cache is consumed (see `head_backward`).
     """
     gcn_cache, head_cache = caches
     w_grads, b_grads, dQ = head_backward(dlogits, head_cache, model.head, plans)

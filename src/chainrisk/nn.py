@@ -2,6 +2,10 @@
 
 Everything runs in float64. Functions are pure unless the name says
 otherwise (`adam_step` updates parameters in place, which is the point).
+
+A dropout mask costs one byte per element: its uniforms are drawn
+DROPOUT_CHUNK at a time into one small reused buffer, never as a float64
+array of the mask's shape.
 """
 
 import numpy as np
@@ -9,6 +13,9 @@ import numpy as np
 from .errors import InvalidArgument, TrainingDivergence
 
 PROB_EPS = 1e-12
+
+# uniforms per draw of `dropout_mask`; the generator's stream does not depend on it
+DROPOUT_CHUNK = 1 << 15
 
 
 def relu(x):
@@ -52,12 +59,22 @@ def bce_logit_grad(probs, y):
 
 
 def dropout_mask(shape, rate, rng=None, training=False):
-    """Survivor mask of inverted dropout, or None in eval mode or at rate 0."""
+    """Survivor mask of inverted dropout, or None in eval mode or at rate 0.
+
+    The mask equals `rng.random(shape) >= rate` and leaves `rng` where that
+    draw would, but draws DROPOUT_CHUNK uniforms at a time into one buffer.
+    """
     if not 0.0 <= rate < 1.0:
         raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
-    return rng.random(shape) >= rate
+    mask = np.empty(shape, dtype=bool)
+    flat = mask.reshape(-1)
+    buf = np.empty(min(DROPOUT_CHUNK, flat.size))
+    for start in range(0, flat.size, DROPOUT_CHUNK):
+        uniforms = rng.random(out=buf[: flat.size - start])
+        np.greater_equal(uniforms, rate, out=flat[start:start + uniforms.size])
+    return mask
 
 
 def dropout(x, rate, rng=None, training=False):

@@ -66,18 +66,36 @@ class LabeledSet:
 
     def validate(self):
         examples = np.asarray(self.examples)
-        if self.kind == "node":
-            if np.unique(examples).size != examples.size:
-                raise InvalidInput("duplicate nodes")
-        else:
-            if examples.shape[1] != 2:
-                raise InvalidInput("pairs must be an (n, 2) array")
-            if np.any(examples[:, 0] >= examples[:, 1]):
-                raise InvalidInput("pairs must be in canonical order u < v")
-            keys = examples[:, 0] * (examples.max() + 1) + examples[:, 1]
-            if np.unique(keys).size != examples.shape[0]:
-                raise InvalidInput("duplicate pairs")
+        if self.kind == "pair" and examples.shape[1] != 2:
+            raise InvalidInput("pairs must be an (n, 2) array")
+        bad = first_invalid_example(examples)
+        if bad is not None:
+            raise InvalidInput(f"example {bad[0]}: {bad[1]}")
         _validate_labels_and_split(self.labels, self.split, examples.shape[0])
+
+
+def first_invalid_example(examples):
+    """(row, reason) of the first example a LabeledSet rejects, or None.
+
+    `examples` holds node ids (1-d) or pairs ((n, 2)). The first pair not in
+    canonical order u < v is reported; failing that, the first node or pair
+    equal to an earlier one.
+    """
+    examples = np.asarray(examples)
+    keys = examples
+    if examples.ndim == 2:
+        bad = np.flatnonzero(examples[:, 0] >= examples[:, 1])
+        if bad.size:
+            u, v = examples[bad[0]]
+            return int(bad[0]), f"pair ({u}, {v}) is not in canonical order u < v"
+        keys = examples[:, 0] * (examples.max(initial=0) + 1) + examples[:, 1]
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # each later row of an equal run
+    if not repeats.size:
+        return None
+    row = int(repeats.min())
+    what = f"pair ({examples[row, 0]}, {examples[row, 1]})" if examples.ndim == 2 else f"node {examples[row]}"
+    return row, f"duplicate {what}"
 
 
 def _validate_labels_and_split(labels, split, n):

@@ -540,6 +540,39 @@ def test_eval_of_out_of_range_labels_exits_two_with_path_and_line(tmp_path, data
     assert f"{path}:6: node id {bad} is out of range" in err and "Traceback" not in err
 
 
+def invalid_example(case, lines):
+    """(line number, its new text, expected message) of one case on a label file's lines."""
+    if case == "duplicate-node":
+        node, label = lines[2].split("\t")[0], lines[5].split("\t")[1]
+        return 6, f"{node}\t{label}", f"duplicate node {node}"
+    if case == "self-pair":
+        return 5, "5\t5\t" + lines[4].split("\t")[2], "pair (5, 5) is not in canonical order u < v"
+    u, v, _ = lines[3].split("\t")
+    return 9, lines[3], f"duplicate pair ({u}, {v})"
+
+
+INVALID_EXAMPLES = {
+    "duplicate-node": ("labels_dp.tsv", ["train", "dp", "--no-enrich"]),
+    "self-pair": ("labels_sc.tsv", ["train", "sc"]),
+    "repeated-line": ("labels_sc.tsv", ["train", "sc"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_EXAMPLES))
+def test_invalid_label_example_exits_two_with_path_and_line(tmp_path, dataset, train_config, capsys, case):
+    name, command = INVALID_EXAMPLES[case]
+    path = os.path.join(dataset, name)
+    lines = open(path, encoding="utf-8").read().split("\n")
+    lineno, text, message = invalid_example(case, lines)
+    lines[lineno - 1] = text
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+    code = main(command + ["--data", dataset, "--config", train_config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"{path}:{lineno}: {message}" in err
+
+
 def test_positive_only_negatives_are_drawn_among_smes(tmp_path):
     """20 SMEs, 10 owners and 10 consumers: every sampled negative joins two SMEs,
     the only pairs candidate search scores."""

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainrisk import nn
 from chainrisk.errors import InvalidArgument, TrainingDivergence
 from chainrisk.nn import (
     AdamState,
@@ -10,6 +13,7 @@ from chainrisk.nn import (
     bce_logit_grad,
     bce_loss,
     dropout,
+    dropout_mask,
     relu,
     sigmoid,
 )
@@ -137,6 +141,28 @@ class TestDropout:
         x = np.ones((1000, 100))
         out, _ = dropout(x, 0.5, make_rng(7, 9), training=True)
         assert 0.99 <= out.mean() <= 1.01
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(0, 3),
+        width=st.sampled_from([1, 7, 64]),
+        offset=st.integers(-300, 300),
+        rate=st.floats(0.0, 1.0, exclude_max=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chunked_mask_is_the_one_shot_draw(self, rows, width, offset, rate, seed):
+        """Sizes below, at and across DROPOUT_CHUNK give `rng.random(shape) >= rate`
+        and leave the generator where that draw does."""
+        size = max(0, rows * nn.DROPOUT_CHUNK + offset)
+        shape = (size // width, width) if size % width == 0 else (size,)
+        chunked, whole = make_rng(seed, 9), make_rng(seed, 9)
+        mask = dropout_mask(shape, rate, chunked, training=True)
+        if rate == 0.0:
+            assert mask is None
+            return
+        assert mask.shape == shape and mask.dtype == bool
+        assert np.array_equal(mask, whole.random(shape) >= rate)
+        assert chunked.random() == whole.random()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(InvalidArgument):
