@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Stage-1 phase bench: one paper-calibrated economy, one JSON file per run.
+"""Two-stage phase bench: one paper-calibrated economy, one JSON file per run.
 
     python3 bench/run_bench.py --smes 50000 --label n50000-mine
 
@@ -20,18 +20,29 @@ The run goes through stage 1 one phase at a time, as
     scoring    model.score_examples over the candidates
     enrich     graph.enrich at the config's tau
 
-The training shape is perfbench's `mine-5k` shape: one layer, embedding
-and head width 64, dropout 0.1, learning rate 0.03. For each phase the
-file holds its seconds and the process's peak RSS when it ended. For
-train_task it also holds every epoch's milliseconds (one epoch runs from
-one training `score_examples` call to the next), their mean, and the
-minor page faults of the whole call. `peak_rss_mb` is the peak RSS at the
-end of the phases. After it is read, train_task runs once more under
-`tracemalloc`, whose peak is `train_task.tracemalloc_peak_mb`; its
-validation losses must equal the timed run's. `outputs` holds sha256
-digests of the validation losses, the candidate logits and the mined
-edges, so two checkouts whose outputs are byte-identical show equal
-digests.
+and then through stage 2 on the enriched graph, as
+`pipeline.run_stage2_default` does:
+
+    stage2_build      the enriched view and pipeline.TaskData.build on the node set
+    stage2_train_task pipeline.train_task, EPOCHS epochs
+    stage2_evaluate   pipeline.evaluate_model
+    stage2_scoring    model.score_examples over every node
+
+The stage-1 training shape is perfbench's `mine-5k` shape: one layer,
+embedding and head width 64, dropout 0.1, learning rate 0.03. Stage 2
+takes perfbench's `cli-20k` shape: one layer at the default widths,
+dropout 0.1, learning rate 0.1. For each phase the file holds its seconds
+and the process's peak RSS when it ended. For each train_task it also
+holds every epoch's milliseconds and minor page faults (one epoch runs
+from one training `score_examples` call to the next), the mean epoch, the
+median faults of epochs 2 and later (`median_epoch_faults`: the first
+epoch allocates what the later ones may reuse) and the faults of the
+whole call. `peak_rss_mb` is the peak RSS at the end of stage 1. After
+it is read, each train_task runs once more under `tracemalloc`, whose
+peak is `tracemalloc_peak_mb`; its validation losses must equal the timed
+run's. `outputs` holds sha256 digests of both stages' validation losses,
+the candidate logits, the mined edges and the node scores, so two
+checkouts whose outputs are byte-identical show equal digests.
 """
 
 import argparse
@@ -54,6 +65,7 @@ from chainrisk.nn import sigmoid  # noqa: E402
 
 EPOCHS = 10
 SHAPE = dict(num_layers=1, embed_dim=64, head_hidden=64, dropout=0.1, learning_rate=0.03)
+STAGE2_SHAPE = dict(num_layers=1, dropout=0.1, learning_rate=0.1)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -81,25 +93,50 @@ class Phases:
         return result
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def timed_training(data, config):
-    """train_task with the start of every epoch and the minor faults of the call."""
-    starts = []
+    """train_task with the time and minor faults at the start of every epoch and at its end."""
+    marks = []
     score = pipeline.score_examples
 
     def marking(*args, **kwargs):
         if kwargs.get("training"):
-            starts.append(perf_counter())
+            marks.append((perf_counter(), minor_faults()))
         return score(*args, **kwargs)
 
     pipeline.score_examples = marking
     try:
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        faults = minor_faults()
         result = pipeline.train_task(data, config)
-        end = perf_counter()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        marks.append((perf_counter(), minor_faults()))
     finally:
         pipeline.score_examples = score
-    return result, 1e3 * np.diff(starts + [end]), faults
+    return result, np.diff(np.asarray(marks), axis=0), marks[-1][1] - faults
+
+
+def train_record(phases, name, data, config):
+    """Run the `name` train_task phase and add its per-epoch figures to its record."""
+    result, epochs, faults = phases.run(name, timed_training, data, config)
+    epoch_ms, epoch_faults = 1e3 * epochs[:, 0], epochs[:, 1].astype(int)
+    phases.out[name].update(
+        epochs=len(result.trace),
+        epoch_ms=[round(float(ms), 3) for ms in epoch_ms],
+        mean_epoch_ms=float(np.mean(epoch_ms)),
+        epoch_faults=epoch_faults.tolist(),
+        median_epoch_faults=float(np.median(epoch_faults[1:])),
+        minor_faults=int(faults),
+    )
+    return result
+
+
+def add_traced_peak(record, data, config, val_losses):
+    """Run train_task again under tracemalloc; its peak goes into `record`."""
+    traced, record["tracemalloc_peak_mb"] = traced_peak_mb(data, config)
+    if [row["val_loss"] for row in traced.trace] != val_losses:
+        raise SystemExit("train_task under tracemalloc gave different validation losses")
 
 
 def traced_peak_mb(data, config):
@@ -122,16 +159,10 @@ def main(argv=None):
 
     config = pipeline.TrainConfig(seed=args.seed, max_epochs=EPOCHS, patience=EPOCHS - 1, **SHAPE)
     phases = Phases()
-    g, pair_set, _, _ = phases.run("generate", synthgen.generate,
-                                   synthgen.paper_calibrated(num_smes=args.smes, seed=args.seed))
+    g, pair_set, node_set, _ = phases.run("generate", synthgen.generate,
+                                          synthgen.paper_calibrated(num_smes=args.smes, seed=args.seed))
     data = phases.run("build", pipeline.TaskData.build, g, pair_set)
-    (result, epoch_ms, faults) = phases.run("train_task", timed_training, data, config)
-    phases.out["train_task"].update(
-        epochs=len(result.trace),
-        epoch_ms=[round(float(ms), 3) for ms in epoch_ms],
-        mean_epoch_ms=float(np.mean(epoch_ms)),
-        minor_faults=int(faults),
-    )
+    result = train_record(phases, "train_task", data, config)
     _, reports = phases.run("evaluate", pipeline.evaluate_model, result.model, data)
     test_pairs = data.examples[data.split == pipeline.TEST]
     cands = phases.run("candidates", pipeline.candidate_pairs, g, test_pairs, config.candidate_hops)
@@ -143,10 +174,16 @@ def main(argv=None):
 
     stage_peak_rss_mb = peak_rss_mb()
     val_losses = [row["val_loss"] for row in result.trace]
-    traced, peak_mb = traced_peak_mb(data, config)
-    if [row["val_loss"] for row in traced.trace] != val_losses:
-        raise SystemExit("train_task under tracemalloc gave different validation losses")
-    phases.out["train_task"]["tracemalloc_peak_mb"] = peak_mb
+    add_traced_peak(phases.out["train_task"], data, config, val_losses)
+
+    config2 = pipeline.TrainConfig(seed=args.seed, max_epochs=EPOCHS, patience=EPOCHS - 1, **STAGE2_SHAPE)
+    data2 = phases.run("stage2_build", lambda: pipeline.TaskData.build(enriched.graph(), node_set))
+    result2 = train_record(phases, "stage2_train_task", data2, config2)
+    _, reports2 = phases.run("stage2_evaluate", pipeline.evaluate_model, result2.model, data2)
+    all_logits, _ = phases.run("stage2_scoring", model.score_examples, result2.model, data2.adj, data2.X,
+                               np.arange(g.num_nodes), 0.0, None, False, data2.propagated)
+    val_losses2 = [row["val_loss"] for row in result2.trace]
+    add_traced_peak(phases.out["stage2_train_task"], data2, config2, val_losses2)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
@@ -156,15 +193,20 @@ def main(argv=None):
         "seed": args.seed,
         "train_rows": int(np.sum(data.split == pipeline.TRAIN)),
         "config": config.to_dict(),
+        "stage2_config": config2.to_dict(),
+        "stage2_train_rows": int(np.sum(data2.split == pipeline.TRAIN)),
         "phases": phases.out,
         "peak_rss_mb": stage_peak_rss_mb,
         "test_auc": reports["test"].auc,
+        "stage2_test_auc": reports2["test"].auc,
         "candidates": int(cands.shape[0]),
         "mined_edges": enriched.num_mined,
         "outputs": {
             "val_losses": sha256(np.asarray(val_losses)),
             "candidate_logits": sha256(logits),
             "mined_edges": sha256(enriched.mined_pairs, enriched.mined_scores),
+            "stage2_val_losses": sha256(np.asarray(val_losses2)),
+            "node_logits": sha256(all_logits),
         },
         "environment": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -180,9 +222,12 @@ def main(argv=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    train = phases.out["train_task"]
-    print(f"{path}: train_task {train['s']:.2f} s, {train['mean_epoch_ms']:.1f} ms/epoch, "
-          f"peak RSS {record['peak_rss_mb']:.1f} MB, tracemalloc peak {peak_mb:.1f} MB")
+    for name in ("train_task", "stage2_train_task"):
+        train = phases.out[name]
+        print(f"{path}: {name} {train['s']:.2f} s, {train['mean_epoch_ms']:.1f} ms/epoch, "
+              f"{train['median_epoch_faults']:.0f} faults/epoch, "
+              f"tracemalloc peak {train['tracemalloc_peak_mb']:.1f} MB")
+    print(f"{path}: stage-1 peak RSS {record['peak_rss_mb']:.1f} MB")
     return 0
 
 

@@ -176,30 +176,6 @@ class SmeGraph:
         pairs, _ = self.undirected_edges()
         return pairs[:, 0] * self.num_nodes + pairs[:, 1]
 
-    def validate(self):
-        """Check every structural invariant; raises InvalidInput on failure."""
-        n = self.num_nodes
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0:
-            raise InvalidInput("malformed indptr")
-        if np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self.indices.size:
-            raise InvalidInput("indptr does not partition indices")
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        if rows.size and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise InvalidInput("column index out of range")
-        # consecutive entries of one row must increase; a step across a row start may not
-        within = rows[1:] == rows[:-1]
-        bad = np.flatnonzero(within & (np.diff(self.indices) <= 0))
-        if bad.size:
-            raise InvalidInput(f"row {rows[bad[0]]} not strictly increasing")
-        if np.any(rows == self.indices):
-            raise InvalidInput("self-loop present")
-        # symmetry: sorting entries by (col, row) must reproduce (row, col)
-        order = np.lexsort((rows, self.indices))
-        if not (np.array_equal(self.indices[order], rows) and np.array_equal(rows[order], self.indices)):
-            raise InvalidInput("adjacency is not symmetric")
-        if self.edge_features.shape[0] != self.indices.size // 2:
-            raise InvalidInput("edge feature rows must match undirected edges")
-
 
 def row_slices(indptr, depth):
     """(order, sizes, rank, positions) of the CSR row partition `indptr`.
@@ -278,7 +254,7 @@ def normalize_adjacency(g):
     return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values)
 
 
-def spmm(adj, H):
+def spmm(adj, H, out=None):
     """Sparse-dense product adj @ H with a deterministic reduction order.
 
     Runs over the layout of `NormalizedAdjacency`: slice 0 gives each row's
@@ -288,13 +264,17 @@ def spmm(adj, H):
     sums as entry 0 + (entry 1 + entry 2 + ...), the order `np.add.reduceat`
     over the CSR row uses for rows of at most 8 entries, so those rows match
     it bit for bit; longer rows agree to rounding. The number of passes is
-    at most SPMM_SLICES + 2 whatever the longest row.
+    at most SPMM_SLICES + 2 whatever the longest row. `out`, an
+    (n, d) array sharing no memory with H, takes the product; until the
+    final gather its first rows hold the tail.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != adj.num_nodes:
         raise InvalidArgument(f"H must be ({adj.num_nodes}, d), got {H.shape}")
-    if not adj._slices:
-        return np.zeros((adj.num_nodes, H.shape[1]))
+    out = np.empty(H.shape) if out is None else out
+    if not adj._slices:  # no entries
+        out.fill(0.0)
+        return out
     # column ids were range-checked when the layout was built, so take need not check them
     (cols, vals), *rest = adj._slices
     head = np.empty((cols.size + 1, H.shape[1]))
@@ -303,9 +283,10 @@ def spmm(adj, H):
     head[-1] = 0.0
     if rest:
         cols, vals = rest[0]
-        tail = np.take(H, cols, axis=0, mode="clip")
+        tail = np.take(H, cols, axis=0, out=out[: cols.size], mode="clip")
         tail *= vals
-        buf = np.empty_like(tail)
+        if len(rest) > 1:
+            buf = np.empty((rest[1][0].size, H.shape[1]))
         for cols, vals in rest[1:]:
             term = np.take(H, cols, axis=0, out=buf[: cols.size], mode="clip")
             term *= vals
@@ -316,7 +297,7 @@ def spmm(adj, H):
             term *= vals
             tail[: seg.size] += np.add.reduceat(term, seg, axis=0)
         head[: tail.shape[0]] += tail
-    return np.take(head, adj._rank, axis=0)
+    return np.take(head, adj._rank, axis=0, out=out, mode="clip")
 
 
 def check_ids(ids, num_nodes):
@@ -352,17 +333,25 @@ class ScatterPlan:
         _, _, rank, positions = row_slices(indptr, ids.size)
         return cls(ids.size, [order[pos] for pos in positions], rank)
 
-    def apply(self, rows):
+    def apply(self, rows, out=None, work=None):
+        """The (num_rows, width) row sums of `rows`, written into `out` if given.
+
+        `work`, if given, is a float64 array of num_rows + 1 rows of that
+        width that holds the sums in the plan's row order; the rows of each
+        slice are gathered into `out`, which is free until the sums are
+        gathered back by rank.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.shape[0] != self.num_ids:
             raise InvalidArgument(f"scatter plan built for {self.num_ids} rows, got {rows.shape[0]}")
         nodes = self.slices[0].size if self.slices else 0
-        buf = np.zeros((nodes + 1, rows.shape[1]))
-        term = np.empty((nodes, rows.shape[1]))
-        # slices and ranks index within rows and buf, so take need not check them
+        out = np.empty((self.rank.size, rows.shape[1])) if out is None else out
+        sums = np.empty((nodes + 1, rows.shape[1])) if work is None else work[: nodes + 1]
+        sums.fill(0.0)
+        # slices and ranks index within rows and sums, so take need not check them
         for idx in self.slices:
-            buf[: idx.size] += np.take(rows, idx, axis=0, out=term[: idx.size], mode="clip")
-        return np.take(buf, self.rank, axis=0, mode="clip")
+            sums[: idx.size] += np.take(rows, idx, axis=0, out=out[: idx.size], mode="clip")
+        return np.take(sums, self.rank, axis=0, out=out, mode="clip")
 
 
 def scatter_plans(examples, num_nodes):

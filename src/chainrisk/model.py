@@ -21,16 +21,35 @@ pass each way. The backward scatters dZ onto node rows through a
 `graph.ScatterPlan` per endpoint column; training builds the plans once
 for its fixed example rows and passes them in.
 
-A training step allocates one float64 array of rows x head width, plus
-one byte per element for each mask and SCORE_BLOCK-row gather blocks: Z is
-gathered from the first endpoint block and the later blocks are added
-SCORE_BLOCK rows at a time; the dropout uniforms are drawn in chunks
+Z is gathered from the first endpoint block and the later blocks are
+added GATHER_ROWS rows at a time; the dropout uniforms are drawn in chunks
 (`nn.dropout_mask`); Z becomes H in place; and the backward takes the W1
 gradient H^T dlogits first, then builds dZ in H's buffer. So a training
 head cache feeds exactly one backward: `head_backward` removes the
-keep-mask from it, and a second call raises ChainriskError. The buffer
-lives as long as the cache; `train_task` replaces its caches when the next
-forward returns, so at most two such arrays are alive at once.
+keep-mask from it, and a second call raises ChainriskError. The encoder's
+cache does the same (`gcn_backward` removes its layers).
+
+Given a `Workspace`, as every pass of `pipeline.train_task` is, a pass
+and the backward of its caches write every array into the bytes the
+previous pass used for the same role, so from the second epoch on one
+copy of each training array is alive. Roles whose arrays are never alive
+at once share bytes (l is an encoder layer, j an endpoint):
+
+    role          training forward         backward              validation
+    ("mask", l)   dropout mask of layer l
+    ("Z", l)      dropped input, then Z    dS (l > 0)            Z, relu in place
+    ("S", l)      S                        dD, scaled in place   S (l > 0)
+    ("H", l)      relu(Z)                  relu gradient dZ
+    ("block", j)  Q W0_j; then the head's  rows scattered onto   Q W0_j
+                  dropout mask (j = 0)     endpoint j; endpoint
+                                           j + 1's dQ product
+    "rows"        Z, then H in place       dZ in place           a score block's Z
+    "spare"       gather block; keep-mask  scatter sums; dQ      gather block
+
+A forward that would reuse a workspace whose head cache has not fed its
+backward raises ChainriskError instead. `TaskData.propagated` is only
+ever read. Without a workspace every array is allocated, as numpy's
+`out=None` does.
 
 A scoring-only forward (training=False) keeps no cache: the encoder applies
 its relus in place, and the head forms the `Q W0` blocks once and scores
@@ -48,6 +67,7 @@ Backprop leans on the normalized adjacency being symmetric: the adjoint of
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -67,6 +87,9 @@ CHECKPOINT_VERSION = 1
 # full pass; on more, rows at the thread split of a partial block (or of the
 # full pass) can differ from it in the last bit
 SCORE_BLOCK = 8192
+# rows per gather of a later endpoint's block in the head's first layer; the
+# gathered rows are added one by one, so the sums do not depend on it
+GATHER_ROWS = 1024
 
 
 @dataclass
@@ -144,13 +167,50 @@ def init_classifier(task, in_dim, num_layers, hidden_dim, embed_dim, head_hidden
     return GcnClassifier(gcn=gcn, head=head, task=task)
 
 
-def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None):
+class Workspace:
+    """The arrays of one training run by role, written again every epoch.
+
+    `take(role, shape, dtype)` views the role's bytes as an array of that
+    shape, allocating them on first use and enlarging them when a use needs
+    more, so from the second epoch on every array lands where the previous
+    epoch's was. Roles whose arrays are never alive at once share bytes
+    (see the module docstring).
+
+    A training forward sets `awaiting_backward` and the backward of its
+    head cache clears it; while it is set, `take` raises ChainriskError:
+    reusing the buffers would overwrite what the backward reads. (A flag,
+    not the cache, since the cache refers to the workspace: a cycle would
+    keep every buffer alive until the garbage collector ran.)
+    """
+
+    def __init__(self):
+        self._bytes = {}
+        self.awaiting_backward = False
+
+    def take(self, role, shape, dtype=np.float64):
+        if self.awaiting_backward:
+            raise ChainriskError("a training forward's cache has not fed its backward yet, "
+                                 "so its workspace cannot be reused")
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        raw = self._bytes.get(role)
+        if raw is None or raw.size < nbytes:
+            raw = self._bytes[role] = np.empty(nbytes, dtype=np.uint8)
+        return raw[:nbytes].view(dtype).reshape(shape)
+
+
+def _take(ws, role, shape, dtype=np.float64):
+    """The workspace's array for `role`, or None (numpy allocates) without a workspace."""
+    return None if ws is None else ws.take(role, shape, dtype)
+
+
+def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None, ws=None):
     """Run the encoder; returns (embeddings, cache for backward).
 
     A scoring-only forward (training=False) keeps no cache and applies each
     relu in place. `propagated`, if given, must be `spmm(adj, X)`; the
     first layer uses it in place of its own product whenever it applies no
-    dropout.
+    dropout. `ws`, a Workspace, supplies every array the pass writes.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != adj.num_nodes:
@@ -161,79 +221,98 @@ def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, prop
         )
     if propagated is not None and np.shape(propagated) != X.shape:
         raise InvalidArgument(f"propagated features have shape {np.shape(propagated)}, X has {X.shape}")
+    n = adj.num_nodes
+    drops = training and dropout_rate > 0.0
     H = X
     layers = []
     for l, W in enumerate(params.weights):
-        D, mask = dropout(H, dropout_rate, rng, training)
-        S = propagated if l == 0 and mask is None and propagated is not None else spmm(adj, D)
-        Z = S @ W
+        # the dropped input is spent once S is formed, so it takes Z's bytes
+        out = (_take(ws, ("Z", l), H.shape), _take(ws, ("mask", l), H.shape, bool)) if drops else (None, None)
+        D, mask = dropout(H, dropout_rate, rng, training, out=out)
+        if l == 0 and mask is None and propagated is not None:
+            S = propagated
+        else:
+            S = spmm(adj, D, out=_take(ws, ("S", l), D.shape))
+        Z = np.matmul(S, W, out=_take(ws, ("Z", l), (n, W.shape[1])))
         if training:
             layers.append({"S": S, "Z": Z, "mask": mask})
-            H = relu(Z)
+            H = relu(Z, out=_take(ws, ("H", l), Z.shape))
         else:
-            H = np.maximum(Z, 0.0, out=Z)
-    cache = {"adj": adj, "layers": layers, "rate": dropout_rate} if training else None
+            H = relu(Z, out=Z)
+    cache = {"adj": adj, "layers": layers, "rate": dropout_rate, "ws": ws} if training else None
     return H, cache
 
 
 def gcn_backward(dQ, cache, params):
-    """Gradients of the encoder weights given d(loss)/d(embeddings)."""
+    """Gradients of the encoder weights given d(loss)/d(embeddings).
+
+    The layers leave the cache, whose workspace arrays the backward
+    overwrites, so the cache feeds one backward and a second call raises
+    ChainriskError.
+    """
     if cache is None or "layers" not in cache:
         raise ChainriskError("missing forward cache")
-    adj = cache["adj"]
-    rate = cache["rate"]
+    adj, rate, ws, layers = cache["adj"], cache["rate"], cache["ws"], cache.pop("layers")
     grads = [None] * params.num_layers
     upstream = dQ
     for l in range(params.num_layers - 1, -1, -1):
-        layer = cache["layers"][l]
-        dZ = relu_grad(upstream, layer["Z"])
+        layer = layers[l]
+        dZ = relu_grad(upstream, layer["Z"], out=_take(ws, ("H", l), layer["Z"].shape))
         grads[l] = layer["S"].T @ dZ
         if l > 0:
-            dS = dZ @ params.weights[l].T
-            dD = spmm(adj, dS)
-            upstream = dropout_grad(dD, layer["mask"], rate)
+            W = params.weights[l]
+            dS = np.matmul(dZ, W.T, out=_take(ws, ("Z", l), (adj.num_nodes, W.shape[0])))
+            dD = spmm(adj, dS, out=_take(ws, ("S", l), dS.shape))
+            upstream = dropout_grad(dD, layer["mask"], rate, out=dD)
     return grads
 
 
-def _first_layer(blocks, examples, bias):
+def _first_layer(blocks, examples, bias, out=None, buf=None):
     """Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0 for rows of endpoint ids.
 
     Later endpoint blocks are gathered SCORE_BLOCK rows at a time into one
-    reused buffer, so besides Z the pass holds one block of rows.
+    reused buffer (`buf`, allocated if not given), so besides Z (`out`) the
+    pass holds one block of rows.
     """
-    Z = blocks[0][examples[:, 0]]
-    if len(blocks) > 1:
-        buf = np.empty((min(SCORE_BLOCK, Z.shape[0]), Z.shape[1]))
+    # ids were range-checked by the caller, so take need not check them
+    Z = np.take(blocks[0], examples[:, 0], axis=0, out=out, mode="clip")
+    if len(blocks) > 1 and buf is None:
+        buf = np.empty((min(GATHER_ROWS, Z.shape[0]), Z.shape[1]))
     for j in range(1, len(blocks)):
-        for start in range(0, Z.shape[0], SCORE_BLOCK):
-            ids = examples[start:start + SCORE_BLOCK, j]
-            # ids were range-checked by the caller, so take need not check them
+        for start in range(0, Z.shape[0], GATHER_ROWS):
+            ids = examples[start:start + GATHER_ROWS, j]
             Z[start:start + ids.size] += np.take(blocks[j], ids, axis=0, out=buf[: ids.size], mode="clip")
     Z += bias
     return Z
 
 
-def _head_logits(Q, examples, head, dropout_rate, rng, training):
+def _head_logits(Q, examples, head, dropout_rate, rng, training, ws=None):
     """Score rows of k endpoint ids from [q_e1 ; ... ; q_ek], factored per endpoint.
 
     The first layer runs once over the node rows of Q. A training forward
     returns the cache `head_backward` needs; a scoring-only one returns
     None for it and works through SCORE_BLOCK rows at a time.
     """
-    d = Q.shape[1]
+    n, d = Q.shape
     W0, W1 = head.weights
     b0, b1 = head.biases
-    blocks = [Q @ W0[j * d:(j + 1) * d] for j in range(examples.shape[1])]
+    width = W0.shape[1]
+    blocks = [np.matmul(Q, W0[j * d:(j + 1) * d], out=_take(ws, ("block", j), (n, width)))
+              for j in range(examples.shape[1])]
     if not training:
         logits = np.empty(examples.shape[0])
         for start in range(0, examples.shape[0], SCORE_BLOCK):
-            Z = _first_layer(blocks, examples[start:start + SCORE_BLOCK], b0)
+            part = examples[start:start + SCORE_BLOCK]
+            Z = _first_layer(blocks, part, b0, out=_take(ws, "rows", (len(part), width)),
+                             buf=_take(ws, "spare", (min(GATHER_ROWS, len(part)), width)))
             np.maximum(Z, 0.0, out=Z)
             logits[start:start + Z.shape[0]] = (Z @ W1 + b1).reshape(-1)
         return logits, None
-    Z = _first_layer(blocks, examples, b0)
-    keep = Z > 0.0
-    mask = dropout_mask(Z.shape, dropout_rate, rng, training)
+    rows = examples.shape[0]
+    Z = _first_layer(blocks, examples, b0, out=_take(ws, "rows", (rows, width)),
+                     buf=_take(ws, "spare", (min(GATHER_ROWS, rows), width)))
+    keep = np.greater(Z, 0.0, out=_take(ws, "spare", Z.shape, bool))
+    mask = dropout_mask(Z.shape, dropout_rate, rng, training, out=_take(ws, ("block", 0), Z.shape, bool))
     if mask is not None:
         keep &= mask
     rate = 0.0 if mask is None else dropout_rate
@@ -241,19 +320,21 @@ def _head_logits(Q, examples, head, dropout_rate, rng, training):
     if rate:
         H /= 1.0 - rate
     logits = (H @ W1 + b1).reshape(-1)
-    return logits, {"Q": Q, "examples": examples, "H": H, "keep": keep, "rate": rate}
+    if ws is not None:
+        ws.awaiting_backward = True
+    return logits, {"Q": Q, "examples": examples, "H": H, "keep": keep, "rate": rate, "ws": ws}
 
 
-def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False):
+def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False, ws=None):
     """Score node pairs from concatenated embeddings [q_u ; q_v]."""
     pairs = check_ids(pairs, Q.shape[0]).reshape(-1, 2)
-    return _head_logits(Q, pairs, head, dropout_rate, rng, training)
+    return _head_logits(Q, pairs, head, dropout_rate, rng, training, ws)
 
 
-def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False):
+def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False, ws=None):
     """Score single nodes from their embeddings."""
     nodes = check_ids(nodes, Q.shape[0]).reshape(-1, 1)
-    return _head_logits(Q, nodes, head, dropout_rate, rng, training)
+    return _head_logits(Q, nodes, head, dropout_rate, rng, training, ws)
 
 
 def head_backward(dlogits, cache, head, plans=None):
@@ -265,7 +346,8 @@ def head_backward(dlogits, cache, head, plans=None):
     holds dZ from then on). dZ is scattered once per endpoint column,
     through `plans` (from `scatter_plans` on the same examples) or through
     plans built here; the W0 blocks and dQ follow on node rows. Needs the
-    cache of a training forward.
+    cache of a training forward; the arrays it writes come from that
+    forward's workspace, if it had one.
     """
     if cache is None or "keep" not in cache:
         raise ChainriskError("missing forward cache (backward needs a training-mode forward, "
@@ -274,7 +356,9 @@ def head_backward(dlogits, cache, head, plans=None):
     Q, examples = cache["Q"], cache["examples"]
     n, d = Q.shape
     dlogits = np.asarray(dlogits, dtype=np.float64).reshape(-1, 1)
-    keep, H = cache.pop("keep"), cache["H"]
+    keep, H, ws = cache.pop("keep"), cache["H"], cache["ws"]
+    if ws is not None:
+        ws.awaiting_backward = False
     w1_grad = H.T @ dlogits
     dZ = np.multiply(dlogits, W1.T, out=H)
     dZ *= keep
@@ -282,27 +366,35 @@ def head_backward(dlogits, cache, head, plans=None):
         dZ /= 1.0 - cache["rate"]
     if plans is None:
         plans = scatter_plans(examples, n)
-    scattered = [plan.apply(dZ) for plan in plans]
-    dQ = scattered[0] @ W0[:d].T
-    for j in range(1, len(scattered)):
-        dQ += scattered[j] @ W0[j * d:(j + 1) * d].T
+    width = dZ.shape[1]
+    work = _take(ws, "spare", (n + 1, width))
+    scattered = [plan.apply(dZ, out=_take(ws, ("block", j), (n, width)), work=work)
+                 for j, plan in enumerate(plans)]
+    # the W0 gradient reads every endpoint's rows, so it comes before dQ, whose
+    # product for endpoint j takes the spent rows of endpoint j - 1
     w_grads = [np.vstack([Q.T @ S for S in scattered]), w1_grad]
+    dQ = np.matmul(scattered[0], W0[:d].T, out=_take(ws, "spare", (n, d)))
+    for j in range(1, len(scattered)):
+        dQ += np.matmul(scattered[j], W0[j * d:(j + 1) * d].T, out=_take(ws, ("block", j - 1), (n, d)))
     b_grads = [dZ.sum(axis=0), dlogits.sum(axis=0)]
     return w_grads, b_grads, dQ
 
 
-def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, propagated=None):
+def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, propagated=None,
+                   ws=None):
     """Full forward pass: encoder then the model's head on `examples`.
 
     Returns (logits, caches). Only a training forward's caches can go to
     `backward`, and only once; at dropout_rate 0 it draws nothing from `rng`.
-    `propagated` is `spmm(adj, X)` if the caller holds it.
+    `propagated` is `spmm(adj, X)` if the caller holds it. With a Workspace
+    `ws` the pass, and the backward of its caches, write into the arrays of
+    the previous pass that used it.
     """
-    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated)
+    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated, ws=ws)
     if model.task == "pair":
-        logits, head_cache = pair_logits(Q, examples, model.head, dropout_rate, rng, training)
+        logits, head_cache = pair_logits(Q, examples, model.head, dropout_rate, rng, training, ws=ws)
     else:
-        logits, head_cache = node_logits(Q, examples, model.head, dropout_rate, rng, training)
+        logits, head_cache = node_logits(Q, examples, model.head, dropout_rate, rng, training, ws=ws)
     return logits, (gcn_cache, head_cache)
 
 

@@ -6,6 +6,10 @@ otherwise (`adam_step` updates parameters in place, which is the point).
 A dropout mask costs one byte per element: its uniforms are drawn
 DROPOUT_CHUNK at a time into one small reused buffer, never as a float64
 array of the mask's shape.
+
+A function with an `out=` parameter treats it as numpy's ufuncs do:
+given, the result is written into it (the same values, bit for bit);
+None allocates.
 """
 
 import numpy as np
@@ -18,13 +22,15 @@ PROB_EPS = 1e-12
 DROPOUT_CHUNK = 1 << 15
 
 
-def relu(x):
-    return np.maximum(x, 0.0)
+def relu(x, out=None):
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu_grad(upstream, preact):
-    """Backward of relu; the subgradient at exactly 0 is taken as 0."""
-    return np.where(preact > 0.0, upstream, 0.0)
+def relu_grad(upstream, preact, out=None):
+    """Backward of relu; the subgradient at exactly 0 is taken as 0. `out` may be `upstream`."""
+    out = np.positive(upstream, out=out)  # a bit-exact copy
+    np.putmask(out, ~(preact > 0.0), 0.0)
+    return out
 
 
 def sigmoid(x):
@@ -58,17 +64,18 @@ def bce_logit_grad(probs, y):
     return (probs - y) / probs.shape[0]
 
 
-def dropout_mask(shape, rate, rng=None, training=False):
+def dropout_mask(shape, rate, rng=None, training=False, out=None):
     """Survivor mask of inverted dropout, or None in eval mode or at rate 0.
 
     The mask equals `rng.random(shape) >= rate` and leaves `rng` where that
     draw would, but draws DROPOUT_CHUNK uniforms at a time into one buffer.
+    `out`, a bool array of `shape`, takes the mask.
     """
     if not 0.0 <= rate < 1.0:
         raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
-    mask = np.empty(shape, dtype=bool)
+    mask = np.empty(shape, dtype=bool) if out is None else out
     flat = mask.reshape(-1)
     buf = np.empty(min(DROPOUT_CHUNK, flat.size))
     for start in range(0, flat.size, DROPOUT_CHUNK):
@@ -77,21 +84,30 @@ def dropout_mask(shape, rate, rng=None, training=False):
     return mask
 
 
-def dropout(x, rate, rng=None, training=False):
+def dropout(x, rate, rng=None, training=False, out=(None, None)):
     """Inverted dropout. Returns (output, mask); mask is None in eval mode.
 
     Survivors are scaled by 1/(1-rate) so the expectation is unchanged.
+    `out` is the pair (output, mask) to write into, as numpy's two-output
+    ufuncs take it; in eval mode `x` itself comes back.
     """
-    mask = dropout_mask(x.shape, rate, rng, training)
+    mask = dropout_mask(x.shape, rate, rng, training, out=out[1])
     if mask is None:
         return x, None
-    return x * mask / (1.0 - rate), mask
+    return _scale_survivors(x, mask, rate, out[0]), mask
 
 
-def dropout_grad(upstream, mask, rate):
+def dropout_grad(upstream, mask, rate, out=None):
+    """Backward of `dropout`: the same scaling of the survivors. `out` may be `upstream`."""
     if mask is None:
         return upstream
-    return upstream * mask / (1.0 - rate)
+    return _scale_survivors(upstream, mask, rate, out)
+
+
+def _scale_survivors(x, mask, rate, out):
+    out = np.multiply(x, mask, out=out)
+    out /= 1.0 - rate
+    return out
 
 
 class AdamState:

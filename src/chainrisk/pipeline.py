@@ -37,7 +37,7 @@ from .graph import (
     standardize_columns,
 )
 from .metrics import EvalReport, auc
-from .model import backward, init_classifier, score_examples
+from .model import Workspace, backward, init_classifier, score_examples
 from .nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
 from .rng import make_rng
 
@@ -387,6 +387,7 @@ def train_task(data, config):
     params = model.parameters()
     state = AdamState(params)
     drop_rng = make_rng(config.seed, rng_streams.DROPOUT)
+    ws = Workspace()
 
     trace = []
     best_val = np.inf
@@ -395,7 +396,7 @@ def train_task(data, config):
     stagnant = 0
     for epoch in range(1, config.max_epochs + 1):
         logits, caches = score_examples(
-            model, data.adj, data.X, ex_tr, config.dropout, drop_rng, training=True, propagated=data.propagated
+            model, data.adj, data.X, ex_tr, config.dropout, drop_rng, training=True, propagated=data.propagated, ws=ws
         )
         probs = sigmoid(logits)
         train_loss = bce_loss(probs, y_tr)
@@ -407,7 +408,7 @@ def train_task(data, config):
         except TrainingDivergence as err:
             raise TrainingDivergence(str(err), epoch=epoch) from None
 
-        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, propagated=data.propagated)
+        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, propagated=data.propagated, ws=ws)
         val_loss = bce_loss(sigmoid(val_logits), y_va)
         if not np.isfinite(val_loss):
             raise TrainingDivergence(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
@@ -494,6 +495,11 @@ def grid_search(grid, data, config, max_workers=1):
     return GridSearchResult(best_config=best_config, table=table)
 
 
+# SME sources per frontier join in `candidate_pairs`; keys are `src * n + node`, so
+# the blocks' pairs are disjoint and the result does not depend on it
+CANDIDATE_SOURCES = 8192
+
+
 def candidate_pairs(g, extra_pairs=None, max_hops=3):
     """SME non-edges within `max_hops` hops, plus any extra labeled pairs.
 
@@ -505,31 +511,34 @@ def candidate_pairs(g, extra_pairs=None, max_hops=3):
     observed-edge and kind filters.
 
     The search is a breadth-first frontier join on the CSR adjacency, run
-    for every source at once on `src * n + node` keys; paths may pass
-    through nodes of any kind. Its cost is proportional to the summed
-    `max_hops`-ball sizes of the sources, not to n².
+    for CANDIDATE_SOURCES sources at once on `src * n + node` keys; paths
+    may pass through nodes of any kind. Its cost is proportional to the
+    summed `max_hops`-ball sizes of the sources, not to n², and its memory
+    to those of one block of sources.
     """
     if max_hops not in (2, 3, 4):
         raise InvalidArgument("max_hops must be 2, 3, or 4")
     n = g.num_nodes
     allowed = g.node_kind == "sme"
     sources = np.flatnonzero(allowed)
-    # level h holds the sorted keys of every (source, node) pair at distance h;
-    # a neighbour of a node at distance h lies at distance h - 1, h or h + 1,
-    # so a new level only has to be checked against the last two
-    prev = np.zeros(0, dtype=np.int64)
-    level = sources * n + sources
-    chunks = []
-    for hop in range(1, max_hops + 1):
-        src, node = np.divmod(level, n)
-        deg = g.indptr[node + 1] - g.indptr[node]
-        # flat CSR positions of every frontier node's row, concatenated
-        offsets = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg - g.indptr[node], deg)
-        reached = sorted_unique(np.repeat(src, deg) * n + g.indices[offsets])
-        prev, level = level, reached[~(in_sorted(reached, prev) | in_sorted(reached, level))]
-        if hop >= 2:  # distance 1 is an observed edge
-            u, v = np.divmod(level, n)
-            chunks.append(level[(u < v) & allowed[v]])
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for first in range(0, sources.size, CANDIDATE_SOURCES):
+        block = sources[first:first + CANDIDATE_SOURCES]
+        # level h holds the sorted keys of every (source, node) pair at distance h;
+        # a neighbour of a node at distance h lies at distance h - 1, h or h + 1,
+        # so a new level only has to be checked against the last two
+        prev = np.zeros(0, dtype=np.int64)
+        level = block * n + block
+        for hop in range(1, max_hops + 1):
+            src, node = np.divmod(level, n)
+            deg = g.indptr[node + 1] - g.indptr[node]
+            # flat CSR positions of every frontier node's row, concatenated
+            offsets = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg - g.indptr[node], deg)
+            reached = sorted_unique(np.repeat(src, deg) * n + g.indices[offsets])
+            prev, level = level, reached[~(in_sorted(reached, prev) | in_sorted(reached, level))]
+            if hop >= 2:  # distance 1 is an observed edge
+                u, v = np.divmod(level, n)
+                chunks.append(level[(u < v) & allowed[v]])
     if extra_pairs is not None and len(extra_pairs):
         extra = check_ids(extra_pairs, n).reshape(-1, 2)
         lo = np.minimum(extra[:, 0], extra[:, 1])

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from chainrisk.errors import InvalidInput
 from chainrisk.graph import SmeGraph
 
 
@@ -18,6 +19,31 @@ def random_graph(rng, n, edge_prob, num_features=3):
                 edges.append((u, v))
     X = rng.normal(size=(n, num_features))
     return SmeGraph.from_edge_list(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), X)
+
+
+def check_graph(g):
+    """Check every structural invariant of an SmeGraph; raises InvalidInput on failure."""
+    n = g.num_nodes
+    if g.indptr.shape != (n + 1,) or g.indptr[0] != 0:
+        raise InvalidInput("malformed indptr")
+    if np.any(np.diff(g.indptr) < 0) or g.indptr[-1] != g.indices.size:
+        raise InvalidInput("indptr does not partition indices")
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    if rows.size and (g.indices.min() < 0 or g.indices.max() >= n):
+        raise InvalidInput("column index out of range")
+    # consecutive entries of one row must increase; a step across a row start may not
+    within = rows[1:] == rows[:-1]
+    bad = np.flatnonzero(within & (np.diff(g.indices) <= 0))
+    if bad.size:
+        raise InvalidInput(f"row {rows[bad[0]]} not strictly increasing")
+    if np.any(rows == g.indices):
+        raise InvalidInput("self-loop present")
+    # symmetry: sorting entries by (col, row) must reproduce (row, col)
+    order = np.lexsort((rows, g.indices))
+    if not (np.array_equal(g.indices[order], rows) and np.array_equal(rows[order], g.indices)):
+        raise InvalidInput("adjacency is not symmetric")
+    if g.edge_features.shape[0] != g.indices.size // 2:
+        raise InvalidInput("edge feature rows must match undirected edges")
 
 
 def grad_check(f, params, h=1e-5):
@@ -53,13 +79,14 @@ def dense_from_csr(num_nodes, indptr, indices, values=None):
     return out
 
 
-def one_blas_thread(module, call):
+def blas_child(module, call, threads=1):
     """json.loads of the printed `module.call` (a call expression such as
-    `f(1)`), run in a child process pinned to one BLAS thread, since BLAS
-    results can depend on the thread count."""
+    `f(1)`), run in a child process pinned to `threads` BLAS threads, since
+    BLAS results can depend on the thread count."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    count = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count, MKL_NUM_THREADS=count,
                PYTHONPATH=os.pathsep.join([src, here]))
     child = subprocess.run(
         [sys.executable, "-c", f"import json, {module}; print(json.dumps({module}.{call}))"],

@@ -12,6 +12,8 @@ from chainrisk.graph import SmeGraph
 from chainrisk.model import load_checkpoint, save_checkpoint
 from chainrisk.pipeline import TRAIN, TrainConfig, stratified_split
 
+from conftest import check_graph
+
 
 @pytest.fixture()
 def gen_config(tmp_path):
@@ -86,7 +88,7 @@ class TestGenerate:
 
     def test_round_trips_through_loaders(self, dataset):
         g = dataio.read_graph(dataset)
-        g.validate()
+        check_graph(g)
         pairs, labels = dataio.read_pair_labels(os.path.join(dataset, "labels_sc.tsv"))
         assert labels.min() == 0 and labels.max() == 1
         truth = dataio.read_ground_truth(os.path.join(dataset, "ground_truth.tsv"))

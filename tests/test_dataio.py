@@ -11,7 +11,7 @@ from chainrisk.errors import InvalidInput
 from chainrisk.graph import SmeGraph
 from chainrisk.synthgen import generate, paper_calibrated
 
-from conftest import random_graph
+from conftest import check_graph, random_graph
 from test_golden import GENERATE_DIGESTS
 
 
@@ -25,7 +25,7 @@ class TestGraphRoundTrip:
         g, _, _, _ = economy
         dataio.write_graph(tmp_path, g)
         back = dataio.read_graph(tmp_path)
-        back.validate()
+        check_graph(back)
         assert back.num_nodes == g.num_nodes
         assert np.array_equal(back.indptr, g.indptr)
         assert np.array_equal(back.indices, g.indices)

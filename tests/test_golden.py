@@ -14,7 +14,9 @@ and block-bounded scoring went in; each of those must leave every bit of
 the outputs as it was. The CLI digests (`train sc`, `train dp --no-enrich`
 and `eval` on the 300-SME economy) were recorded before the text readers
 and writers went bulk. BLAS results can depend on the thread count, so the
-training runs in a child process pinned to one BLAS thread.
+training runs in a child process pinned to one BLAS thread. The benchmark
+runs on two, so `TRAINING_DIGESTS_2T` pins the same runs there; it was
+recorded before every training array came to be reused from epoch to epoch.
 """
 
 import contextlib
@@ -31,7 +33,7 @@ from chainrisk import dataio, synthgen
 from chainrisk.graph import SmeGraph
 from chainrisk.pipeline import sample_negatives
 
-from conftest import one_blas_thread
+from conftest import blas_child
 
 GENERATE_DIGESTS = {
     "cli-300": (
@@ -162,6 +164,26 @@ TRAINING_DIGESTS = {
 }
 
 
+# the same runs on two BLAS threads: the encoder and head products split
+# across threads, so parameters and losses differ from one thread's in the
+# last bits, while the mined pairs and scores happen to agree
+TRAINING_DIGESTS_2T = {
+    "pair": {
+        "epochs": 46,
+        "best_epoch": 31,
+        "parameters": "ed193bd1147c486dd5185dde7a50e3d14e02e0718bee44a34ee7ce55a17e2220",
+        "trace": "46ee41d3d030fcf2d1e68cee7bd3f51a419cdb6fe2e39ff49d5962e8687c698b",
+    },
+    "node": {
+        "epochs": 60,
+        "best_epoch": 53,
+        "parameters": "cf705641b0106ebe60ebb09c55ea05f70ee38da29380bd65eeab64af252de25b",
+        "trace": "ba4b850ea7c713a8d42927468d3c6d2fb3f2a589b8d35c082e9864e104d56c3b",
+    },
+    "mining": TRAINING_DIGESTS["mining"],
+}
+
+
 def _float_digest(a):
     return hashlib.sha256(np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes()).hexdigest()
 
@@ -230,8 +252,13 @@ def cli_digests():
 
 
 def test_training_and_mining_are_pinned():
-    assert one_blas_thread("test_golden", "training_digests()") == TRAINING_DIGESTS
+    assert blas_child("test_golden", "training_digests()") == TRAINING_DIGESTS
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs for two BLAS threads")
+def test_training_and_mining_are_pinned_on_two_blas_threads():
+    assert blas_child("test_golden", "training_digests()", threads=2) == TRAINING_DIGESTS_2T
 
 
 def test_cli_outputs_are_pinned():
-    assert one_blas_thread("test_golden", "cli_digests()") == CLI_DIGESTS
+    assert blas_child("test_golden", "cli_digests()") == CLI_DIGESTS

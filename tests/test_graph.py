@@ -20,7 +20,7 @@ from chainrisk.graph import (
     standardize_columns,
 )
 
-from conftest import dense_from_csr, random_graph
+from conftest import check_graph, dense_from_csr, random_graph
 
 
 class TestStandardize:
@@ -35,7 +35,7 @@ class TestStandardize:
 class TestSmeGraph:
     def test_from_edge_list_builds_symmetric_csr(self):
         g = SmeGraph.from_edge_list(3, [(0, 1), (1, 2)], np.zeros((3, 2)))
-        g.validate()
+        check_graph(g)
         assert list(g.degrees()) == [1, 2, 1]
         assert g.edge_keys().tolist() == [0 * 3 + 1, 1 * 3 + 2]
         assert in_sorted(np.array([0 * 3 + 1, 1 * 3 + 2, 0 * 3 + 2]), g.edge_keys()).tolist() == [
@@ -45,17 +45,17 @@ class TestSmeGraph:
         unsorted = SmeGraph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]),
                             np.zeros((3, 1)), np.zeros((2, 0)), np.full(3, "sme"))
         with pytest.raises(InvalidInput, match="row 0 not strictly increasing"):
-            unsorted.validate()
+            check_graph(unsorted)
         # hand-built CSR: row 1 lists column 0 twice
         repeated = SmeGraph(2, np.array([0, 1, 3]), np.array([1, 0, 0]),
                             np.zeros((2, 1)), np.zeros((1, 0)), np.full(2, "sme"))
         with pytest.raises(InvalidInput, match="row 1 not strictly increasing"):
-            repeated.validate()
+            check_graph(repeated)
 
     def test_edge_features_follow_undirected_edge_order(self):
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
         g = SmeGraph.from_edge_list(3, [(2, 1), (0, 1)], np.zeros((3, 1)), edge_features=feats)
-        g.validate()
+        check_graph(g)
         pairs, rows = g.undirected_edges()
         assert pairs.tolist() == [[0, 1], [1, 2]]
         assert np.array_equal(rows, feats[::-1])
@@ -438,7 +438,7 @@ class TestEnrich:
         g = self._graph()
         eg = enrich(g, as_arrays([(0, 2, 0.9)]), tau=0.5)
         view = eg.graph()
-        view.validate()
+        check_graph(view)
         pairs, feats = view.undirected_edges()
         assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
         assert feats.tolist() == [[1.0], [0.0], [1.0]]

@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainrisk import model as model_module
+from chainrisk import pipeline
 from chainrisk.errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
 from chainrisk.graph import ScatterPlan, SmeGraph, normalize_adjacency, spmm
 from chainrisk.model import (
     GcnClassifier,
+    Workspace,
     backward,
     gcn_backward,
     gcn_forward,
@@ -27,11 +31,11 @@ from chainrisk.model import (
     scatter_plans,
     score_examples,
 )
-from chainrisk.nn import bce_logit_grad, bce_loss, sigmoid
+from chainrisk.nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
 from chainrisk.pipeline import TEST, TRAIN, VAL, LabeledSet, TaskData, TrainConfig, train_task
 from chainrisk.rng import make_rng
 
-from conftest import grad_check, one_blas_thread, random_graph
+from conftest import blas_child, grad_check, random_graph
 
 
 def single_node_adj():
@@ -363,7 +367,7 @@ class TestBlockedScoring:
         """10,241+ rows end in a ragged block. On several BLAS threads, OpenBLAS's gemv
         sends the rows at each thread split of a partial block (or of the one pass)
         through its tail kernel, so the comparison runs in a one-thread child."""
-        assert one_blas_thread("test_model", f"blocked_matches_unblocked(10241 + 4093, {k})") == [True, True]
+        assert blas_child("test_model", f"blocked_matches_unblocked(10241 + 4093, {k})") == [True, True]
 
     @pytest.mark.parametrize("block", [1024, 4096])
     def test_rows_agree_with_one_pass(self, monkeypatch, block):
@@ -409,27 +413,47 @@ def working_set_task(rows, n=300):
     return TaskData.build(g, labeled)
 
 
+def traced_peak(data, config):
+    """tracemalloc peak of one train_task call, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = train_task(data, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def encoder_task(n, rows):
+    """Node task on a ring with 2n random chords: `rows` training nodes, rows / 8 each
+    for validation and test, so node rows outnumber example rows."""
+    gen = np.random.default_rng(3)
+    ring = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+    keys = np.unique(np.sort(np.vstack([ring, gen.integers(0, n, size=(2 * n, 2))]), axis=1) @ [n, 1])
+    keys = keys[keys // n != keys % n]
+    g = SmeGraph.from_edge_list(n, np.column_stack([keys // n, keys % n]), gen.normal(size=(n, 3)))
+    nodes = gen.choice(n, rows + rows // 4, replace=False)
+    split = np.repeat([TRAIN, VAL, TEST], [rows, rows // 8, rows // 8])
+    return TaskData.build(g, LabeledSet(nodes, gen.integers(0, 2, size=nodes.size), split))
+
+
 class TestTrainingWorkingSet:
     def test_peak_is_bounded_and_a_cache_feeds_one_backward(self):
-        """A training epoch allocates one rows x width float64 array: Z, which becomes
-        H and then dZ, and lives with its cache until the next forward has returned,
-        so two are alive at the peak. On top come the masks (1/8 unit each), the
-        first layer's gather block (SCORE_BLOCK rows, 1/3 unit here) and vectors of
-        rows floats. Measured: 2.52 units; the bound allows 0.38 units of headroom.
-        A step that also allocates rows x width uniforms, endpoint gathers and a
-        separate dZ measures 3.55."""
+        """One copy of each head array is alive: the rows x width float64 buffer that
+        holds Z, then H, then dZ (1 unit), the keep-mask and the dropout mask (1/8
+        unit each, the second in the spent bytes of a block), a gather block of
+        GATHER_ROWS rows, and vectors of rows floats; node rows are few here.
+        Measured: 1.48 units. The bound, 1.65, is what releasing the head's buffer
+        after each backward measured; a step that kept two epochs' buffers measured
+        2.52, and one that also allocated rows x width uniforms, endpoint gathers and
+        a separate dZ 3.55."""
         rows, width = 24_000, 64
         data = working_set_task(rows)
         config = TrainConfig(num_layers=1, embed_dim=16, head_hidden=width, dropout=0.1,
                              max_epochs=2, patience=1, seed=0)
-        tracemalloc.start()
-        try:
-            result = train_task(data, config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, result = traced_peak(data, config)
         unit = rows * width * 8
-        assert peak <= 2.9 * unit, peak / unit
+        assert peak <= 1.65 * unit, peak / unit
 
         model = result.model
         examples = data.examples[data.split == TRAIN]
@@ -437,6 +461,122 @@ class TestTrainingWorkingSet:
         head_backward(np.ones_like(logits), cache, model.head)
         with pytest.raises(ChainriskError, match="missing forward cache"):
             head_backward(np.ones_like(logits), cache, model.head)
+
+    def test_peak_is_bounded_when_the_encoder_dominates(self):
+        """Two encoder layers of width 64 over 4,000 nodes, 1,000 training rows and a
+        head of width 8; a unit is nodes x 64 float64s. One copy per role: per layer
+        the pre-activation (which also takes the dropped input), S, H and a 1/8-unit
+        dropout mask (S and the first layer's dropout only 4 columns wide), plus one
+        node-row buffer for dQ. The second layer's spmm scratch (up to two units) and
+        the relu gradient's 1/8-unit mask come and go. Measured: 8.55 units, against
+        11.57 when two epochs' caches were alive; the bound allows 0.65 of headroom."""
+        n, width = 4000, 64
+        config = TrainConfig(num_layers=2, hidden_dim=width, embed_dim=width, head_hidden=8, dropout=0.1,
+                             max_epochs=2, patience=1, seed=0)
+        data = encoder_task(n, 1000)
+        _ = data.propagated  # computed once per task, before training
+        peak, _ = traced_peak(data, config)
+        assert peak <= 9.2 * n * width * 8, peak / (n * width * 8)
+
+    @pytest.mark.parametrize("kind", ["pair", "node"])
+    def test_peak_does_not_grow_with_epochs(self, kind):
+        data = working_set_task(6000) if kind == "pair" else encoder_task(2000, 1000)
+        _ = data.propagated
+        peaks = []
+        for epochs in (2, 6):
+            config = TrainConfig(num_layers=2, hidden_dim=32, embed_dim=16, head_hidden=32, dropout=0.1,
+                                 max_epochs=epochs, patience=epochs - 1, seed=0)
+            peak, result = traced_peak(data, config)
+            assert len(result.trace) == epochs
+            peaks.append(peak)
+        # the trace and the best parameters add a few hundred bytes per epoch
+        assert abs(peaks[1] - peaks[0]) <= 16_384, peaks
+
+
+def reuse_run(task, layers, rate, with_propagated, ws, epochs=3):
+    """Bytes of every logit and gradient of `epochs` training steps, each followed by a
+    validation pass, on a 30-node graph; `ws` goes to every forward."""
+    gen = np.random.default_rng(4)
+    g = random_graph(gen, 30, 0.15, num_features=3)
+    adj = normalize_adjacency(g)
+    propagated = None
+    if with_propagated:
+        propagated = spmm(adj, g.node_features)
+        propagated.flags.writeable = False
+    model = init_classifier(task, 3, layers, 7, 5, 6, make_rng(1, 1))
+    if task == "pair":
+        u, v = np.triu_indices(30, 1)
+        examples = np.column_stack([u, v])[gen.choice(u.size, 60, replace=False)]
+    else:
+        examples = gen.permutation(30)
+    train, val = examples[:20], examples[20:]
+    y = gen.integers(0, 2, size=20).astype(float)
+    plans = scatter_plans(train, 30)
+    params = model.parameters()
+    state = AdamState(params)
+    drop_rng = make_rng(2, 3)
+    out = []
+    for _ in range(epochs):
+        logits, caches = score_examples(model, adj, g.node_features, train, rate, drop_rng, training=True,
+                                        propagated=propagated, ws=ws)
+        grads = backward(model, bce_logit_grad(sigmoid(logits), y), caches, plans)
+        out += [logits.tobytes()] + [grad.tobytes() for grad in grads]
+        adam_step(params, grads, state, 0.05)
+        val_logits, _ = score_examples(model, adj, g.node_features, val, propagated=propagated, ws=ws)
+        out.append(val_logits.tobytes())
+    if with_propagated:
+        assert not propagated.flags.writeable
+        assert propagated.tobytes() == spmm(adj, g.node_features).tobytes()
+    return out
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("with_propagated", [False, True])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("task", ["pair", "node"])
+    def test_reuse_changes_no_byte(self, task, layers, rate, with_propagated):
+        assert reuse_run(task, layers, rate, with_propagated, Workspace()) == \
+            reuse_run(task, layers, rate, with_propagated, None)
+
+    def test_freed_as_soon_as_training_returns(self, monkeypatch):
+        made = []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(pipeline, "Workspace", Recorded)
+        gc.disable()  # a reference cycle would keep every buffer alive until the collector ran
+        try:
+            train_task(working_set_task(600), TrainConfig(num_layers=2, max_epochs=2, patience=1, seed=0))
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+
+    def test_forward_before_the_backward_raises(self, rng):
+        g = random_graph(rng, 12, 0.3, num_features=3)
+        adj = normalize_adjacency(g)
+        model = init_classifier("pair", 3, 2, 6, 5, 4, make_rng(2, 1))
+        pairs = np.array([(0, 3), (2, 7), (5, 11)])
+        ws = Workspace()
+        logits, caches = score_examples(model, adj, g.node_features, pairs, 0.2, make_rng(1, 5),
+                                        training=True, ws=ws)
+        for training in (False, True):
+            with pytest.raises(ChainriskError, match="has not fed its backward"):
+                score_examples(model, adj, g.node_features, pairs, 0.2, make_rng(1, 5), training=training, ws=ws)
+        backward(model, np.ones_like(logits), caches)
+        score_examples(model, adj, g.node_features, pairs, ws=ws)
+
+    def test_encoder_cache_feeds_one_backward(self, rng):
+        g = random_graph(rng, 12, 0.3, num_features=3)
+        model = init_classifier("node", 3, 2, 6, 5, 4, make_rng(2, 1))
+        logits, caches = score_examples(model, normalize_adjacency(g), g.node_features, np.arange(12), 0.2,
+                                        make_rng(1, 5), training=True, ws=Workspace())
+        backward(model, np.ones_like(logits), caches)
+        with pytest.raises(ChainriskError, match="missing forward cache"):
+            gcn_backward(np.ones((12, 5)), caches[0], model.gcn)
 
 
 class TestPropagated:

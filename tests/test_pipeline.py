@@ -399,6 +399,19 @@ class TestCandidatePairsOracle:
             n, edges, kinds, max_hops, extra
         )
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kinded_graphs(), st.sampled_from((2, 3, 4)), st.sampled_from((1, 7, 10**6)))
+    def test_source_blocks_leave_the_pairs_unchanged(self, graph, max_hops, block):
+        n, edges, kinds, extra = graph
+        g = SmeGraph.from_edge_list(
+            n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)), node_kind=kinds
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "CANDIDATE_SOURCES", block)
+            got = candidate_pairs(g, extra_pairs=extra, max_hops=max_hops)
+        assert got.dtype == np.int64 and got.shape == (got.shape[0], 2)
+        assert list(map(tuple, got.tolist())) == bfs_candidates_oracle(n, edges, kinds, max_hops, extra)
+
     def test_makes_no_dense_propagation(self, monkeypatch):
         from chainrisk.synthgen import generate, paper_calibrated
 

@@ -21,6 +21,8 @@ from chainrisk.synthgen import (
     partner_default_curve,
 )
 
+from conftest import check_graph
+
 
 @pytest.fixture(scope="module")
 def small_economy():
@@ -69,7 +71,7 @@ class TestGenerate:
 
     def test_graph_invariants_hold(self, small_economy):
         _, (g, _, _, _) = small_economy
-        g.validate()
+        check_graph(g)
 
     def test_hidden_count_is_exact(self, small_economy):
         cfg, (g, d_sc, _, gt) = small_economy
