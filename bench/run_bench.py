@@ -12,6 +12,8 @@ The run goes through stage 1 one phase at a time, as
 `pipeline.run_stage1_mining` does:
 
     generate   synthgen.generate(paper_calibrated(--smes, --seed))
+    write      the writers of `chainrisk generate` (graph, both label files
+               and the ground truth) into a temporary directory
     build      pipeline.TaskData.build on the pair set
     train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
                every run has EPOCHS epochs)
@@ -40,9 +42,14 @@ epoch allocates what the later ones may reuse) and the faults of the
 whole call. `peak_rss_mb` is the peak RSS at the end of stage 1. After
 it is read, each train_task runs once more under `tracemalloc`, whose
 peak is `tracemalloc_peak_mb`; its validation losses must equal the timed
-run's. `outputs` holds sha256 digests of both stages' validation losses,
-the candidate logits, the mined edges and the node scores, so two
-checkouts whose outputs are byte-identical show equal digests.
+run's. Last, generate and write run once more under `tracemalloc`:
+generate's record gets its peak and what it keeps when it returns
+(`tracemalloc_kept_mb`), write's the peak of the writers alone; the second
+economy and its files must have the first ones' digests. `outputs` holds
+sha256 digests of the generated arrays, of each written file, of both
+stages' validation losses, the candidate logits, the mined edges and the
+node scores, so two checkouts whose outputs are byte-identical show equal
+digests.
 """
 
 import argparse
@@ -52,6 +59,7 @@ import os
 import platform
 import resource
 import sys
+import tempfile
 import tracemalloc
 from time import perf_counter
 
@@ -60,7 +68,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from chainrisk import graph, model, pipeline, synthgen  # noqa: E402
+from chainrisk import dataio, graph, model, pipeline, synthgen  # noqa: E402
 from chainrisk.nn import sigmoid  # noqa: E402
 
 EPOCHS = 10
@@ -134,19 +142,55 @@ def train_record(phases, name, data, config):
 
 def add_traced_peak(record, data, config, val_losses):
     """Run train_task again under tracemalloc; its peak goes into `record`."""
-    traced, record["tracemalloc_peak_mb"] = traced_peak_mb(data, config)
-    if [row["val_loss"] for row in traced.trace] != val_losses:
+    result, _, record["tracemalloc_peak_mb"] = traced(pipeline.train_task, data, config)
+    if [row["val_loss"] for row in result.trace] != val_losses:
         raise SystemExit("train_task under tracemalloc gave different validation losses")
 
 
-def traced_peak_mb(data, config):
+def traced(call, *args):
+    """(call(*args), MB held when it returns, peak MB during it) under tracemalloc."""
     tracemalloc.start()
     try:
-        result = pipeline.train_task(data, config)
-        _, peak = tracemalloc.get_traced_memory()
+        result = call(*args)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, peak / 2**20
+    return result, kept / 2**20, peak / 2**20
+
+
+def economy_digest(economy):
+    g, pair_set, node_set, truth = economy
+    return sha256(g.indptr, g.indices, g.node_features, g.edge_features, pair_set.examples, pair_set.labels,
+                  pair_set.split, node_set.labels, node_set.split, truth.supply_edges, truth.hidden_mask,
+                  truth.default_labels)
+
+
+def write_files(economy, out):
+    """The paths of the files `chainrisk generate`'s writers make of `economy` in `out`."""
+    g, pair_set, node_set, truth = economy
+    paths = dataio.write_graph(out, g)
+    for name, write, args in (("labels_sc.tsv", dataio.write_pair_labels, (pair_set.examples, pair_set.labels)),
+                              ("labels_dp.tsv", dataio.write_node_labels, (node_set.examples, node_set.labels)),
+                              ("ground_truth.tsv", dataio.write_ground_truth, (truth,))):
+        paths.append(os.path.join(out, name))
+        write(paths[-1], *args)
+    return paths
+
+
+def file_digests(paths):
+    return {os.path.basename(path): dataio.sha256_file(path) for path in paths}
+
+
+def add_traced_generate(phases, gen_config, digest, files):
+    """Run generate and write again under tracemalloc; their peaks go into their records."""
+    economy, kept, peak = traced(synthgen.generate, gen_config)
+    phases.out["generate"].update(tracemalloc_peak_mb=peak, tracemalloc_kept_mb=kept)
+    if economy_digest(economy) != digest:
+        raise SystemExit("generate under tracemalloc gave a different economy")
+    with tempfile.TemporaryDirectory() as out:
+        paths, _, phases.out["write"]["tracemalloc_peak_mb"] = traced(write_files, economy, out)
+        if file_digests(paths) != files:
+            raise SystemExit("the writers under tracemalloc gave different files")
 
 
 def main(argv=None):
@@ -158,9 +202,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     config = pipeline.TrainConfig(seed=args.seed, max_epochs=EPOCHS, patience=EPOCHS - 1, **SHAPE)
+    gen_config = synthgen.paper_calibrated(num_smes=args.smes, seed=args.seed)
     phases = Phases()
-    g, pair_set, node_set, _ = phases.run("generate", synthgen.generate,
-                                          synthgen.paper_calibrated(num_smes=args.smes, seed=args.seed))
+    economy = phases.run("generate", synthgen.generate, gen_config)
+    with tempfile.TemporaryDirectory() as out:
+        files = file_digests(phases.run("write", write_files, economy, out))
+    digest = economy_digest(economy)
+    g, pair_set, node_set, _ = economy
     data = phases.run("build", pipeline.TaskData.build, g, pair_set)
     result = train_record(phases, "train_task", data, config)
     _, reports = phases.run("evaluate", pipeline.evaluate_model, result.model, data)
@@ -184,6 +232,7 @@ def main(argv=None):
                                np.arange(g.num_nodes), 0.0, None, False, data2.propagated)
     val_losses2 = [row["val_loss"] for row in result2.trace]
     add_traced_peak(phases.out["stage2_train_task"], data2, config2, val_losses2)
+    add_traced_generate(phases, gen_config, digest, files)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     record = {
@@ -202,6 +251,8 @@ def main(argv=None):
         "candidates": int(cands.shape[0]),
         "mined_edges": enriched.num_mined,
         "outputs": {
+            "economy": digest,
+            "files": files,
             "val_losses": sha256(np.asarray(val_losses)),
             "candidate_logits": sha256(logits),
             "mined_edges": sha256(enriched.mined_pairs, enriched.mined_scores),
@@ -227,6 +278,10 @@ def main(argv=None):
         print(f"{path}: {name} {train['s']:.2f} s, {train['mean_epoch_ms']:.1f} ms/epoch, "
               f"{train['median_epoch_faults']:.0f} faults/epoch, "
               f"tracemalloc peak {train['tracemalloc_peak_mb']:.1f} MB")
+    for name in ("generate", "write"):
+        phase = phases.out[name]
+        print(f"{path}: {name} {phase['s']:.2f} s, peak RSS {phase['peak_rss_mb']:.1f} MB, "
+              f"tracemalloc peak {phase['tracemalloc_peak_mb']:.1f} MB")
     print(f"{path}: stage-1 peak RSS {record['peak_rss_mb']:.1f} MB")
     return 0
 

@@ -35,11 +35,9 @@ from .pipeline import (
 from .synthgen import (
     GenConfig,
     GroundTruth,
-    attribute_availability,
     generate,
     null_preset,
     paper_calibrated,
-    partner_default_curve,
 )
 
 __version__ = "0.1.0"

@@ -10,6 +10,12 @@ written with shortest round-trip repr, so a load-save cycle is lossless.
   ground_truth.tsv  typed rows: `supply u v hidden` and `node id tier label`
   mined_edges.tsv `u<TAB>v<TAB>score`
   roc_points.tsv  `fpr<TAB>tpr`
+  scores_dp.tsv   `node<TAB>score`
+
+The writers stream: they turn WRITE_CHUNK rows at a time into Python values
+and write WRITE_CHUNK lines at a time (nodes.csv and edges.tsv go through
+the graph WRITE_CHUNK nodes at a time), so a writer's working set does not
+grow with the file.
 
 The readers of the files a command reads (nodes, edges, both label files and
 mined edges) parse a file in one numpy pass when it is in the canonical
@@ -33,6 +39,7 @@ reads. `read_ground_truth`, which no command calls, uses the row parser only.
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import time
@@ -49,24 +56,55 @@ _KIND_BYTES = bytes(sorted(set("".join(NODE_KINDS).encode())))
 # one character wider than the longest tag, so that a longer kind, cut to this
 # width, matches no tag
 _KIND_DTYPE = f"U{max(map(len, NODE_KINDS)) + 1}"
+# lines per write, and rows per `.tolist()` call, of the writers
+WRITE_CHUNK = 1024
 
 
 def _write_lines(path, lines):
+    """Write each of the iterable `lines` and an LF, WRITE_CHUNK lines per write."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join([f"{line}\n" for line in lines]))
+        while chunk := [f"{line}\n" for line in itertools.islice(lines, WRITE_CHUNK)]:
+            fh.write("".join(chunk))
+
+
+def _rows(*columns):
+    """zip over the rows of `columns`, (array, dtype) pairs, as Python values.
+
+    WRITE_CHUNK rows at a time are cast to the column's dtype (None keeps
+    it) and turned into lists with `.tolist()`.
+    """
+    arrays = [(np.asarray(a), dtype) for a, dtype in columns]
+    for lo in range(0, len(arrays[0][0]), WRITE_CHUNK):
+        yield from zip(*[np.asarray(a[lo:lo + WRITE_CHUNK], dtype).tolist() for a, dtype in arrays])
 
 
 def write_graph(out_dir, g):
     nodes_path = os.path.join(out_dir, "nodes.csv")
     edges_path = os.path.join(out_dir, "edges.tsv")
     header = ",".join(["id", "kind", *(f"f{i + 1}" for i in range(g.node_features.shape[1]))])
-    rows = enumerate(zip(g.node_kind.tolist(), g.node_features.tolist()))
-    _write_lines(nodes_path, [header] + [",".join([str(u), kind, *map(repr, x)]) for u, (kind, x) in rows])
+    rows = enumerate(_rows((g.node_kind, None), (g.node_features, None)))
+    _write_lines(nodes_path, itertools.chain(
+        [header], (",".join([str(u), kind, *map(repr, x)]) for u, (kind, x) in rows)))
 
-    pairs, feats = g.undirected_edges()
-    _write_lines(edges_path, ["\t".join([str(u), str(v), *map(repr, row)])
-                              for (u, v), row in zip(pairs.tolist(), feats.tolist())])
+    _write_lines(edges_path, ("\t".join([str(u), str(v), *map(repr, row)])
+                              for pairs, feats in _edge_blocks(g)
+                              for (u, v), row in _rows((pairs, None), (feats, None))))
     return [nodes_path, edges_path]
+
+
+def _edge_blocks(g):
+    """g.undirected_edges() cut into blocks: the (pairs, features) of the
+    edges whose u lies in one run of WRITE_CHUNK nodes, in key order."""
+    start = 0
+    for lo in range(0, g.num_nodes, WRITE_CHUNK):
+        hi = min(lo + WRITE_CHUNK, g.num_nodes)
+        cols = g.indices[g.indptr[lo]:g.indptr[hi]]
+        rows = np.repeat(np.arange(lo, hi), np.diff(g.indptr[lo:hi + 1]))
+        upper = rows < cols
+        stop = start + int(np.count_nonzero(upper))
+        yield np.column_stack([rows[upper], cols[upper]]), g.edge_features[start:stop]
+        start = stop
 
 
 def _read_bytes(path):
@@ -194,8 +232,7 @@ def read_graph(data_dir):
 
 
 def write_node_labels(path, nodes, labels):
-    rows = zip(np.asarray(nodes, dtype=np.int64).tolist(), np.asarray(labels, dtype=np.int64).tolist())
-    _write_lines(path, [f"{u}\t{y}" for u, y in rows])
+    _write_lines(path, (f"{u}\t{y}" for u, y in _rows((nodes, np.int64), (labels, np.int64))))
 
 
 def _label(cell, form):
@@ -226,8 +263,7 @@ def read_node_labels(path):
 
 
 def write_pair_labels(path, pairs, labels):
-    rows = zip(np.asarray(pairs, dtype=np.int64).tolist(), np.asarray(labels, dtype=np.int64).tolist())
-    _write_lines(path, [f"{u}\t{v}\t{y}" for (u, v), y in rows])
+    _write_lines(path, (f"{u}\t{v}\t{y}" for (u, v), y in _rows((pairs, np.int64), (labels, np.int64))))
 
 
 def read_pair_labels(path):
@@ -242,10 +278,10 @@ def read_pair_labels(path):
 
 
 def write_ground_truth(path, truth):
-    supply = zip(truth.supply_edges.tolist(), truth.hidden_mask.tolist())
-    nodes = zip(truth.tiers.astype(np.int64).tolist(), truth.default_labels.astype(np.int64).tolist())
-    _write_lines(path, [f"supply\t{u}\t{v}\t{int(hidden)}" for (u, v), hidden in supply]
-                 + [f"node\t{u}\t{tier}\t{label}" for u, (tier, label) in enumerate(nodes)])
+    supply = _rows((truth.supply_edges, None), (truth.hidden_mask, None))
+    nodes = enumerate(_rows((truth.tiers, np.int64), (truth.default_labels, np.int64)))
+    _write_lines(path, itertools.chain((f"supply\t{u}\t{v}\t{int(hidden)}" for (u, v), hidden in supply),
+                                       (f"node\t{u}\t{tier}\t{label}" for u, (tier, label) in nodes)))
 
 
 def read_ground_truth(path):
@@ -277,8 +313,7 @@ def read_ground_truth(path):
 
 
 def write_mined_edges(path, pairs, scores):
-    rows = zip(np.asarray(pairs).tolist(), np.asarray(scores, dtype=np.float64).tolist())
-    _write_lines(path, [f"{u}\t{v}\t{s!r}" for (u, v), s in rows])
+    _write_lines(path, (f"{u}\t{v}\t{s!r}" for (u, v), s in _rows((pairs, None), (scores, np.float64))))
 
 
 def read_mined_edges(path):
@@ -292,11 +327,11 @@ def read_mined_edges(path):
 
 
 def write_roc_points(path, points):
-    _write_lines(path, [f"{fpr!r}\t{tpr!r}" for fpr, tpr in np.asarray(points, dtype=np.float64).tolist()])
+    _write_lines(path, (f"{fpr!r}\t{tpr!r}" for ((fpr, tpr),) in _rows((points, np.float64))))
 
 
 def write_scores(path, scores):
-    _write_lines(path, [f"{i}\t{s!r}" for i, s in enumerate(np.asarray(scores, dtype=np.float64).tolist())])
+    _write_lines(path, (f"{i}\t{s!r}" for i, (s,) in enumerate(_rows((scores, np.float64)))))
 
 
 def sha256_file(path):

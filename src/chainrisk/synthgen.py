@@ -16,6 +16,11 @@ five attribute blocks (revenue, shareholder, mortgage, recruitment,
 patent), each a (present, value) column pair with calibrated missingness.
 Default labels follow a logistic model in the true partner count, so more
 supply partners means lower default risk.
+
+Generation works one sector block (a sector's tier t against its tier
+t + 1) at a time: matching keeps two int32 rank matrices per block and
+gathers only the linked pairs, and the hard-negative pool is filtered block
+by block. No step holds a table of every admissible pair.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -23,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import rng as rng_streams
-from .errors import InvalidArgument, InvalidConfig, InvalidInput
+from .errors import InvalidConfig, InvalidInput
 from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
 from .pipeline import LabeledSet, _largest_remainder, config_fields, stratified_split
 from .rng import make_rng
@@ -37,9 +42,6 @@ ATTRIBUTE_COLUMNS = {
     for i, attr in enumerate(ATTRIBUTES)
 }
 NUM_FEATURE_COLUMNS = 3 + PROFILE_DIM + 2 * len(ATTRIBUTES)
-
-PARTNER_BUCKETS = (("0-2", 0, 2), ("3-5", 3, 5), ("6-10", 6, 10), (">10", 11, None))
-
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -155,12 +157,6 @@ class GroundTruth:
     def hidden_supply(self):
         return self.supply_edges[self.hidden_mask]
 
-    def supply_graph(self):
-        """Full supply network as a bare graph (for partner-count analyses)."""
-        return SmeGraph.from_edge_list(
-            self.num_nodes, self.supply_edges, np.zeros((self.num_nodes, 0))
-        )
-
 
 def generate(config):
     """Build one economy: graph, labeled sets, and the ground truth.
@@ -236,21 +232,19 @@ def _sector_blocks(tiers, sectors):
             yield order[lo:mid], order[mid:hi]
 
 
-def _ranked_pairs(tiers, sectors, latent):
-    """Every same-sector adjacent-tier pair (u, v), u < v, in key order, and
-    per pair v's rank in u's stable nearest-first order and u's rank in v's."""
-    pairs, ranks = [], []
+def _ranked_blocks(tiers, sectors, latent):
+    """(rows, cols, by_row, by_col) per `_sector_blocks` pair: by_row[i, j] is
+    cols[j]'s rank in rows[i]'s stable nearest-first order and by_col[i, j]
+    rows[i]'s rank in cols[j]'s, as int32."""
+    blocks = []
     for rows, cols in _sector_blocks(tiers, sectors):
         d2 = np.sum((latent[rows][:, None, :] - latent[cols][None, :, :]) ** 2, axis=2)
-        by_row = np.argsort(np.argsort(d2, axis=1, kind="stable"), axis=1)  # rank of col j for row i
-        by_col = np.argsort(np.argsort(d2, axis=0, kind="stable"), axis=0)  # rank of row i for col j
-        pairs.append(np.column_stack([np.repeat(rows, cols.size), np.tile(cols, rows.size)]))
-        ranks.append(np.column_stack([by_row.reshape(-1), by_col.reshape(-1)]))
-    if not pairs:
+        by_row = np.argsort(np.argsort(d2, axis=1, kind="stable"), axis=1).astype(np.int32)
+        by_col = np.argsort(np.argsort(d2, axis=0, kind="stable"), axis=0).astype(np.int32)
+        blocks.append((rows, cols, by_row, by_col))
+    if not blocks:
         raise InvalidConfig("degenerate sector structure; no admissible supply pairs")
-    pairs, ranks = np.concatenate(pairs), np.concatenate(ranks)
-    order = np.argsort(pairs[:, 0] * tiers.size + pairs[:, 1])
-    return pairs[order], ranks[order]
+    return blocks
 
 
 def _sample_supply_edges(config, gen, tiers, sectors, latent):
@@ -264,13 +258,13 @@ def _sample_supply_edges(config, gen, tiers, sectors, latent):
     realized edge count matches supply_density times the admissible pair
     count.
     """
-    pairs, ranks = _ranked_pairs(tiers, sectors, latent)
-    target = config.supply_density * pairs.shape[0]
+    blocks = _ranked_blocks(tiers, sectors, latent)
+    target = config.supply_density * sum(rows.size * cols.size for rows, cols, _, _ in blocks)
     shape = gen.choice(BUDGET_VALUES, size=tiers.size, p=BUDGET_PROBS / BUDGET_PROBS.sum())
     scale = 2.0 * target / float(shape.sum())  # matching yields roughly half the proposals
     for _ in range(4):
         budgets = np.maximum(1, np.rint(scale * shape).astype(np.int64))
-        edges = _match_blocks(pairs, ranks, budgets, config.accept_breadth)
+        edges = _match_blocks(blocks, budgets, config.accept_breadth, tiers.size)
         ratio = target / edges.shape[0] if edges.shape[0] else 2.0
         if 0.95 <= ratio <= 1.05:
             break
@@ -280,18 +274,24 @@ def _sample_supply_edges(config, gen, tiers, sectors, latent):
     return edges
 
 
-def _match_blocks(pairs, ranks, budgets, accept_breadth):
-    """The pairs (u, v) that link at these budgets.
+def _match_blocks(blocks, budgets, accept_breadth, n):
+    """The pairs (u, v), u < v, that link at these budgets, ordered by u * n + v.
 
-    `ranks[:, 0]` is v's rank in u's nearest-first order and `ranks[:, 1]`
-    u's rank in v's. A pair links when one side proposes, ranking the other
-    under its budget, and the other accepts, ranking it under
-    int(accept_breadth * budget).
+    A pair links when one side proposes, ranking the other under its
+    budget, and the other accepts, ranking it under
+    int(accept_breadth * budget). Each block of `_ranked_blocks` is matched
+    on its own; only the linked keys are gathered and sorted.
     """
-    budget = budgets[pairs]
-    wide = (accept_breadth * budget).astype(np.int64)
-    links = np.any((ranks < budget) & (ranks[:, ::-1] < wide[:, ::-1]), axis=1)
-    return pairs[links]
+    keys = []
+    for rows, cols, by_row, by_col in blocks:
+        bu, bv = budgets[rows][:, None], budgets[cols][None, :]
+        wu = (accept_breadth * bu).astype(np.int64)
+        wv = (accept_breadth * bv).astype(np.int64)
+        links = ((by_row < bu) & (by_col < wv)) | ((by_col < bv) & (by_row < wu))
+        i, j = np.nonzero(links)
+        keys.append(rows[i] * n + cols[j])
+    keys = np.sort(np.concatenate(keys))
+    return np.column_stack([keys // n, keys % n])
 
 
 def _sample_social_edges(config, gen, n, supply_keys):
@@ -351,11 +351,10 @@ def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, posi
     n_hard = int(round(config.hard_negative_fraction * n_neg))
     taken = sorted_unique(np.concatenate([supply_keys, social_edges[:, 0] * n + social_edges[:, 1]]))
 
-    hard_pool = np.concatenate([(rows[:, None] * n + cols).reshape(-1)
-                                for rows, cols in _sector_blocks(tiers, sectors)])
-    hard_pool = hard_pool[~in_sorted(hard_pool, taken)]
+    hard_pool = _hard_pool(tiers, sectors, taken)
     n_hard = min(n_hard, hard_pool.size)
     hard = hard_pool[gen.choice(hard_pool.size, size=n_hard, replace=False)] if n_hard else hard_pool[:0]
+    del hard_pool  # free the pool before the uniform draws
     taken = sorted_unique(np.concatenate([taken, hard]))
     free = n * (n - 1) // 2 - taken.size
     if n_neg - n_hard > free:
@@ -370,52 +369,16 @@ def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, posi
     return LabeledSet(examples=pairs, labels=labels, split=split)
 
 
-def attribute_availability(g, attribute, rf_depth):
-    """Share of nodes whose rf_depth-hop ball holds a non-missing value.
-
-    The ball includes the node itself; depth 1 adds direct neighbors, and
-    larger depths widen the reach, so the share is monotone in rf_depth.
-    Returns a fraction in [0, 1].
-    """
-    if attribute not in ATTRIBUTE_COLUMNS:
-        raise InvalidArgument(f"unknown attribute {attribute!r}, have {ATTRIBUTES}")
-    if rf_depth not in (1, 2, 3, 4):
-        raise InvalidArgument("rf_depth must be 1, 2, 3, or 4")
-    pcol, _ = ATTRIBUTE_COLUMNS[attribute]
-    if g.node_features.shape[1] <= pcol:
-        raise InvalidArgument("graph features do not follow the generator schema")
-    reach = g.node_features[:, pcol] > 0.5
-    for _ in range(rf_depth):
-        reach = reach | _any_neighbor(g, reach)
-    return float(reach.mean())
-
-
-def _any_neighbor(g, mask):
-    out = np.zeros(g.num_nodes, dtype=bool)
-    if g.indices.size == 0:
-        return out
-    vals = mask[g.indices]
-    row_len = np.diff(g.indptr)
-    nonempty = row_len > 0
-    out[nonempty] = np.logical_or.reduceat(vals, g.indptr[:-1][nonempty])
-    return out
-
-
-def partner_default_curve(g, labels):
-    """Default rate per partner-count bucket; empty buckets are omitted.
-
-    Partner count is the node degree of `g`, so pass the full supply graph
-    from the ground truth when analyzing the true relationship.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (g.num_nodes,):
-        raise InvalidArgument("labels must cover every node")
-    degree = g.degrees()
-    curve = []
-    for name, lo, hi in PARTNER_BUCKETS:
-        mask = degree >= lo if hi is None else (degree >= lo) & (degree <= hi)
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        curve.append({"bucket": name, "count": count, "rate": float(labels[mask].mean())})
-    return curve
+def _hard_pool(tiers, sectors, taken):
+    """The keys u * n + v of every same-sector adjacent-tier pair not in the
+    sorted `taken`, in `_sector_blocks` order, filtered one block at a time."""
+    n = tiers.size
+    blocks = list(_sector_blocks(tiers, sectors))
+    pool = np.empty(sum(rows.size * cols.size for rows, cols in blocks), dtype=np.int64)
+    filled = 0
+    for rows, cols in blocks:
+        keys = (rows[:, None] * n + cols).reshape(-1)
+        keys = keys[~in_sorted(keys, taken)]
+        pool[filled:filled + keys.size] = keys
+        filled += keys.size
+    return pool[:filled]

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from chainrisk.errors import InvalidInput
+from chainrisk.errors import InvalidArgument, InvalidInput
 from chainrisk.graph import SmeGraph
+from chainrisk.synthgen import ATTRIBUTE_COLUMNS, ATTRIBUTES
 
 
 def random_graph(rng, n, edge_prob, num_features=3):
@@ -44,6 +45,65 @@ def check_graph(g):
         raise InvalidInput("adjacency is not symmetric")
     if g.edge_features.shape[0] != g.indices.size // 2:
         raise InvalidInput("edge feature rows must match undirected edges")
+
+
+PARTNER_BUCKETS = (("0-2", 0, 2), ("3-5", 3, 5), ("6-10", 6, 10), (">10", 11, None))
+
+
+def supply_graph(truth):
+    """The full supply network of a GroundTruth as a bare graph (for partner-count analyses)."""
+    return SmeGraph.from_edge_list(truth.num_nodes, truth.supply_edges, np.zeros((truth.num_nodes, 0)))
+
+
+def attribute_availability(g, attribute, rf_depth):
+    """Share of nodes whose rf_depth-hop ball holds a non-missing value.
+
+    The ball includes the node itself; depth 1 adds direct neighbors, and
+    larger depths widen the reach, so the share is monotone in rf_depth.
+    Returns a fraction in [0, 1].
+    """
+    if attribute not in ATTRIBUTE_COLUMNS:
+        raise InvalidArgument(f"unknown attribute {attribute!r}, have {ATTRIBUTES}")
+    if rf_depth not in (1, 2, 3, 4):
+        raise InvalidArgument("rf_depth must be 1, 2, 3, or 4")
+    pcol, _ = ATTRIBUTE_COLUMNS[attribute]
+    if g.node_features.shape[1] <= pcol:
+        raise InvalidArgument("graph features do not follow the generator schema")
+    reach = g.node_features[:, pcol] > 0.5
+    for _ in range(rf_depth):
+        reach = reach | _any_neighbor(g, reach)
+    return float(reach.mean())
+
+
+def _any_neighbor(g, mask):
+    out = np.zeros(g.num_nodes, dtype=bool)
+    if g.indices.size == 0:
+        return out
+    vals = mask[g.indices]
+    row_len = np.diff(g.indptr)
+    nonempty = row_len > 0
+    out[nonempty] = np.logical_or.reduceat(vals, g.indptr[:-1][nonempty])
+    return out
+
+
+def partner_default_curve(g, labels):
+    """Default rate per partner-count bucket; empty buckets are omitted.
+
+    Partner count is the node degree of `g`, so pass the full supply graph
+    from the ground truth when analyzing the true relationship.
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (g.num_nodes,):
+        raise InvalidArgument("labels must cover every node")
+    degree = g.degrees()
+    curve = []
+    for name, lo, hi in PARTNER_BUCKETS:
+        mask = degree >= lo if hi is None else (degree >= lo) & (degree <= hi)
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        curve.append({"bucket": name, "count": count, "rate": float(labels[mask].mean())})
+    return curve
 
 
 def grad_check(f, params, h=1e-5):

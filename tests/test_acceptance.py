@@ -31,14 +31,19 @@ from chainrisk.pipeline import (
 from chainrisk.rng import make_rng
 from chainrisk.synthgen import (
     ATTRIBUTES,
-    attribute_availability,
     generate,
     null_preset,
     paper_calibrated,
-    partner_default_curve,
 )
 
-from conftest import dense_from_csr, grad_check, random_graph
+from conftest import (
+    attribute_availability,
+    dense_from_csr,
+    grad_check,
+    partner_default_curve,
+    random_graph,
+    supply_graph,
+)
 from test_metrics import auc_pairwise_oracle, ks_sweep_oracle
 from test_pipeline import toy_node_task
 
@@ -204,12 +209,12 @@ def test_criterion_5_stage1_recoverability():
 
 def test_criterion_6_partner_curve_calibration():
     _, _, _, gt = generate(paper_calibrated(num_smes=10000, seed=1))
-    curve = {r["bucket"]: r["rate"] for r in partner_default_curve(gt.supply_graph(), gt.default_labels)}
+    curve = {r["bucket"]: r["rate"] for r in partner_default_curve(supply_graph(gt), gt.default_labels)}
     protective = curve[">10"] <= 0.5 * curve["0-2"]
 
     _, _, _, gt_null = generate(null_preset(num_smes=10000, seed=1))
     global_rate = gt_null.default_labels.mean()
-    null_rows = partner_default_curve(gt_null.supply_graph(), gt_null.default_labels)
+    null_rows = partner_default_curve(supply_graph(gt_null), gt_null.default_labels)
     flat = all(abs(r["rate"] - global_rate) <= 0.03 for r in null_rows)
     _report(6, "partner-risk calibration", protective and flat,
             f"rate(>10)={curve['>10']:.4f} vs 0.5*rate(0-2)={0.5 * curve['0-2']:.4f}; "

@@ -10,18 +10,17 @@ from chainrisk.synthgen import (
     ATTRIBUTE_COLUMNS,
     ATTRIBUTES,
     GenConfig,
+    _hard_pool,
     _match_blocks,
-    _ranked_pairs,
+    _ranked_blocks,
     _sector_blocks,
-    attribute_availability,
     gen_config_from_dict,
     generate,
     null_preset,
     paper_calibrated,
-    partner_default_curve,
 )
 
-from conftest import check_graph
+from conftest import attribute_availability, check_graph, partner_default_curve, supply_graph
 
 
 @pytest.fixture(scope="module")
@@ -138,20 +137,20 @@ class TestCalibration:
 
     def test_protective_partner_effect(self, big):
         _, (_, _, _, gt) = big
-        curve = {row["bucket"]: row for row in partner_default_curve(gt.supply_graph(), gt.default_labels)}
+        curve = {row["bucket"]: row for row in partner_default_curve(supply_graph(gt), gt.default_labels)}
         assert ">10" in curve and "0-2" in curve
         assert curve[">10"]["rate"] <= 0.5 * curve["0-2"]["rate"]
 
     def test_rates_monotone_down_the_buckets(self, big):
         _, (_, _, _, gt) = big
-        rates = [row["rate"] for row in partner_default_curve(gt.supply_graph(), gt.default_labels)]
+        rates = [row["rate"] for row in partner_default_curve(supply_graph(gt), gt.default_labels)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_null_preset_curve_is_flat(self):
         cfg = null_preset(num_smes=10000, seed=1)
         _, _, _, gt = generate(cfg)
         global_rate = gt.default_labels.mean()
-        for row in partner_default_curve(gt.supply_graph(), gt.default_labels):
+        for row in partner_default_curve(supply_graph(gt), gt.default_labels):
             assert abs(row["rate"] - global_rate) <= 0.03
 
     def test_patent_reach_bands(self, big):
@@ -280,7 +279,7 @@ def _oracle_match(blocks, budgets, accept_breadth, n):
 
 def _assert_matches_oracle(tiers, sectors, latent, budgets, accept_breadth):
     want = _oracle_match(_oracle_blocks(tiers, sectors, latent), budgets, accept_breadth, tiers.size)
-    got = _match_blocks(*_ranked_pairs(tiers, sectors, latent), budgets, accept_breadth)
+    got = _match_blocks(_ranked_blocks(tiers, sectors, latent), budgets, accept_breadth, tiers.size)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -304,9 +303,26 @@ def test_rank_rule_matches_the_set_based_matcher(blocks, accept_breadth):
     tiers, sectors, latent, budgets = blocks
     if not _oracle_blocks(tiers, sectors, latent):
         with pytest.raises(InvalidConfig):
-            _ranked_pairs(tiers, sectors, latent)
+            _ranked_blocks(tiers, sectors, latent)
         return
     _assert_matches_oracle(tiers, sectors, latent, budgets, accept_breadth)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(block_sets(), st.data())
+def test_hard_pool_filters_block_by_block_in_pool_order(blocks, data):
+    """The pool equals filtering the concatenation of every block's keys."""
+    tiers, sectors, _, _ = blocks
+    n = tiers.size
+    whole = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [(rows[:, None] * n + cols).reshape(-1) for rows, cols in _scan_blocks(tiers, sectors)])
+    # all, every other or none of the admissible keys, and keys of any pair
+    extra = data.draw(st.lists(st.integers(0, max(n * n - 1, 0)), max_size=40))
+    taken = np.unique(np.concatenate([data.draw(st.sampled_from([whole, whole[::2], whole[:0]])),
+                                      np.asarray(extra, dtype=np.int64)]))
+    want = whole[~in_sorted(whole, taken)]
+    got = _hard_pool(tiers, sectors, taken)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
