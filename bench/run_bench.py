@@ -14,6 +14,10 @@ The run goes through stage 1 one phase at a time, as
     generate   synthgen.generate(paper_calibrated(--smes, --seed))
     write      the writers of `chainrisk generate` (graph, both label files
                and the ground truth) into a temporary directory
+    read_cold  what `chainrisk train` reads of those files (read_graph and
+               both label readers): each text is parsed and its table saved
+               as a binary copy in the parsed-input cache
+    read_warm  the same reads again, each loading its copy
     build      pipeline.TaskData.build on the pair set
     train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
                every run has EPOCHS epochs)
@@ -42,10 +46,12 @@ epoch allocates what the later ones may reuse) and the faults of the
 whole call. `peak_rss_mb` is the peak RSS at the end of stage 1. After
 it is read, each train_task runs once more under `tracemalloc`, whose
 peak is `tracemalloc_peak_mb`; its validation losses must equal the timed
-run's. Last, generate and write run once more under `tracemalloc`:
-generate's record gets its peak and what it keeps when it returns
-(`tracemalloc_kept_mb`), write's the peak of the writers alone; the second
-economy and its files must have the first ones' digests. `outputs` holds
+run's. Last, generate, write and both reads run once more under
+`tracemalloc`, the reads on the second set of files: generate's record
+gets its peak and what it keeps when it returns (`tracemalloc_kept_mb`),
+write's the peak of the writers alone, each read's its own peak; the
+second economy and its files must have the first ones' digests, and every
+read must give the generated arrays. `outputs` holds
 sha256 digests of the generated arrays, of each written file, of both
 stages' validation losses, the candidate logits, the mined edges and the
 node scores, so two checkouts whose outputs are byte-identical show equal
@@ -181,8 +187,33 @@ def file_digests(paths):
     return {os.path.basename(path): dataio.sha256_file(path) for path in paths}
 
 
+def read_files(out):
+    """What `chainrisk train` reads of the files in `out`: the graph and both label files."""
+    return (dataio.read_graph(out), dataio.read_pair_labels(os.path.join(out, "labels_sc.tsv")),
+            dataio.read_node_labels(os.path.join(out, "labels_dp.tsv")))
+
+
+def check_read(read, economy):
+    g, pair_set, node_set, _ = economy
+    back, (pairs, pair_labels), (nodes, node_labels) = read
+    pairs_of_arrays = ((back.indptr, g.indptr), (back.indices, g.indices), (back.node_features, g.node_features),
+                       (back.edge_features, g.edge_features), (back.node_kind, g.node_kind),
+                       (pairs, pair_set.examples), (pair_labels, pair_set.labels),
+                       (nodes, node_set.examples), (node_labels, node_set.labels))
+    if not all(np.array_equal(a, b) for a, b in pairs_of_arrays):
+        raise SystemExit("the readers gave arrays other than the generated ones")
+
+
+def read_phases(phases, economy, out):
+    """Run read_cold and read_warm on the files in `out`, checking what they give."""
+    for name in ("read_cold", "read_warm"):
+        check_read(phases.run(name, read_files, out), economy)
+    if len(os.listdir(os.path.join(out, dataio.CACHE_DIR))) != 4:
+        raise SystemExit("the cold read did not save a binary copy of each file")
+
+
 def add_traced_generate(phases, gen_config, digest, files):
-    """Run generate and write again under tracemalloc; their peaks go into their records."""
+    """Run generate, write and both reads again under tracemalloc; their peaks go into their records."""
     economy, kept, peak = traced(synthgen.generate, gen_config)
     phases.out["generate"].update(tracemalloc_peak_mb=peak, tracemalloc_kept_mb=kept)
     if economy_digest(economy) != digest:
@@ -191,6 +222,9 @@ def add_traced_generate(phases, gen_config, digest, files):
         paths, _, phases.out["write"]["tracemalloc_peak_mb"] = traced(write_files, economy, out)
         if file_digests(paths) != files:
             raise SystemExit("the writers under tracemalloc gave different files")
+        for name in ("read_cold", "read_warm"):
+            read, _, phases.out[name]["tracemalloc_peak_mb"] = traced(read_files, out)
+            check_read(read, economy)
 
 
 def main(argv=None):
@@ -207,6 +241,7 @@ def main(argv=None):
     economy = phases.run("generate", synthgen.generate, gen_config)
     with tempfile.TemporaryDirectory() as out:
         files = file_digests(phases.run("write", write_files, economy, out))
+        read_phases(phases, economy, out)
     digest = economy_digest(economy)
     g, pair_set, node_set, _ = economy
     data = phases.run("build", pipeline.TaskData.build, g, pair_set)
@@ -278,7 +313,7 @@ def main(argv=None):
         print(f"{path}: {name} {train['s']:.2f} s, {train['mean_epoch_ms']:.1f} ms/epoch, "
               f"{train['median_epoch_faults']:.0f} faults/epoch, "
               f"tracemalloc peak {train['tracemalloc_peak_mb']:.1f} MB")
-    for name in ("generate", "write"):
+    for name in ("generate", "write", "read_cold", "read_warm"):
         phase = phases.out[name]
         print(f"{path}: {name} {phase['s']:.2f} s, peak RSS {phase['peak_rss_mb']:.1f} MB, "
               f"tracemalloc peak {phase['tracemalloc_peak_mb']:.1f} MB")

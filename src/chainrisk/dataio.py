@@ -35,8 +35,24 @@ is: it accepts Python `int`/`float` syntax (surrounding whitespace, `_` digit
 separators, `nan`, CR and CRLF line breaks) and reports the first bad line as
 `path:line`. Both paths give the same arrays on every file the bulk path
 reads. `read_ground_truth`, which no command calls, uses the row parser only.
+
+Parsed-input cache: a file the bulk path reads is parsed once. The table
+it gives, if the checks after parsing accept it, is saved as a binary copy
+in CACHE_DIR beside the file (`data/.chainrisk-cache/nodes.csv.npy`),
+after a format tag (`_COPY_MAGIC`) and the SHA-256 of the text it was
+parsed from. Every later read hashes the text it has just read and loads
+the copy, with `np.load(allow_pickle=False)`, when the digest, the table's
+dtype and its size all match; its header is checked against the copy's
+size before the table is allocated. Any other copy is ignored and
+rewritten, and the checks after parsing run on a loaded table as on a
+parsed one. A copy is written to a temporary file and moved into place
+with `os.replace`; a failed write (read-only directory, full disk) only
+costs the next read a parse. Files that go to the row parser are never
+cached. Deleting the directory is always safe, and manifests still record
+the digests of the text files.
 """
 
+import contextlib
 import hashlib
 import io
 import itertools
@@ -58,6 +74,10 @@ _KIND_BYTES = bytes(sorted(set("".join(NODE_KINDS).encode())))
 _KIND_DTYPE = f"U{max(map(len, NODE_KINDS)) + 1}"
 # lines per write, and rows per `.tolist()` call, of the writers
 WRITE_CHUNK = 1024
+# the parsed-input cache: its directory beside each file, and the first bytes of a
+# copy, followed by the SHA-256 of the text and a version 1.0 `.npy` table
+CACHE_DIR = ".chainrisk-cache"
+_COPY_MAGIC = b"CHRKTBL1"
 
 
 def _write_lines(path, lines):
@@ -163,6 +183,60 @@ def _bulk_rows(data, sep, dtype, letters=b""):
         return None
 
 
+def _bulk_table(path, data, rows, sep, dtype, accept, letters=b""):
+    """`_bulk_rows(rows, sep, dtype, letters)` if `accept` takes it, else None,
+    through the binary copy of `path`'s table.
+
+    `data` is every byte of `path`; `rows` is `data` or its part past a
+    header. `accept(table)` runs the checks after parsing, on a loaded copy
+    as on a parsed table; only an accepted parse is saved.
+    """
+    digest = hashlib.sha256(data).digest()
+    copy = os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".npy")
+    dtype = np.dtype(dtype)
+    table = _load_copy(copy, digest, dtype)
+    if table is not None and accept(table):
+        return table
+    table = _bulk_rows(rows, sep, dtype, letters)
+    if table is None or not accept(table):
+        return None
+    _save_copy(copy, digest, table)
+    return table
+
+
+def _load_copy(copy, digest, dtype):
+    """The 1-d `dtype` table saved in `copy` from text of SHA-256 `digest`, or None."""
+    try:
+        with open(copy, "rb") as fh:
+            if fh.read(len(_COPY_MAGIC) + len(digest)) != _COPY_MAGIC + digest:
+                return None
+            start = fh.tell()
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, _, stored = np.lib.format.read_array_header_1_0(fh)
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if stored != dtype or len(shape) != 1 or shape[0] * dtype.itemsize != size:
+                return None
+            fh.seek(start)
+            return np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+
+
+def _save_copy(copy, digest, table):
+    """Save `table` as `copy` atomically; on OSError leave no copy and no temporary file."""
+    tmp = f"{copy}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(copy), exist_ok=True)
+        with open(tmp, "wb") as fh:
+            fh.write(_COPY_MAGIC + digest)
+            np.lib.format.write_array(fh, table, version=(1, 0), allow_pickle=False)
+        os.replace(tmp, copy)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
 def _int(cell):
     value = int(cell)
     if not -(2**63) <= value < 2**63:
@@ -191,18 +265,22 @@ def _edge_row(cells, _):
     return (u, v), list(map(float, cells[2:]))
 
 
+def _dense_known_nodes(table):
+    return np.array_equal(table["id"], np.arange(table.size)) and np.isin(table["kind"], NODE_KINDS).all()
+
+
 def _read_nodes(path):
     """(kinds, X) of nodes.csv."""
-    head, _, body = _read_bytes(path).partition(b"\n")
+    data = _read_bytes(path)
+    head, _, body = data.partition(b"\n")
     try:
         header = head.decode("utf-8").split(",")
     except UnicodeDecodeError:
         header = []
     if header[:2] == ["id", "kind"] and b"\r" not in head:
         dtype = [("id", "i8"), ("kind", _KIND_DTYPE), ("f", "f8", (len(header) - 2,))]
-        table = _bulk_rows(body, ",", dtype, _KIND_BYTES)
-        if (table is not None and np.array_equal(table["id"], np.arange(table.size))
-                and np.isin(table["kind"], NODE_KINDS).all()):
+        table = _bulk_table(path, data, body, ",", dtype, _dense_known_nodes, _KIND_BYTES)
+        if table is not None:
             return table["kind"], np.ascontiguousarray(table["f"])
     rows = _parse_rows(path, ",", _node_row)
     if not rows:
@@ -216,8 +294,9 @@ def _read_edges(path):
     data = _read_bytes(path)
     width = data.partition(b"\n")[0].count(b"\t") + 1
     if width >= 2:
-        table = _bulk_rows(data, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))])
-        if table is not None and np.all(table["uv"][:, 0] < table["uv"][:, 1]):
+        table = _bulk_table(path, data, data, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))],
+                            lambda t: np.all(t["uv"][:, 0] < t["uv"][:, 1]))
+        if table is not None:
             return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
     rows = _parse_rows(path, "\t", _edge_row)
     fe = len(rows[0][1]) if rows else 0
@@ -244,13 +323,12 @@ def _label(cell, form):
 def _bulk_labels(path, num_ids):
     """(ids, int8 labels) of a label file whose lines are `num_ids` integer
     cells and a 0/1 cell, or None when the bulk path declines."""
-    table = _bulk_rows(_read_bytes(path), "\t", [("ids", "i8", (num_ids,)), ("label", "U2")])
+    data = _read_bytes(path)
+    table = _bulk_table(path, data, data, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")],
+                        lambda t: np.all((t["label"] == "0") | (t["label"] == "1")))
     if table is None:
         return None
-    positive = table["label"] == "1"
-    if not np.all(positive | (table["label"] == "0")):
-        return None
-    return np.ascontiguousarray(table["ids"]), positive.astype(np.int8)
+    return np.ascontiguousarray(table["ids"]), (table["label"] == "1").astype(np.int8)
 
 
 def read_node_labels(path):
@@ -318,7 +396,8 @@ def write_mined_edges(path, pairs, scores):
 
 def read_mined_edges(path):
     """(pairs, scores): a (k, 2) int64 array and k float64 scores."""
-    table = _bulk_rows(_read_bytes(path), "\t", [("pair", "i8", (2,)), ("score", "f8")])
+    data = _read_bytes(path)
+    table = _bulk_table(path, data, data, "\t", [("pair", "i8", (2,)), ("score", "f8")], lambda t: True)
     if table is not None:
         return np.ascontiguousarray(table["pair"]), table["score"].copy()
     rows = _parse_rows(path, "\t", lambda c, _: (_int(c[0]), _int(c[1]), float(c[2])), width=3)

@@ -254,19 +254,23 @@ def normalize_adjacency(g):
     return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values)
 
 
-def spmm(adj, H, out=None):
+def spmm(adj, H, out=None, work=None):
     """Sparse-dense product adj @ H with a deterministic reduction order.
 
-    Runs over the layout of `NormalizedAdjacency`: slice 0 gives each row's
-    first term, slices 1, 2, ... are added in order onto a prefix of a tail
-    array, hub rows add their remaining entries with one `np.add.reduceat`,
-    and the rows are gathered back into their original order. Each row thus
-    sums as entry 0 + (entry 1 + entry 2 + ...), the order `np.add.reduceat`
-    over the CSR row uses for rows of at most 8 entries, so those rows match
-    it bit for bit; longer rows agree to rounding. The number of passes is
-    at most SPMM_SLICES + 2 whatever the longest row. `out`, an
-    (n, d) array sharing no memory with H, takes the product; until the
-    final gather its first rows hold the tail.
+    Runs over the layout of `NormalizedAdjacency`: slices 1, 2, ... are
+    added in order onto a prefix of a tail array, hub rows add their
+    remaining entries with one `np.add.reduceat`, slice 0 gives each row's
+    first term in a head array, the tail is added onto it, and the rows are
+    gathered back into their original order. Each row thus sums as
+    entry 0 + (entry 1 + entry 2 + ...), the order `np.add.reduceat` over
+    the CSR row uses for rows of at most 8 entries, so those rows match it
+    bit for bit; longer rows agree to rounding. The number of passes is at
+    most SPMM_SLICES + 2 whatever the longest row. `out`, an (n, d) array
+    sharing no memory with H, takes the product; until the final gather its
+    first rows hold the tail. `work`, if given, is a float64 array of n + 1
+    rows of that width sharing no memory with H or `out`: it holds the
+    terms of slices 2, 3, ... and then the head, as `ScatterPlan.apply`'s
+    `work` holds its sums.
     """
     H = np.asarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != adj.num_nodes:
@@ -276,19 +280,14 @@ def spmm(adj, H, out=None):
         out.fill(0.0)
         return out
     # column ids were range-checked when the layout was built, so take need not check them
-    (cols, vals), *rest = adj._slices
-    head = np.empty((cols.size + 1, H.shape[1]))
-    np.take(H, cols, axis=0, out=head[:-1], mode="clip")
-    head[:-1] *= vals
-    head[-1] = 0.0
+    (cols0, vals0), *rest = adj._slices
+    work = np.empty((cols0.size + 1, H.shape[1])) if work is None else work
     if rest:
         cols, vals = rest[0]
         tail = np.take(H, cols, axis=0, out=out[: cols.size], mode="clip")
         tail *= vals
-        if len(rest) > 1:
-            buf = np.empty((rest[1][0].size, H.shape[1]))
         for cols, vals in rest[1:]:
-            term = np.take(H, cols, axis=0, out=buf[: cols.size], mode="clip")
+            term = np.take(H, cols, axis=0, out=work[: cols.size], mode="clip")
             term *= vals
             tail[: cols.size] += term
         if adj._hubs is not None:
@@ -296,6 +295,11 @@ def spmm(adj, H, out=None):
             term = np.take(H, cols, axis=0, mode="clip")
             term *= vals
             tail[: seg.size] += np.add.reduceat(term, seg, axis=0)
+    head = work[: cols0.size + 1]
+    np.take(H, cols0, axis=0, out=head[:-1], mode="clip")
+    head[:-1] *= vals0
+    head[-1] = 0.0
+    if rest:
         head[: tail.shape[0]] += tail
     return np.take(head, adj._rank, axis=0, out=out, mode="clip")
 

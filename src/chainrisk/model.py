@@ -37,24 +37,29 @@ at once share bytes (l is an encoder layer, j an endpoint):
 
     role          training forward         backward              validation
     ("mask", l)   dropout mask of layer l
-    ("Z", l)      dropped input, then Z    dS (l > 0)            Z, relu in place
-    ("S", l)      S                        dD, scaled in place   S (l > 0)
-    ("H", l)      relu(Z)                  relu gradient dZ
+    ("Z", l)      dropped input, then Z,   dS (l > 0)            Z, relu in place
+                  relu in place
+    ("S", l)      S                        dD, scaled in place;  S (l > 0)
+                                           then layer l - 1's dZ
     ("block", j)  Q W0_j; then the head's  rows scattered onto   Q W0_j
                   dropout mask (j = 0)     endpoint j; endpoint
                                            j + 1's dQ product
     "rows"        Z, then H in place       dZ in place           a score block's Z
-    "spare"       gather block; keep-mask  scatter sums; dQ      gather block
+    "spare"       spmm scratch; gather     scatter sums; dQ,     spmm scratch;
+                  block; keep-mask         then the last layer's gather block
+                                           dZ; spmm scratch
+
+The encoder keeps relu(Z), not Z: its relu gradient reads H > 0, which
+holds exactly where Z > 0, and is written over the upstream gradient.
 
 A forward that would reuse a workspace whose head cache has not fed its
 backward raises ChainriskError instead. `TaskData.propagated` is only
 ever read. Without a workspace every array is allocated, as numpy's
 `out=None` does.
 
-A scoring-only forward (training=False) keeps no cache: the encoder applies
-its relus in place, and the head forms the `Q W0` blocks once and scores
-the examples in blocks of `SCORE_BLOCK` rows, so its memory is set by the
-block size rather than the row count.
+A scoring-only forward (training=False) keeps no cache: the head forms
+the `Q W0` blocks once and scores the examples in blocks of `SCORE_BLOCK`
+rows, so its memory is set by the block size rather than the row count.
 `gcn_forward` takes the first propagation `spmm(adj, X)` precomputed
 (`propagated`) when that layer has no dropout; `TaskData.propagated` in
 `pipeline` holds it once per task.
@@ -207,8 +212,8 @@ def _take(ws, role, shape, dtype=np.float64):
 def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None, ws=None):
     """Run the encoder; returns (embeddings, cache for backward).
 
-    A scoring-only forward (training=False) keeps no cache and applies each
-    relu in place. `propagated`, if given, must be `spmm(adj, X)`; the
+    Every relu is applied in place; a scoring-only forward (training=False)
+    keeps no cache. `propagated`, if given, must be `spmm(adj, X)`; the
     first layer uses it in place of its own product whenever it applies no
     dropout. `ws`, a Workspace, supplies every array the pass writes.
     """
@@ -232,13 +237,11 @@ def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, prop
         if l == 0 and mask is None and propagated is not None:
             S = propagated
         else:
-            S = spmm(adj, D, out=_take(ws, ("S", l), D.shape))
+            S = spmm(adj, D, out=_take(ws, ("S", l), D.shape), work=_take(ws, "spare", (n + 1, D.shape[1])))
         Z = np.matmul(S, W, out=_take(ws, ("Z", l), (n, W.shape[1])))
+        H = relu(Z, out=Z)
         if training:
-            layers.append({"S": S, "Z": Z, "mask": mask})
-            H = relu(Z, out=_take(ws, ("H", l), Z.shape))
-        else:
-            H = relu(Z, out=Z)
+            layers.append({"S": S, "H": H, "mask": mask})
     cache = {"adj": adj, "layers": layers, "rate": dropout_rate, "ws": ws} if training else None
     return H, cache
 
@@ -248,21 +251,24 @@ def gcn_backward(dQ, cache, params):
 
     The layers leave the cache, whose workspace arrays the backward
     overwrites, so the cache feeds one backward and a second call raises
-    ChainriskError.
+    ChainriskError. `dQ`, if a float64 array, is overwritten too: the last
+    layer's relu gradient is written into it.
     """
     if cache is None or "layers" not in cache:
         raise ChainriskError("missing forward cache")
     adj, rate, ws, layers = cache["adj"], cache["rate"], cache["ws"], cache.pop("layers")
     grads = [None] * params.num_layers
-    upstream = dQ
+    upstream = np.asarray(dQ, dtype=np.float64)
     for l in range(params.num_layers - 1, -1, -1):
         layer = layers[l]
-        dZ = relu_grad(upstream, layer["Z"], out=_take(ws, ("H", l), layer["Z"].shape))
+        # H > 0 wherever Z > 0, so the relu gradient reads the kept H
+        dZ = relu_grad(upstream, layer["H"], out=upstream)
         grads[l] = layer["S"].T @ dZ
         if l > 0:
             W = params.weights[l]
             dS = np.matmul(dZ, W.T, out=_take(ws, ("Z", l), (adj.num_nodes, W.shape[0])))
-            dD = spmm(adj, dS, out=_take(ws, ("S", l), dS.shape))
+            dD = spmm(adj, dS, out=_take(ws, ("S", l), dS.shape),
+                      work=_take(ws, "spare", (adj.num_nodes + 1, dS.shape[1])))
             upstream = dropout_grad(dD, layer["mask"], rate, out=dD)
     return grads
 

@@ -27,9 +27,19 @@ def relu(x, out=None):
 
 
 def relu_grad(upstream, preact, out=None):
-    """Backward of relu; the subgradient at exactly 0 is taken as 0. `out` may be `upstream`."""
-    out = np.positive(upstream, out=out)  # a bit-exact copy
-    np.putmask(out, ~(preact > 0.0), 0.0)
+    """Backward of relu: `upstream` where preact > 0, +0.0 elsewhere.
+
+    The subgradient at exactly 0 is taken as 0. Live units keep upstream's
+    bits, NaN, inf and -0.0 included, and dead units give +0.0 whatever
+    upstream holds: the float64 bits are ANDed with an all-ones or all-zeros
+    int64 word, widened from a one-byte mask in numpy's small cast buffers.
+    `out` may be `upstream`.
+    """
+    upstream = np.asarray(upstream, dtype=np.float64)
+    live = np.greater(preact, 0.0).view(np.int8)
+    np.negative(live, out=live)  # 1 -> -1, all bits set
+    out = np.empty(upstream.shape) if out is None else out
+    np.bitwise_and(upstream.view(np.int64), live, out=out.view(np.int64))
     return out
 
 

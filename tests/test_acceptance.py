@@ -95,12 +95,13 @@ def two_stage_runs():
 def _min_preact_distance(model, caches, examples):
     """Smallest |pre-activation| across the encoder and head layers.
 
-    The head's pre-activation is rebuilt from the embeddings, since the
-    head keeps only its keep-mask.
+    The pre-activations are rebuilt: an encoder layer's from its kept S and
+    its weights, since the encoder keeps only relu(Z), and the head's from
+    the embeddings, since the head keeps only its keep-mask.
     """
     gcn_cache, _ = caches
-    values = [np.abs(layer["Z"]).min() for layer in gcn_cache["layers"]]
-    Q = np.maximum(gcn_cache["layers"][-1]["Z"], 0.0)
+    values = [np.abs(layer["S"] @ W).min() for layer, W in zip(gcn_cache["layers"], model.gcn.weights)]
+    Q = gcn_cache["layers"][-1]["H"]
     rows = np.asarray(examples).reshape(len(examples), -1)
     A = np.concatenate([Q[rows[:, j]] for j in range(rows.shape[1])], axis=1)
     values.append(np.abs(A @ model.head.weights[0] + model.head.biases[0]).min())

@@ -1,4 +1,7 @@
 import contextlib
+import hashlib
+import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -8,6 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from chainrisk import dataio
+from chainrisk.cli import main
 from chainrisk.errors import InvalidInput
 from chainrisk.graph import SmeGraph
 from chainrisk.synthgen import generate, paper_calibrated
@@ -160,8 +164,9 @@ def bulk_only():
 
 
 def rows_only():
-    """Readers run with the bulk path declining every file."""
-    return mock.patch.object(dataio, "_bulk_rows", return_value=None)
+    """Readers run with the bulk path declining every file, binary copies included."""
+    return mock.patch.multiple(dataio, _bulk_rows=mock.Mock(return_value=None),
+                               _load_copy=mock.Mock(return_value=None))
 
 
 def _arrays(out):
@@ -466,3 +471,132 @@ def test_generate_and_writers_working_set(tmp_path):
         _, kept, peak = _traced(write)
         above_kept[n] = peak - kept
     assert above_kept[20000] <= 1.2 * above_kept[5000], above_kept
+
+
+def copy_of(path):
+    """Where the parsed-input cache keeps the binary copy of `path`'s table."""
+    return path.parent / dataio.CACHE_DIR / f"{path.name}.npy"
+
+
+def no_parse():
+    """Readers run with every bulk parse an error, so only binary copies are read."""
+    return mock.patch.object(dataio, "_bulk_rows", side_effect=AssertionError("the bulk path parsed a file"))
+
+
+class TestParsedInputCache:
+    @pytest.fixture()
+    def files(self, tmp_path):
+        write_dataset(tmp_path, rng=np.random.default_rng(1), **BULK_DATASETS["cli-300"]())
+        return tmp_path
+
+    @pytest.mark.parametrize("name", sorted(BULK_READERS))
+    def test_cached_read_equals_parsed_read(self, files, name):
+        read, whole_dir = BULK_READERS[name]
+        target = files if whole_dir else files / name
+        assert not copy_of(files / name).exists()
+        parsed = read(target)
+        assert copy_of(files / name).read_bytes().startswith(
+            dataio._COPY_MAGIC + hashlib.sha256((files / name).read_bytes()).digest())
+        with no_parse():
+            cached = read(target)
+        assert_same_arrays(cached, parsed)
+
+    def test_new_text_gives_new_arrays_and_replaces_the_copy(self, tmp_path):
+        path = tmp_path / "labels_dp.tsv"
+        dataio.write_node_labels(path, [0, 1, 2], [0, 1, 0])
+        dataio.read_node_labels(path)
+        dataio.write_node_labels(path, [0, 1, 2, 5], [1, 1, 0, 1])
+        nodes, labels = dataio.read_node_labels(path)
+        assert nodes.tolist() == [0, 1, 2, 5] and labels.tolist() == [1, 1, 0, 1]
+        assert copy_of(path).read_bytes().startswith(dataio._COPY_MAGIC + hashlib.sha256(path.read_bytes()).digest())
+        with no_parse():
+            assert_same_arrays(dataio.read_node_labels(path), (nodes, labels))
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "garbage table", "wrong dtype", "long shape"])
+    def test_bad_copy_is_never_loaded_and_is_rewritten(self, tmp_path, damage):
+        path = tmp_path / "mined_edges.tsv"
+        dataio.write_mined_edges(path, [[0, 5], [2, 3]], [0.5, 0.25])
+        want = dataio.read_mined_edges(path)
+        copy = copy_of(path)
+        good = copy.read_bytes()
+        digest = hashlib.sha256(path.read_bytes()).digest()
+        if damage == "truncated":
+            copy.write_bytes(good[:-8])
+        elif damage == "garbage":
+            copy.write_bytes(bytes(range(256)))
+        elif damage == "garbage table":  # the right digest, then no .npy table
+            copy.write_bytes(dataio._COPY_MAGIC + digest + bytes(range(256)))
+        elif damage == "wrong dtype":
+            dataio._save_copy(str(copy), digest, np.zeros(2, dtype=[("pair", "i4", (2,)), ("score", "f8")]))
+        else:  # a header that claims more rows than the file holds
+            assert good.count(b"'shape': (2,)") == 1
+            copy.write_bytes(good.replace(b"'shape': (2,)", b"'shape': (9,)"))
+        with mock.patch.object(np, "load", side_effect=AssertionError("a bad copy was loaded")):
+            assert_same_arrays(dataio.read_mined_edges(path), want)
+        assert copy.read_bytes() == good
+
+    def test_loaded_copy_goes_through_the_checks_after_parsing(self, tmp_path):
+        path = tmp_path / "labels_dp.tsv"
+        dataio.write_node_labels(path, [0, 1, 2], [0, 1, 0])
+        dataio.read_node_labels(path)
+        good = copy_of(path).read_bytes()
+        forged = np.array([([0], "0"), ([1], "7"), ([2], "0")], dtype=[("ids", "i8", (1,)), ("label", "U2")])
+        dataio._save_copy(str(copy_of(path)), hashlib.sha256(path.read_bytes()).digest(), forged)
+        nodes, labels = dataio.read_node_labels(path)
+        assert nodes.tolist() == [0, 1, 2] and labels.tolist() == [0, 1, 0]
+        assert copy_of(path).read_bytes() == good
+
+    def test_failed_write_leaves_the_read_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "labels_sc.tsv"
+        dataio.write_pair_labels(path, [[0, 1], [2, 7]], [1, 0])
+
+        moves = []
+
+        def refuse(src, dst):
+            moves.append((os.path.dirname(src), src != dst, dst))
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(dataio.os, "replace", refuse)
+        pairs, labels = dataio.read_pair_labels(path)
+        assert pairs.tolist() == [[0, 1], [2, 7]] and labels.tolist() == [1, 0]
+        # the copy is written to a temporary file beside it, then moved into place
+        assert moves == [(str(tmp_path / dataio.CACHE_DIR), True, str(copy_of(path)))]
+        assert list((tmp_path / dataio.CACHE_DIR).iterdir()) == []  # no copy and no temporary file
+
+    @pytest.mark.parametrize("name", sorted(BULK_READERS))
+    def test_crlf_file_is_never_cached(self, small_dataset, tmp_path, name):
+        _, files = small_dataset
+        for fname, data in files.items():
+            (tmp_path / fname).write_bytes(data.replace(b"\n", b"\r\n") if fname == name else data)
+        read, whole_dir = BULK_READERS[name]
+        with rows_only():
+            want = read(tmp_path if whole_dir else tmp_path / name)
+        assert_same_arrays(read(tmp_path if whole_dir else tmp_path / name), want)
+        assert not copy_of(tmp_path / name).exists()
+
+
+    def test_table_rejected_after_parsing_is_never_cached(self, tmp_path):
+        path = tmp_path / "labels_dp.tsv"
+        path.write_text("0\t1\n1\t7\n")
+        with pytest.raises(InvalidInput, match="labels_dp.tsv:2"):
+            dataio.read_node_labels(path)
+        assert not copy_of(path).exists()
+
+
+def test_second_eval_parses_nothing(tmp_path):
+    gen, train = tmp_path / "gen.json", tmp_path / "train.json"
+    gen.write_text(json.dumps({"preset": "paper-calibrated", "num_smes": 300, "seed": 7, "sector_size": 50}))
+    train.write_text(json.dumps({"max_epochs": 5, "patience": 4, "hidden_dim": 16, "embed_dim": 16,
+                                 "head_hidden": 16, "seed": 3}))
+    data, sc, dp = (str(tmp_path / name) for name in ("data", "sc", "dp"))
+    assert main(["generate", "--config", str(gen), "--out", data]) == 0
+    assert main(["train", "sc", "--data", data, "--config", str(train), "--out", sc]) == 0
+    mined = ["--mined", os.path.join(sc, "mined_edges.tsv")]
+    assert main(["train", "dp", "--data", data, "--config", str(train), "--out", dp, *mined]) == 0
+    evaluate = ["eval", "--checkpoint", os.path.join(dp, "checkpoint_dp.bin"), "--data", data, *mined]
+    reports = []
+    for out in ("ev1", "ev2"):
+        with no_parse() if out == "ev2" else contextlib.nullcontext():
+            assert main([*evaluate, "--out", str(tmp_path / out)]) == 0
+        reports.append((tmp_path / out / "eval_report.json").read_bytes())
+    assert reports[0] == reports[1]

@@ -15,6 +15,7 @@ from chainrisk.nn import (
     dropout,
     dropout_mask,
     relu,
+    relu_grad,
     sigmoid,
 )
 from chainrisk.rng import make_rng
@@ -26,6 +27,19 @@ class TestActivations:
     def test_relu_values(self):
         x = np.array([[-2.0, 3.0, 0.0]])
         assert np.array_equal(relu(x), [[0.0, 3.0, 0.0]])
+
+    def test_relu_grad_bits(self):
+        """Live units keep upstream's bits, signed zero, infinities and NaN included;
+        dead units, at a pre-activation of 0, -0.0, below 0 or NaN, give +0.0."""
+        special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 2.5, -1e-300]
+        up = np.array([special * 2, special[::-1] * 2])
+        pre = np.array([[1.0] * 8 + [0.0, -0.0, -1.0, np.nan, -np.inf, 0.0, -2.0, np.nan],
+                        [0.0, -0.0, -1.0, np.nan, -np.inf, 0.0, -2.0, np.nan] + [5e-324] * 7 + [np.inf]])
+        want = np.where(pre > 0.0, up, 0.0)  # np.where copies the chosen bits
+        assert relu_grad(up, pre).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        inplace = up.copy()
+        assert relu_grad(inplace, pre, out=inplace) is inplace
+        assert inplace.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_sigmoid_midpoint(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
