@@ -22,7 +22,7 @@ The run goes through stage 1 one phase at a time, as
     train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
                every run has EPOCHS epochs)
     evaluate   pipeline.evaluate_model (gives the test AUC)
-    candidates pipeline.candidate_pairs
+    candidates graph.candidate_pairs, the CSR frontier join over SME sources
     scoring    model.score_examples over the candidates
     enrich     graph.enrich at the config's tau
 
@@ -248,7 +248,7 @@ def main(argv=None):
     result = train_record(phases, "train_task", data, config)
     _, reports = phases.run("evaluate", pipeline.evaluate_model, result.model, data)
     test_pairs = data.examples[data.split == pipeline.TEST]
-    cands = phases.run("candidates", pipeline.candidate_pairs, g, test_pairs, config.candidate_hops)
+    cands = phases.run("candidates", graph.candidate_pairs, g, test_pairs, config.candidate_hops)
     logits, _ = phases.run("scoring", model.score_examples, result.model, data.adj, data.X, cands,
                            0.0, None, False, data.propagated)
     known = data.examples[(data.labels == 1) & (data.split != pipeline.TEST)]

@@ -16,25 +16,21 @@ from .errors import (
     TrainingDivergence,
     UndefinedMetric,
 )
-from .graph import EnrichedGraph, SmeGraph, enrich, normalize_adjacency, spmm
+from .graph import EnrichedGraph, SmeGraph, candidate_pairs, enrich, normalize_adjacency, spmm
+from .labels import GroundTruth, LabeledSet, sample_negatives, stratified_split
 from .metrics import EvalReport, auc, ks, roc_points
 from .model import load_checkpoint, save_checkpoint, score_examples
 from .pipeline import (
     GridSpec,
-    LabeledSet,
     TaskData,
     TrainConfig,
-    candidate_pairs,
     grid_search,
     run_stage1_mining,
     run_stage2_default,
-    sample_negatives,
-    stratified_split,
     train_task,
 )
 from .synthgen import (
     GenConfig,
-    GroundTruth,
     generate,
     null_preset,
     paper_calibrated,

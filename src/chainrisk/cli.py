@@ -16,7 +16,6 @@ import numpy as np
 
 from . import dataio
 from .errors import (
-    ChainriskError,
     CheckpointVersionError,
     InvalidArgument,
     InvalidConfig,
@@ -25,21 +24,17 @@ from .errors import (
     TrainingDivergence,
 )
 from .graph import enrich
+from .labels import TEST, LabeledSet, first_invalid_example, sample_negatives, stratified_split
 from .metrics import EvalReport, roc_points
 from .model import load_checkpoint, save_checkpoint, score_examples
 from .nn import sigmoid
 from .pipeline import (
-    TEST,
     GridSpec,
-    LabeledSet,
     TaskData,
     TrainConfig,
-    first_invalid_example,
     grid_search,
     run_stage1_mining,
     run_stage2_default,
-    sample_negatives,
-    stratified_split,
 )
 from .synthgen import gen_config_from_dict, generate
 
@@ -261,22 +256,7 @@ def cmd_train(args):
 
     if grid_rows is not None:
         grid_path = os.path.join(args.out, "grid_table.tsv")
-        header = "learning_rate\tdropout\tnum_layers\tval_auc\tbest_epoch\tstatus"
-        lines = [header] + [
-            "\t".join(
-                [
-                    repr(float(r["learning_rate"])),
-                    repr(float(r["dropout"])),
-                    str(r["num_layers"]),
-                    "" if r["val_auc"] is None else repr(float(r["val_auc"])),
-                    "" if r["best_epoch"] is None else str(r["best_epoch"]),
-                    r["status"],
-                ]
-            )
-            for r in grid_rows
-        ]
-        with open(grid_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        dataio.write_grid_table(grid_path, grid_rows)
         stage_outputs.append(grid_path)
 
     extra["metrics"] = {name: rep.to_dict() for name, rep in result.reports.items()}

@@ -11,6 +11,7 @@ written with shortest round-trip repr, so a load-save cycle is lossless.
   mined_edges.tsv `u<TAB>v<TAB>score`
   roc_points.tsv  `fpr<TAB>tpr`
   scores_dp.tsv   `node<TAB>score`
+  grid_table.tsv  a header, then one grid-search cell a line
 
 The writers stream: they turn WRITE_CHUNK rows at a time into Python values
 and write WRITE_CHUNK lines at a time (nodes.csv and edges.tsv go through
@@ -65,6 +66,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .graph import NODE_KINDS, SmeGraph
+from .labels import GroundTruth
 
 # bytes of a bulk-read line besides its separator: number characters and LF
 _NUMBER_BYTES = b"0123456789+-.eE\n"
@@ -363,8 +365,6 @@ def write_ground_truth(path, truth):
 
 
 def read_ground_truth(path):
-    from .synthgen import GroundTruth
-
     supply, hidden, tiers, labels = [], [], [], []
 
     def record(cells, _):
@@ -411,6 +411,18 @@ def write_roc_points(path, points):
 
 def write_scores(path, scores):
     _write_lines(path, (f"{i}\t{s!r}" for i, (s,) in enumerate(_rows((scores, np.float64)))))
+
+
+def write_grid_table(path, rows):
+    """One line per `GridSearchResult.table` row; a diverged cell leaves val_auc and best_epoch empty."""
+    def blank_or(value, fmt):
+        return "" if value is None else fmt(value)
+
+    _write_lines(path, itertools.chain(
+        ["learning_rate\tdropout\tnum_layers\tval_auc\tbest_epoch\tstatus"],
+        ("\t".join([repr(float(r["learning_rate"])), repr(float(r["dropout"])), str(r["num_layers"]),
+                    blank_or(r["val_auc"], lambda x: repr(float(x))), blank_or(r["best_epoch"], str), r["status"]])
+         for r in rows)))
 
 
 def sha256_file(path):

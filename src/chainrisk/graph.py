@@ -7,7 +7,8 @@ table with one row per undirected edge, in the order of
 `SmeGraph.undirected_edges()`. Normalization produces the symmetric
 operator with self-loops that the propagation step multiplies by. Both
 sparse row sums, `spmm` and the head's `ScatterPlan`, run over the layout
-of `row_slices`, each in its own summation order.
+of `row_slices`, each in its own summation order. `candidate_pairs`, the
+stage-1 candidate search, is a frontier join over the raw CSR adjacency.
 """
 
 from dataclasses import dataclass, field
@@ -425,3 +426,58 @@ def enrich(g, mined, tau):
     scores = scores[order][first]
     pairs = np.column_stack([keys // g.num_nodes, keys % g.num_nodes])
     return EnrichedGraph(g, pairs, scores, tau)
+
+
+# SME sources per frontier join in `candidate_pairs`; keys are `src * n + node`, so
+# the blocks' pairs are disjoint and the result does not depend on it
+CANDIDATE_SOURCES = 8192
+
+
+def candidate_pairs(g, extra_pairs=None, max_hops=3):
+    """SME non-edges within `max_hops` hops, plus any extra labeled pairs.
+
+    Bounding candidates to a small neighborhood radius keeps scoring far
+    below the all-pairs quadratic blowup. Three hops is the useful default:
+    in a tiered supply graph an unobserved cross-tier link sits at odd
+    distance, so a 2-hop ball would contain none of them. Extra pairs
+    (typically the held-out test pairs) are merged in after the same
+    observed-edge and kind filters.
+
+    The search is a breadth-first frontier join on the CSR adjacency, run
+    for CANDIDATE_SOURCES sources at once on `src * n + node` keys; paths
+    may pass through nodes of any kind. Its cost is proportional to the
+    summed `max_hops`-ball sizes of the sources, not to n², and its memory
+    to those of one block of sources.
+    """
+    if max_hops not in (2, 3, 4):
+        raise InvalidArgument("max_hops must be 2, 3, or 4")
+    n = g.num_nodes
+    allowed = g.node_kind == "sme"
+    sources = np.flatnonzero(allowed)
+    chunks = [np.zeros(0, dtype=np.int64)]
+    for first in range(0, sources.size, CANDIDATE_SOURCES):
+        block = sources[first:first + CANDIDATE_SOURCES]
+        # level h holds the sorted keys of every (source, node) pair at distance h;
+        # a neighbour of a node at distance h lies at distance h - 1, h or h + 1,
+        # so a new level only has to be checked against the last two
+        prev = np.zeros(0, dtype=np.int64)
+        level = block * n + block
+        for hop in range(1, max_hops + 1):
+            src, node = np.divmod(level, n)
+            deg = g.indptr[node + 1] - g.indptr[node]
+            # flat CSR positions of every frontier node's row, concatenated
+            offsets = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg - g.indptr[node], deg)
+            reached = sorted_unique(np.repeat(src, deg) * n + g.indices[offsets])
+            prev, level = level, reached[~(in_sorted(reached, prev) | in_sorted(reached, level))]
+            if hop >= 2:  # distance 1 is an observed edge
+                u, v = np.divmod(level, n)
+                chunks.append(level[(u < v) & allowed[v]])
+    if extra_pairs is not None and len(extra_pairs):
+        extra = check_ids(extra_pairs, n).reshape(-1, 2)
+        lo = np.minimum(extra[:, 0], extra[:, 1])
+        hi = np.maximum(extra[:, 0], extra[:, 1])
+        keys = lo * n + hi
+        keep = (lo != hi) & allowed[lo] & allowed[hi] & ~in_sorted(keys, g.edge_keys())
+        chunks.append(keys[keep])
+    keys = sorted_unique(np.concatenate(chunks))
+    return np.column_stack([keys // n, keys % n])

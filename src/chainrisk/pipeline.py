@@ -4,21 +4,18 @@ then train the default predictor on the enriched view.
 Training is full batch (desk-scale graphs fit in memory) with Adam, early
 stopping on validation loss, and optional grid search over learning rate,
 dropout, and depth. Identical (data, config, seed) triples reproduce
-bit-identical traces, mined edges, and reports.
+bit-identical traces, mined edges, and reports. The labeled sets and their
+splits come from `labels`, candidate search from `graph`.
 """
 
-import json
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
-from . import rng as rng_streams
 from .errors import (
-    InvalidArgument,
     InvalidConfig,
     InvalidInput,
     NoViableConfig,
@@ -26,89 +23,21 @@ from .errors import (
 )
 from .graph import (
     EnrichedGraph,
-    check_ids,
+    candidate_pairs,
     enrich,
-    in_sorted,
     normalize_adjacency,
-    sample_pair_keys,
     scatter_plans,
-    sorted_unique,
     spmm,
     standardize_columns,
 )
+from .labels import SPLIT_NAMES, TEST, TRAIN, VAL, config_fields
 from .metrics import EvalReport, auc
 from .model import Workspace, backward, init_classifier, score_examples
 from .nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
-from .rng import make_rng
-
-TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
+from .rng import DROPOUT, INIT, make_rng
 
 # validation loss must improve by more than this to reset the patience clock
 MIN_IMPROVEMENT = 1e-6
-
-
-@dataclass
-class LabeledSet:
-    """Supervised examples with 0/1 labels and split tags.
-
-    `examples` is an (n, 2) array of node pairs (u < v) for pair tasks or a
-    1-d array of node ids for node tasks; `kind` follows its rank.
-    """
-
-    examples: np.ndarray
-    labels: np.ndarray
-    split: np.ndarray
-
-    @property
-    def kind(self):
-        return "pair" if np.ndim(self.examples) == 2 else "node"
-
-    def validate(self):
-        examples = np.asarray(self.examples)
-        if self.kind == "pair" and examples.shape[1] != 2:
-            raise InvalidInput("pairs must be an (n, 2) array")
-        bad = first_invalid_example(examples)
-        if bad is not None:
-            raise InvalidInput(f"example {bad[0]}: {bad[1]}")
-        _validate_labels_and_split(self.labels, self.split, examples.shape[0])
-
-
-def first_invalid_example(examples):
-    """(row, reason) of the first example a LabeledSet rejects, or None.
-
-    `examples` holds node ids (1-d) or pairs ((n, 2)). The first pair not in
-    canonical order u < v is reported; failing that, the first node or pair
-    equal to an earlier one.
-    """
-    examples = np.asarray(examples)
-    keys = examples
-    if examples.ndim == 2:
-        bad = np.flatnonzero(examples[:, 0] >= examples[:, 1])
-        if bad.size:
-            u, v = examples[bad[0]]
-            return int(bad[0]), f"pair ({u}, {v}) is not in canonical order u < v"
-        keys = examples[:, 0] * (examples.max(initial=0) + 1) + examples[:, 1]
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # each later row of an equal run
-    if not repeats.size:
-        return None
-    row = int(repeats.min())
-    what = f"pair ({examples[row, 0]}, {examples[row, 1]})" if examples.ndim == 2 else f"node {examples[row]}"
-    return row, f"duplicate {what}"
-
-
-def _validate_labels_and_split(labels, split, n):
-    labels = np.asarray(labels)
-    split = np.asarray(split)
-    if labels.shape != (n,) or split.shape != (n,):
-        raise InvalidInput("labels and split must align with the entries")
-    if not np.all(np.isin(labels, (0, 1))):
-        raise InvalidInput("labels must be 0 or 1")
-    for tag in (TRAIN, VAL, TEST):
-        part = labels[split == tag]
-        if part.size == 0 or part.min() == part.max():
-            raise InvalidInput(f"split {SPLIT_NAMES[tag]} must contain both classes")
 
 
 @dataclass
@@ -158,50 +87,6 @@ class TrainConfig:
         return cls(**config_fields(cls, d, "training")).validate()
 
 
-def _finite_number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
-def config_fields(cls, raw, what):
-    """Keyword arguments for the config dataclass `cls` from a parsed JSON value.
-
-    `raw` must be an object whose keys are fields of `cls`, including every
-    field without a default. Each value must match its field's type: int
-    fields take ints, float fields take finite ints or floats, and tuple
-    fields take lists of those, passed on as tuples; a bool is never a
-    number. Raises InvalidConfig naming the key.
-    """
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{what} config must be a JSON object, got {type(raw).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise InvalidConfig(f"unknown {what} config keys: {sorted(unknown)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.name not in raw:
-            raise InvalidConfig(f"{what} config requires {f.name}")
-    kwargs = {}
-    for key, value in raw.items():
-        kind = types[key]
-        if kind is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif kind is float:
-            ok = _finite_number(value)
-        else:
-            ok = isinstance(value, list) and all(_finite_number(x) for x in value)
-            value = tuple(value) if ok else value
-        if not ok:
-            expected = {int: "an integer", float: "a finite number"}.get(kind, "a list of finite numbers")
-            raise InvalidConfig(f"{what} config key {key!r} must be {expected}, got {json.dumps(value)}")
-        kwargs[key] = value
-    return kwargs
-
-
 @dataclass
 class GridSpec:
     """Hyperparameter grid for `grid_search`."""
@@ -217,84 +102,6 @@ class GridSpec:
 
     def cells(self):
         return list(product(self.learning_rates, self.dropouts, self.layer_counts))
-
-
-def stratified_split(labels, fractions=(0.70, 0.15, 0.15), seed=0):
-    """Per-class train/val/test tags; proportions hold within one example.
-
-    Counts come from largest-remainder rounding per class; when a fraction
-    rounds a tiny class to zero, one example is moved from that class's
-    largest block so every split keeps both classes.
-    """
-    labels = np.asarray(labels)
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidArgument("fractions must be three positive values summing to 1")
-    classes, counts = np.unique(labels, return_counts=True)
-    if np.any(counts < 3):
-        raise InvalidInput("every class needs at least 3 examples to split")
-    gen = make_rng(seed, rng_streams.SPLIT)
-    out = np.empty(labels.size, dtype=np.int8)
-    for cls in classes:
-        idx = np.flatnonzero(labels == cls)
-        gen.shuffle(idx)
-        alloc = _largest_remainder(idx.size, fractions)
-        start = 0
-        for tag, k in zip((TRAIN, VAL, TEST), alloc):
-            out[idx[start:start + k]] = tag
-            start += k
-    return out
-
-
-def _largest_remainder(n, fractions):
-    raw = [f * n for f in fractions]
-    alloc = [int(math.floor(r)) for r in raw]
-    leftovers = np.argsort([-(r - a) for r, a in zip(raw, alloc)], kind="stable")
-    for i in range(n - sum(alloc)):
-        alloc[leftovers[i]] += 1
-    while min(alloc) == 0:
-        alloc[alloc.index(0)] += 1
-        alloc[int(np.argmax(alloc))] -= 1
-    return alloc
-
-
-def sample_negatives(g, positives, ratio, seed, nodes=None):
-    """Uniform non-edge, non-positive pairs in canonical order.
-
-    Draws round(ratio * |positives|) distinct pairs among `nodes` (all nodes
-    by default). Raises when the graph is too dense to supply that many.
-    """
-    if ratio <= 0:
-        raise InvalidArgument("ratio must be positive")
-    positives = np.asarray(positives, dtype=np.int64).reshape(-1, 2)
-    count = int(round(ratio * positives.shape[0]))
-    n = g.num_nodes
-    nodes = np.arange(n) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    allowed = np.zeros(n, dtype=bool)
-    allowed[nodes] = True
-    edges = g.edge_keys()
-    lo = np.minimum(positives[:, 0], positives[:, 1])
-    hi = np.maximum(positives[:, 0], positives[:, 1])
-    forbidden = sorted_unique(np.concatenate([
-        edges[allowed[edges // n] & allowed[edges % n]],
-        (lo * n + hi)[allowed[lo] & allowed[hi]],
-    ]))
-    possible = nodes.size * (nodes.size - 1) // 2 - forbidden.size
-    if count > possible:
-        raise InvalidInput(
-            f"requested {count} negatives but only {possible} non-edge pairs exist"
-        )
-    gen = make_rng(seed, rng_streams.NEGATIVES)
-    if possible <= 4 * count:
-        # every allowed non-edge, in the order of the pairs (nodes[i], nodes[j]), i < j
-        iu, iv = np.triu_indices(nodes.size, k=1)
-        u, v = nodes[iu], nodes[iv]
-        pool = np.minimum(u, v) * n + np.maximum(u, v)
-        pool = pool[~in_sorted(pool, forbidden)]
-        keys = np.sort(pool[gen.choice(pool.size, size=count, replace=False)])
-    else:
-        keys = sample_pair_keys(gen, n, count, forbidden, lambda need: 2 * need, nodes=nodes)
-    return np.column_stack([keys // n, keys % n])
 
 
 def prepare_features(X):
@@ -382,11 +189,11 @@ def train_task(data, config):
         config.hidden_dim,
         config.embed_dim,
         config.head_hidden,
-        make_rng(config.seed, rng_streams.INIT),
+        make_rng(config.seed, INIT),
     )
     params = model.parameters()
     state = AdamState(params)
-    drop_rng = make_rng(config.seed, rng_streams.DROPOUT)
+    drop_rng = make_rng(config.seed, DROPOUT)
     ws = Workspace()
 
     trace = []
@@ -495,61 +302,6 @@ def grid_search(grid, data, config, max_workers=1):
     return GridSearchResult(best_config=best_config, table=table)
 
 
-# SME sources per frontier join in `candidate_pairs`; keys are `src * n + node`, so
-# the blocks' pairs are disjoint and the result does not depend on it
-CANDIDATE_SOURCES = 8192
-
-
-def candidate_pairs(g, extra_pairs=None, max_hops=3):
-    """SME non-edges within `max_hops` hops, plus any extra labeled pairs.
-
-    Bounding candidates to a small neighborhood radius keeps scoring far
-    below the all-pairs quadratic blowup. Three hops is the useful default:
-    in a tiered supply graph an unobserved cross-tier link sits at odd
-    distance, so a 2-hop ball would contain none of them. Extra pairs
-    (typically the held-out test pairs) are merged in after the same
-    observed-edge and kind filters.
-
-    The search is a breadth-first frontier join on the CSR adjacency, run
-    for CANDIDATE_SOURCES sources at once on `src * n + node` keys; paths
-    may pass through nodes of any kind. Its cost is proportional to the
-    summed `max_hops`-ball sizes of the sources, not to n², and its memory
-    to those of one block of sources.
-    """
-    if max_hops not in (2, 3, 4):
-        raise InvalidArgument("max_hops must be 2, 3, or 4")
-    n = g.num_nodes
-    allowed = g.node_kind == "sme"
-    sources = np.flatnonzero(allowed)
-    chunks = [np.zeros(0, dtype=np.int64)]
-    for first in range(0, sources.size, CANDIDATE_SOURCES):
-        block = sources[first:first + CANDIDATE_SOURCES]
-        # level h holds the sorted keys of every (source, node) pair at distance h;
-        # a neighbour of a node at distance h lies at distance h - 1, h or h + 1,
-        # so a new level only has to be checked against the last two
-        prev = np.zeros(0, dtype=np.int64)
-        level = block * n + block
-        for hop in range(1, max_hops + 1):
-            src, node = np.divmod(level, n)
-            deg = g.indptr[node + 1] - g.indptr[node]
-            # flat CSR positions of every frontier node's row, concatenated
-            offsets = np.arange(deg.sum()) - np.repeat(np.cumsum(deg) - deg - g.indptr[node], deg)
-            reached = sorted_unique(np.repeat(src, deg) * n + g.indices[offsets])
-            prev, level = level, reached[~(in_sorted(reached, prev) | in_sorted(reached, level))]
-            if hop >= 2:  # distance 1 is an observed edge
-                u, v = np.divmod(level, n)
-                chunks.append(level[(u < v) & allowed[v]])
-    if extra_pairs is not None and len(extra_pairs):
-        extra = check_ids(extra_pairs, n).reshape(-1, 2)
-        lo = np.minimum(extra[:, 0], extra[:, 1])
-        hi = np.maximum(extra[:, 0], extra[:, 1])
-        keys = lo * n + hi
-        keep = (lo != hi) & allowed[lo] & allowed[hi] & ~in_sorted(keys, g.edge_keys())
-        chunks.append(keys[keep])
-    keys = sorted_unique(np.concatenate(chunks))
-    return np.column_stack([keys // n, keys % n])
-
-
 @dataclass
 class StageResult:
     model: object
@@ -559,6 +311,16 @@ class StageResult:
     scores: np.ndarray = None
     enriched: EnrichedGraph = None
     candidate_count: int = 0
+
+
+def _fit(view, labeled, config):
+    """(data, StageResult) of one stage's common part: validate the config,
+    build the task data, train, and report on every split."""
+    config.validate()
+    data = TaskData.build(view, labeled)
+    result = train_task(data, config)
+    _, reports = evaluate_model(result.model, data)
+    return data, StageResult(result.model, reports, result.trace, result.best_epoch)
 
 
 def run_stage1_mining(g, pair_set, config):
@@ -571,43 +333,25 @@ def run_stage1_mining(g, pair_set, config):
     scores them highly on its own. Metrics come from the held-out labeled
     pairs only; mined (unlabeled) pairs never enter the reports.
     """
-    config.validate()
-    data = TaskData.build(g, pair_set)
-    result = train_task(data, config)
-    _, reports = evaluate_model(result.model, data)
-
+    data, stage = _fit(g, pair_set, config)
     test_pairs = data.examples[data.split == TEST]
     cands = candidate_pairs(g, extra_pairs=test_pairs, max_hops=config.candidate_hops)
     probs = np.zeros(0)
     if cands.shape[0]:
-        logits, _ = score_examples(result.model, data.adj, data.X, cands, propagated=data.propagated)
+        logits, _ = score_examples(stage.model, data.adj, data.X, cands, propagated=data.propagated)
         probs = sigmoid(logits)
     known = data.examples[(data.labels == 1) & (data.split != TEST)]
     mined = (np.vstack([cands, known]), np.concatenate([probs, np.ones(known.shape[0])]))
-    enriched = enrich(g, mined, config.tau)
-    return StageResult(
-        model=result.model,
-        reports=reports,
-        trace=result.trace,
-        best_epoch=result.best_epoch,
-        enriched=enriched,
-        candidate_count=int(cands.shape[0]),
-    )
+    stage.enriched = enrich(g, mined, config.tau)
+    stage.candidate_count = int(cands.shape[0])
+    return stage
 
 
 def run_stage2_default(g_sc, node_set, config):
     """Train a fresh node scorer on the enriched view; emit every node's score."""
-    config.validate()
     g_view = g_sc.graph() if isinstance(g_sc, EnrichedGraph) else g_sc
-    data = TaskData.build(g_view, node_set)
-    result = train_task(data, config)
-    _, reports = evaluate_model(result.model, data)
-    all_logits, _ = score_examples(result.model, data.adj, data.X, np.arange(g_view.num_nodes),
+    data, stage = _fit(g_view, node_set, config)
+    all_logits, _ = score_examples(stage.model, data.adj, data.X, np.arange(g_view.num_nodes),
                                    propagated=data.propagated)
-    return StageResult(
-        model=result.model,
-        reports=reports,
-        trace=result.trace,
-        best_epoch=result.best_epoch,
-        scores=sigmoid(all_logits),
-    )
+    stage.scores = sigmoid(all_logits)
+    return stage

@@ -27,11 +27,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import rng as rng_streams
 from .errors import InvalidConfig, InvalidInput
 from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
-from .pipeline import LabeledSet, _largest_remainder, config_fields, stratified_split
-from .rng import make_rng
+from .labels import GroundTruth, LabeledSet, config_fields, largest_remainder, stratified_split
+from .rng import GENERATOR, make_rng
 
 ATTRIBUTES = ("revenue", "shareholder", "mortgage", "recruitment", "patent")
 
@@ -137,27 +136,6 @@ def gen_config_from_dict(d):
     return PRESETS[preset](**config_fields(GenConfig, d, "generator"))
 
 
-@dataclass
-class GroundTruth:
-    """Everything the observed graph hides: the full supply set, the
-    observed/hidden partition, tiers, and the drawn default labels."""
-
-    supply_edges: np.ndarray
-    hidden_mask: np.ndarray
-    tiers: np.ndarray
-    default_labels: np.ndarray
-
-    @property
-    def num_nodes(self):
-        return self.tiers.size
-
-    def observed_supply(self):
-        return self.supply_edges[~self.hidden_mask]
-
-    def hidden_supply(self):
-        return self.supply_edges[self.hidden_mask]
-
-
 def generate(config):
     """Build one economy: graph, labeled sets, and the ground truth.
 
@@ -166,9 +144,9 @@ def generate(config):
     """
     config.validate()
     n = config.num_smes
-    gen = make_rng(config.seed, rng_streams.GENERATOR)
+    gen = make_rng(config.seed, GENERATOR)
 
-    counts = _largest_remainder(n, config.tier_shares)  # no tier is left empty
+    counts = largest_remainder(n, config.tier_shares)  # no tier is left empty
     tiers = np.repeat(np.arange(3, dtype=np.int8), counts)
     num_sectors = max(1, int(round(n / config.sector_size)))
     sectors = np.concatenate([np.arange(c) % num_sectors for c in counts])  # round-robin per tier

@@ -12,20 +12,17 @@ import numpy as np
 import pytest
 
 from chainrisk.graph import SmeGraph, normalize_adjacency
+from chainrisk.labels import TEST, TRAIN, VAL, stratified_split
 from chainrisk.metrics import auc, ks
 from chainrisk.model import backward, init_classifier, score_examples
 from chainrisk.nn import bce_logit_grad, bce_loss, sigmoid
 from chainrisk.pipeline import (
-    TEST,
-    TRAIN,
-    VAL,
     GridSpec,
     TaskData,
     TrainConfig,
     grid_search,
     run_stage1_mining,
     run_stage2_default,
-    stratified_split,
     train_task,
 )
 from chainrisk.rng import make_rng

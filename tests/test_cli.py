@@ -9,8 +9,9 @@ from chainrisk import dataio
 from chainrisk.cli import _task_inputs, main
 from chainrisk.errors import InvalidInput
 from chainrisk.graph import SmeGraph
+from chainrisk.labels import TRAIN, stratified_split
 from chainrisk.model import load_checkpoint, save_checkpoint
-from chainrisk.pipeline import TRAIN, TrainConfig, stratified_split
+from chainrisk.pipeline import TrainConfig
 
 from conftest import check_graph
 

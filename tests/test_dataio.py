@@ -133,6 +133,17 @@ class TestMinedAndMisc:
         assert got_pairs.dtype == np.int64 and got_pairs.tolist() == pairs.tolist()
         assert got_scores.dtype == np.float64 and got_scores.tolist() == scores.tolist()
 
+    def test_grid_table_leaves_diverged_cells_empty(self, tmp_path):
+        rows = [{"learning_rate": 0.01, "dropout": 0.1, "num_layers": 2, "val_auc": 0.75, "best_epoch": 12,
+                 "status": "ok"},
+                {"learning_rate": 1, "dropout": 0, "num_layers": 3, "val_auc": None, "best_epoch": None,
+                 "status": "diverged at epoch 4"}]
+        path = tmp_path / "grid_table.tsv"
+        dataio.write_grid_table(path, rows)
+        assert path.read_bytes() == (b"learning_rate\tdropout\tnum_layers\tval_auc\tbest_epoch\tstatus\n"
+                                     b"0.01\t0.1\t2\t0.75\t12\tok\n"
+                                     b"1.0\t0.0\t3\t\t\tdiverged at epoch 4\n")
+
     def test_digest_changes_with_content(self, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text("hello\n")
@@ -393,7 +404,7 @@ def _generated_case():
 
 
 def _empty_case():
-    from chainrisk.synthgen import GroundTruth
+    from chainrisk.labels import GroundTruth
 
     empty = np.zeros(0, dtype=np.int64)
     truth = GroundTruth(supply_edges=np.zeros((0, 2), dtype=np.int64), hidden_mask=np.zeros(0, dtype=bool),

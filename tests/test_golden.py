@@ -31,7 +31,7 @@ import pytest
 
 from chainrisk import dataio, synthgen
 from chainrisk.graph import SmeGraph
-from chainrisk.pipeline import sample_negatives
+from chainrisk.labels import sample_negatives
 
 from conftest import blas_child
 

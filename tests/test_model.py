@@ -14,6 +14,7 @@ from chainrisk import model as model_module
 from chainrisk import pipeline
 from chainrisk.errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
 from chainrisk.graph import ScatterPlan, SmeGraph, normalize_adjacency, spmm
+from chainrisk.labels import TEST, TRAIN, VAL, LabeledSet
 from chainrisk.model import (
     GcnClassifier,
     Workspace,
@@ -32,7 +33,7 @@ from chainrisk.model import (
     score_examples,
 )
 from chainrisk.nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
-from chainrisk.pipeline import TEST, TRAIN, VAL, LabeledSet, TaskData, TrainConfig, train_task
+from chainrisk.pipeline import TaskData, TrainConfig, train_task
 from chainrisk.rng import make_rng
 
 from conftest import blas_child, grad_check, random_graph

@@ -5,24 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainrisk import pipeline
+from chainrisk import graph, pipeline
 from chainrisk.errors import InvalidArgument, InvalidInput, NoViableConfig
-from chainrisk.graph import NODE_KINDS, SmeGraph, enrich, in_sorted
+from chainrisk.graph import NODE_KINDS, SmeGraph, candidate_pairs, enrich, in_sorted
+from chainrisk.labels import TEST, TRAIN, VAL, LabeledSet, sample_negatives, stratified_split
 from chainrisk.metrics import auc
 from chainrisk.pipeline import (
-    TEST,
-    TRAIN,
-    VAL,
     GridSpec,
-    LabeledSet,
     TaskData,
     TrainConfig,
-    candidate_pairs,
     grid_search,
     run_stage1_mining,
     run_stage2_default,
-    sample_negatives,
-    stratified_split,
     train_task,
 )
 from chainrisk.rng import make_rng
@@ -129,6 +123,17 @@ class TestSampleNegatives:
         g = random_graph(rng, 30, 0.05)
         negs = sample_negatives(g, np.array([(0, 1)]), 5.0, seed=2, nodes=np.arange(10))
         assert negs.max() < 10
+
+    @pytest.mark.parametrize("positives, nodes", [
+        ([(0, 1)], [-1, 2, 3]),
+        ([(-1, 5)], None),
+        ([(0, 12)], None),
+        ([(0, 1)], [0, 3, 11]),
+    ])
+    def test_out_of_range_ids_rejected(self, positives, nodes):
+        g = SmeGraph.from_edge_list(10, [(0, 1), (1, 2)], np.zeros((10, 1)))
+        with pytest.raises(InvalidArgument, match="node id out of range"):
+            sample_negatives(g, positives, 1.0, seed=0, nodes=nodes)
 
 
 class TestTaskData:
@@ -388,8 +393,8 @@ def kinded_graphs(draw):
 class TestCandidatePairsOracle:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(kinded_graphs(), st.sampled_from((2, 3, 4)))
-    def test_matches_bfs_oracle(self, graph, max_hops):
-        n, edges, kinds, extra = graph
+    def test_matches_bfs_oracle(self, case, max_hops):
+        n, edges, kinds, extra = case
         g = SmeGraph.from_edge_list(
             n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)), node_kind=kinds
         )
@@ -401,13 +406,13 @@ class TestCandidatePairsOracle:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(kinded_graphs(), st.sampled_from((2, 3, 4)), st.sampled_from((1, 7, 10**6)))
-    def test_source_blocks_leave_the_pairs_unchanged(self, graph, max_hops, block):
-        n, edges, kinds, extra = graph
+    def test_source_blocks_leave_the_pairs_unchanged(self, case, max_hops, block):
+        n, edges, kinds, extra = case
         g = SmeGraph.from_edge_list(
             n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)), node_kind=kinds
         )
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "CANDIDATE_SOURCES", block)
+            patch.setattr(graph, "CANDIDATE_SOURCES", block)
             got = candidate_pairs(g, extra_pairs=extra, max_hops=max_hops)
         assert got.dtype == np.int64 and got.shape == (got.shape[0], 2)
         assert list(map(tuple, got.tolist())) == bfs_candidates_oracle(n, edges, kinds, max_hops, extra)
@@ -420,8 +425,8 @@ class TestCandidatePairsOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("candidate search must not propagate through the adjacency")
 
-        monkeypatch.setattr(pipeline, "spmm", forbidden)
-        monkeypatch.setattr(pipeline, "normalize_adjacency", forbidden)
+        monkeypatch.setattr(graph, "spmm", forbidden)
+        monkeypatch.setattr(graph, "normalize_adjacency", forbidden)
         cands = candidate_pairs(g, extra_pairs=d_sc.examples, max_hops=3)
         assert cands.shape[0] > 0
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from chainrisk.errors import InvalidArgument, InvalidConfig
 from chainrisk.graph import in_sorted
-from chainrisk.pipeline import TEST, TRAIN, VAL, _largest_remainder
+from chainrisk.labels import TEST, TRAIN, VAL, largest_remainder
 from chainrisk.synthgen import (
     ATTRIBUTE_COLUMNS,
     ATTRIBUTES,
@@ -348,14 +348,14 @@ def test_rank_rule_skips_a_sector_with_an_empty_tier():
 
 def test_a_tiny_tier_share_still_gets_a_firm():
     shares = (0.01, 0.45, 0.54)
-    assert _largest_remainder(40, shares) == [1, 18, 21]
+    assert largest_remainder(40, shares) == [1, 18, 21]
     _, _, _, truth = generate(GenConfig(num_smes=40, tier_shares=shares, sector_size=10))
     assert np.bincount(truth.tiers).tolist() == [1, 18, 21]
 
 
 def test_a_tiny_middle_tier_is_rejected_as_a_config():
     shares = (0.45, 0.01, 0.54)
-    assert _largest_remainder(40, shares) == [18, 1, 21]
+    assert largest_remainder(40, shares) == [18, 1, 21]
     with pytest.raises(InvalidConfig):
         generate(GenConfig(num_smes=40, tier_shares=shares, sector_size=10))
 
