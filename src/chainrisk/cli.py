@@ -58,10 +58,11 @@ def _threads():
 
 
 def _manifest_skeleton(command, args_echo, inputs):
+    """The manifest before the run: `inputs` maps each input path to its SHA-256 hex digest."""
     return {
         "command": command,
         "config": args_echo,
-        "inputs": {path: dataio.sha256_file(path) for path in inputs},
+        "inputs": inputs,
         "started_at": dataio.utc_timestamps(),
     }
 
@@ -122,7 +123,7 @@ def cmd_generate(args):
     if args.seed is not None:
         config = replace(config, seed=args.seed).validate()
     os.makedirs(args.out, exist_ok=True)
-    manifest = _manifest_skeleton("generate", config.to_dict(), [args.config])
+    manifest = _manifest_skeleton("generate", config.to_dict(), {args.config: dataio.sha256_file(args.config)})
 
     graph, pair_set, node_set, truth = _parse_config(args.config, generate, config)
     outputs = dataio.write_graph(args.out, graph)
@@ -149,9 +150,10 @@ def cmd_generate(args):
     return 0
 
 
-def _read_node_ids(read, path, num_nodes):
-    """read(path); a node id outside [0, num_nodes) in its first array is an InvalidInput naming its line."""
-    ids, values = read(path)
+def _read_node_ids(read, path, num_nodes, digests):
+    """read(path, digests=digests); a node id outside [0, num_nodes) in its
+    first array is an InvalidInput naming its line."""
+    ids, values = read(path, digests=digests)
     bad = np.argwhere((ids < 0) | (ids >= num_nodes))
     if bad.size:
         at = tuple(bad[0])
@@ -159,9 +161,9 @@ def _read_node_ids(read, path, num_nodes):
     return ids, values
 
 
-def _read_labels(read, path, num_nodes):
+def _read_labels(read, path, num_nodes, digests):
     """_read_node_ids for a label file, whose examples a LabeledSet must also accept."""
-    examples, labels = _read_node_ids(read, path, num_nodes)
+    examples, labels = _read_node_ids(read, path, num_nodes, digests)
     bad = first_invalid_example(examples)
     if bad is not None:
         raise InvalidInput(f"{path}:{bad[0] + 1}: {bad[1]}")
@@ -178,16 +180,17 @@ def _task_inputs(args, stage, config):
     uses the base graph with --no-enrich. Every node id read must lie in the
     graph, and the label files must hold canonical pairs (u < v) and no
     repeated example; a breach names its `path:line`.
-    Returns (view, labeled, inputs, num_mined).
+    Returns (view, labeled, inputs, num_mined), where `inputs` maps each file
+    read to the SHA-256 hex digest its reader took.
     """
     if stage == "sc" and (args.mined or args.no_enrich):
         raise InvalidInput("stage sc takes neither --mined nor --no-enrich")
-    g = view = dataio.read_graph(args.data)
-    inputs = [os.path.join(args.data, "nodes.csv"), os.path.join(args.data, "edges.tsv")]
+    inputs = {}
+    g = view = dataio.read_graph(args.data, digests=inputs)
     num_mined = 0
     if stage == "sc":
-        inputs.append(os.path.join(args.data, "labels_sc.tsv"))
-        examples, labels = _read_labels(dataio.read_pair_labels, inputs[-1], g.num_nodes)
+        path = os.path.join(args.data, "labels_sc.tsv")
+        examples, labels = _read_labels(dataio.read_pair_labels, path, g.num_nodes, inputs)
         if not labels.any():
             raise InvalidInput("labels_sc.tsv has no positive pairs")
         if labels.min() == 1:
@@ -199,13 +202,13 @@ def _task_inputs(args, stage, config):
             examples = np.vstack([examples, negatives])
             labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
     else:
-        inputs.append(os.path.join(args.data, "labels_dp.tsv"))
-        examples, labels = _read_labels(dataio.read_node_labels, inputs[-1], g.num_nodes)
+        path = os.path.join(args.data, "labels_dp.tsv")
+        examples, labels = _read_labels(dataio.read_node_labels, path, g.num_nodes, inputs)
         if not args.no_enrich:
             if not args.mined:
                 raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")
-            enriched = enrich(g, _read_node_ids(dataio.read_mined_edges, args.mined, g.num_nodes), config.tau)
-            inputs.append(args.mined)
+            mined = _read_node_ids(dataio.read_mined_edges, args.mined, g.num_nodes, inputs)
+            enriched = enrich(g, mined, config.tau)
             view, num_mined = enriched.graph(), enriched.num_mined
     labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
     return view, labeled, inputs, num_mined
@@ -246,7 +249,7 @@ def cmd_train(args):
         scores_path = os.path.join(args.out, "scores_dp.tsv")
         dataio.write_scores(scores_path, result.scores)
         ckpt_meta["enriched"] = not args.no_enrich
-        ckpt_meta["mined_digest"] = None if args.no_enrich else dataio.sha256_file(args.mined)
+        ckpt_meta["mined_digest"] = None if args.no_enrich else inputs[args.mined]
         stage_outputs = [scores_path]
     extra["mined_edge_count"] = num_mined
 
@@ -281,7 +284,7 @@ def cmd_eval(args):
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     view, labeled, inputs, _ = _task_inputs(args, stage, config)
-    inputs.append(args.checkpoint)
+    inputs[args.checkpoint] = dataio.sha256_file(args.checkpoint)
     data = TaskData.build(view, labeled)
 
     if data.X.shape[1] != model.gcn.weights[0].shape[0]:

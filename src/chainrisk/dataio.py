@@ -37,11 +37,17 @@ separators, `nan`, CR and CRLF line breaks) and reports the first bad line as
 `path:line`. Both paths give the same arrays on every file the bulk path
 reads. `read_ground_truth`, which no command calls, uses the row parser only.
 
+Each of these readers hashes the bytes it reads once, with SHA-256. Given a
+dict as `digests`, it also stores `path: hex digest` there for every file
+it read, on either path, so a manifest can list its inputs without reading
+them again.
+
 Parsed-input cache: a file the bulk path reads is parsed once. The table
 it gives, if the checks after parsing accept it, is saved as a binary copy
 in CACHE_DIR beside the file (`data/.chainrisk-cache/nodes.csv.npy`),
 after a format tag (`_COPY_MAGIC`) and the SHA-256 of the text it was
-parsed from. Every later read hashes the text it has just read and loads
+parsed from. The nodes.csv copy stores each kind as its int8 index in
+NODE_KINDS. Every later read hashes the text it has just read and loads
 the copy, with `np.load(allow_pickle=False)`, when the digest, the table's
 dtype and its size all match; its header is checked against the copy's
 size before the table is allocated. Any other copy is ignored and
@@ -73,13 +79,13 @@ _NUMBER_BYTES = b"0123456789+-.eE\n"
 _KIND_BYTES = bytes(sorted(set("".join(NODE_KINDS).encode())))
 # one character wider than the longest tag, so that a longer kind, cut to this
 # width, matches no tag
-_KIND_DTYPE = f"U{max(map(len, NODE_KINDS)) + 1}"
+_KIND_TEXT = f"U{max(map(len, NODE_KINDS)) + 1}"
 # lines per write, and rows per `.tolist()` call, of the writers
 WRITE_CHUNK = 1024
 # the parsed-input cache: its directory beside each file, and the first bytes of a
 # copy, followed by the SHA-256 of the text and a version 1.0 `.npy` table
 CACHE_DIR = ".chainrisk-cache"
-_COPY_MAGIC = b"CHRKTBL1"
+_COPY_MAGIC = b"CHRKTBL2"
 
 
 def _write_lines(path, lines):
@@ -134,15 +140,23 @@ def _read_bytes(path):
         return fh.read()
 
 
-def _parse_rows(path, sep, parse, width=None):
-    """[parse(cells, lineno) for each line of `path` split on `sep`].
+def _read(path, digests):
+    """(bytes, SHA-256 digest) of `path`; a `digests` dict gets `path: hex digest`."""
+    data = _read_bytes(path)
+    digest = hashlib.sha256(data).digest()
+    if digests is not None:
+        digests[path] = digest.hex()
+    return data, digest
+
+
+def _parse_rows(path, data, sep, parse, width=None):
+    """[parse(cells, lineno) for each line of `data`, the bytes of `path`, split on `sep`].
 
     Lines end at LF, CR or CRLF. Every line must have `width` cells (the
     first line's count when None). A wrong count, bytes that are not UTF-8,
     or a ValueError from `parse` (a cell that is not a number, a row that
     breaks the format) raises InvalidInput naming `path:line`.
     """
-    data = _read_bytes(path)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -185,21 +199,20 @@ def _bulk_rows(data, sep, dtype, letters=b""):
         return None
 
 
-def _bulk_table(path, data, rows, sep, dtype, accept, letters=b""):
-    """`_bulk_rows(rows, sep, dtype, letters)` if `accept` takes it, else None,
-    through the binary copy of `path`'s table.
+def _bulk_table(path, digest, dtype, parse, accept):
+    """The 1-d `dtype` table `parse()` gives (None when it declines) if
+    `accept` takes it, else None, through the binary copy of `path`'s table.
 
-    `data` is every byte of `path`; `rows` is `data` or its part past a
-    header. `accept(table)` runs the checks after parsing, on a loaded copy
-    as on a parsed table; only an accepted parse is saved.
+    `digest` is the SHA-256 of every byte of `path`. `accept(table)` runs the
+    checks after parsing, on a loaded copy as on a parsed table; only an
+    accepted parse is saved.
     """
-    digest = hashlib.sha256(data).digest()
     copy = os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".npy")
     dtype = np.dtype(dtype)
     table = _load_copy(copy, digest, dtype)
     if table is not None and accept(table):
         return table
-    table = _bulk_rows(rows, sep, dtype, letters)
+    table = parse()
     if table is None or not accept(table):
         return None
     _save_copy(copy, digest, table)
@@ -267,48 +280,64 @@ def _edge_row(cells, _):
     return (u, v), list(map(float, cells[2:]))
 
 
+def _kind_codes(table, dtype):
+    """`table`, kinds as text, as a `dtype` table of each kind's index in
+    NODE_KINDS (-1 for another kind); None stays None."""
+    if table is None:
+        return None
+    coded = np.empty(table.size, dtype)
+    coded["id"], coded["f"], coded["kind"] = table["id"], table["f"], -1
+    for code, kind in enumerate(NODE_KINDS):
+        coded["kind"][table["kind"] == kind] = code
+    return coded
+
+
 def _dense_known_nodes(table):
-    return np.array_equal(table["id"], np.arange(table.size)) and np.isin(table["kind"], NODE_KINDS).all()
+    kinds = table["kind"]
+    return np.array_equal(table["id"], np.arange(table.size)) and np.all((kinds >= 0) & (kinds < len(NODE_KINDS)))
 
 
-def _read_nodes(path):
+def _read_nodes(path, digests):
     """(kinds, X) of nodes.csv."""
-    data = _read_bytes(path)
+    data, digest = _read(path, digests)
     head, _, body = data.partition(b"\n")
     try:
         header = head.decode("utf-8").split(",")
     except UnicodeDecodeError:
         header = []
     if header[:2] == ["id", "kind"] and b"\r" not in head:
-        dtype = [("id", "i8"), ("kind", _KIND_DTYPE), ("f", "f8", (len(header) - 2,))]
-        table = _bulk_table(path, data, body, ",", dtype, _dense_known_nodes, _KIND_BYTES)
+        text = [("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))]
+        dtype = [("id", "i8"), ("kind", "i1"), ("f", "f8", (len(header) - 2,))]
+        table = _bulk_table(path, digest, dtype, lambda: _kind_codes(_bulk_rows(body, ",", text, _KIND_BYTES), dtype),
+                            _dense_known_nodes)
         if table is not None:
-            return table["kind"], np.ascontiguousarray(table["f"])
-    rows = _parse_rows(path, ",", _node_row)
+            return np.asarray(NODE_KINDS)[table["kind"]], np.ascontiguousarray(table["f"])
+    rows = _parse_rows(path, data, ",", _node_row)
     if not rows:
         raise InvalidInput(f"{path}:1: expected header starting with id,kind")
     kinds = [kind for kind, _ in rows[1:]]
     return kinds, np.asarray([f for _, f in rows[1:]], dtype=np.float64).reshape(len(kinds), len(rows[0]) - 2)
 
 
-def _read_edges(path):
+def _read_edges(path, digests):
     """(pairs, features) of edges.tsv."""
-    data = _read_bytes(path)
+    data, digest = _read(path, digests)
     width = data.partition(b"\n")[0].count(b"\t") + 1
     if width >= 2:
-        table = _bulk_table(path, data, data, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))],
+        dtype = [("uv", "i8", (2,)), ("f", "f8", (width - 2,))]
+        table = _bulk_table(path, digest, dtype, lambda: _bulk_rows(data, "\t", dtype),
                             lambda t: np.all(t["uv"][:, 0] < t["uv"][:, 1]))
         if table is not None:
             return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
-    rows = _parse_rows(path, "\t", _edge_row)
+    rows = _parse_rows(path, data, "\t", _edge_row)
     fe = len(rows[0][1]) if rows else 0
     return (np.asarray([e for e, _ in rows], dtype=np.int64).reshape(-1, 2),
             np.asarray([f for _, f in rows], dtype=np.float64).reshape(len(rows), fe))
 
 
-def read_graph(data_dir):
-    kinds, X = _read_nodes(os.path.join(data_dir, "nodes.csv"))
-    pairs, feats = _read_edges(os.path.join(data_dir, "edges.tsv"))
+def read_graph(data_dir, *, digests=None):
+    kinds, X = _read_nodes(os.path.join(data_dir, "nodes.csv"), digests)
+    pairs, feats = _read_edges(os.path.join(data_dir, "edges.tsv"), digests)
     return SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats, node_kind=kinds)
 
 
@@ -322,39 +351,32 @@ def _label(cell, form):
     return int(cell)
 
 
-def _bulk_labels(path, num_ids):
+def _read_labels(path, num_ids, form, digests):
     """(ids, int8 labels) of a label file whose lines are `num_ids` integer
-    cells and a 0/1 cell, or None when the bulk path declines."""
-    data = _read_bytes(path)
-    table = _bulk_table(path, data, data, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")],
+    cells and a 0/1 cell; `form` names that line in the row parser's errors."""
+    data, digest = _read(path, digests)
+    dtype = [("ids", "i8", (num_ids,)), ("label", "U2")]
+    table = _bulk_table(path, digest, dtype, lambda: _bulk_rows(data, "\t", dtype),
                         lambda t: np.all((t["label"] == "0") | (t["label"] == "1")))
-    if table is None:
-        return None
-    return np.ascontiguousarray(table["ids"]), (table["label"] == "1").astype(np.int8)
-
-
-def read_node_labels(path):
-    bulk = _bulk_labels(path, 1)
-    if bulk is not None:
-        return bulk[0][:, 0].copy(), bulk[1]
-    rows = _parse_rows(path, "\t", lambda c, _: (_int(c[0]), _label(c[1], "node<TAB>0|1")), width=2)
-    return (np.asarray([u for u, _ in rows], dtype=np.int64),
+    if table is not None:
+        return np.ascontiguousarray(table["ids"]), (table["label"] == "1").astype(np.int8)
+    rows = _parse_rows(path, data, "\t", lambda c, _: ([_int(x) for x in c[:-1]], _label(c[-1], form)),
+                       width=num_ids + 1)
+    return (np.asarray([ids for ids, _ in rows], dtype=np.int64).reshape(-1, num_ids),
             np.asarray([y for _, y in rows], dtype=np.int8))
+
+
+def read_node_labels(path, *, digests=None):
+    nodes, labels = _read_labels(path, 1, "node<TAB>0|1", digests)
+    return nodes[:, 0].copy(), labels
 
 
 def write_pair_labels(path, pairs, labels):
     _write_lines(path, (f"{u}\t{v}\t{y}" for (u, v), y in _rows((pairs, np.int64), (labels, np.int64))))
 
 
-def read_pair_labels(path):
-    bulk = _bulk_labels(path, 2)
-    if bulk is not None:
-        return bulk
-    rows = _parse_rows(
-        path, "\t", lambda c, _: (_int(c[0]), _int(c[1]), _label(c[2], "u<TAB>v<TAB>0|1")), width=3
-    )
-    table = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
-    return table[:, :2].copy(), table[:, 2].astype(np.int8)
+def read_pair_labels(path, *, digests=None):
+    return _read_labels(path, 2, "u<TAB>v<TAB>0|1", digests)
 
 
 def write_ground_truth(path, truth):
@@ -381,7 +403,7 @@ def read_ground_truth(path):
         else:
             raise ValueError(f"unknown record {cells[0]!r}")
 
-    _parse_rows(path, "\t", record, width=4)
+    _parse_rows(path, _read_bytes(path), "\t", record, width=4)
     return GroundTruth(
         supply_edges=np.asarray(supply, dtype=np.int64).reshape(-1, 2),
         hidden_mask=np.asarray(hidden, dtype=bool),
@@ -394,13 +416,14 @@ def write_mined_edges(path, pairs, scores):
     _write_lines(path, (f"{u}\t{v}\t{s!r}" for (u, v), s in _rows((pairs, None), (scores, np.float64))))
 
 
-def read_mined_edges(path):
+def read_mined_edges(path, *, digests=None):
     """(pairs, scores): a (k, 2) int64 array and k float64 scores."""
-    data = _read_bytes(path)
-    table = _bulk_table(path, data, data, "\t", [("pair", "i8", (2,)), ("score", "f8")], lambda t: True)
+    data, digest = _read(path, digests)
+    dtype = [("pair", "i8", (2,)), ("score", "f8")]
+    table = _bulk_table(path, digest, dtype, lambda: _bulk_rows(data, "\t", dtype), lambda t: True)
     if table is not None:
         return np.ascontiguousarray(table["pair"]), table["score"].copy()
-    rows = _parse_rows(path, "\t", lambda c, _: (_int(c[0]), _int(c[1]), float(c[2])), width=3)
+    rows = _parse_rows(path, data, "\t", lambda c, _: (_int(c[0]), _int(c[1]), float(c[2])), width=3)
     return (np.asarray([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2),
             np.asarray([r[2] for r in rows], dtype=np.float64))
 

@@ -5,7 +5,9 @@ including the last. The head is a one-hidden-layer ReLU MLP ending in a
 single logit. It scores a row of k endpoint ids from the concatenated
 embeddings [q_e1 ; ... ; q_ek]: k = 2 for pairs (u < v by convention),
 k = 1 for nodes. Dropout sits on each encoder layer input and on the head's
-hidden activation, training mode only.
+hidden activation, training mode only; its masks come from 16-bit lanes of
+the dropout stream's Philox words (`nn.dropout_mask`), so the realized drop
+probability is round(rate * 65536) / 65536.
 
 The head's first layer is computed in factored form: it splits as
 [q_e1 ; ... ; q_ek] W0 = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek],
@@ -22,7 +24,7 @@ pass each way. The backward scatters dZ onto node rows through a
 for its fixed example rows and passes them in.
 
 Z is gathered from the first endpoint block and the later blocks are
-added GATHER_ROWS rows at a time; the dropout uniforms are drawn in chunks
+added GATHER_ROWS rows at a time; the dropout mask is drawn in chunks
 (`nn.dropout_mask`); Z becomes H in place; and the backward takes the W1
 gradient H^T dlogits first, then builds dZ in H's buffer. So a training
 head cache feeds exactly one backward: `head_backward` removes the

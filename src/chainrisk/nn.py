@@ -3,9 +3,12 @@
 Everything runs in float64. Functions are pure unless the name says
 otherwise (`adam_step` updates parameters in place, which is the point).
 
-A dropout mask costs one byte per element: its uniforms are drawn
-DROPOUT_CHUNK at a time into one small reused buffer, never as a float64
-array of the mask's shape.
+A dropout mask costs one byte per element. Each 64-bit Philox word of the
+dropout stream gives four masks: the word is read as four little-endian
+16-bit lanes, low lane first, and an element survives when its lane is at
+least T = round(rate * 65536). The realized drop probability is T / 65536,
+within 2^-17 of `rate`. The words are drawn DROPOUT_CHUNK mask elements at
+a time, never as a float64 array of the mask's shape.
 
 A function with an `out=` parameter treats it as numpy's ufuncs do:
 given, the result is written into it (the same values, bit for bit);
@@ -18,8 +21,12 @@ from .errors import InvalidArgument, TrainingDivergence
 
 PROB_EPS = 1e-12
 
-# uniforms per draw of `dropout_mask`; the generator's stream does not depend on it
+# mask elements per draw of `dropout_mask`: ceil(n / 4) Philox words for n
+# elements, 64 KiB a chunk. A multiple of 4, so the stream does not depend on it
 DROPOUT_CHUNK = 1 << 15
+# 16-bit lanes per Philox word, and the values a lane takes
+_LANES = 4
+_LANE_VALUES = 1 << 16
 
 
 def relu(x, out=None):
@@ -77,9 +84,12 @@ def bce_logit_grad(probs, y):
 def dropout_mask(shape, rate, rng=None, training=False, out=None):
     """Survivor mask of inverted dropout, or None in eval mode or at rate 0.
 
-    The mask equals `rng.random(shape) >= rate` and leaves `rng` where that
-    draw would, but draws DROPOUT_CHUNK uniforms at a time into one buffer.
-    `out`, a bool array of `shape`, takes the mask.
+    Element i survives when 16-bit lane i of the words
+    `rng.bit_generator.random_raw(ceil(size / 4))` (little-endian, low lane
+    first) is at least round(rate * 65536), and `rng` advances by exactly
+    those words; at a threshold of 65536 no element survives. The words are
+    drawn DROPOUT_CHUNK elements at a time. `out`, a bool array of `shape`,
+    takes the mask.
     """
     if not 0.0 <= rate < 1.0:
         raise InvalidArgument(f"dropout rate must be in [0, 1), got {rate}")
@@ -87,10 +97,12 @@ def dropout_mask(shape, rate, rng=None, training=False, out=None):
         return None
     mask = np.empty(shape, dtype=bool) if out is None else out
     flat = mask.reshape(-1)
-    buf = np.empty(min(DROPOUT_CHUNK, flat.size))
+    threshold = round(rate * _LANE_VALUES)
     for start in range(0, flat.size, DROPOUT_CHUNK):
-        uniforms = rng.random(out=buf[: flat.size - start])
-        np.greater_equal(uniforms, rate, out=flat[start:start + uniforms.size])
+        dest = flat[start:start + DROPOUT_CHUNK]
+        words = rng.bit_generator.random_raw(-(-dest.size // _LANES))
+        lanes = words.astype("<u8", copy=False).view("<u2")
+        np.greater_equal(lanes[: dest.size], threshold, out=dest)
     return mask
 
 

@@ -275,6 +275,33 @@ class TestTrainDp:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_manifest_inputs_are_the_digests_the_readers_took(tmp_path, dataset, train_config, monkeypatch):
+    """train sc, train dp --mined and eval list every file they read with its
+    SHA-256 and hash none of the data files again; the checkpoint's
+    mined_digest is that of the mined edges."""
+    real, hashed = dataio.sha256_file, []
+    monkeypatch.setattr(dataio, "sha256_file", lambda path: hashed.append(path) or real(path))
+    sc, dp, ev = (str(tmp_path / name) for name in ("sc", "dp", "ev"))
+    mined = os.path.join(sc, "mined_edges.tsv")
+    ckpt = os.path.join(dp, "checkpoint_dp.bin")
+    data = [os.path.join(dataset, name) for name in ("nodes.csv", "edges.tsv")]
+    runs = [
+        (["train", "sc", "--data", dataset, "--config", train_config, "--out", sc],
+         [*data, os.path.join(dataset, "labels_sc.tsv")]),
+        (["train", "dp", "--data", dataset, "--config", train_config, "--out", dp, "--mined", mined],
+         [*data, os.path.join(dataset, "labels_dp.tsv"), mined]),
+        (["eval", "--checkpoint", ckpt, "--data", dataset, "--out", ev, "--mined", mined],
+         [*data, os.path.join(dataset, "labels_dp.tsv"), mined, ckpt]),
+    ]
+    for argv, inputs in runs:
+        hashed.clear()
+        assert main(argv) == 0
+        manifest = json.loads(open(os.path.join(argv[argv.index("--out") + 1], "run_manifest.json")).read())
+        assert manifest["inputs"] == {path: real(path) for path in inputs}
+        assert [path for path in hashed if path in inputs] == ([ckpt] if argv[0] == "eval" else [])
+    assert load_checkpoint(ckpt)[1]["mined_digest"] == real(mined)
+
+
 class TestEval:
     def test_eval_matches_training_metrics(self, tmp_path, dataset, train_config):
         out = tmp_path / "dp"

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from chainrisk import dataio
 from chainrisk.cli import main
 from chainrisk.errors import InvalidInput
-from chainrisk.graph import SmeGraph
+from chainrisk.graph import NODE_KINDS, SmeGraph
 from chainrisk.synthgen import generate, paper_calibrated
 
 from conftest import check_graph, random_graph
@@ -585,6 +586,44 @@ class TestParsedInputCache:
         assert_same_arrays(read(tmp_path if whole_dir else tmp_path / name), want)
         assert not copy_of(tmp_path / name).exists()
 
+
+    @pytest.mark.parametrize("route", ["parse", "copy", "row parser"])
+    @pytest.mark.parametrize("name", sorted(BULK_READERS))
+    def test_readers_record_the_digest_of_what_they_read(self, small_dataset, tmp_path, name, route):
+        _, files = small_dataset
+        for fname, data in files.items():
+            (tmp_path / fname).write_bytes(data.replace(b"\n", b"\r\n") if route == "row parser" and fname == name
+                                           else data)
+        read, whole_dir = BULK_READERS[name]
+        target = tmp_path if whole_dir else tmp_path / name
+        if route == "copy":
+            read(target)
+        digests = {}
+        with no_parse() if route == "copy" else contextlib.nullcontext():
+            read(target, digests=digests)
+        read_files = ["nodes.csv", "edges.tsv"] if whole_dir else [name]
+        assert {str(path): digest for path, digest in digests.items()} == {
+            str(tmp_path / f): hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in read_files}
+
+    def test_nodes_copy_holds_kind_codes_under_its_own_tag(self, small_dataset, tmp_path):
+        """The nodes.csv copy stores int8 indices into NODE_KINDS; a copy of the
+        same text and table under another tag is ignored and rewritten."""
+        _, files = small_dataset
+        for fname, data in files.items():
+            (tmp_path / fname).write_bytes(data)
+        want = dataio.read_graph(tmp_path)
+        copy = copy_of(tmp_path / "nodes.csv")
+        good = copy.read_bytes()
+        digest = hashlib.sha256(files["nodes.csv"]).digest()
+        table = np.load(io.BytesIO(good[len(dataio._COPY_MAGIC) + len(digest):]), allow_pickle=False)
+        assert table.dtype["kind"] == np.int8
+        assert [NODE_KINDS[code] for code in table["kind"]] == want.node_kind.tolist()
+        table["kind"] = NODE_KINDS.index("owner")
+        forged = io.BytesIO()
+        np.lib.format.write_array(forged, table, version=(1, 0))
+        copy.write_bytes(b"CHRKTBL1" + digest + forged.getvalue())
+        assert_same_arrays(dataio.read_graph(tmp_path), want)
+        assert copy.read_bytes() == good
 
     def test_table_rejected_after_parsing_is_never_cached(self, tmp_path):
         path = tmp_path / "labels_dp.tsv"

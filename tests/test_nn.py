@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,20 +164,50 @@ class TestDropout:
         offset=st.integers(-300, 300),
         rate=st.floats(0.0, 1.0, exclude_max=True),
         seed=st.integers(0, 2**16),
+        chunk=st.sampled_from([8, 1 << 10, nn.DROPOUT_CHUNK]),
     )
-    def test_chunked_mask_is_the_one_shot_draw(self, rows, width, offset, rate, seed):
-        """Sizes below, at and across DROPOUT_CHUNK give `rng.random(shape) >= rate`
-        and leave the generator where that draw does."""
+    def test_chunked_mask_is_the_one_shot_draw(self, rows, width, offset, rate, seed, chunk):
+        """Sizes below, at and across DROPOUT_CHUNK, at any chunk size, give the
+        one-shot lane draw `lanes(random_raw(ceil(size / 4))) >= round(rate * 65536)`
+        and leave the generator ceil(size / 4) words on."""
         size = max(0, rows * nn.DROPOUT_CHUNK + offset)
         shape = (size // width, width) if size % width == 0 else (size,)
         chunked, whole = make_rng(seed, 9), make_rng(seed, 9)
-        mask = dropout_mask(shape, rate, chunked, training=True)
+        with mock.patch.object(nn, "DROPOUT_CHUNK", chunk):
+            mask = dropout_mask(shape, rate, chunked, training=True)
         if rate == 0.0:
             assert mask is None
             return
         assert mask.shape == shape and mask.dtype == bool
-        assert np.array_equal(mask, whole.random(shape) >= rate)
-        assert chunked.random() == whole.random()
+        words = whole.bit_generator.random_raw(-(-size // 4))
+        lanes = (words[:, None] >> np.arange(0, 64, 16, dtype=np.uint64)) & np.uint64(0xFFFF)
+        assert np.array_equal(mask.reshape(-1), lanes.reshape(-1)[:size] >= round(rate * 65536))
+        assert chunked.bit_generator.random_raw(4).tolist() == whole.bit_generator.random_raw(4).tolist()
+
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.3, 0.5, 0.9])
+    def test_keep_share_is_binomial(self, rate):
+        """The keep count of 10^6 elements lies within 5 standard deviations of
+        Binomial(10^6, 1 - T / 65536), and T / 65536 within 2^-17 of the rate."""
+        n, drop = 10**6, round(rate * 65536) / 65536
+        assert abs(drop - rate) <= 2.0**-17
+        kept = int(dropout_mask((n,), rate, make_rng(11, 9), training=True).sum())
+        assert abs(kept - n * (1.0 - drop)) <= 5.0 * math.sqrt(n * drop * (1.0 - drop))
+
+    def test_rate_zero_and_eval_mode_draw_nothing(self):
+        for rate, training in ((0.0, True), (0.5, False)):
+            rng = make_rng(3, 9)
+            assert dropout_mask((100, 7), rate, rng, training=training) is None
+            assert rng.bit_generator.random_raw() == make_rng(3, 9).bit_generator.random_raw()
+
+    @pytest.mark.parametrize("rate", [1.0 - 2.0**-17, np.nextafter(1.0, 0.0)])
+    def test_threshold_65536_keeps_nothing(self, rate):
+        """Rates at or above 1 - 2^-17 round to T = 65536, which no 16-bit lane
+        reaches; the draw still takes its ceil(size / 4) words."""
+        rng, ref = make_rng(5, 9), make_rng(5, 9)
+        out, mask = dropout(np.ones((33, 3)), rate, rng, training=True)
+        assert not mask.any() and not out.any()
+        ref.bit_generator.random_raw(25)
+        assert rng.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
     def test_bad_rate_rejected(self):
         with pytest.raises(InvalidArgument):
