@@ -236,6 +236,7 @@ def cmd_train(args):
         "seed": config.seed,
         "config": config.to_dict(),
         "feature_dim": int(view.node_features.shape[1]),
+        "inputs": {os.path.basename(path): digest for path, digest in inputs.items()},
     }
     if args.stage == "sc":
         result = run_stage1_mining(view, labeled, config)
@@ -249,7 +250,6 @@ def cmd_train(args):
         scores_path = os.path.join(args.out, "scores_dp.tsv")
         dataio.write_scores(scores_path, result.scores)
         ckpt_meta["enriched"] = not args.no_enrich
-        ckpt_meta["mined_digest"] = None if args.no_enrich else inputs[args.mined]
         stage_outputs = [scores_path]
     extra["mined_edge_count"] = num_mined
 
@@ -275,15 +275,21 @@ def cmd_eval(args):
     if not os.path.exists(args.checkpoint):
         raise InvalidInput(f"checkpoint not found: {args.checkpoint}")
     model, meta = load_checkpoint(args.checkpoint)
-    stage = meta.get("stage")
-    if stage not in ("sc", "dp") or not isinstance(meta.get("config"), dict):
-        raise InvalidInput(f"{args.checkpoint}: checkpoint meta needs a stage of sc or dp and a config object")
+    stage, trained_on = meta.get("stage"), meta.get("inputs", {})
+    if stage not in ("sc", "dp") or not isinstance(meta.get("config"), dict) or not isinstance(trained_on, dict):
+        raise InvalidInput(f"{args.checkpoint}: checkpoint meta needs a stage of sc or dp, a config object "
+                           "and an inputs object")
     config = _parse_config(args.checkpoint, TrainConfig.from_dict, meta["config"])
     if meta.get("enriched") and not (args.mined or args.no_enrich):
         raise InvalidInput("checkpoint was trained on an enriched graph; pass --mined or --no-enrich")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     view, labeled, inputs, _ = _task_inputs(args, stage, config)
+    # the graph must be the one the model was trained on; new labels for it may be scored
+    for path, digest in inputs.items():
+        name = os.path.basename(path)
+        if name != f"labels_{stage}.tsv" and trained_on.get(name, digest) != digest:
+            raise InvalidInput(f"{path} is not the {name} {args.checkpoint} was trained on")
     inputs[args.checkpoint] = dataio.sha256_file(args.checkpoint)
     data = TaskData.build(view, labeled)
 

@@ -47,12 +47,12 @@ it gives, if the checks after parsing accept it, is saved as a binary copy
 in CACHE_DIR beside the file (`data/.chainrisk-cache/nodes.csv.npy`),
 after a format tag (`_COPY_MAGIC`) and the SHA-256 of the text it was
 parsed from. The nodes.csv copy stores each kind as its int8 index in
-NODE_KINDS. Every later read hashes the text it has just read and loads
-the copy, with `np.load(allow_pickle=False)`, when the digest, the table's
-dtype and its size all match; its header is checked against the copy's
-size before the table is allocated. Any other copy is ignored and
-rewritten, and the checks after parsing run on a loaded table as on a
-parsed one. A copy is written to a temporary file and moved into place
+NODE_KINDS, and a label file's copy each label as an int8. Every later
+read hashes the text it has just read and loads the copy, with
+`np.load(allow_pickle=False)`, when the digest, the table's dtype and its
+size all match; its header is checked against the copy's size before
+the table is allocated. Any other copy is ignored and rewritten, and the
+checks after parsing run on a loaded table as on a parsed one. A copy is written to a temporary file and moved into place
 with `os.replace`; a failed write (read-only directory, full disk) only
 costs the next read a parse. Files that go to the row parser are never
 cached. Deleting the directory is always safe, and manifests still record
@@ -85,7 +85,7 @@ WRITE_CHUNK = 1024
 # the parsed-input cache: its directory beside each file, and the first bytes of a
 # copy, followed by the SHA-256 of the text and a version 1.0 `.npy` table
 CACHE_DIR = ".chainrisk-cache"
-_COPY_MAGIC = b"CHRKTBL2"
+_COPY_MAGIC = b"CHRKTBL3"
 
 
 def _write_lines(path, lines):
@@ -280,15 +280,16 @@ def _edge_row(cells, _):
     return (u, v), list(map(float, cells[2:]))
 
 
-def _kind_codes(table, dtype):
-    """`table`, kinds as text, as a `dtype` table of each kind's index in
-    NODE_KINDS (-1 for another kind); None stays None."""
+def _tag_codes(table, dtype, column, tags):
+    """`table`, with `column` as text, as a `dtype` table whose `column` holds
+    each cell's index in `tags` (-1 for another tag); None stays None."""
     if table is None:
         return None
     coded = np.empty(table.size, dtype)
-    coded["id"], coded["f"], coded["kind"] = table["id"], table["f"], -1
-    for code, kind in enumerate(NODE_KINDS):
-        coded["kind"][table["kind"] == kind] = code
+    for name in coded.dtype.names:
+        coded[name] = -1 if name == column else table[name]
+    for code, tag in enumerate(tags):
+        coded[column][table[column] == tag] = code
     return coded
 
 
@@ -308,7 +309,8 @@ def _read_nodes(path, digests):
     if header[:2] == ["id", "kind"] and b"\r" not in head:
         text = [("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))]
         dtype = [("id", "i8"), ("kind", "i1"), ("f", "f8", (len(header) - 2,))]
-        table = _bulk_table(path, digest, dtype, lambda: _kind_codes(_bulk_rows(body, ",", text, _KIND_BYTES), dtype),
+        table = _bulk_table(path, digest, dtype,
+                            lambda: _tag_codes(_bulk_rows(body, ",", text, _KIND_BYTES), dtype, "kind", NODE_KINDS),
                             _dense_known_nodes)
         if table is not None:
             return np.asarray(NODE_KINDS)[table["kind"]], np.ascontiguousarray(table["f"])
@@ -355,11 +357,13 @@ def _read_labels(path, num_ids, form, digests):
     """(ids, int8 labels) of a label file whose lines are `num_ids` integer
     cells and a 0/1 cell; `form` names that line in the row parser's errors."""
     data, digest = _read(path, digests)
-    dtype = [("ids", "i8", (num_ids,)), ("label", "U2")]
-    table = _bulk_table(path, digest, dtype, lambda: _bulk_rows(data, "\t", dtype),
-                        lambda t: np.all((t["label"] == "0") | (t["label"] == "1")))
+    text = [("ids", "i8", (num_ids,)), ("label", "U2")]
+    dtype = [("ids", "i8", (num_ids,)), ("label", "i1")]
+    table = _bulk_table(path, digest, dtype,
+                        lambda: _tag_codes(_bulk_rows(data, "\t", text), dtype, "label", ("0", "1")),
+                        lambda t: np.all((t["label"] == 0) | (t["label"] == 1)))
     if table is not None:
-        return np.ascontiguousarray(table["ids"]), (table["label"] == "1").astype(np.int8)
+        return np.ascontiguousarray(table["ids"]), np.ascontiguousarray(table["label"])
     rows = _parse_rows(path, data, "\t", lambda c, _: ([_int(x) for x in c[:-1]], _label(c[-1], form)),
                        width=num_ids + 1)
     return (np.asarray([ids for ids, _ in rows], dtype=np.int64).reshape(-1, num_ids),

@@ -6,9 +6,10 @@ stores both directions of every undirected edge; edge features are a plain
 table with one row per undirected edge, in the order of
 `SmeGraph.undirected_edges()`. Normalization produces the symmetric
 operator with self-loops that the propagation step multiplies by. Both
-sparse row sums, `spmm` and the head's `ScatterPlan`, run over the layout
-of `row_slices`, each in its own summation order. `candidate_pairs`, the
-stage-1 candidate search, is a frontier join over the raw CSR adjacency.
+sparse row sums, `spmm` and the head's backward scatter (`scatter_plans`),
+are `RowSums.apply` over a layout of sliced CSR rows, in one summation
+order. `candidate_pairs`, the stage-1 candidate search, is a frontier join
+over the raw CSR adjacency.
 """
 
 from dataclasses import dataclass, field
@@ -178,24 +179,92 @@ class SmeGraph:
         return pairs[:, 0] * self.num_nodes + pairs[:, 1]
 
 
-def row_slices(indptr, depth):
-    """(order, sizes, rank, positions) of the CSR row partition `indptr`.
+def _terms(H, rows, values, out=None):
+    """H's `rows` (range-checked with the layout, so take need not check them) times `values`, if any."""
+    terms = np.take(H, rows, axis=0, out=out, mode="clip")
+    if values is not None:
+        terms *= values
+    return terms
 
-    `order` lists the rows by entry count, most first (stable); `sizes[k]`,
-    for k <= depth cut to the longest row, counts the rows with more than k
-    entries, a prefix of `order`. `rank[r]` is row r's place in `order`,
-    but every empty row points at place `sizes[0]`, one shared zero row.
-    `positions[k]`, k < depth, holds the flat position of the k-th entry of
-    each of the first `sizes[k]` rows.
+
+class RowSums:
+    """Row sums over a CSR row partition: row r of `apply(H)` is the sum of
+    values[i] * H[gather[i]] over the entries i of row r.
+
+    The layout orders the rows by entry count, most first (stable). Slice k,
+    for k < depth, holds the gathered input row and the value of the k-th
+    entry of every row that has one, a prefix of that order; the entries
+    past `depth`, which only hub rows have, form one flat run of segments,
+    one per hub row. `rank[r]` is row r's place in the order, but every
+    empty row points at one shared zero row. Values None mean unit weights,
+    with no multiply pass. `apply` relies on the range check of the
+    gathered ids made here, so the arrays must not be changed afterwards.
     """
-    counts = np.diff(indptr)
-    order = np.argsort(-counts, kind="stable")
-    depth = min(depth, int(counts.max(initial=0)))
-    sizes = np.searchsorted(-counts[order], -np.arange(depth + 1), side="left")
-    rank = np.empty(counts.size, dtype=np.int64)
-    rank[order] = np.minimum(np.arange(counts.size), sizes[0])
-    starts = indptr[:-1][order]
-    return order, sizes, rank, [starts[:sizes[k]] + k for k in range(depth)]
+
+    def __init__(self, indptr, gather, num_inputs, depth, values=None):
+        counts = np.diff(indptr)
+        if (indptr[0] != 0 or indptr[-1] != gather.size or np.any(counts < 0)
+                or (values is not None and values.shape != gather.shape)):
+            raise InvalidArgument("malformed CSR operator")
+        if gather.size and (gather.min() < 0 or gather.max() >= num_inputs):
+            raise InvalidArgument("column index out of range")
+        self.num_inputs = num_inputs
+        order = np.argsort(-counts, kind="stable")
+        depth = min(depth, int(counts.max(initial=0)))
+        sizes = np.searchsorted(-counts[order], -np.arange(depth + 1), side="left")
+        self.rank = np.empty(counts.size, dtype=np.int64)
+        self.rank[order] = np.minimum(np.arange(counts.size), sizes[0])
+
+        def pick(pos):
+            return gather[pos], None if values is None else values[pos][:, None]
+
+        starts = indptr[:-1][order]
+        self.slices = [pick(starts[:sizes[k]] + k) for k in range(depth)]
+        hubs = order[: sizes[-1]]
+        starts = indptr[hubs] + depth
+        lens = indptr[hubs + 1] - starts
+        seg = np.cumsum(lens) - lens
+        self.hubs = (*pick(np.arange(lens.sum()) + np.repeat(starts - seg, lens)), seg) if hubs.size else None
+
+    def apply(self, H, out=None, work=None):
+        """The (rows, d) row sums of the (num_inputs, d) array H, in `out` if given.
+
+        Slices 1, 2, ... are added in order onto a prefix of a tail array,
+        hub rows add their remaining entries with one `np.add.reduceat`,
+        slice 0 gives each row's first term in a head array, the tail is
+        added onto it, and the rows are gathered back into their original
+        order. Each row thus sums as entry 0 + (entry 1 + entry 2 + ...),
+        the order `np.add.reduceat` over the row's entries uses for rows of
+        at most 8 entries, so those rows match it bit for bit; longer rows
+        agree to rounding. `out`, sharing no memory with H, takes the sums;
+        until the final gather its first rows hold the tail. `work`, if
+        given, is a float64 array of rows + 1 rows of that width sharing no
+        memory with H or `out`: it holds the terms of slices 2, 3, ... and
+        then the head.
+        """
+        H = np.asarray(H, dtype=np.float64)
+        if H.ndim != 2 or H.shape[0] != self.num_inputs:
+            raise InvalidArgument(f"expected ({self.num_inputs}, d) input rows, got {H.shape}")
+        out = np.empty((self.rank.size, H.shape[1])) if out is None else out
+        if not self.slices:  # no entries
+            out.fill(0.0)
+            return out
+        (rows0, values0), *rest = self.slices
+        work = np.empty((rows0.size + 1, H.shape[1])) if work is None else work
+        if rest:
+            rows, values = rest[0]
+            tail = _terms(H, rows, values, out=out[: rows.size])
+            for rows, values in rest[1:]:
+                tail[: rows.size] += _terms(H, rows, values, out=work[: rows.size])
+            if self.hubs is not None:
+                rows, values, seg = self.hubs
+                tail[: seg.size] += np.add.reduceat(_terms(H, rows, values), seg, axis=0)
+        head = work[: rows0.size + 1]
+        _terms(H, rows0, values0, out=head[:-1])
+        head[-1] = 0.0
+        if rest:
+            head[: tail.shape[0]] += tail
+        return np.take(head, self.rank, axis=0, out=out, mode="clip")
 
 
 # entry positions k < SPMM_SLICES run as one slice each; later ones (hub rows only) share one pass
@@ -206,35 +275,20 @@ SPMM_SLICES = 32
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops, CSR with values.
 
-    Construction also builds the layout `spmm` runs over, so the arrays must
-    not be changed afterwards: slice k of `row_slices(indptr, SPMM_SLICES)`
-    as column ids and values, and the entries past SPMM_SLICES, which only
-    hub rows have, as one flat run of segments, one per hub row.
+    Construction also builds `sums`, the `RowSums` layout `spmm` runs over
+    at depth SPMM_SLICES, so the arrays must not be changed afterwards.
     """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    _slices: list = field(init=False, repr=False, compare=False)
-    _rank: np.ndarray = field(init=False, repr=False, compare=False)
-    _hubs: tuple = field(init=False, repr=False, compare=False)
+    sums: RowSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, nnz = self.num_nodes, self.indices.size
-        if (self.indptr.shape != (n + 1,) or self.indptr[0] != 0 or self.indptr[-1] != nnz
-                or np.any(np.diff(self.indptr) < 0) or self.values.shape != (nnz,)):
+        if self.indptr.shape != (self.num_nodes + 1,):
             raise InvalidArgument("malformed CSR operator")
-        if nnz and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise InvalidArgument("column index out of range")
-        order, sizes, self._rank, positions = row_slices(self.indptr, SPMM_SLICES)
-        self._slices = [(self.indices[pos], self.values[pos][:, None]) for pos in positions]
-        hubs = order[: sizes[-1]]
-        starts = self.indptr[hubs] + len(positions)
-        lens = self.indptr[hubs + 1] - starts
-        seg = np.cumsum(lens) - lens
-        pos = np.arange(lens.sum()) + np.repeat(starts - seg, lens)
-        self._hubs = (self.indices[pos], self.values[pos][:, None], seg) if hubs.size else None
+        self.sums = RowSums(self.indptr, self.indices, self.num_nodes, SPMM_SLICES, self.values)
 
 
 def normalize_adjacency(g):
@@ -256,53 +310,10 @@ def normalize_adjacency(g):
 
 
 def spmm(adj, H, out=None, work=None):
-    """Sparse-dense product adj @ H with a deterministic reduction order.
-
-    Runs over the layout of `NormalizedAdjacency`: slices 1, 2, ... are
-    added in order onto a prefix of a tail array, hub rows add their
-    remaining entries with one `np.add.reduceat`, slice 0 gives each row's
-    first term in a head array, the tail is added onto it, and the rows are
-    gathered back into their original order. Each row thus sums as
-    entry 0 + (entry 1 + entry 2 + ...), the order `np.add.reduceat` over
-    the CSR row uses for rows of at most 8 entries, so those rows match it
-    bit for bit; longer rows agree to rounding. The number of passes is at
-    most SPMM_SLICES + 2 whatever the longest row. `out`, an (n, d) array
-    sharing no memory with H, takes the product; until the final gather its
-    first rows hold the tail. `work`, if given, is a float64 array of n + 1
-    rows of that width sharing no memory with H or `out`: it holds the
-    terms of slices 2, 3, ... and then the head, as `ScatterPlan.apply`'s
-    `work` holds its sums.
-    """
-    H = np.asarray(H, dtype=np.float64)
-    if H.ndim != 2 or H.shape[0] != adj.num_nodes:
-        raise InvalidArgument(f"H must be ({adj.num_nodes}, d), got {H.shape}")
-    out = np.empty(H.shape) if out is None else out
-    if not adj._slices:  # no entries
-        out.fill(0.0)
-        return out
-    # column ids were range-checked when the layout was built, so take need not check them
-    (cols0, vals0), *rest = adj._slices
-    work = np.empty((cols0.size + 1, H.shape[1])) if work is None else work
-    if rest:
-        cols, vals = rest[0]
-        tail = np.take(H, cols, axis=0, out=out[: cols.size], mode="clip")
-        tail *= vals
-        for cols, vals in rest[1:]:
-            term = np.take(H, cols, axis=0, out=work[: cols.size], mode="clip")
-            term *= vals
-            tail[: cols.size] += term
-        if adj._hubs is not None:
-            cols, vals, seg = adj._hubs
-            term = np.take(H, cols, axis=0, mode="clip")
-            term *= vals
-            tail[: seg.size] += np.add.reduceat(term, seg, axis=0)
-    head = work[: cols0.size + 1]
-    np.take(H, cols0, axis=0, out=head[:-1], mode="clip")
-    head[:-1] *= vals0
-    head[-1] = 0.0
-    if rest:
-        head[: tail.shape[0]] += tail
-    return np.take(head, adj._rank, axis=0, out=out, mode="clip")
+    """Sparse-dense product adj @ H: `adj.sums.apply(H, out, work)`, whose
+    shape check, summation order and buffers are documented there. At most
+    SPMM_SLICES + 2 passes run, whatever the longest row."""
+    return adj.sums.apply(H, out, work)
 
 
 def check_ids(ids, num_nodes):
@@ -313,57 +324,17 @@ def check_ids(ids, num_nodes):
     return ids
 
 
-@dataclass
-class ScatterPlan:
-    """Row sums per node for one fixed column of node ids.
-
-    `apply(rows)` returns the (num_rows, width) array whose row u is the sum
-    of rows[i] over every i with ids[i] == u. The layout is `row_slices` of
-    the ids' stable sort with one row per node, so slice k holds the input
-    row of each node's k-th occurrence. Each node's rows add left to right
-    from zero, the order of one `np.bincount` over (id, column) keys, so the
-    sums are bit-identical to that kernel's, signed zeros included.
-    """
-
-    num_ids: int
-    slices: list  # per k, the input rows of the k-th occurrences
-    rank: np.ndarray  # each node's row of the buffer; absent nodes share its last, zero row
-
-    @classmethod
-    def build(cls, ids, num_rows):
-        ids = check_ids(ids, num_rows).reshape(-1)
-        order = np.argsort(ids, kind="stable")
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ids, minlength=num_rows), out=indptr[1:])
-        _, _, rank, positions = row_slices(indptr, ids.size)
-        return cls(ids.size, [order[pos] for pos in positions], rank)
-
-    def apply(self, rows, out=None, work=None):
-        """The (num_rows, width) row sums of `rows`, written into `out` if given.
-
-        `work`, if given, is a float64 array of num_rows + 1 rows of that
-        width that holds the sums in the plan's row order; the rows of each
-        slice are gathered into `out`, which is free until the sums are
-        gathered back by rank.
-        """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape[0] != self.num_ids:
-            raise InvalidArgument(f"scatter plan built for {self.num_ids} rows, got {rows.shape[0]}")
-        nodes = self.slices[0].size if self.slices else 0
-        out = np.empty((self.rank.size, rows.shape[1])) if out is None else out
-        sums = np.empty((nodes + 1, rows.shape[1])) if work is None else work[: nodes + 1]
-        sums.fill(0.0)
-        # slices and ranks index within rows and sums, so take need not check them
-        for idx in self.slices:
-            sums[: idx.size] += np.take(rows, idx, axis=0, out=out[: idx.size], mode="clip")
-        return np.take(sums, self.rank, axis=0, out=out, mode="clip")
-
-
 def scatter_plans(examples, num_nodes):
-    """One ScatterPlan per endpoint column of `examples` (pairs or node ids)."""
+    """One `RowSums` per endpoint column of `examples` (pairs or node ids):
+    `apply(rows)` sums onto node u every row i whose id is u, over the ids'
+    stable argsort at full depth, so no hub pass runs."""
     examples = np.asarray(examples, dtype=np.int64)
-    columns = examples.T if examples.ndim == 2 else [examples]
-    return [ScatterPlan.build(ids, num_nodes) for ids in columns]
+    plans = []
+    for ids in examples.T if examples.ndim == 2 else [examples]:
+        ids = check_ids(ids, num_nodes)
+        indptr = np.r_[0, np.cumsum(np.bincount(ids, minlength=num_nodes))]
+        plans.append(RowSums(indptr, np.argsort(ids, kind="stable"), ids.size, ids.size))
+    return plans
 
 
 @dataclass

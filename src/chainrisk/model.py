@@ -19,9 +19,10 @@ A training forward keeps one joint keep-mask for the head's hidden layer:
 the dropout draw ANDed with Z > 0. The forward scales Z by it in place
 (H = Z * keep / (1 - rate)) and the backward reuses it
 (dZ = dlogits * W1^T * keep / (1 - rate)), so relu and dropout cost one
-pass each way. The backward scatters dZ onto node rows through a
-`graph.ScatterPlan` per endpoint column; training builds the plans once
-for its fixed example rows and passes them in.
+pass each way. The backward scatters dZ onto node rows through one
+`graph.RowSums` layout per endpoint column (`graph.scatter_plans`), the
+kernel `spmm` runs, so each node's rows sum as row 0 + (row 1 + ...);
+training builds the plans once for its fixed example rows and passes them in.
 
 Z is gathered from the first endpoint block and the later blocks are
 added GATHER_ROWS rows at a time; the dropout mask is drawn in chunks
@@ -47,7 +48,7 @@ at once share bytes (l is an encoder layer, j an endpoint):
                   dropout mask (j = 0)     endpoint j; endpoint
                                            j + 1's dQ product
     "rows"        Z, then H in place       dZ in place           a score block's Z
-    "spare"       spmm scratch; gather     scatter sums; dQ,     spmm scratch;
+    "spare"       spmm scratch; gather     scatter scratch; dQ,  spmm scratch;
                   block; keep-mask         then the last layer's gather block
                                            dZ; spmm scratch
 

@@ -277,8 +277,8 @@ class TestTrainDp:
 
 def test_manifest_inputs_are_the_digests_the_readers_took(tmp_path, dataset, train_config, monkeypatch):
     """train sc, train dp --mined and eval list every file they read with its
-    SHA-256 and hash none of the data files again; the checkpoint's
-    mined_digest is that of the mined edges."""
+    SHA-256 and hash none of the data files again; the checkpoint holds the
+    digests of the files train dp read, by file name."""
     real, hashed = dataio.sha256_file, []
     monkeypatch.setattr(dataio, "sha256_file", lambda path: hashed.append(path) or real(path))
     sc, dp, ev = (str(tmp_path / name) for name in ("sc", "dp", "ev"))
@@ -299,7 +299,25 @@ def test_manifest_inputs_are_the_digests_the_readers_took(tmp_path, dataset, tra
         manifest = json.loads(open(os.path.join(argv[argv.index("--out") + 1], "run_manifest.json")).read())
         assert manifest["inputs"] == {path: real(path) for path in inputs}
         assert [path for path in hashed if path in inputs] == ([ckpt] if argv[0] == "eval" else [])
-    assert load_checkpoint(ckpt)[1]["mined_digest"] == real(mined)
+    assert load_checkpoint(ckpt)[1]["inputs"] == {os.path.basename(path): real(path) for path in runs[1][1]}
+
+
+def test_eval_refuses_a_graph_the_checkpoint_was_not_trained_on(tmp_path, dataset, train_config, capsys):
+    sc, dp = str(tmp_path / "sc"), str(tmp_path / "dp")
+    mined = os.path.join(sc, "mined_edges.tsv")
+    assert main(["train", "sc", "--data", dataset, "--config", train_config, "--out", sc]) == 0
+    assert main(["train", "dp", "--data", dataset, "--config", train_config, "--out", dp, "--mined", mined]) == 0
+    evaluate = ["eval", "--checkpoint", os.path.join(dp, "checkpoint_dp.bin"), "--data", dataset,
+                "--out", str(tmp_path / "ev"), "--mined", mined]
+    capsys.readouterr()
+    for path in (os.path.join(dataset, "nodes.csv"), os.path.join(dataset, "edges.tsv"), mined):
+        text = open(path, "rb").read()
+        corrupt_cell(path, 2, 2, "0.5")  # a feature or a score: still a valid file
+        assert main(evaluate) == 2
+        err = capsys.readouterr().err
+        assert f"{path} is not the {os.path.basename(path)}" in err and "Traceback" not in err
+        open(path, "wb").write(text)
+    assert main(evaluate) == 0
 
 
 class TestEval:

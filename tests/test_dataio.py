@@ -552,7 +552,8 @@ class TestParsedInputCache:
         dataio.write_node_labels(path, [0, 1, 2], [0, 1, 0])
         dataio.read_node_labels(path)
         good = copy_of(path).read_bytes()
-        forged = np.array([([0], "0"), ([1], "7"), ([2], "0")], dtype=[("ids", "i8", (1,)), ("label", "U2")])
+        assert np.load(io.BytesIO(good[len(dataio._COPY_MAGIC) + 32:]))["label"].dtype == np.int8
+        forged = np.array([([0], 0), ([1], 7), ([2], 0)], dtype=[("ids", "i8", (1,)), ("label", "i1")])
         dataio._save_copy(str(copy_of(path)), hashlib.sha256(path.read_bytes()).digest(), forged)
         nodes, labels = dataio.read_node_labels(path)
         assert nodes.tolist() == [0, 1, 2] and labels.tolist() == [0, 1, 0]

@@ -20,7 +20,12 @@ recorded before every training array came to be reused from epoch to epoch.
 `TRAINING_DIGESTS`, `TRAINING_DIGESTS_2T` and `CLI_DIGESTS` were re-recorded
 after dropout masks came to be drawn from 16-bit Philox lanes
 (`nn.dropout_mask`), which moves every same-seed training output; the
-generator digests and the mined pairs did not move.
+generator digests and the mined pairs did not move. The pair entries were
+re-recorded again when the head's backward scatter took `spmm`'s summation
+order (a node's rows sum as row 0 + (row 1 + ...)), which the node task,
+with distinct ids, does not see; the candidate logits of the mining run were
+added then. `CLI_DIGESTS["checkpoint_dp.bin"]` was re-recorded when the
+checkpoint meta came to hold the digests of the files training read.
 """
 
 import contextlib
@@ -145,14 +150,16 @@ TRAIN_CASES = {
     "pair": dict(seed=0, num_layers=1, dropout=0.1, max_epochs=60, patience=15),
     "node": dict(seed=0, num_layers=2, dropout=0.3, max_epochs=60, patience=15),
 }
-# tau 0.5 lets model-scored candidates into the enriched graph, not only known links
+# at tau 0.5 every mined edge of this run is an injected known link (score 1.0),
+# so the mined pairs and scores pin no model score; the digest of the stage-1
+# model's candidate logits does
 MINING_TAU = 0.5
 TRAINING_DIGESTS = {
     "pair": {
         "epochs": 60,
         "best_epoch": 60,
-        "parameters": "aaa4796b9dd43fc71793d14952d4ab4278e4f9df6796e863fcddc599b74894f4",
-        "trace": "f53340e28cf0241ec39cf2c48f498d6f5a4ad2b8fca317d035d2fb9c80a85dff",
+        "parameters": "773a2b1d01638487fac4792eeb41aaada6a0fc8c805d491c9b115c1878f4d516",
+        "trace": "41c22eee9ed4ff290b1bd483340b63f752971cc566c6d4fc54fcc2729f643220",
     },
     "node": {
         "epochs": 60,
@@ -165,19 +172,20 @@ TRAINING_DIGESTS = {
         "mined": 1252,
         "pairs": "392ecf43ea8f64326b9f4b2872f36c505db56b3c37cc8509b08b15b4f256043b",
         "scores": "a51a58749124b1beeb9d08a26f41857626b3c191c710cf220fc0d3f41f237ee1",
+        "logits": "8a6440b6f54788ecbf169ff90328b93be161430db509eef13273fe3c29ccd971",
     },
 }
 
 
 # the same runs on two BLAS threads: the encoder and head products split
-# across threads, so parameters and losses differ from one thread's in the
-# last bits, while the mined pairs and scores happen to agree
+# across threads, so parameters, losses and candidate logits differ from one
+# thread's in the last bits, while the mined pairs and scores agree
 TRAINING_DIGESTS_2T = {
     "pair": {
         "epochs": 60,
         "best_epoch": 60,
-        "parameters": "8d9d37676cced978c5dbb5ac9bcc986e60c2655a9c42203d7a1fd20b33a9e6aa",
-        "trace": "2e77efabe53c53600133a18b4caea61be1d4e2bd68b00523944f8fdd14b51e0a",
+        "parameters": "f369b63b1a2beac9cf0092152f410a8af06e354e76a67027440d384bd078b7b9",
+        "trace": "8f89aa8f143ad21743d6f6243c50c0ef2bd85761b87f11a9639e3725e4b9f226",
     },
     "node": {
         "epochs": 60,
@@ -185,7 +193,8 @@ TRAINING_DIGESTS_2T = {
         "parameters": "357ee4883b834e3b01c04d6c16946aefadf69bef95c7a65f9a8e13a36c5c092a",
         "trace": "c91894a96297f9bfcd960993518e1113ebe418f35de631e2aa854c949f8da1b4",
     },
-    "mining": TRAINING_DIGESTS["mining"],
+    "mining": {**TRAINING_DIGESTS["mining"],
+               "logits": "9ee8d605e56192d825918db4cfb6df8631e06c5b5c5679b63e88fd0ec0aa4bbd"},
 }
 
 
@@ -195,6 +204,9 @@ def _float_digest(a):
 
 def training_digests():
     """Digests of the TRAIN_CASES runs and of one stage-1 mining run."""
+    from chainrisk.graph import candidate_pairs
+    from chainrisk.labels import TEST
+    from chainrisk.model import score_examples
     from chainrisk.pipeline import TaskData, TrainConfig, run_stage1_mining, train_task
 
     g, pair_set, node_set, _ = synthgen.generate(synthgen.paper_calibrated(num_smes=2000, seed=0))
@@ -207,12 +219,17 @@ def training_digests():
             "parameters": _float_digest(np.concatenate([p.reshape(-1) for p in result.model.parameters()])),
             "trace": _float_digest([(r["epoch"], r["train_loss"], r["val_loss"]) for r in result.trace]),
         }
-    stage = run_stage1_mining(g, pair_set, TrainConfig(tau=MINING_TAU, **TRAIN_CASES["pair"]))
+    config = TrainConfig(tau=MINING_TAU, **TRAIN_CASES["pair"])
+    stage = run_stage1_mining(g, pair_set, config)
+    data = TaskData.build(g, pair_set)
+    cands = candidate_pairs(g, extra_pairs=data.examples[data.split == TEST], max_hops=config.candidate_hops)
+    logits, _ = score_examples(stage.model, data.adj, data.X, cands, propagated=data.propagated)
     out["mining"] = {
         "candidates": stage.candidate_count,
         "mined": stage.enriched.num_mined,
         "pairs": _array_digest(stage.enriched.mined_pairs)[1],
         "scores": _float_digest(stage.enriched.mined_scores),
+        "logits": _float_digest(logits),
     }
     return out
 
@@ -223,7 +240,7 @@ CLI_TRAIN = dict(learning_rate=0.01, dropout=0.1, num_layers=1, max_epochs=30, p
 CLI_DIGESTS = {
     "mined_edges.tsv": "76a3fd088f74c5bf7a64e3fd8153b3ac354c4743a522bfa0cbac3816895232da",
     "scores_dp.tsv": "4b5b69c682a21f952751095c519af567b3cb14ee94d4968eee694c284fa520b9",
-    "checkpoint_dp.bin": "2a17510a262a1c477fcc3bb57497305954f6d0947671797aecfd268efd076fa4",
+    "checkpoint_dp.bin": "1d04ec3d1d01c446fb5604815cd6b9f718aa38f72860c67c7d6f33810073f917",
     "roc_points.tsv": "17b650eaaaf80a8281fa83cf6396edfff2aa826081cc9650082ffe84a92f77a3",
     "eval_report.json": "c71913e701bb4f404f09f171f001ae2946b7625c770040b61f1e8403a144de46",
 }

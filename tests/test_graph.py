@@ -8,12 +8,12 @@ from chainrisk.graph import (
     SPMM_SLICES,
     EnrichedGraph,
     NormalizedAdjacency,
+    RowSums,
     SmeGraph,
     _csr_from_directed,
     enrich,
     in_sorted,
     normalize_adjacency,
-    row_slices,
     sample_pair_keys,
     sorted_unique,
     spmm,
@@ -170,17 +170,23 @@ class TestSpmm:
 @example([0, 0, 0], 2)  # every row empty
 @example([5], 2)  # a single row, longer than the depth
 @example([0, 3, 0, 3, 1], 2)  # empty rows and ties
-def test_row_slices_match_a_per_row_listing(counts, depth):
+def test_row_sums_layout_matches_a_per_row_listing(counts, depth):
     indptr = np.r_[0, np.cumsum(counts)].astype(np.int64)
-    order, sizes, rank, positions = row_slices(indptr, depth)
+    sums = RowSums(indptr, np.arange(indptr[-1]), int(indptr[-1]), depth)  # entry i gathers input row i
     by_count = sorted(range(len(counts)), key=lambda r: -counts[r])  # Python's sort is stable
     depth = min(depth, max(counts, default=0))
-    assert order.tolist() == by_count
-    assert sizes.tolist() == [sum(c > k for c in counts) for k in range(depth + 1)]
     zero_row = sum(c > 0 for c in counts)
-    assert rank.tolist() == [by_count.index(r) if counts[r] else zero_row for r in range(len(counts))]
-    assert [p.tolist() for p in positions] == [[indptr[r] + k for r in by_count if counts[r] > k]
-                                               for k in range(depth)]
+    assert sums.rank.tolist() == [by_count.index(r) if counts[r] else zero_row for r in range(len(counts))]
+    assert [rows.tolist() for rows, _ in sums.slices] == [[indptr[r] + k for r in by_count if counts[r] > k]
+                                                          for k in range(depth)]
+    assert all(values is None for _, values in sums.slices)
+    hubs = [r for r in by_count if counts[r] > depth]
+    if not hubs:
+        assert sums.hubs is None
+        return
+    rows, values, seg = sums.hubs
+    assert rows.tolist() == [indptr[r] + k for r in hubs for k in range(depth, counts[r])] and values is None
+    assert seg.tolist() == np.r_[0, np.cumsum([counts[r] - depth for r in hubs])[:-1]].tolist()
 
 
 def reduceat_spmm(adj, H):
@@ -245,8 +251,8 @@ def test_spmm_layout_of_a_large_star_stays_within_the_slice_cap():
     g = SmeGraph.from_edge_list(n, np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]),
                                 np.zeros((n, 1)))
     adj = normalize_adjacency(g)
-    assert len(adj._slices) <= SPMM_SLICES
-    assert adj._hubs is not None
+    assert len(adj.sums.slices) <= SPMM_SLICES
+    assert adj.sums.hubs is not None
     H = np.random.default_rng(0).normal(size=(n, 3))
     assert np.max(np.abs(spmm(adj, H) - reduceat_spmm(adj, H))) <= 1e-12
 
