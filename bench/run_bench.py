@@ -12,8 +12,9 @@ The run goes through stage 1 one phase at a time, as
 `pipeline.run_stage1_mining` does:
 
     generate   synthgen.generate(paper_calibrated(--smes, --seed))
-    write      the writers of `chainrisk generate` (graph, both label files
-               and the ground truth) into a temporary directory
+    write      dataio.write_dataset, the call `chainrisk generate` makes (graph,
+               both label files and the ground truth), into a temporary
+               directory
     read_cold  what `chainrisk train` reads of those files (read_graph and
                both label readers): each text is parsed and its table saved
                as a binary copy in the parsed-input cache
@@ -171,18 +172,6 @@ def economy_digest(economy):
                   truth.default_labels)
 
 
-def write_files(economy, out):
-    """The paths of the files `chainrisk generate`'s writers make of `economy` in `out`."""
-    g, pair_set, node_set, truth = economy
-    paths = dataio.write_graph(out, g)
-    for name, write, args in (("labels_sc.tsv", dataio.write_pair_labels, (pair_set.examples, pair_set.labels)),
-                              ("labels_dp.tsv", dataio.write_node_labels, (node_set.examples, node_set.labels)),
-                              ("ground_truth.tsv", dataio.write_ground_truth, (truth,))):
-        paths.append(os.path.join(out, name))
-        write(paths[-1], *args)
-    return paths
-
-
 def file_digests(paths):
     return {os.path.basename(path): dataio.sha256_file(path) for path in paths}
 
@@ -219,7 +208,7 @@ def add_traced_generate(phases, gen_config, digest, files):
     if economy_digest(economy) != digest:
         raise SystemExit("generate under tracemalloc gave a different economy")
     with tempfile.TemporaryDirectory() as out:
-        paths, _, phases.out["write"]["tracemalloc_peak_mb"] = traced(write_files, economy, out)
+        paths, _, phases.out["write"]["tracemalloc_peak_mb"] = traced(dataio.write_dataset, out, *economy)
         if file_digests(paths) != files:
             raise SystemExit("the writers under tracemalloc gave different files")
         for name in ("read_cold", "read_warm"):
@@ -240,7 +229,7 @@ def main(argv=None):
     phases = Phases()
     economy = phases.run("generate", synthgen.generate, gen_config)
     with tempfile.TemporaryDirectory() as out:
-        files = file_digests(phases.run("write", write_files, economy, out))
+        files = file_digests(phases.run("write", dataio.write_dataset, out, *economy))
         read_phases(phases, economy, out)
     digest = economy_digest(economy)
     g, pair_set, node_set, _ = economy

@@ -126,18 +126,10 @@ def cmd_generate(args):
     manifest = _manifest_skeleton("generate", config.to_dict(), {args.config: dataio.sha256_file(args.config)})
 
     graph, pair_set, node_set, truth = _parse_config(args.config, generate, config)
-    outputs = dataio.write_graph(args.out, graph)
-    sc_path = os.path.join(args.out, "labels_sc.tsv")
-    dataio.write_pair_labels(sc_path, pair_set.examples, pair_set.labels)
-    dp_path = os.path.join(args.out, "labels_dp.tsv")
-    dataio.write_node_labels(dp_path, node_set.examples, node_set.labels)
-    gt_path = os.path.join(args.out, "ground_truth.tsv")
-    dataio.write_ground_truth(gt_path, truth)
-    outputs += [sc_path, dp_path, gt_path]
     _finish_manifest(
         manifest,
         args.out,
-        outputs,
+        dataio.write_dataset(args.out, graph, pair_set, node_set, truth),
         extra={
             "seed": config.seed,
             "num_nodes": graph.num_nodes,
@@ -271,6 +263,26 @@ def cmd_train(args):
     return 0
 
 
+def _check_trained_on(checkpoint, trained_on, inputs, label):
+    """InvalidInput, naming the file, unless the files eval read other than
+    the label file `label` have exactly the SHA-256 digests train recorded
+    for its own. Files match by content, so a renamed copy of the right file
+    passes; new labels for the same graph may be scored."""
+    left = [digest for name, digest in trained_on.items() if name != label]
+    for path, digest in inputs.items():
+        name = os.path.basename(path)
+        if name == label:
+            continue
+        if digest not in left:
+            what = f"the {name}" if name in trained_on else "a file"
+            raise InvalidInput(f"{path} is not {what} {checkpoint} was trained on")
+        left.remove(digest)
+    if left:
+        name = next(name for name, digest in trained_on.items() if digest == left[0] and name != label)
+        raise InvalidInput(f"{checkpoint} was also trained on {name}, which this eval does not read "
+                           "(pass it with --mined)")
+
+
 def cmd_eval(args):
     if not os.path.exists(args.checkpoint):
         raise InvalidInput(f"checkpoint not found: {args.checkpoint}")
@@ -280,16 +292,11 @@ def cmd_eval(args):
         raise InvalidInput(f"{args.checkpoint}: checkpoint meta needs a stage of sc or dp, a config object "
                            "and an inputs object")
     config = _parse_config(args.checkpoint, TrainConfig.from_dict, meta["config"])
-    if meta.get("enriched") and not (args.mined or args.no_enrich):
-        raise InvalidInput("checkpoint was trained on an enriched graph; pass --mined or --no-enrich")
     out_dir = args.out or os.path.dirname(os.path.abspath(args.checkpoint))
     os.makedirs(out_dir, exist_ok=True)
     view, labeled, inputs, _ = _task_inputs(args, stage, config)
-    # the graph must be the one the model was trained on; new labels for it may be scored
-    for path, digest in inputs.items():
-        name = os.path.basename(path)
-        if name != f"labels_{stage}.tsv" and trained_on.get(name, digest) != digest:
-            raise InvalidInput(f"{path} is not the {name} {args.checkpoint} was trained on")
+    if "inputs" in meta:
+        _check_trained_on(args.checkpoint, trained_on, inputs, f"labels_{stage}.tsv")
     inputs[args.checkpoint] = dataio.sha256_file(args.checkpoint)
     data = TaskData.build(view, labeled)
 

@@ -390,6 +390,19 @@ def write_ground_truth(path, truth):
                                        (f"node\t{u}\t{tier}\t{label}" for u, (tier, label) in nodes)))
 
 
+def write_dataset(out_dir, graph, pair_set, node_set, truth):
+    """Write what `chainrisk generate` writes of one economy into `out_dir`:
+    the graph, both label files and the ground truth, in that order of paths.
+    The writers are looked up as module globals at call time, so a wrapper
+    installed on this module sees each call."""
+    paths = write_graph(out_dir, graph)
+    paths += [os.path.join(out_dir, name) for name in ("labels_sc.tsv", "labels_dp.tsv", "ground_truth.tsv")]
+    write_pair_labels(paths[2], pair_set.examples, pair_set.labels)
+    write_node_labels(paths[3], node_set.examples, node_set.labels)
+    write_ground_truth(paths[4], truth)
+    return paths
+
+
 def read_ground_truth(path):
     supply, hidden, tiers, labels = [], [], [], []
 
@@ -461,7 +474,7 @@ def sha256_file(path):
 
 
 def utc_timestamps():
-    """(start, end) helper honoring SOURCE_DATE_EPOCH for reproducible runs."""
+    """Seconds since the epoch now, or SOURCE_DATE_EPOCH when it is set, for reproducible runs."""
     pinned = os.environ.get("SOURCE_DATE_EPOCH")
     if pinned is not None:
         return float(pinned)

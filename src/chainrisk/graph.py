@@ -43,6 +43,17 @@ def _csr_from_directed(num_nodes, rows, cols):
     return indptr, keys % num_nodes
 
 
+def pair_keys(pairs, n):
+    """The int64 key min(u, v) * n + max(u, v) of each row (u, v) of `pairs`,
+    one per unordered pair; `key_pairs` gives back the pairs with u < v."""
+    return np.minimum(pairs[:, 0], pairs[:, 1]) * n + np.maximum(pairs[:, 0], pairs[:, 1])
+
+
+def key_pairs(keys, n):
+    """The (k, 2) pairs (key // n, key % n) of `pair_keys` keys."""
+    return np.column_stack([keys // n, keys % n])
+
+
 def sorted_unique(keys):
     """np.unique(keys) for 1-d integer keys, by a single sort.
 
@@ -85,7 +96,7 @@ def sample_pair_keys(gen, n, count, forbidden, draws, nodes=None, max_rounds=Non
         vs = gen.integers(0, size, size=us.size)
         if nodes is not None:
             us, vs = nodes[us], nodes[vs]
-        drawn = np.minimum(us, vs) * n + np.maximum(us, vs)
+        drawn = pair_keys(np.column_stack([us, vs]), n)
         ok = (us != vs) & ~in_sorted(drawn, forbidden) & ~in_sorted(drawn, keys)
         drawn = drawn[ok]
         _, first = np.unique(drawn, return_index=True)
@@ -124,11 +135,10 @@ class SmeGraph:
         if m > 0:
             if edges.min() < 0 or edges.max() >= num_nodes:
                 raise InvalidInput("edge endpoint out of range")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
+            key = pair_keys(edges, num_nodes)
+            lo, hi = np.divmod(key, num_nodes)
             if np.any(lo == hi):
                 raise InvalidInput("self-loops are not allowed")
-            key = lo * num_nodes + hi
             order = np.argsort(key)
             if np.any(np.diff(key[order]) == 0):
                 raise InvalidInput("duplicate undirected edges")
@@ -175,8 +185,7 @@ class SmeGraph:
 
     def edge_keys(self):
         """Sorted int64 keys u * n + v (u < v), one per undirected edge."""
-        pairs, _ = self.undirected_edges()
-        return pairs[:, 0] * self.num_nodes + pairs[:, 1]
+        return pair_keys(self.undirected_edges()[0], self.num_nodes)
 
 
 def _terms(H, rows, values, out=None):
@@ -386,17 +395,14 @@ def enrich(g, mined, tau):
         return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
     if np.any(scores < 0.0) or np.any(scores > 1.0) or not np.all(np.isfinite(scores)):
         raise InvalidInput("mined scores must lie in [0, 1]")
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    keys = lo * g.num_nodes + hi
-    keep = (lo != hi) & (scores >= tau) & ~in_sorted(keys, g.edge_keys())
+    keys = pair_keys(arr, g.num_nodes)
+    keep = (arr[:, 0] != arr[:, 1]) & (scores >= tau) & ~in_sorted(keys, g.edge_keys())
     keys, scores = keys[keep], scores[keep]
     # by key, best score first; the first row of each key is the one kept
     order = np.lexsort((-scores, keys))
     keys, first = np.unique(keys[order], return_index=True)
     scores = scores[order][first]
-    pairs = np.column_stack([keys // g.num_nodes, keys % g.num_nodes])
-    return EnrichedGraph(g, pairs, scores, tau)
+    return EnrichedGraph(g, key_pairs(keys, g.num_nodes), scores, tau)
 
 
 # SME sources per frontier join in `candidate_pairs`; keys are `src * n + node`, so
@@ -445,10 +451,6 @@ def candidate_pairs(g, extra_pairs=None, max_hops=3):
                 chunks.append(level[(u < v) & allowed[v]])
     if extra_pairs is not None and len(extra_pairs):
         extra = check_ids(extra_pairs, n).reshape(-1, 2)
-        lo = np.minimum(extra[:, 0], extra[:, 1])
-        hi = np.maximum(extra[:, 0], extra[:, 1])
-        keys = lo * n + hi
-        keep = (lo != hi) & allowed[lo] & allowed[hi] & ~in_sorted(keys, g.edge_keys())
-        chunks.append(keys[keep])
-    keys = sorted_unique(np.concatenate(chunks))
-    return np.column_stack([keys // n, keys % n])
+        keys, (u, v) = pair_keys(extra, n), extra.T
+        chunks.append(keys[(u != v) & allowed[u] & allowed[v] & ~in_sorted(keys, g.edge_keys())])
+    return key_pairs(sorted_unique(np.concatenate(chunks)), n)

@@ -13,11 +13,12 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidInput
-from .graph import check_ids, in_sorted, sample_pair_keys, sorted_unique
+from .graph import check_ids, in_sorted, key_pairs, pair_keys, sample_pair_keys, sorted_unique
 from .rng import NEGATIVES, SPLIT, make_rng
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
+SPLIT_FRACTIONS = (0.70, 0.15, 0.15)  # train, val, test
 
 
 @dataclass
@@ -68,7 +69,7 @@ def first_invalid_example(examples):
         if bad.size:
             u, v = examples[bad[0]]
             return int(bad[0]), f"pair ({u}, {v}) is not in canonical order u < v"
-        keys = examples[:, 0] * (examples.max(initial=0) + 1) + examples[:, 1]
+        keys = pair_keys(examples, examples.max(initial=0) + 1)
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # each later row of an equal run
     if not repeats.size:
@@ -78,17 +79,15 @@ def first_invalid_example(examples):
     return row, f"duplicate {what}"
 
 
-def stratified_split(labels, fractions=(0.70, 0.15, 0.15), seed=0):
-    """Per-class train/val/test tags; proportions hold within one example.
+def stratified_split(labels, seed=0):
+    """Per-class train/val/test tags in SPLIT_FRACTIONS; proportions hold
+    within one example.
 
     Counts come from largest-remainder rounding per class; when a fraction
     rounds a tiny class to zero, one example is moved from that class's
     largest block so every split keeps both classes.
     """
     labels = np.asarray(labels)
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise InvalidArgument("fractions must be three positive values summing to 1")
     classes, counts = np.unique(labels, return_counts=True)
     if np.any(counts < 3):
         raise InvalidInput("every class needs at least 3 examples to split")
@@ -98,7 +97,7 @@ def stratified_split(labels, fractions=(0.70, 0.15, 0.15), seed=0):
         idx = np.flatnonzero(labels == cls)
         gen.shuffle(idx)
         start = 0
-        for tag, k in zip((TRAIN, VAL, TEST), largest_remainder(idx.size, fractions)):
+        for tag, k in zip((TRAIN, VAL, TEST), largest_remainder(idx.size, SPLIT_FRACTIONS)):
             out[idx[start:start + k]] = tag
             start += k
     return out
@@ -137,13 +136,8 @@ def sample_negatives(g, positives, ratio, seed, nodes=None):
     nodes = np.arange(n) if nodes is None else check_ids(nodes, n)
     allowed = np.zeros(n, dtype=bool)
     allowed[nodes] = True
-    edges = g.edge_keys()
-    lo = np.minimum(positives[:, 0], positives[:, 1])
-    hi = np.maximum(positives[:, 0], positives[:, 1])
-    forbidden = sorted_unique(np.concatenate([
-        edges[allowed[edges // n] & allowed[edges % n]],
-        (lo * n + hi)[allowed[lo] & allowed[hi]],
-    ]))
+    pairs = np.vstack([g.undirected_edges()[0], positives])
+    forbidden = sorted_unique(pair_keys(pairs, n)[allowed[pairs].all(axis=1)])
     possible = nodes.size * (nodes.size - 1) // 2 - forbidden.size
     if count > possible:
         raise InvalidInput(
@@ -152,14 +146,12 @@ def sample_negatives(g, positives, ratio, seed, nodes=None):
     gen = make_rng(seed, NEGATIVES)
     if possible <= 4 * count:
         # every allowed non-edge, in the order of the pairs (nodes[i], nodes[j]), i < j
-        iu, iv = np.triu_indices(nodes.size, k=1)
-        u, v = nodes[iu], nodes[iv]
-        pool = np.minimum(u, v) * n + np.maximum(u, v)
+        pool = pair_keys(nodes[np.column_stack(np.triu_indices(nodes.size, k=1))], n)
         pool = pool[~in_sorted(pool, forbidden)]
         keys = np.sort(pool[gen.choice(pool.size, size=count, replace=False)])
     else:
         keys = sample_pair_keys(gen, n, count, forbidden, lambda need: 2 * need, nodes=nodes)
-    return np.column_stack([keys // n, keys % n])
+    return key_pairs(keys, n)
 
 
 def _finite_number(value):

@@ -1,5 +1,6 @@
-"""Ranking metrics: AUC (Mann-Whitney, ties at half credit) and the
-Kolmogorov-Smirnov statistic over the class-conditional score CDFs.
+"""Ranking metrics: AUC (Mann-Whitney, ties at half credit), the
+Kolmogorov-Smirnov statistic over the class-conditional score CDFs, and the
+ROC curve, all read off one descending sweep of the scores.
 """
 
 from dataclasses import dataclass
@@ -9,7 +10,15 @@ import numpy as np
 from .errors import InvalidArgument, UndefinedMetric
 
 
-def _check_binary(scores, labels):
+def _sweep(scores, labels):
+    """Validate once and sort once; returns the int64 counts (tp, fp).
+
+    tp[i] and fp[i] count the positives (label 1) and the negatives (any
+    other label) scoring at or above the i-th distinct score, descending;
+    both start with 0, the threshold above every score, and end at n_pos and
+    n_neg. Every metric below is exact integer arithmetic on these counts
+    followed by one division, so it does not depend on the order of the sum.
+    """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
@@ -17,32 +26,37 @@ def _check_binary(scores, labels):
     if not np.all(np.isfinite(scores)):
         raise InvalidArgument("scores contain non-finite values")
     pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = int(labels.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    if pos.all() or not pos.any():
         raise UndefinedMetric("both classes must be present")
-    return scores, pos, n_pos, n_neg
+    order = np.argsort(-scores, kind="mergesort")
+    s = scores[order]
+    group_end = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
+    tp = np.r_[0, np.cumsum(pos[order])[group_end]]
+    return tp, np.r_[0, group_end + 1] - tp
 
 
-def _midranks(sorted_values, n):
-    """1-based average ranks for an ascending array with ties."""
-    starts = np.r_[0, np.flatnonzero(np.diff(sorted_values)) + 1]
-    ends = np.r_[starts[1:], n]
-    mid = (starts + ends + 1) / 2.0
-    return np.repeat(mid, ends - starts)
+def _auc(tp, fp):
+    # a group's positives beat every negative below it and tie its own at
+    # half credit: 2U = sum over groups of pos * (2 n_neg - fp - fp_prev)
+    u2 = np.diff(tp) @ (2 * fp[-1] - fp[1:] - fp[:-1])
+    return float(u2 / 2 / (int(tp[-1]) * int(fp[-1])))
+
+
+def _ks(tp, fp):
+    # a class CDF at a distinct score: the class size minus its count above
+    # that score, over the class size
+    cdf_pos = (tp[-1] - tp[:-1]) / int(tp[-1])
+    cdf_neg = (fp[-1] - fp[:-1]) / int(fp[-1])
+    return float(np.max(np.abs(cdf_pos - cdf_neg)))
 
 
 def auc(scores, labels):
     """P(score of random positive > score of random negative), ties count 0.5.
 
-    Computed by rank sum in O(n log n); identical to the pairwise count.
+    The Mann-Whitney U from one sort, O(n log n); identical to the pairwise
+    count.
     """
-    scores, pos, n_pos, n_neg = _check_binary(scores, labels)
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
-    ranks[order] = _midranks(scores[order], scores.size)
-    u_stat = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u_stat / (n_pos * n_neg))
+    return _auc(*_sweep(scores, labels))
 
 
 def ks(scores, labels):
@@ -51,14 +65,7 @@ def ks(scores, labels):
     Both CDFs are step functions, so the maximum occurs at a sample point;
     evaluating at every distinct score is exact.
     """
-    scores, pos, n_pos, n_neg = _check_binary(scores, labels)
-    order = np.argsort(scores, kind="mergesort")
-    y = pos[order]
-    s = scores[order]
-    cdf_pos = np.cumsum(y) / n_pos
-    cdf_neg = np.cumsum(~y) / n_neg
-    group_end = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
-    return float(np.max(np.abs(cdf_pos[group_end] - cdf_neg[group_end])))
+    return _ks(*_sweep(scores, labels))
 
 
 def roc_points(scores, labels):
@@ -66,16 +73,8 @@ def roc_points(scores, labels):
 
     Starts at (0, 0) and ends at (1, 1); ready for plotting or the TSV dump.
     """
-    scores, pos, n_pos, n_neg = _check_binary(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    y = pos[order]
-    s = scores[order]
-    tp = np.cumsum(y)
-    fp = np.cumsum(~y)
-    group_end = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
-    fpr = np.r_[0.0, fp[group_end] / n_neg]
-    tpr = np.r_[0.0, tp[group_end] / n_pos]
-    return np.column_stack([fpr, tpr])
+    tp, fp = _sweep(scores, labels)
+    return np.column_stack([fp / int(fp[-1]), tp / int(tp[-1])])
 
 
 @dataclass
@@ -90,14 +89,8 @@ class EvalReport:
 
     @classmethod
     def from_scores(cls, scores, labels, split):
-        labels = np.asarray(labels)
-        return cls(
-            auc=auc(scores, labels),
-            ks=ks(scores, labels),
-            split=split,
-            num_pos=int(np.sum(labels == 1)),
-            num_neg=int(np.sum(labels != 1)),
-        )
+        tp, fp = _sweep(scores, labels)
+        return cls(auc=_auc(tp, fp), ks=_ks(tp, fp), split=split, num_pos=int(tp[-1]), num_neg=int(fp[-1]))
 
     def to_dict(self):
         return {

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import InvalidConfig, InvalidInput
-from .graph import SmeGraph, in_sorted, sample_pair_keys, sorted_unique
+from .graph import SmeGraph, in_sorted, key_pairs, pair_keys, sample_pair_keys, sorted_unique
 from .labels import GroundTruth, LabeledSet, config_fields, largest_remainder, stratified_split
 from .rng import GENERATOR, make_rng
 
@@ -161,7 +161,7 @@ def generate(config):
     hidden_mask = np.zeros(m, dtype=bool)
     hidden_mask[gen.permutation(m)[: int(round(config.hidden_fraction * m))]] = True
 
-    supply_keys = sorted_unique(supply_edges[:, 0] * n + supply_edges[:, 1])
+    supply_keys = sorted_unique(pair_keys(supply_edges, n))
     social_edges = _sample_social_edges(config, gen, n, supply_keys)
 
     X = _node_features(config, gen, tiers, latent, social_edges, n)
@@ -268,8 +268,7 @@ def _match_blocks(blocks, budgets, accept_breadth, n):
         links = ((by_row < bu) & (by_col < wv)) | ((by_col < bv) & (by_row < wu))
         i, j = np.nonzero(links)
         keys.append(rows[i] * n + cols[j])
-    keys = np.sort(np.concatenate(keys))
-    return np.column_stack([keys // n, keys % n])
+    return key_pairs(np.sort(np.concatenate(keys)), n)
 
 
 def _sample_social_edges(config, gen, n, supply_keys):
@@ -278,7 +277,7 @@ def _sample_social_edges(config, gen, n, supply_keys):
     keys = sample_pair_keys(gen, n, target, supply_keys, lambda need: max(64, 2 * need), max_rounds=60)
     if keys.size < target:
         raise InvalidConfig("social_density too high for the available pairs")
-    return np.column_stack([keys // n, keys % n])
+    return key_pairs(keys, n)
 
 
 def _node_features(config, gen, tiers, latent, social_edges, n):
@@ -327,7 +326,7 @@ def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, posi
     n_pos = positives.shape[0]
     n_neg = int(round(config.neg_ratio * n_pos))
     n_hard = int(round(config.hard_negative_fraction * n_neg))
-    taken = sorted_unique(np.concatenate([supply_keys, social_edges[:, 0] * n + social_edges[:, 1]]))
+    taken = sorted_unique(np.concatenate([supply_keys, pair_keys(social_edges, n)]))
 
     hard_pool = _hard_pool(tiers, sectors, taken)
     n_hard = min(n_hard, hard_pool.size)
@@ -341,7 +340,7 @@ def _pair_labels(config, gen, n, tiers, sectors, supply_keys, social_edges, posi
     uniform = sample_pair_keys(gen, n, n_neg - n_hard, taken, lambda need: 4 * need)
     neg_keys = sorted_unique(np.concatenate([hard, uniform]))
 
-    pairs = np.vstack([positives, np.column_stack([neg_keys // n, neg_keys % n])])
+    pairs = np.vstack([positives, key_pairs(neg_keys, n)])
     labels = np.r_[np.ones(n_pos, dtype=np.int8), np.zeros(neg_keys.size, dtype=np.int8)]
     split = stratified_split(labels, seed=config.seed)
     return LabeledSet(examples=pairs, labels=labels, split=split)

@@ -320,6 +320,58 @@ def test_eval_refuses_a_graph_the_checkpoint_was_not_trained_on(tmp_path, datase
     assert main(evaluate) == 0
 
 
+@pytest.fixture(scope="module")
+def trained_dp(tmp_path_factory):
+    """(data dir, sc output dir, enriched dp checkpoint, base-graph dp checkpoint)
+    from one 300-SME economy, 5 epochs, stage 1 at tau 0.5."""
+    root = tmp_path_factory.mktemp("bound")
+    gen, train = root / "gen.json", root / "train.json"
+    gen.write_text(json.dumps({"preset": "paper-calibrated", "num_smes": 300, "seed": 7, "sector_size": 50}))
+    train.write_text(json.dumps({"max_epochs": 5, "patience": 4, "hidden_dim": 16, "embed_dim": 16,
+                                 "head_hidden": 16, "num_layers": 1, "seed": 3}))
+    data, sc, dp, base = (str(root / name) for name in ("data", "sc", "dp", "base"))
+    mined = os.path.join(sc, "mined_edges.tsv")
+    for argv in (["generate", "--config", str(gen), "--out", data],
+                 ["train", "sc", "--data", data, "--config", str(train), "--out", sc, "--tau", "0.5"],
+                 ["train", "dp", "--data", data, "--config", str(train), "--out", dp, "--mined", mined],
+                 ["train", "dp", "--data", data, "--config", str(train), "--out", base, "--no-enrich"]):
+        assert main(argv) == 0
+    assert dataio.read_mined_edges(mined)[0].shape[0] > 0
+    return data, sc, os.path.join(dp, "checkpoint_dp.bin"), os.path.join(base, "checkpoint_dp.bin")
+
+
+class TestEvalBinding:
+    """eval reads exactly the non-label files, by content, that train read."""
+
+    def evaluate(self, tmp_path, data, checkpoint, *flags):
+        return main(["eval", "--checkpoint", checkpoint, "--data", data, "--out", str(tmp_path / "ev"), *flags])
+
+    def test_enriched_checkpoint_refuses_the_base_graph(self, tmp_path, trained_dp, capsys):
+        data, _, enriched, _ = trained_dp
+        assert self.evaluate(tmp_path, data, enriched, "--no-enrich") == 2
+        assert f"{enriched} was also trained on mined_edges.tsv" in capsys.readouterr().err
+
+    def test_base_graph_checkpoint_refuses_mined_edges(self, tmp_path, trained_dp, capsys):
+        data, sc, _, base = trained_dp
+        mined = os.path.join(sc, "mined_edges.tsv")
+        assert self.evaluate(tmp_path, data, base, "--mined", mined) == 2
+        assert f"{mined} is not a file {base} was trained on" in capsys.readouterr().err
+
+    def test_enriched_checkpoint_refuses_other_mined_edges(self, tmp_path, trained_dp, capsys):
+        data, sc, enriched, _ = trained_dp
+        other = tmp_path / "other.tsv"
+        other.write_bytes(open(os.path.join(sc, "mined_edges.tsv"), "rb").read())
+        corrupt_cell(other, 1, 2, "0.75")  # a score: still a valid file
+        assert self.evaluate(tmp_path, data, enriched, "--mined", str(other)) == 2
+        assert f"{other} is not a file {enriched} was trained on" in capsys.readouterr().err
+
+    def test_renamed_copy_of_the_mined_edges_passes(self, tmp_path, trained_dp):
+        data, sc, enriched, _ = trained_dp
+        renamed = tmp_path / "renamed.tsv"
+        renamed.write_bytes(open(os.path.join(sc, "mined_edges.tsv"), "rb").read())
+        assert self.evaluate(tmp_path, data, enriched, "--mined", str(renamed)) == 0
+
+
 class TestEval:
     def test_eval_matches_training_metrics(self, tmp_path, dataset, train_config):
         out = tmp_path / "dp"

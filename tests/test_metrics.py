@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainrisk.errors import UndefinedMetric
@@ -30,6 +30,41 @@ def ks_sweep_oracle(scores, labels):
         gap = abs(np.mean(pos <= t) - np.mean(neg <= t))
         best = max(best, gap)
     return best
+
+
+def auc_rank_sum_reference(scores, labels):
+    """Midrank sum of the positives minus its minimum, over n_pos * n_neg."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    pos = labels == 1
+    n_pos, n_neg = int(pos.sum()), int(labels.size - pos.sum())
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    starts = np.r_[0, np.flatnonzero(np.diff(s)) + 1]
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def ks_ascending_reference(scores, labels):
+    """Class CDFs by ascending cumulative counts, read at each tie group's end."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    order = np.argsort(scores, kind="mergesort")
+    y, s = labels[order] == 1, scores[order]
+    group_end = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
+    cdf_pos = np.cumsum(y) / int(y.sum())
+    cdf_neg = np.cumsum(~y) / int((~y).sum())
+    return float(np.max(np.abs(cdf_pos[group_end] - cdf_neg[group_end])))
+
+
+def roc_descending_reference(scores, labels):
+    """(fpr, tpr) by descending cumulative counts at each tie group's end."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    order = np.argsort(-scores, kind="mergesort")
+    y, s = labels[order] == 1, scores[order]
+    group_end = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
+    tp, fp = np.cumsum(y)[group_end], np.cumsum(~y)[group_end]
+    return np.column_stack([np.r_[0.0, fp / int(fp[-1])], np.r_[0.0, tp / int(tp[-1])]])
 
 
 class TestAuc:
@@ -155,3 +190,36 @@ class TestEvalReport:
         assert rep.split == "test"
         assert 0.0 <= rep.auc <= 1.0 and 0.0 <= rep.ks <= 1.0
         assert rep.to_dict()["auc"] == rep.auc
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),  # heavy ties, both zeros
+                st.floats(-1e6, 1e6, allow_nan=False),
+            ),
+            st.integers(0, 1),
+        ),
+        min_size=2,
+        max_size=80,
+    )
+)
+@example(data=[(0.5, 0), (0.5, 1), (0.5, 1), (0.5, 0), (0.5, 1)])  # all tied: one group
+@example(data=[(0.3, 0), (0.3, 0), (0.7, 1), (0.7, 1), (0.7, 1)])  # one group per class
+@example(data=[(0.7, 0), (0.7, 0), (0.3, 1)])  # one group per class, reversed
+@example(data=[(0.0, 1), (-0.0, 0)])  # equal zeros of either sign tie
+def test_sweep_equals_the_separate_references_exactly(data):
+    scores = np.array([s for s, _ in data])
+    labels = np.array([y for _, y in data])
+    if labels.min() == labels.max():
+        return
+    expected_auc = auc_rank_sum_reference(scores, labels)
+    expected_ks = ks_ascending_reference(scores, labels)
+    assert auc(scores, labels) == expected_auc
+    assert ks(scores, labels) == expected_ks
+    assert roc_points(scores, labels).tobytes() == roc_descending_reference(scores, labels).tobytes()
+    rep = EvalReport.from_scores(scores, labels, "test")
+    assert (rep.auc, rep.ks) == (expected_auc, expected_ks)
+    assert (rep.num_pos, rep.num_neg) == (int(labels.sum()), int((labels == 0).sum()))

@@ -81,10 +81,6 @@ class TestStratifiedSplit:
         with pytest.raises(InvalidInput):
             stratified_split(labels, seed=0)
 
-    def test_bad_fractions_rejected(self):
-        with pytest.raises(InvalidArgument):
-            stratified_split(np.r_[np.zeros(5, dtype=int), np.ones(5, dtype=int)], fractions=(0.5, 0.5, 0.5))
-
 
 class TestSampleNegatives:
     def test_complete_graph_has_no_negatives(self):
