@@ -8,8 +8,7 @@ Run it from the root of a chainrisk checkout; the package is imported from
 numpy and the standard library only, measuring this process alone
 (`perf_counter`, `getrusage`, `tracemalloc`).
 
-The run goes through stage 1 one phase at a time, as
-`pipeline.run_stage1_mining` does:
+The run first makes and stores its economy:
 
     generate   synthgen.generate(paper_calibrated(--smes, --seed))
     write      dataio.write_dataset, the call `chainrisk generate` makes (graph,
@@ -19,21 +18,35 @@ The run goes through stage 1 one phase at a time, as
                both label readers): each text is parsed and its table saved
                as a binary copy in the parsed-input cache
     read_warm  the same reads again, each loading its copy
-    build      pipeline.TaskData.build on the pair set
+
+It then calls `pipeline.run_stage1_mining`, and each step the runner takes
+through `pipeline` is one phase:
+
+    build      from the runner call to its first step: the config check and
+               pipeline.TaskData.build on the pair set
     train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
                every run has EPOCHS epochs)
     evaluate   pipeline.evaluate_model (gives the test AUC)
     candidates graph.candidate_pairs, the CSR frontier join over SME sources
     scoring    model.score_examples over the candidates
-    enrich     graph.enrich at the config's tau
+    enrich     graph.enrich at the config's tau, with the train and
+               validation positives injected at score 1.0
 
-and then through stage 2 on the enriched graph, as
-`pipeline.run_stage2_default` does:
+and then `pipeline.run_stage2_default` on the enriched graph, whose steps
+are:
 
-    stage2_build      the enriched view and pipeline.TaskData.build on the node set
+    stage2_build      from the runner call to its first step: the enriched
+                      view and pipeline.TaskData.build on the node set
     stage2_train_task pipeline.train_task, EPOCHS epochs
     stage2_evaluate   pipeline.evaluate_model
     stage2_scoring    model.score_examples over every node
+
+For the length of each runner call the bench rebinds those steps' names in
+`pipeline`; a call made inside another step (the scoring inside train_task
+and evaluate_model) is part of that step's phase. The candidate and node
+logits and the task data of each train_task are read off the steps'
+arguments and results, and a stage that runs one of its steps other than
+once stops the bench.
 
 The stage-1 training shape is perfbench's `mine-5k` shape: one layer,
 embedding and head width 64, dropout 0.1, learning rate 0.03. Stage 2
@@ -75,8 +88,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
 
-from chainrisk import dataio, graph, model, pipeline, synthgen  # noqa: E402
-from chainrisk.nn import sigmoid  # noqa: E402
+from chainrisk import dataio, pipeline, synthgen  # noqa: E402
 
 EPOCHS = 10
 SHAPE = dict(num_layers=1, embed_dim=64, head_hidden=64, dropout=0.1, learning_rate=0.03)
@@ -101,9 +113,9 @@ class Phases:
     def __init__(self):
         self.out = {}
 
-    def run(self, name, call, *args):
+    def run(self, name, call, *args, **kwargs):
         t0 = perf_counter()
-        result = call(*args)
+        result = call(*args, **kwargs)
         self.out[name] = {"s": perf_counter() - t0, "peak_rss_mb": peak_rss_mb()}
         return result
 
@@ -112,46 +124,73 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def timed_training(data, config):
-    """train_task with the time and minor faults at the start of every epoch and at its end."""
-    marks = []
-    score = pipeline.score_examples
+# the steps the stage runners call through `pipeline`, and the phase each one's top-level call is timed as
+STEPS = {"train_task": "train_task", "evaluate_model": "evaluate", "candidate_pairs": "candidates",
+         "score_examples": "scoring", "enrich": "enrich"}
 
-    def marking(*args, **kwargs):
-        if kwargs.get("training"):
-            marks.append((perf_counter(), minor_faults()))
-        return score(*args, **kwargs)
 
-    pipeline.score_examples = marking
+def run_stage(phases, prefix, names, runner, *args):
+    """runner(*args), with each step in `names` timed as the phase prefix + STEPS[name].
+
+    prefix + "build" runs from the runner call to its first step, and every
+    training score_examples call inside train_task starts an epoch. Returns
+    the runner's result and, per phase, the step's positional arguments and
+    result.
+    """
+    steps, running, marks, t0 = {}, [], [], perf_counter()
+    saved = {name: getattr(pipeline, name) for name in names}
+
+    def timed(name):
+        def step(*a, **kw):
+            if running:  # a call inside another step belongs to that step's phase
+                if kw.get("training"):
+                    marks.append((perf_counter(), minor_faults()))
+                return saved[name](*a, **kw)
+            phase = prefix + STEPS[name]
+            if phase in steps:
+                raise SystemExit(f"{runner.__name__} ran {name} twice")
+            # the first top-level step ends the build phase
+            phases.out.setdefault(prefix + "build", {"s": perf_counter() - t0, "peak_rss_mb": peak_rss_mb()})
+            running.append(phase)
+            faults = minor_faults()
+            steps[phase] = (a, phases.run(phase, saved[name], *a, **kw))
+            running.pop()
+            if name == "train_task":
+                add_epochs(phases.out[phase], steps[phase][1], marks, faults)
+            return steps[phase][1]
+        return step
+
+    vars(pipeline).update({name: timed(name) for name in names})
     try:
-        faults = minor_faults()
-        result = pipeline.train_task(data, config)
-        marks.append((perf_counter(), minor_faults()))
+        result = runner(*args)
     finally:
-        pipeline.score_examples = score
-    return result, np.diff(np.asarray(marks), axis=0), marks[-1][1] - faults
+        vars(pipeline).update(saved)
+    for name in names:
+        if prefix + STEPS[name] not in steps:
+            raise SystemExit(f"{runner.__name__} did not run {name}")
+    return result, steps
 
 
-def train_record(phases, name, data, config):
-    """Run the `name` train_task phase and add its per-epoch figures to its record."""
-    result, epochs, faults = phases.run(name, timed_training, data, config)
+def add_epochs(record, result, marks, faults):
+    """Add train_task's per-epoch figures, from the time and minor faults at each epoch's start, to its record."""
+    marks.append((perf_counter(), minor_faults()))
+    epochs = np.diff(np.asarray(marks), axis=0)
     epoch_ms, epoch_faults = 1e3 * epochs[:, 0], epochs[:, 1].astype(int)
-    phases.out[name].update(
-        epochs=len(result.trace),
-        epoch_ms=[round(float(ms), 3) for ms in epoch_ms],
-        mean_epoch_ms=float(np.mean(epoch_ms)),
-        epoch_faults=epoch_faults.tolist(),
-        median_epoch_faults=float(np.median(epoch_faults[1:])),
-        minor_faults=int(faults),
-    )
-    return result
+    record.update(epochs=len(result.trace), epoch_ms=[round(float(ms), 3) for ms in epoch_ms],
+                  mean_epoch_ms=float(np.mean(epoch_ms)), epoch_faults=epoch_faults.tolist(),
+                  median_epoch_faults=float(np.median(epoch_faults[1:])), minor_faults=int(marks[-1][1] - faults))
 
 
-def add_traced_peak(record, data, config, val_losses):
-    """Run train_task again under tracemalloc; its peak goes into `record`."""
-    result, _, record["tracemalloc_peak_mb"] = traced(pipeline.train_task, data, config)
+def add_traced_peak(record, args, timed):
+    """Run train_task(*args) again under tracemalloc; its peak goes into `record`.
+
+    Returns the validation losses of `timed`, the timed run's result, which the rerun must equal.
+    """
+    val_losses = [row["val_loss"] for row in timed.trace]
+    result, _, record["tracemalloc_peak_mb"] = traced(pipeline.train_task, *args)
     if [row["val_loss"] for row in result.trace] != val_losses:
         raise SystemExit("train_task under tracemalloc gave different validation losses")
+    return val_losses
 
 
 def traced(call, *args):
@@ -233,29 +272,14 @@ def main(argv=None):
         read_phases(phases, economy, out)
     digest = economy_digest(economy)
     g, pair_set, node_set, _ = economy
-    data = phases.run("build", pipeline.TaskData.build, g, pair_set)
-    result = train_record(phases, "train_task", data, config)
-    _, reports = phases.run("evaluate", pipeline.evaluate_model, result.model, data)
-    test_pairs = data.examples[data.split == pipeline.TEST]
-    cands = phases.run("candidates", graph.candidate_pairs, g, test_pairs, config.candidate_hops)
-    logits, _ = phases.run("scoring", model.score_examples, result.model, data.adj, data.X, cands,
-                           0.0, None, False, data.propagated)
-    known = data.examples[(data.labels == 1) & (data.split != pipeline.TEST)]
-    mined = (np.vstack([cands, known]), np.concatenate([sigmoid(logits), np.ones(known.shape[0])]))
-    enriched = phases.run("enrich", graph.enrich, g, mined, config.tau)
-
+    stage1, steps = run_stage(phases, "", tuple(STEPS), pipeline.run_stage1_mining, g, pair_set, config)
     stage_peak_rss_mb = peak_rss_mb()
-    val_losses = [row["val_loss"] for row in result.trace]
-    add_traced_peak(phases.out["train_task"], data, config, val_losses)
+    val_losses = add_traced_peak(phases.out["train_task"], *steps["train_task"])
 
     config2 = pipeline.TrainConfig(seed=args.seed, max_epochs=EPOCHS, patience=EPOCHS - 1, **STAGE2_SHAPE)
-    data2 = phases.run("stage2_build", lambda: pipeline.TaskData.build(enriched.graph(), node_set))
-    result2 = train_record(phases, "stage2_train_task", data2, config2)
-    _, reports2 = phases.run("stage2_evaluate", pipeline.evaluate_model, result2.model, data2)
-    all_logits, _ = phases.run("stage2_scoring", model.score_examples, result2.model, data2.adj, data2.X,
-                               np.arange(g.num_nodes), 0.0, None, False, data2.propagated)
-    val_losses2 = [row["val_loss"] for row in result2.trace]
-    add_traced_peak(phases.out["stage2_train_task"], data2, config2, val_losses2)
+    stage2, steps2 = run_stage(phases, "stage2_", ("train_task", "evaluate_model", "score_examples"),
+                               pipeline.run_stage2_default, stage1.enriched, node_set, config2)
+    val_losses2 = add_traced_peak(phases.out["stage2_train_task"], *steps2["stage2_train_task"])
     add_traced_generate(phases, gen_config, digest, files)
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -264,24 +288,24 @@ def main(argv=None):
         "smes": args.smes,
         "nodes": g.num_nodes,
         "seed": args.seed,
-        "train_rows": int(np.sum(data.split == pipeline.TRAIN)),
+        "train_rows": int(np.sum(steps["train_task"][0][0].split == pipeline.TRAIN)),
         "config": config.to_dict(),
         "stage2_config": config2.to_dict(),
-        "stage2_train_rows": int(np.sum(data2.split == pipeline.TRAIN)),
+        "stage2_train_rows": int(np.sum(steps2["stage2_train_task"][0][0].split == pipeline.TRAIN)),
         "phases": phases.out,
         "peak_rss_mb": stage_peak_rss_mb,
-        "test_auc": reports["test"].auc,
-        "stage2_test_auc": reports2["test"].auc,
-        "candidates": int(cands.shape[0]),
-        "mined_edges": enriched.num_mined,
+        "test_auc": stage1.reports["test"].auc,
+        "stage2_test_auc": stage2.reports["test"].auc,
+        "candidates": stage1.candidate_count,
+        "mined_edges": stage1.enriched.num_mined,
         "outputs": {
             "economy": digest,
             "files": files,
             "val_losses": sha256(np.asarray(val_losses)),
-            "candidate_logits": sha256(logits),
-            "mined_edges": sha256(enriched.mined_pairs, enriched.mined_scores),
+            "candidate_logits": sha256(steps["scoring"][1][0]),
+            "mined_edges": sha256(stage1.enriched.mined_pairs, stage1.enriched.mined_scores),
             "stage2_val_losses": sha256(np.asarray(val_losses2)),
-            "node_logits": sha256(all_logits),
+            "node_logits": sha256(steps2["stage2_scoring"][1][0]),
         },
         "environment": {
             "nproc": len(os.sched_getaffinity(0)),

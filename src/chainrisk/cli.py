@@ -228,7 +228,9 @@ def cmd_train(args):
         "seed": config.seed,
         "config": config.to_dict(),
         "feature_dim": int(view.node_features.shape[1]),
-        "inputs": {os.path.basename(path): digest for path, digest in inputs.items()},
+        # the --mined file goes by its role, so a copy named like a data file keeps that file's digest
+        "inputs": {"mined_edges.tsv" if path == args.mined else os.path.basename(path): digest
+                   for path, digest in inputs.items()},
     }
     if args.stage == "sc":
         result = run_stage1_mining(view, labeled, config)

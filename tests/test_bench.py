@@ -1,11 +1,15 @@
 """Smoke test of `bench/run_bench.py` on a small economy."""
 
+import ast
 import contextlib
 import importlib.util
 import io
 import json
 import os
 import re
+import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,3 +44,53 @@ def test_bench_writes_every_documented_phase_and_output(tmp_path):
     assert set(record["outputs"]["files"]) == {"nodes.csv", "edges.tsv", "labels_sc.tsv", "labels_dp.tsv",
                                                "ground_truth.tsv"}
     assert record["candidates"] > 0 and 0.0 <= record["test_auc"] <= 1.0
+
+
+def test_bench_times_the_stage_runners(tmp_path, monkeypatch):
+    """The bench runs each stage runner once and reports what the runner returned."""
+    bench = load_bench()
+    results = {}
+
+    def counting(name, runner):
+        def run(*args):
+            results.setdefault(name, []).append(runner(*args))
+            return results[name][-1]
+        return run
+
+    for name in ("run_stage1_mining", "run_stage2_default"):
+        monkeypatch.setattr(bench.pipeline, name, counting(name, getattr(bench.pipeline, name)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bench.main(["--smes", "300", "--label", "runners", "--out", str(tmp_path)]) == 0
+    assert {name: len(runs) for name, runs in results.items()} == {"run_stage1_mining": 1, "run_stage2_default": 1}
+    (stage1,), (stage2,) = results["run_stage1_mining"], results["run_stage2_default"]
+    record = json.loads((tmp_path / "BENCH_runners.json").read_text())
+    assert record["candidates"] == stage1.candidate_count > 0
+    assert record["mined_edges"] == stage1.enriched.num_mined
+    assert record["test_auc"] == stage1.reports["test"].auc
+    assert record["stage2_test_auc"] == stage2.reports["test"].auc
+
+
+def test_bench_stops_when_a_stage_runs_a_step_other_than_once(monkeypatch):
+    bench = load_bench()
+    step = lambda *args: None  # noqa: E731
+    monkeypatch.setattr(bench.pipeline, "enrich", step)
+
+    def enrich_twice():
+        bench.pipeline.enrich()
+        bench.pipeline.enrich()
+
+    with pytest.raises(SystemExit, match="enrich_twice ran enrich twice"):
+        bench.run_stage(bench.Phases(), "", ("enrich",), enrich_twice)
+    with pytest.raises(SystemExit, match="did not run enrich"):
+        bench.run_stage(bench.Phases(), "", ("enrich",), lambda: None)
+    assert bench.pipeline.enrich is step
+
+
+def test_bench_imports_numpy_chainrisk_and_the_standard_library_only():
+    with open(os.path.join(ROOT, "bench", "run_bench.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    roots = {name.split(".")[0] for name in names}
+    assert {"numpy", "chainrisk", "tracemalloc"} <= roots
+    assert roots - sys.stdlib_module_names - {"numpy", "chainrisk"} == set()

@@ -371,6 +371,25 @@ class TestEvalBinding:
         renamed.write_bytes(open(os.path.join(sc, "mined_edges.tsv"), "rb").read())
         assert self.evaluate(tmp_path, data, enriched, "--mined", str(renamed)) == 0
 
+    def test_mined_edges_named_like_a_graph_file_pass(self, tmp_path, trained_dp):
+        """train records the --mined file as mined_edges.tsv, so a copy named
+        edges.tsv leaves the graph's edges.tsv digest in place."""
+        data, sc, _, _ = trained_dp
+        mined = tmp_path / "m" / "edges.tsv"
+        mined.parent.mkdir()
+        mined.write_bytes(open(os.path.join(sc, "mined_edges.tsv"), "rb").read())
+        dp = str(tmp_path / "dp")
+        assert main(["train", "dp", "--data", data, "--config", os.path.join(os.path.dirname(data), "train.json"),
+                     "--out", dp, "--mined", str(mined)]) == 0
+        checkpoint = os.path.join(dp, "checkpoint_dp.bin")
+        assert load_checkpoint(checkpoint)[1]["inputs"] == {
+            "nodes.csv": dataio.sha256_file(os.path.join(data, "nodes.csv")),
+            "edges.tsv": dataio.sha256_file(os.path.join(data, "edges.tsv")),
+            "labels_dp.tsv": dataio.sha256_file(os.path.join(data, "labels_dp.tsv")),
+            "mined_edges.tsv": dataio.sha256_file(str(mined)),
+        }
+        assert self.evaluate(tmp_path, data, checkpoint, "--mined", str(mined)) == 0
+
 
 class TestEval:
     def test_eval_matches_training_metrics(self, tmp_path, dataset, train_config):

@@ -204,10 +204,8 @@ def _float_digest(a):
 
 def training_digests():
     """Digests of the TRAIN_CASES runs and of one stage-1 mining run."""
-    from chainrisk.graph import candidate_pairs
-    from chainrisk.labels import TEST
-    from chainrisk.model import score_examples
-    from chainrisk.pipeline import TaskData, TrainConfig, run_stage1_mining, train_task
+    from chainrisk import pipeline
+    from chainrisk.pipeline import TaskData, TrainConfig, train_task
 
     g, pair_set, node_set, _ = synthgen.generate(synthgen.paper_calibrated(num_smes=2000, seed=0))
     out = {}
@@ -220,10 +218,14 @@ def training_digests():
             "trace": _float_digest([(r["epoch"], r["train_loss"], r["val_loss"]) for r in result.trace]),
         }
     config = TrainConfig(tau=MINING_TAU, **TRAIN_CASES["pair"])
-    stage = run_stage1_mining(g, pair_set, config)
-    data = TaskData.build(g, pair_set)
-    cands = candidate_pairs(g, extra_pairs=data.examples[data.split == TEST], max_hops=config.candidate_hops)
-    logits, _ = score_examples(stage.model, data.adj, data.X, cands, propagated=data.propagated)
+    # the runner's last score_examples call is the one over its candidates
+    calls, score = [], pipeline.score_examples
+    pipeline.score_examples = lambda *a, **k: calls.append(score(*a, **k)) or calls[-1]
+    try:
+        stage = pipeline.run_stage1_mining(g, pair_set, config)
+    finally:
+        pipeline.score_examples = score
+    logits = calls[-1][0]
     out["mining"] = {
         "candidates": stage.candidate_count,
         "mined": stage.enriched.num_mined,
