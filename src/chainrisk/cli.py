@@ -24,7 +24,7 @@ from .errors import (
     TrainingDivergence,
 )
 from .graph import enrich
-from .labels import TEST, LabeledSet, first_invalid_example, sample_negatives, stratified_split
+from .labels import TEST, LabeledSet, sample_negatives, stratified_split
 from .metrics import EvalReport, roc_points
 from .model import load_checkpoint, save_checkpoint, score_examples
 from .nn import sigmoid
@@ -153,15 +153,6 @@ def _read_node_ids(read, path, num_nodes, digests):
     return ids, values
 
 
-def _read_labels(read, path, num_nodes, digests):
-    """_read_node_ids for a label file, whose examples a LabeledSet must also accept."""
-    examples, labels = _read_node_ids(read, path, num_nodes, digests)
-    bad = first_invalid_example(examples)
-    if bad is not None:
-        raise InvalidInput(f"{path}:{bad[0] + 1}: {bad[1]}")
-    return examples, labels
-
-
 def _task_inputs(args, stage, config):
     """Graph view, labeled set and input paths of one stage, for train and eval.
 
@@ -169,9 +160,11 @@ def _task_inputs(args, stage, config):
     and, when they hold only positives, adds `config.neg_ratio` sampled
     negatives per positive among the SMEs, the nodes candidate search scores.
     Stage dp reads the node labels and enriches the graph from --mined, or
-    uses the base graph with --no-enrich. Every node id read must lie in the
-    graph, and the label files must hold canonical pairs (u < v) and no
-    repeated example; a breach names its `path:line`.
+    uses the base graph with --no-enrich. The readers check each file's own
+    rules (canonical, unrepeated label examples among them); this checks
+    that every node id read lies in the graph, and names the line of a
+    --mined row that `enrich` rejects (a score outside [0, 1]). A breach
+    exits naming its `path:line`.
     Returns (view, labeled, inputs, num_mined), where `inputs` maps each file
     read to the SHA-256 hex digest its reader took.
     """
@@ -182,7 +175,7 @@ def _task_inputs(args, stage, config):
     num_mined = 0
     if stage == "sc":
         path = os.path.join(args.data, "labels_sc.tsv")
-        examples, labels = _read_labels(dataio.read_pair_labels, path, g.num_nodes, inputs)
+        examples, labels = _read_node_ids(dataio.read_pair_labels, path, g.num_nodes, inputs)
         if not labels.any():
             raise InvalidInput("labels_sc.tsv has no positive pairs")
         if labels.min() == 1:
@@ -195,12 +188,17 @@ def _task_inputs(args, stage, config):
             labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
     else:
         path = os.path.join(args.data, "labels_dp.tsv")
-        examples, labels = _read_labels(dataio.read_node_labels, path, g.num_nodes, inputs)
+        examples, labels = _read_node_ids(dataio.read_node_labels, path, g.num_nodes, inputs)
         if not args.no_enrich:
             if not args.mined:
                 raise InvalidInput("stage dp needs --mined MINED_EDGES_TSV or --no-enrich")
             mined = _read_node_ids(dataio.read_mined_edges, args.mined, g.num_nodes, inputs)
-            enriched = enrich(g, mined, config.tau)
+            try:
+                enriched = enrich(g, mined, config.tau)
+            except InvalidInput as err:
+                if err.row is None:
+                    raise
+                raise InvalidInput(f"{args.mined}:{err.row + 1}: {err}") from None
             view, num_mined = enriched.graph(), enriched.num_mined
     labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
     return view, labeled, inputs, num_mined

@@ -18,24 +18,32 @@ and write WRITE_CHUNK lines at a time (nodes.csv and edges.tsv go through
 the graph WRITE_CHUNK nodes at a time), so a writer's working set does not
 grow with the file.
 
-The readers of the files a command reads (nodes, edges, both label files and
-mined edges) parse a file in one numpy pass when it is in the canonical
-grammar the writers produce:
+The files a command reads (nodes, edges, both label files and mined edges)
+go through one table reader, `_read_table`. It parses a file in one numpy
+pass when the file is in the canonical grammar the writers produce:
 
   - lines end in LF; no line is blank and no CR appears anywhere;
   - past the nodes.csv header, every byte is an ASCII digit, `+`, `-`, `.`,
-    `e`, `E`, the separator, LF or a letter of a node kind;
-  - every line has the cell count of the header (nodes.csv) or of the first
-    line; an integer cell is `[+-]?[0-9]+` within int64, a float cell is a
-    number `float` reads in that alphabet, a label is `0` or `1` and a kind
-    is `sme`, `owner` or `consumer`;
-  - node ids are 0, 1, 2, ... in order and edges have u < v.
+    `e`, `E`, the separator, LF or a letter of a tag (a node kind);
+  - every line has the cell count of the header (nodes.csv), of the first
+    line (edges.tsv) or of the format; an integer cell is `[+-]?[0-9]+`
+    within int64 and a float cell is a number `float` reads in that
+    alphabet.
 
-Any other file goes to the row parser `_parse_rows`, whose result is used as
-is: it accepts Python `int`/`float` syntax (surrounding whitespace, `_` digit
-separators, `nan`, CR and CRLF line breaks) and reports the first bad line as
-`path:line`. Both paths give the same arrays on every file the bulk path
-reads. `read_ground_truth`, which no command calls, uses the row parser only.
+When this bulk path declines a file, the row parser `_parse_rows` reads
+it. It accepts Python `int`/`float` syntax (surrounding whitespace, `_`
+digit separators, `nan`, CR and CRLF line breaks), reports the first line
+it cannot convert as `path:line`, and gives the table the bulk path would.
+A tag cell (a node kind, a label) becomes its index in its tags, -1 for
+any other text. Then one check per file runs on the table, however it was
+read, and reports the first row that breaks a rule as `path:line`:
+nodes.csv ids are 0, 1, 2, ... in order and every kind is known; edges
+have u < v; a label is 0 or 1, and the examples are the node ids or
+canonical, unrepeated pairs `labels.first_invalid_example` accepts.
+`read_graph` also names the line of a row `SmeGraph.from_edge_list`
+rejects (an endpoint outside the graph, a repeated edge, a non-finite
+feature). `read_ground_truth`, which no command calls, uses the row parser
+only.
 
 Each of these readers hashes the bytes it reads once, with SHA-256. Given a
 dict as `digests`, it also stores `path: hex digest` there for every file
@@ -43,16 +51,16 @@ it read, on either path, so a manifest can list its inputs without reading
 them again.
 
 Parsed-input cache: a file the bulk path reads is parsed once. The table
-it gives, if the checks after parsing accept it, is saved as a binary copy
-in CACHE_DIR beside the file (`data/.chainrisk-cache/nodes.csv.npy`),
-after a format tag (`_COPY_MAGIC`) and the SHA-256 of the text it was
-parsed from. The nodes.csv copy stores each kind as its int8 index in
-NODE_KINDS, and a label file's copy each label as an int8. Every later
-read hashes the text it has just read and loads the copy, with
-`np.load(allow_pickle=False)`, when the digest, the table's dtype and its
-size all match; its header is checked against the copy's size before
-the table is allocated. Any other copy is ignored and rewritten, and the
-checks after parsing run on a loaded table as on a parsed one. A copy is written to a temporary file and moved into place
+it gives, if the file's check accepts it, is saved as a binary copy in
+CACHE_DIR beside the file (`data/.chainrisk-cache/nodes.csv.npy`), after a
+format tag (`_COPY_MAGIC`) and the SHA-256 of the text it was parsed from.
+The nodes.csv copy stores each kind as its int8 index in NODE_KINDS, and a
+label file's copy each label as an int8. Every later read hashes the text
+it has just read and loads the copy, with `np.load(allow_pickle=False)`,
+when the digest, the table's dtype and its size all match and the file's
+check accepts the loaded table; its header is checked against the copy's
+size before the table is allocated. Any other copy is ignored and
+rewritten. A copy is written to a temporary file and moved into place
 with `os.replace`; a failed write (read-only directory, full disk) only
 costs the next read a parse. Files that go to the row parser are never
 cached. Deleting the directory is always safe, and manifests still record
@@ -65,6 +73,7 @@ import io
 import itertools
 import json
 import os
+import re
 import time
 import warnings
 
@@ -72,11 +81,10 @@ import numpy as np
 
 from .errors import InvalidInput
 from .graph import NODE_KINDS, SmeGraph
-from .labels import GroundTruth
+from .labels import GroundTruth, first_invalid_example
 
 # bytes of a bulk-read line besides its separator: number characters and LF
 _NUMBER_BYTES = b"0123456789+-.eE\n"
-_KIND_BYTES = bytes(sorted(set("".join(NODE_KINDS).encode())))
 # one character wider than the longest tag, so that a longer kind, cut to this
 # width, matches no tag
 _KIND_TEXT = f"U{max(map(len, NODE_KINDS)) + 1}"
@@ -149,13 +157,14 @@ def _read(path, digests):
     return data, digest
 
 
-def _parse_rows(path, data, sep, parse, width=None):
-    """[parse(cells, lineno) for each line of `data`, the bytes of `path`, split on `sep`].
+def _parse_rows(path, data, sep, parse, width, header=False):
+    """[parse(cells) for each line of `data`, the bytes of `path`, split on
+    `sep`], past the first line when there is a `header`.
 
-    Lines end at LF, CR or CRLF. Every line must have `width` cells (the
-    first line's count when None). A wrong count, bytes that are not UTF-8,
-    or a ValueError from `parse` (a cell that is not a number, a row that
-    breaks the format) raises InvalidInput naming `path:line`.
+    Lines end at LF, CR or CRLF. Every line must have `width` cells. A wrong
+    count, bytes that are not UTF-8, or a ValueError from `parse` (a cell
+    that is not a number, a row that breaks the format) raises InvalidInput
+    naming `path:line`.
     """
     try:
         text = data.decode("utf-8")
@@ -164,13 +173,13 @@ def _parse_rows(path, data, sep, parse, width=None):
         lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
         raise InvalidInput(f"{path}:{lineno}: not UTF-8 text") from None
     rows = []
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+    lines = io.StringIO(text, newline=None)
+    for lineno, line in enumerate(itertools.islice(lines, int(header), None), start=1 + header):
         cells = line.rstrip("\n").split(sep)
-        width = width or len(cells)
         try:
             if len(cells) != width:
                 raise ValueError(f"expected {width} cells, got {len(cells)}")
-            rows.append(parse(cells, lineno))
+            rows.append(parse(cells))
         except ValueError as err:
             raise InvalidInput(f"{path}:{lineno}: {err}") from None
     return rows
@@ -199,23 +208,41 @@ def _bulk_rows(data, sep, dtype, letters=b""):
         return None
 
 
-def _bulk_table(path, digest, dtype, parse, accept):
-    """The 1-d `dtype` table `parse()` gives (None when it declines) if
-    `accept` takes it, else None, through the binary copy of `path`'s table.
+def _read_table(path, data, digest, sep, text, check, tags=(None, ()), header=False):
+    """The 1-d table of the lines of `path`, past its header line if it has
+    one, once `check` accepts it.
 
-    `digest` is the SHA-256 of every byte of `path`. `accept(table)` runs the
-    checks after parsing, on a loaded copy as on a parsed table; only an
-    accepted parse is saved.
+    `data` holds the bytes of `path` and `digest` their SHA-256. `text` is
+    the structured dtype of a line's cells: integers, floats, and text in
+    the column `tags[0]`, which the table holds as each cell's int8 index in
+    `tags[1]` (-1 for another cell). The binary copy of the table is loaded
+    if it matches and `check` accepts it; else the bulk path parses the
+    file, or the row parser when the bulk path declines. `check(table)` gives
+    (row, reason) for the first row that breaks a rule of the file, or None;
+    a breach raises InvalidInput naming `path:line`. Only a bulk parse is
+    saved as the copy.
     """
+    text = np.dtype(text)
+    column, names = tags
+    dtype = np.dtype([(name, "i1" if name == column else text[name]) for name in text.names])
     copy = os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".npy")
-    dtype = np.dtype(dtype)
     table = _load_copy(copy, digest, dtype)
-    if table is not None and accept(table):
+    if table is not None and check(table) is None:
         return table
-    table = parse()
-    if table is None or not accept(table):
-        return None
-    _save_copy(copy, digest, table)
+    head, _, body = data.partition(b"\n") if header else (b"", b"", data)
+    table = None if b"\r" in head else _bulk_rows(body, sep, text, "".join(names).encode())
+    bulk = table is not None
+    if not bulk:
+        parse, width = _row_parse(text)
+        rows = _parse_rows(path, data, sep, parse, width, header)
+        table = np.array(rows, [(name, "O" if name == column else text[name]) for name in text.names])
+    if column is not None:
+        table = _tag_codes(table, dtype, column, names)
+    bad = check(table)
+    if bad is not None:
+        raise InvalidInput(f"{path}:{bad[0] + 1 + header}: {bad[1]}")
+    if bulk:
+        _save_copy(copy, digest, table)
     return table
 
 
@@ -259,32 +286,26 @@ def _int(cell):
     return value
 
 
-def _node_row(cells, lineno):
-    if lineno == 1:
-        if cells[:2] != ["id", "kind"]:
-            raise ValueError("expected header starting with id,kind")
-        return cells
-    if int(cells[0]) != lineno - 2:
-        raise ValueError("ids must be dense and ordered")
-    if cells[1] not in NODE_KINDS:
-        raise ValueError(f"node kind must be one of {NODE_KINDS}, got {cells[1]!r}")
-    return cells[1], list(map(float, cells[2:]))
+# how the row parser reads a cell of each dtype kind: integer, float, text
+_CELL = {"i": _int, "f": float, "U": str}
 
 
-def _edge_row(cells, _):
-    if len(cells) < 2:
-        raise ValueError("need at least u and v")
-    u, v = _int(cells[0]), _int(cells[1])
-    if not u < v:
-        raise ValueError("edges must satisfy u < v")
-    return (u, v), list(map(float, cells[2:]))
+def _row_parse(text):
+    """(parse, width): the `_parse_rows` parse that gives a line's cells as
+    one row of the structured dtype `text`, and the line's cell count."""
+    spans, width = [], 0
+    for name in text.names:
+        field = text[name]
+        size = field.shape[0] if field.shape else 1
+        spans.append((_CELL[field.base.kind], width, width + size, bool(field.shape)))
+        width += size
+    return (lambda cells: tuple([read(c) for c in cells[lo:hi]] if many else read(cells[lo])
+                                for read, lo, hi, many in spans)), width
 
 
 def _tag_codes(table, dtype, column, tags):
     """`table`, with `column` as text, as a `dtype` table whose `column` holds
-    each cell's index in `tags` (-1 for another tag); None stays None."""
-    if table is None:
-        return None
+    each cell's index in `tags` (-1 for another tag)."""
     coded = np.empty(table.size, dtype)
     for name in coded.dtype.names:
         coded[name] = -1 if name == column else table[name]
@@ -293,54 +314,61 @@ def _tag_codes(table, dtype, column, tags):
     return coded
 
 
-def _dense_known_nodes(table):
+def _first(bad, reason):
+    """(the first row set in the mask `bad`, reason), or None."""
+    rows = np.flatnonzero(bad)
+    return (int(rows[0]), reason) if rows.size else None
+
+
+def _node_rules(table):
+    """The first row of a nodes.csv table whose id is not its row number or whose kind is unknown."""
     kinds = table["kind"]
-    return np.array_equal(table["id"], np.arange(table.size)) and np.all((kinds >= 0) & (kinds < len(NODE_KINDS)))
+    breaches = [_first(table["id"] != np.arange(table.size), "ids must be dense and ordered"),
+                _first((kinds < 0) | (kinds >= len(NODE_KINDS)), f"node kind must be one of {NODE_KINDS}")]
+    return min(filter(None, breaches), key=lambda breach: breach[0], default=None)
+
+
+def _first_line(data):
+    """The bytes of `data` up to its first LF or CR."""
+    return re.match(rb"[^\r\n]*", data)[0]
 
 
 def _read_nodes(path, digests):
     """(kinds, X) of nodes.csv."""
     data, digest = _read(path, digests)
-    head, _, body = data.partition(b"\n")
     try:
-        header = head.decode("utf-8").split(",")
+        header = _first_line(data).decode("utf-8").split(",")
     except UnicodeDecodeError:
-        header = []
-    if header[:2] == ["id", "kind"] and b"\r" not in head:
-        text = [("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))]
-        dtype = [("id", "i8"), ("kind", "i1"), ("f", "f8", (len(header) - 2,))]
-        table = _bulk_table(path, digest, dtype,
-                            lambda: _tag_codes(_bulk_rows(body, ",", text, _KIND_BYTES), dtype, "kind", NODE_KINDS),
-                            _dense_known_nodes)
-        if table is not None:
-            return np.asarray(NODE_KINDS)[table["kind"]], np.ascontiguousarray(table["f"])
-    rows = _parse_rows(path, data, ",", _node_row)
-    if not rows:
+        raise InvalidInput(f"{path}:1: not UTF-8 text") from None
+    if header[:2] != ["id", "kind"]:
         raise InvalidInput(f"{path}:1: expected header starting with id,kind")
-    kinds = [kind for kind, _ in rows[1:]]
-    return kinds, np.asarray([f for _, f in rows[1:]], dtype=np.float64).reshape(len(kinds), len(rows[0]) - 2)
+    text = [("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))]
+    table = _read_table(path, data, digest, ",", text, _node_rules, ("kind", NODE_KINDS), header=True)
+    return np.asarray(NODE_KINDS)[table["kind"]], np.ascontiguousarray(table["f"])
 
 
 def _read_edges(path, digests):
     """(pairs, features) of edges.tsv."""
     data, digest = _read(path, digests)
-    width = data.partition(b"\n")[0].count(b"\t") + 1
-    if width >= 2:
-        dtype = [("uv", "i8", (2,)), ("f", "f8", (width - 2,))]
-        table = _bulk_table(path, digest, dtype, lambda: _bulk_rows(data, "\t", dtype),
-                            lambda t: np.all(t["uv"][:, 0] < t["uv"][:, 1]))
-        if table is not None:
-            return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
-    rows = _parse_rows(path, data, "\t", _edge_row)
-    fe = len(rows[0][1]) if rows else 0
-    return (np.asarray([e for e, _ in rows], dtype=np.int64).reshape(-1, 2),
-            np.asarray([f for _, f in rows], dtype=np.float64).reshape(len(rows), fe))
+    width = max(2, _first_line(data).count(b"\t") + 1)  # a shorter first line fails the cell count
+    table = _read_table(path, data, digest, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))],
+                        lambda t: _first(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"))
+    return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
 
 
 def read_graph(data_dir, *, digests=None):
-    kinds, X = _read_nodes(os.path.join(data_dir, "nodes.csv"), digests)
-    pairs, feats = _read_edges(os.path.join(data_dir, "edges.tsv"), digests)
-    return SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats, node_kind=kinds)
+    """The graph of `data_dir`'s nodes.csv and edges.tsv; a row that breaks a
+    rule of `SmeGraph.from_edge_list` is an InvalidInput naming its line."""
+    paths = {"nodes": os.path.join(data_dir, "nodes.csv"), "edges": os.path.join(data_dir, "edges.tsv")}
+    kinds, X = _read_nodes(paths["nodes"], digests)
+    pairs, feats = _read_edges(paths["edges"], digests)
+    try:
+        return SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats, node_kind=kinds)
+    except InvalidInput as err:
+        if err.row is None:
+            raise
+        # node row i is line i + 2, under the header; edge row i is line i + 1
+        raise InvalidInput(f"{paths[err.table]}:{err.row + 1 + (err.table == 'nodes')}: {err}") from None
 
 
 def write_node_labels(path, nodes, labels):
@@ -355,19 +383,18 @@ def _label(cell, form):
 
 def _read_labels(path, num_ids, form, digests):
     """(ids, int8 labels) of a label file whose lines are `num_ids` integer
-    cells and a 0/1 cell; `form` names that line in the row parser's errors."""
+    cells and a 0/1 cell, `form` in the errors. Its examples are the node ids
+    (one cell) or canonical pairs (two) a LabeledSet accepts."""
     data, digest = _read(path, digests)
-    text = [("ids", "i8", (num_ids,)), ("label", "U2")]
-    dtype = [("ids", "i8", (num_ids,)), ("label", "i1")]
-    table = _bulk_table(path, digest, dtype,
-                        lambda: _tag_codes(_bulk_rows(data, "\t", text), dtype, "label", ("0", "1")),
-                        lambda t: np.all((t["label"] == 0) | (t["label"] == 1)))
-    if table is not None:
-        return np.ascontiguousarray(table["ids"]), np.ascontiguousarray(table["label"])
-    rows = _parse_rows(path, data, "\t", lambda c, _: ([_int(x) for x in c[:-1]], _label(c[-1], form)),
-                       width=num_ids + 1)
-    return (np.asarray([ids for ids, _ in rows], dtype=np.int64).reshape(-1, num_ids),
-            np.asarray([y for _, y in rows], dtype=np.int8))
+
+    def rules(table):
+        labels, ids = table["label"], table["ids"]
+        return (_first((labels < 0) | (labels > 1), f"expected `{form}`")
+                or first_invalid_example(ids if num_ids == 2 else ids[:, 0]))
+
+    table = _read_table(path, data, digest, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")], rules,
+                        ("label", ("0", "1")))
+    return np.ascontiguousarray(table["ids"]), np.ascontiguousarray(table["label"])
 
 
 def read_node_labels(path, *, digests=None):
@@ -406,7 +433,7 @@ def write_dataset(out_dir, graph, pair_set, node_set, truth):
 def read_ground_truth(path):
     supply, hidden, tiers, labels = [], [], [], []
 
-    def record(cells, _):
+    def record(cells):
         if cells[0] == "supply":
             supply.append((_int(cells[1]), _int(cells[2])))
             hidden.append(_label(cells[3], "supply<TAB>u<TAB>v<TAB>0|1"))
@@ -436,13 +463,8 @@ def write_mined_edges(path, pairs, scores):
 def read_mined_edges(path, *, digests=None):
     """(pairs, scores): a (k, 2) int64 array and k float64 scores."""
     data, digest = _read(path, digests)
-    dtype = [("pair", "i8", (2,)), ("score", "f8")]
-    table = _bulk_table(path, digest, dtype, lambda: _bulk_rows(data, "\t", dtype), lambda t: True)
-    if table is not None:
-        return np.ascontiguousarray(table["pair"]), table["score"].copy()
-    rows = _parse_rows(path, data, "\t", lambda c, _: (_int(c[0]), _int(c[1]), float(c[2])), width=3)
-    return (np.asarray([r[:2] for r in rows], dtype=np.int64).reshape(-1, 2),
-            np.asarray([r[2] for r in rows], dtype=np.float64))
+    table = _read_table(path, data, digest, "\t", [("pair", "i8", (2,)), ("score", "f8")], lambda t: None)
+    return np.ascontiguousarray(table["pair"]), table["score"].copy()
 
 
 def write_roc_points(path, points):

@@ -10,7 +10,13 @@ class InvalidArgument(ChainriskError):
 
 
 class InvalidInput(ChainriskError):
-    """Input data is malformed: non-finite values, bad schema, impossible request."""
+    """Input data is malformed: non-finite values, bad schema, impossible request.
+
+    When a row breaks a per-row rule, `row` is its index in the input
+    `table` ("nodes", "edges" or "mined"), so a reader can name its line.
+    """
+
+    table = row = None
 
 
 class InvalidConfig(ChainriskError):

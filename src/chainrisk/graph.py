@@ -54,6 +54,27 @@ def key_pairs(keys, n):
     return np.column_stack([keys // n, keys % n])
 
 
+def repeated_rows(*columns):
+    """Mask of the rows equal, on every one of the 1-d `columns`, to an earlier row."""
+    order = np.lexsort(columns)  # stable: each run of equal rows in row order
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for column in columns:
+        same &= column[order[1:]] == column[order[:-1]]
+    repeated = np.zeros(order.size, dtype=bool)
+    repeated[order[1:][same]] = True
+    return repeated
+
+
+def _check_rows(bad, message, table):
+    """Raise InvalidInput(message) for the first row set in the mask `bad`,
+    recording `table` and that row on it; do nothing if none is set."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        err = InvalidInput(message)
+        err.table, err.row = table, int(rows[0])
+        raise err
+
+
 def sorted_unique(keys):
     """np.unique(keys) for 1-d integer keys, by a single sort.
 
@@ -128,29 +149,22 @@ class SmeGraph:
         node_features = np.asarray(node_features, dtype=np.float64)
         if node_features.ndim != 2 or node_features.shape[0] != num_nodes:
             raise InvalidInput(f"node_features must be ({num_nodes}, F), got {node_features.shape}")
-        if not np.all(np.isfinite(node_features)):
-            raise InvalidInput("node_features contain non-finite values")
+        _check_rows(~np.isfinite(node_features).all(axis=1), "node_features contain non-finite values", "nodes")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = edges.shape[0]
-        if m > 0:
-            if edges.min() < 0 or edges.max() >= num_nodes:
-                raise InvalidInput("edge endpoint out of range")
-            key = pair_keys(edges, num_nodes)
-            lo, hi = np.divmod(key, num_nodes)
-            if np.any(lo == hi):
-                raise InvalidInput("self-loops are not allowed")
-            order = np.argsort(key)
-            if np.any(np.diff(key[order]) == 0):
-                raise InvalidInput("duplicate undirected edges")
-        else:
-            lo = hi = order = np.zeros(0, dtype=np.int64)
+        _check_rows(((edges < 0) | (edges >= num_nodes)).any(axis=1), "edge endpoint out of range", "edges")
+        key = pair_keys(edges, num_nodes)
+        lo, hi = np.divmod(key, num_nodes)
+        _check_rows(lo == hi, "self-loops are not allowed", "edges")
+        order = np.argsort(key)
+        if np.any(np.diff(key[order]) == 0):
+            _check_rows(repeated_rows(key), "duplicate undirected edges", "edges")
         if edge_features is None:
             edge_features = np.zeros((m, 0), dtype=np.float64)
         edge_features = np.asarray(edge_features, dtype=np.float64)
         if edge_features.shape[0] != m:
             raise InvalidInput(f"expected {m} edge feature rows, got {edge_features.shape[0]}")
-        if not np.all(np.isfinite(edge_features)):
-            raise InvalidInput("edge_features contain non-finite values")
+        _check_rows(~np.isfinite(edge_features).all(axis=1), "edge_features contain non-finite values", "edges")
         if node_kind is None:
             node_kind = np.full(num_nodes, "sme", dtype="U8")
         else:
@@ -158,8 +172,7 @@ class SmeGraph:
             node_kind = np.asarray(node_kind)
             if node_kind.shape != (num_nodes,):
                 raise InvalidInput("node_kind must have one tag per node")
-            if not np.all(np.isin(node_kind, NODE_KINDS)):
-                raise InvalidInput(f"node_kind tags must be one of {NODE_KINDS}")
+            _check_rows(~np.isin(node_kind, NODE_KINDS), f"node_kind tags must be one of {NODE_KINDS}", "nodes")
             node_kind = node_kind.astype("U8")
 
         indptr, indices = _csr_from_directed(
@@ -393,8 +406,7 @@ def enrich(g, mined, tau):
         raise InvalidArgument("need one score per mined pair")
     if not scores.size:
         return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
-    if np.any(scores < 0.0) or np.any(scores > 1.0) or not np.all(np.isfinite(scores)):
-        raise InvalidInput("mined scores must lie in [0, 1]")
+    _check_rows(~((scores >= 0.0) & (scores <= 1.0)), "mined scores must lie in [0, 1]", "mined")
     keys = pair_keys(arr, g.num_nodes)
     keep = (arr[:, 0] != arr[:, 1]) & (scores >= tau) & ~in_sorted(keys, g.edge_keys())
     keys, scores = keys[keep], scores[keep]

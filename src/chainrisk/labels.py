@@ -13,7 +13,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import InvalidArgument, InvalidConfig, InvalidInput
-from .graph import check_ids, in_sorted, key_pairs, pair_keys, sample_pair_keys, sorted_unique
+from .graph import check_ids, in_sorted, key_pairs, pair_keys, repeated_rows, sample_pair_keys, sorted_unique
 from .rng import NEGATIVES, SPLIT, make_rng
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -63,18 +63,20 @@ def first_invalid_example(examples):
     equal to an earlier one.
     """
     examples = np.asarray(examples)
-    keys = examples
+    columns = [examples]
     if examples.ndim == 2:
         bad = np.flatnonzero(examples[:, 0] >= examples[:, 1])
         if bad.size:
             u, v = examples[bad[0]]
             return int(bad[0]), f"pair ({u}, {v}) is not in canonical order u < v"
-        keys = pair_keys(examples, examples.max(initial=0) + 1)
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # each later row of an equal run
+        # pairs compare by value: as one key when their ids span fewer than 2**31 values
+        lo = int(examples.min(initial=0))
+        span = int(examples.max(initial=0)) - lo + 1
+        columns = [pair_keys(examples - lo, span)] if span < 2**31 else list(examples.T)
+    repeats = np.flatnonzero(repeated_rows(*columns))
     if not repeats.size:
         return None
-    row = int(repeats.min())
+    row = int(repeats[0])
     what = f"pair ({examples[row, 0]}, {examples[row, 1]})" if examples.ndim == 2 else f"node {examples[row]}"
     return row, f"duplicate {what}"
 

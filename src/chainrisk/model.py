@@ -279,7 +279,7 @@ def gcn_backward(dQ, cache, params):
 def _first_layer(blocks, examples, bias, out=None, buf=None):
     """Z = (Q W0[0:d])[e1] + ... + (Q W0[(k-1)d:kd])[ek] + b0 for rows of endpoint ids.
 
-    Later endpoint blocks are gathered SCORE_BLOCK rows at a time into one
+    Later endpoint blocks are gathered GATHER_ROWS rows at a time into one
     reused buffer (`buf`, allocated if not given), so besides Z (`out`) the
     pass holds one block of rows.
     """

@@ -692,6 +692,39 @@ def test_invalid_label_example_exits_two_with_path_and_line(tmp_path, dataset, t
     assert f"{path}:{lineno}: {message}" in err
 
 
+# (file, line, cell, its new value, message) of a row a graph or mined-edge rule
+# rejects; the cell None makes the line a copy of the line numbered by the value
+GRAPH_FAULTS = {
+    "edge-endpoint": ("edges.tsv", 4, 1, "100000", "edge endpoint out of range"),
+    "repeated-edge": ("edges.tsv", 6, None, 3, "duplicate undirected edges"),
+    "nan-edge-feature": ("edges.tsv", 5, 2, "nan", "edge_features contain non-finite values"),
+    "nan-node-feature": ("nodes.csv", 7, 3, "nan", "node_features contain non-finite values"),
+    "mined-score-above-one": ("mined_edges.tsv", 2, 2, "1.5", "mined scores must lie in [0, 1]"),
+    "mined-score-nan": ("mined_edges.tsv", 1, 2, "nan", "mined scores must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_FAULTS))
+def test_graph_and_mined_faults_exit_two_with_path_and_line(tmp_path, dataset, train_config, capsys, case):
+    name, lineno, col, value, message = GRAPH_FAULTS[case]
+    path = os.path.join(dataset, name)
+    if name == "mined_edges.tsv":
+        dataio.write_mined_edges(path, np.array([[0, 5], [1, 7]]), np.array([0.95, 0.97]))
+    if col is None:
+        lines = open(path, encoding="utf-8").read().split("\n")
+        lines[lineno - 1] = lines[value - 1]
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines))
+    else:
+        corrupt_cell(path, lineno, col, value)
+    enrichment = ["--mined", path] if name == "mined_edges.tsv" else ["--no-enrich"]
+    code = main(["train", "dp", *enrichment, "--data", dataset, "--config", train_config,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"{path}:{lineno}: {message}" in err
+
+
 def test_positive_only_negatives_are_drawn_among_smes(tmp_path):
     """20 SMEs, 10 owners and 10 consumers: every sampled negative joins two SMEs,
     the only pairs candidate search scores."""

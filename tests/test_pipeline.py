@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chainrisk import graph, pipeline
 from chainrisk.errors import InvalidArgument, InvalidInput, NoViableConfig
 from chainrisk.graph import NODE_KINDS, SmeGraph, candidate_pairs, enrich, in_sorted
-from chainrisk.labels import TEST, TRAIN, VAL, LabeledSet, sample_negatives, stratified_split
+from chainrisk.labels import TEST, TRAIN, VAL, LabeledSet, first_invalid_example, sample_negatives, stratified_split
 from chainrisk.metrics import auc
 from chainrisk.pipeline import (
     GridSpec,
@@ -494,6 +494,14 @@ class TestLabeledSets:
             LabeledSet(
                 examples=np.array([1, 1]), labels=np.array([0, 1]), split=np.array([TRAIN, TRAIN])
             ).validate()
+
+    def test_pairs_compare_by_value(self):
+        """Negative ids are neither false nor missed duplicates."""
+        assert first_invalid_example([[-5, 2], [-4, -1]]) is None
+        assert first_invalid_example([[-5, 2], [-4, -1], [-5, 2]]) == (2, "duplicate pair (-5, 2)")
+        wide = [[-2**62, 2**62], [-2**62, 0], [0, 2**62], [-2**62, 2**62]]  # no one int64 key holds these
+        assert first_invalid_example(wide[:3]) is None
+        assert first_invalid_example(wide) == (3, f"duplicate pair ({-2**62}, {2**62})")
 
     def test_split_must_contain_both_classes(self):
         with pytest.raises(InvalidInput):
