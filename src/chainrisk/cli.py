@@ -196,9 +196,7 @@ def _task_inputs(args, stage, config):
             try:
                 enriched = enrich(g, mined, config.tau)
             except InvalidInput as err:
-                if err.row is None:
-                    raise
-                raise InvalidInput(f"{args.mined}:{err.row + 1}: {err}") from None
+                raise dataio.mined_edges_error(args.mined, err) from None
             view, num_mined = enriched.graph(), enriched.num_mined
     labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
     return view, labeled, inputs, num_mined

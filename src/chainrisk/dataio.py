@@ -42,8 +42,9 @@ have u < v; a label is 0 or 1, and the examples are the node ids or
 canonical, unrepeated pairs `labels.first_invalid_example` accepts.
 `read_graph` also names the line of a row `SmeGraph.from_edge_list`
 rejects (an endpoint outside the graph, a repeated edge, a non-finite
-feature). `read_ground_truth`, which no command calls, uses the row parser
-only.
+feature), and `mined_edges_error` that of a mined-edges row `enrich`
+rejects (a score outside [0, 1]). `read_ground_truth`, which no command
+calls, uses the row parser only.
 
 Each of these readers hashes the bytes it reads once, with SHA-256. Given a
 dict as `digests`, it also stores `path: hex digest` there for every file
@@ -80,7 +81,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidInput
-from .graph import NODE_KINDS, SmeGraph
+from .graph import NODE_KINDS, SmeGraph, first_row
 from .labels import GroundTruth, first_invalid_example
 
 # bytes of a bulk-read line besides its separator: number characters and LF
@@ -208,6 +209,12 @@ def _bulk_rows(data, sep, dtype, letters=b""):
         return None
 
 
+def _line_error(path, row, reason, header=False):
+    """InvalidInput naming the line of `path` that holds table row `row`,
+    under the file's `header` line if it has one."""
+    return InvalidInput(f"{path}:{row + 1 + header}: {reason}")
+
+
 def _read_table(path, data, digest, sep, text, check, tags=(None, ()), header=False):
     """The 1-d table of the lines of `path`, past its header line if it has
     one, once `check` accepts it.
@@ -240,7 +247,7 @@ def _read_table(path, data, digest, sep, text, check, tags=(None, ()), header=Fa
         table = _tag_codes(table, dtype, column, names)
     bad = check(table)
     if bad is not None:
-        raise InvalidInput(f"{path}:{bad[0] + 1 + header}: {bad[1]}")
+        raise _line_error(path, *bad, header)
     if bulk:
         _save_copy(copy, digest, table)
     return table
@@ -314,17 +321,11 @@ def _tag_codes(table, dtype, column, tags):
     return coded
 
 
-def _first(bad, reason):
-    """(the first row set in the mask `bad`, reason), or None."""
-    rows = np.flatnonzero(bad)
-    return (int(rows[0]), reason) if rows.size else None
-
-
 def _node_rules(table):
     """The first row of a nodes.csv table whose id is not its row number or whose kind is unknown."""
     kinds = table["kind"]
-    breaches = [_first(table["id"] != np.arange(table.size), "ids must be dense and ordered"),
-                _first((kinds < 0) | (kinds >= len(NODE_KINDS)), f"node kind must be one of {NODE_KINDS}")]
+    breaches = [first_row(table["id"] != np.arange(table.size), "ids must be dense and ordered"),
+                first_row((kinds < 0) | (kinds >= len(NODE_KINDS)), f"node kind must be one of {NODE_KINDS}")]
     return min(filter(None, breaches), key=lambda breach: breach[0], default=None)
 
 
@@ -352,7 +353,7 @@ def _read_edges(path, digests):
     data, digest = _read(path, digests)
     width = max(2, _first_line(data).count(b"\t") + 1)  # a shorter first line fails the cell count
     table = _read_table(path, data, digest, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))],
-                        lambda t: _first(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"))
+                        lambda t: first_row(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"))
     return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
 
 
@@ -367,8 +368,7 @@ def read_graph(data_dir, *, digests=None):
     except InvalidInput as err:
         if err.row is None:
             raise
-        # node row i is line i + 2, under the header; edge row i is line i + 1
-        raise InvalidInput(f"{paths[err.table]}:{err.row + 1 + (err.table == 'nodes')}: {err}") from None
+        raise _line_error(paths[err.table], err.row, err, header=err.table == "nodes") from None
 
 
 def write_node_labels(path, nodes, labels):
@@ -389,7 +389,7 @@ def _read_labels(path, num_ids, form, digests):
 
     def rules(table):
         labels, ids = table["label"], table["ids"]
-        return (_first((labels < 0) | (labels > 1), f"expected `{form}`")
+        return (first_row((labels < 0) | (labels > 1), f"expected `{form}`")
                 or first_invalid_example(ids if num_ids == 2 else ids[:, 0]))
 
     table = _read_table(path, data, digest, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")], rules,
@@ -465,6 +465,13 @@ def read_mined_edges(path, *, digests=None):
     data, digest = _read(path, digests)
     table = _read_table(path, data, digest, "\t", [("pair", "i8", (2,)), ("score", "f8")], lambda t: None)
     return np.ascontiguousarray(table["pair"]), table["score"].copy()
+
+
+def mined_edges_error(path, err):
+    """The InvalidInput to raise for `err`, a rule broken by the pairs and
+    scores `read_mined_edges(path)` gave: it names the line of the row `err`
+    records, if it records one."""
+    return err if err.row is None else _line_error(path, err.row, err)
 
 
 def write_roc_points(path, points):

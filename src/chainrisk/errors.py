@@ -12,8 +12,9 @@ class InvalidArgument(ChainriskError):
 class InvalidInput(ChainriskError):
     """Input data is malformed: non-finite values, bad schema, impossible request.
 
-    When a row breaks a per-row rule, `row` is its index in the input
-    `table` ("nodes", "edges" or "mined"), so a reader can name its line.
+    When a row breaks a per-row rule, `row` is its index in its input table
+    (for a graph, `table` says which: "nodes" or "edges"), so a reader can
+    name its line.
     """
 
     table = row = None

@@ -65,13 +65,19 @@ def repeated_rows(*columns):
     return repeated
 
 
-def _check_rows(bad, message, table):
-    """Raise InvalidInput(message) for the first row set in the mask `bad`,
-    recording `table` and that row on it; do nothing if none is set."""
+def first_row(bad, reason):
+    """(the first row set in the mask `bad`, reason), or None."""
     rows = np.flatnonzero(bad)
-    if rows.size:
+    return (int(rows[0]), reason) if rows.size else None
+
+
+def _check_rows(bad, message, table=None):
+    """Raise InvalidInput(message) for the first row set in the mask `bad`,
+    recording that row and its `table` on it; do nothing if none is set."""
+    breach = first_row(bad, message)
+    if breach is not None:
         err = InvalidInput(message)
-        err.table, err.row = table, int(rows[0])
+        err.table, err.row = table, breach[0]
         raise err
 
 
@@ -406,7 +412,7 @@ def enrich(g, mined, tau):
         raise InvalidArgument("need one score per mined pair")
     if not scores.size:
         return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
-    _check_rows(~((scores >= 0.0) & (scores <= 1.0)), "mined scores must lie in [0, 1]", "mined")
+    _check_rows(~((scores >= 0.0) & (scores <= 1.0)), "mined scores must lie in [0, 1]")
     keys = pair_keys(arr, g.num_nodes)
     keep = (arr[:, 0] != arr[:, 1]) & (scores >= tau) & ~in_sorted(keys, g.edge_keys())
     keys, scores = keys[keep], scores[keep]

@@ -69,7 +69,9 @@ def first_invalid_example(examples):
         if bad.size:
             u, v = examples[bad[0]]
             return int(bad[0]), f"pair ({u}, {v}) is not in canonical order u < v"
-        # pairs compare by value: as one key when their ids span fewer than 2**31 values
+        # pairs compare by value: as one int64 key when their ids span fewer than
+        # 2**31 values, as a graph's node ids do; one key sorts an order of
+        # magnitude faster than the two columns
         lo = int(examples.min(initial=0))
         span = int(examples.max(initial=0)) - lo + 1
         columns = [pair_keys(examples - lo, span)] if span < 2**31 else list(examples.T)
