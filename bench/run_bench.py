@@ -16,8 +16,11 @@ The run first makes and stores its economy:
                directory
     read_cold  what `chainrisk train` reads of those files (read_graph and
                both label readers): each text is parsed and its table saved
-               as a binary copy in the parsed-input cache
+               as a binary copy in the parsed-input cache, emptied before
+               each call
     read_warm  the same reads again, each loading its copy
+
+Each read phase is the median of REPEATS calls (`repeats` holds them all).
 
 It then calls `pipeline.run_stage1_mining`, and each step the runner takes
 through `pipeline` is one phase:
@@ -32,6 +35,12 @@ through `pipeline` is one phase:
     enrich     graph.enrich at the config's tau, with the train and
                validation positives injected at score 1.0
 
+After the runner returns, one phase scores the test split as `chainrisk
+eval` does, the median of REPEATS calls:
+
+    eval       model.score_examples on the test examples with the stage's
+               model and task data, without `propagated`
+
 and then `pipeline.run_stage2_default` on the enriched graph, whose steps
 are:
 
@@ -40,6 +49,7 @@ are:
     stage2_train_task pipeline.train_task, EPOCHS epochs
     stage2_evaluate   pipeline.evaluate_model
     stage2_scoring    model.score_examples over every node
+    stage2_eval       as eval, with the stage-2 model and task data
 
 For the length of each runner call the bench rebinds those steps' names in
 `pipeline`; a call made inside another step (the scoring inside train_task
@@ -68,8 +78,8 @@ second economy and its files must have the first ones' digests, and every
 read must give the generated arrays. `outputs` holds
 sha256 digests of the generated arrays, of each written file, of both
 stages' validation losses, the candidate logits, the mined edges and the
-node scores, so two checkouts whose outputs are byte-identical show equal
-digests.
+node scores, and of both stages' test logits, so two checkouts whose
+outputs are byte-identical show equal digests.
 """
 
 import argparse
@@ -78,6 +88,8 @@ import json
 import os
 import platform
 import resource
+import shutil
+import statistics
 import sys
 import tempfile
 import tracemalloc
@@ -91,6 +103,8 @@ import numpy as np  # noqa: E402
 from chainrisk import dataio, pipeline, synthgen  # noqa: E402
 
 EPOCHS = 10
+# calls per read and eval phase, whose median is the phase's seconds
+REPEATS = 5
 SHAPE = dict(num_layers=1, embed_dim=64, head_hidden=64, dropout=0.1, learning_rate=0.03)
 STAGE2_SHAPE = dict(num_layers=1, dropout=0.1, learning_rate=0.1)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -117,6 +131,19 @@ class Phases:
         t0 = perf_counter()
         result = call(*args, **kwargs)
         self.out[name] = {"s": perf_counter() - t0, "peak_rss_mb": peak_rss_mb()}
+        return result
+
+    def median(self, name, call, *args, before=None):
+        """call(*args) REPEATS times, each after before() if given; the median
+        seconds is the phase's, and `repeats` holds every call's. Returns the
+        last result."""
+        times = []
+        for _ in range(REPEATS):
+            if before is not None:
+                before()
+            result = self.run(name, call, *args)
+            times.append(self.out[name]["s"])
+        self.out[name].update(s=statistics.median(times), repeats=times)
         return result
 
 
@@ -234,10 +261,18 @@ def check_read(read, economy):
 
 def read_phases(phases, economy, out):
     """Run read_cold and read_warm on the files in `out`, checking what they give."""
-    for name in ("read_cold", "read_warm"):
-        check_read(phases.run(name, read_files, out), economy)
-    if len(os.listdir(os.path.join(out, dataio.CACHE_DIR))) != 4:
+    cache = os.path.join(out, dataio.CACHE_DIR)
+    check_read(phases.median("read_cold", read_files, out, before=lambda: shutil.rmtree(cache, ignore_errors=True)),
+               economy)
+    if len(os.listdir(cache)) != 4:
         raise SystemExit("the cold read did not save a binary copy of each file")
+    check_read(phases.median("read_warm", read_files, out), economy)
+
+
+def eval_phase(phases, name, model, data):
+    """Time the scoring of the test examples of `data` with `model`, as `chainrisk eval` runs it; returns the logits."""
+    test = data.examples[data.split == pipeline.TEST]
+    return phases.median(name, pipeline.score_examples, model, data.adj, data.X, test)[0]
 
 
 def add_traced_generate(phases, gen_config, digest, files):
@@ -274,11 +309,13 @@ def main(argv=None):
     g, pair_set, node_set, _ = economy
     stage1, steps = run_stage(phases, "", tuple(STEPS), pipeline.run_stage1_mining, g, pair_set, config)
     stage_peak_rss_mb = peak_rss_mb()
+    test_logits = eval_phase(phases, "eval", stage1.model, steps["train_task"][0][0])
     val_losses = add_traced_peak(phases.out["train_task"], *steps["train_task"])
 
     config2 = pipeline.TrainConfig(seed=args.seed, max_epochs=EPOCHS, patience=EPOCHS - 1, **STAGE2_SHAPE)
     stage2, steps2 = run_stage(phases, "stage2_", ("train_task", "evaluate_model", "score_examples"),
                                pipeline.run_stage2_default, stage1.enriched, node_set, config2)
+    test_logits2 = eval_phase(phases, "stage2_eval", stage2.model, steps2["stage2_train_task"][0][0])
     val_losses2 = add_traced_peak(phases.out["stage2_train_task"], *steps2["stage2_train_task"])
     add_traced_generate(phases, gen_config, digest, files)
 
@@ -306,6 +343,8 @@ def main(argv=None):
             "mined_edges": sha256(stage1.enriched.mined_pairs, stage1.enriched.mined_scores),
             "stage2_val_losses": sha256(np.asarray(val_losses2)),
             "node_logits": sha256(steps2["stage2_scoring"][1][0]),
+            "test_logits": sha256(test_logits),
+            "stage2_test_logits": sha256(test_logits2),
         },
         "environment": {
             "nproc": len(os.sched_getaffinity(0)),
@@ -330,6 +369,8 @@ def main(argv=None):
         phase = phases.out[name]
         print(f"{path}: {name} {phase['s']:.2f} s, peak RSS {phase['peak_rss_mb']:.1f} MB, "
               f"tracemalloc peak {phase['tracemalloc_peak_mb']:.1f} MB")
+    for name in ("eval", "stage2_eval"):
+        print(f"{path}: {name} {1e3 * phases.out[name]['s']:.2f} ms")
     print(f"{path}: stage-1 peak RSS {record['peak_rss_mb']:.1f} MB")
     return 0
 

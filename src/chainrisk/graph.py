@@ -13,6 +13,7 @@ over the raw CSR adjacency.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,8 @@ def standardize_columns(X):
     std = X.std(axis=0)
     out = X - mean
     nonconst = std > 0.0
-    out[:, nonconst] /= std[nonconst]
+    # one pass over the whole array; a masked column division gathers and scatters a copy
+    out /= np.where(nonconst, std, 1.0)
     out[:, ~nonconst] = 0.0
     return out
 
@@ -225,17 +227,13 @@ class RowSums:
     past `depth`, which only hub rows have, form one flat run of segments,
     one per hub row. `rank[r]` is row r's place in the order, but every
     empty row points at one shared zero row. Values None mean unit weights,
-    with no multiply pass. `apply` relies on the range check of the
-    gathered ids made here, so the arrays must not be changed afterwards.
+    with no multiply pass. `apply` relies on the builder's checks of the
+    CSR arrays and the gathered ids (`NormalizedAdjacency` checks its
+    arrays, `scatter_plans` its ids), so they must not be changed afterwards.
     """
 
     def __init__(self, indptr, gather, num_inputs, depth, values=None):
         counts = np.diff(indptr)
-        if (indptr[0] != 0 or indptr[-1] != gather.size or np.any(counts < 0)
-                or (values is not None and values.shape != gather.shape)):
-            raise InvalidArgument("malformed CSR operator")
-        if gather.size and (gather.min() < 0 or gather.max() >= num_inputs):
-            raise InvalidArgument("column index out of range")
         self.num_inputs = num_inputs
         order = np.argsort(-counts, kind="stable")
         depth = min(depth, int(counts.max(initial=0)))
@@ -303,20 +301,52 @@ SPMM_SLICES = 32
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops, CSR with values.
 
-    Construction also builds `sums`, the `RowSums` layout `spmm` runs over
-    at depth SPMM_SLICES, so the arrays must not be changed afterwards.
+    Construction checks the CSR arrays. `sums`, the `RowSums` layout `spmm`
+    runs over at depth SPMM_SLICES, is built on first use, and `rows` lays
+    out a subset of the rows the same way; both rely on the checks, so the
+    arrays must not be changed afterwards.
     """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    sums: RowSums = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.indptr.shape != (self.num_nodes + 1,):
+        n, indptr, indices = self.num_nodes, self.indptr, self.indices
+        if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
+                or np.any(np.diff(indptr) < 0) or self.values.shape != indices.shape):
             raise InvalidArgument("malformed CSR operator")
-        self.sums = RowSums(self.indptr, self.indices, self.num_nodes, SPMM_SLICES, self.values)
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise InvalidArgument("column index out of range")
+
+    @cached_property
+    def sums(self):
+        return RowSums(self.indptr, self.indices, self.num_nodes, SPMM_SLICES, self.values)
+
+    def rows(self, nodes):
+        """The operator of rows `nodes` (distinct ids) of this one, over all its columns.
+
+        Its layout has the same depth as `sums`, so each row sums its
+        entries in the same order: `spmm(adj.rows(nodes), H)` equals
+        `spmm(adj, H)[nodes]` bit for bit.
+        """
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        indptr = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
+        indices = self.indices[pos]
+        return AdjacencyRows(indices, RowSums(indptr, indices, self.num_nodes, SPMM_SLICES, self.values[pos]))
+
+
+@dataclass
+class AdjacencyRows:
+    """Some rows of a `NormalizedAdjacency` (`NormalizedAdjacency.rows`): their
+    column ids in CSR order, and the `RowSums` layout `spmm` runs over."""
+
+    indices: np.ndarray
+    sums: RowSums
 
 
 def normalize_adjacency(g):
@@ -338,8 +368,9 @@ def normalize_adjacency(g):
 
 
 def spmm(adj, H, out=None, work=None):
-    """Sparse-dense product adj @ H: `adj.sums.apply(H, out, work)`, whose
-    shape check, summation order and buffers are documented there. At most
+    """Sparse-dense product adj @ H for a `NormalizedAdjacency` or an
+    `AdjacencyRows` of one: `adj.sums.apply(H, out, work)`, whose shape
+    check, summation order and buffers are documented there. At most
     SPMM_SLICES + 2 passes run, whatever the longest row."""
     return adj.sums.apply(H, out, work)
 

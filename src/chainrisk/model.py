@@ -36,7 +36,8 @@ Given a `Workspace`, as every pass of `pipeline.train_task` is, a pass
 and the backward of its caches write every array into the bytes the
 previous pass used for the same role, so from the second epoch on one
 copy of each training array is alive. Roles whose arrays are never alive
-at once share bytes (l is an encoder layer, j an endpoint):
+at once share bytes (l is an encoder layer, j an endpoint; validation's
+last layer and head run on the reached nodes' rows only):
 
     role          training forward         backward              validation
     ("mask", l)   dropout mask of layer l
@@ -63,12 +64,17 @@ ever read. Without a workspace every array is allocated, as numpy's
 A scoring-only forward (training=False) keeps no cache: the head forms
 the `Q W0` blocks once and scores the examples in blocks of `SCORE_BLOCK`
 rows, so its memory is set by the block size rather than the row count.
-`gcn_forward` takes the first propagation `spmm(adj, X)` precomputed
-(`propagated`) when that layer has no dropout; `TaskData.propagated` in
-`pipeline` holds it once per task.
+It runs the last encoder layer and the head on the nodes its examples
+reach (`example_rows`), with the examples renumbered into them; the
+layers before run on every node. `gcn_forward` takes the first
+propagation `spmm(adj, X)` precomputed (`propagated`) when that layer has
+no dropout; `TaskData.propagated` in `pipeline` holds it once per task. A
+one-layer validation pass copies the reached rows of it, outside the
+workspace.
 
 Each change above keeps every value's arithmetic as it was, so same-seed
-outputs stay bit-identical (scoring blocks on one BLAS thread: see `SCORE_BLOCK`).
+outputs stay bit-identical (scoring blocks on one BLAS thread: see `SCORE_BLOCK`;
+restricted scoring: see `score_examples`).
 
 Backprop leans on the normalized adjacency being symmetric: the adjoint of
 `spmm(adj, .)` is `spmm(adj, .)` itself.
@@ -212,13 +218,16 @@ def _take(ws, role, shape, dtype=np.float64):
     return None if ws is None else ws.take(role, shape, dtype)
 
 
-def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None, ws=None):
+def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None, ws=None,
+                rows=None):
     """Run the encoder; returns (embeddings, cache for backward).
 
     Every relu is applied in place; a scoring-only forward (training=False)
     keeps no cache. `propagated`, if given, must be `spmm(adj, X)`; the
     first layer uses it in place of its own product whenever it applies no
     dropout. `ws`, a Workspace, supplies every array the pass writes.
+    `rows`, an `ExampleRows` of a scoring-only forward, limits the last
+    layer to its nodes, whose embeddings come back in their order.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != adj.num_nodes:
@@ -229,18 +238,20 @@ def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, prop
         )
     if propagated is not None and np.shape(propagated) != X.shape:
         raise InvalidArgument(f"propagated features have shape {np.shape(propagated)}, X has {X.shape}")
-    n = adj.num_nodes
     drops = training and dropout_rate > 0.0
+    every = (adj.num_nodes, slice(None), adj)
     H = X
     layers = []
     for l, W in enumerate(params.weights):
+        # layers before the last run on every node; the last runs on `rows`
+        n, nodes, op = (rows.size, rows.nodes, rows.op) if rows is not None and l == params.num_layers - 1 else every
         # the dropped input is spent once S is formed, so it takes Z's bytes
         out = (_take(ws, ("Z", l), H.shape), _take(ws, ("mask", l), H.shape, bool)) if drops else (None, None)
         D, mask = dropout(H, dropout_rate, rng, training, out=out)
         if l == 0 and mask is None and propagated is not None:
-            S = propagated
+            S = propagated[nodes]
         else:
-            S = spmm(adj, D, out=_take(ws, ("S", l), D.shape), work=_take(ws, "spare", (n + 1, D.shape[1])))
+            S = spmm(op, D, out=_take(ws, ("S", l), (n, D.shape[1])), work=_take(ws, "spare", (n + 1, D.shape[1])))
         Z = np.matmul(S, W, out=_take(ws, ("Z", l), (n, W.shape[1])))
         H = relu(Z, out=Z)
         if training:
@@ -369,7 +380,8 @@ def head_backward(dlogits, cache, head, plans=None):
     if ws is not None:
         ws.awaiting_backward = False
     w1_grad = H.T @ dlogits
-    dZ = np.multiply(dlogits, W1.T, out=H)
+    # the outer product, each element one multiply; np.multiply broadcasts it one short row at a time
+    dZ = np.einsum("i,j->ij", dlogits[:, 0], W1[:, 0], out=H)
     dZ *= keep
     if cache["rate"]:
         dZ /= 1.0 - cache["rate"]
@@ -389,8 +401,38 @@ def head_backward(dlogits, cache, head, plans=None):
     return w_grads, b_grads, dQ
 
 
+@dataclass
+class ExampleRows:
+    """The node rows a scoring pass over some examples reaches (`example_rows`)."""
+
+    nodes: object  # the sorted reached ids, or slice(None) for every node
+    op: object  # the adjacency's rows `nodes` (`NormalizedAdjacency.rows`), or the adjacency
+    size: int  # the number of rows
+    examples: np.ndarray  # the examples renumbered into positions of `nodes`
+
+
+def example_rows(adj, examples):
+    """The `ExampleRows` of `examples` (pairs or node ids) on `adj`.
+
+    A flag array over the n nodes and its cumulative sum give the sorted
+    reached ids and each id's position among them. Fewer than two reached
+    nodes count as every node, since numpy sends a one-row product to gemv,
+    whose sums differ from gemm's; a set that reaches every node is every
+    node too, so its pass copies no rows.
+    """
+    n = adj.num_nodes
+    ids = check_ids(examples, n)
+    reached = np.zeros(n, dtype=bool)
+    reached[ids] = True
+    size = int(np.count_nonzero(reached))
+    if size < 2 or size == n:
+        return ExampleRows(slice(None), adj, n, ids)
+    nodes = np.flatnonzero(reached)
+    return ExampleRows(nodes, adj.rows(nodes), size, (np.cumsum(reached) - 1)[ids])
+
+
 def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, propagated=None,
-                   ws=None):
+                   ws=None, rows=None):
     """Full forward pass: encoder then the model's head on `examples`.
 
     Returns (logits, caches). Only a training forward's caches can go to
@@ -398,8 +440,23 @@ def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training
     `propagated` is `spmm(adj, X)` if the caller holds it. With a Workspace
     `ws` the pass, and the backward of its caches, write into the arrays of
     the previous pass that used it.
+
+    A scoring-only pass (training=False) runs the last encoder layer and
+    the head on the nodes the examples reach only, through their
+    `ExampleRows`: `rows` if the caller holds `example_rows(adj, examples)`,
+    else one built here. In a GEMM of two or more rows each output row
+    depends on its input row alone, and each sparse row sums its entries in
+    the same order, so the logits equal those of a pass over every node bit
+    for bit.
     """
-    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated, ws=ws)
+    if training:
+        rows = None
+    else:
+        rows = example_rows(adj, examples) if rows is None else rows
+        if rows.examples.shape != np.shape(examples):
+            raise InvalidArgument(f"rows are for examples of shape {rows.examples.shape}, got {np.shape(examples)}")
+        examples = rows.examples
+    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated, ws=ws, rows=rows)
     if model.task == "pair":
         logits, head_cache = pair_logits(Q, examples, model.head, dropout_rate, rng, training, ws=ws)
     else:

@@ -32,7 +32,7 @@ from .graph import (
 )
 from .labels import SPLIT_NAMES, TEST, TRAIN, VAL, config_fields
 from .metrics import EvalReport, auc
-from .model import Workspace, backward, init_classifier, score_examples
+from .model import Workspace, backward, example_rows, init_classifier, score_examples
 from .nn import AdamState, adam_step, bce_logit_grad, bce_loss, sigmoid
 from .rng import DROPOUT, INIT, make_rng
 
@@ -181,6 +181,7 @@ def train_task(data, config):
     ex_tr = data.examples[tr]
     ex_va = data.examples[va]
     plans = scatter_plans(ex_tr, data.adj.num_nodes)
+    val_rows = example_rows(data.adj, ex_va)
 
     model = init_classifier(
         data.kind,
@@ -215,7 +216,8 @@ def train_task(data, config):
         except TrainingDivergence as err:
             raise TrainingDivergence(str(err), epoch=epoch) from None
 
-        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, propagated=data.propagated, ws=ws)
+        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, propagated=data.propagated, ws=ws,
+                                       rows=val_rows)
         val_loss = bce_loss(sigmoid(val_logits), y_va)
         if not np.isfinite(val_loss):
             raise TrainingDivergence(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
@@ -262,6 +264,9 @@ def grid_search(grid, data, config, max_workers=1):
     """
     grid.validate()
     cells = grid.cells()
+    va = data.split == VAL
+    ex_va, y_va = data.examples[va], data.labels[va].astype(int)
+    val_rows = example_rows(data.adj, ex_va)
 
     def run_cell(cell):
         lr, dr, layers = cell
@@ -269,9 +274,9 @@ def grid_search(grid, data, config, max_workers=1):
         row = {"learning_rate": lr, "dropout": dr, "num_layers": layers}
         try:
             result = train_task(data, cfg)
-            va = data.split == VAL
-            logits, _ = score_examples(result.model, data.adj, data.X, data.examples[va], propagated=data.propagated)
-            row["val_auc"] = auc(sigmoid(logits), data.labels[va].astype(int))
+            logits, _ = score_examples(result.model, data.adj, data.X, ex_va, propagated=data.propagated,
+                                       rows=val_rows)
+            row["val_auc"] = auc(sigmoid(logits), y_va)
             row["best_epoch"] = result.best_epoch
             row["status"] = "ok"
         except TrainingDivergence as err:

@@ -31,6 +31,19 @@ class TestStandardize:
         assert abs(out[:, 0].mean()) < 1e-12
         assert abs(out[:, 0].std() - 1.0) < 1e-12
 
+    def test_bit_identical_to_masked_column_division(self):
+        """The masked division it replaced, on columns of mixed signs with a constant
+        one in the middle: every byte, signs of zero included."""
+        gen = np.random.default_rng(4)
+        X = np.column_stack([gen.normal(size=50), np.full(50, -3.0), gen.normal(size=50) * 1e-3,
+                             np.r_[np.zeros(49), -1.0]])
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        expected = X - mean
+        nonconst = std > 0.0
+        expected[:, nonconst] /= std[nonconst]
+        expected[:, ~nonconst] = 0.0
+        assert standardize_columns(X).tobytes() == expected.tobytes()
+
 
 class TestSmeGraph:
     def test_from_edge_list_builds_symmetric_csr(self):
@@ -255,6 +268,42 @@ def test_spmm_layout_of_a_large_star_stays_within_the_slice_cap():
     assert adj.sums.hubs is not None
     H = np.random.default_rng(0).normal(size=(n, 3))
     assert np.max(np.abs(spmm(adj, H) - reduceat_spmm(adj, H))) <= 1e-12
+
+
+def star_with_chords(n, seed):
+    """Node 0 joined to every other node (a hub row past SPMM_SLICES entries), plus random chords."""
+    gen = np.random.default_rng(seed)
+    chords = gen.integers(1, n, size=(2 * n, 2))
+    keys = np.unique(np.sort(np.vstack([np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]),
+                                        chords[chords[:, 0] != chords[:, 1]]]), axis=1) @ [n, 1])
+    return SmeGraph.from_edge_list(n, np.column_stack([keys // n, keys % n]), gen.normal(size=(n, 2)))
+
+
+class TestAdjacencyRows:
+    @pytest.mark.parametrize("nodes", [[0, 1], [0, 5, 17, 99], [3, 4, 60], list(range(100))])
+    def test_equals_the_full_product_rows_with_a_hub(self, nodes):
+        adj = normalize_adjacency(star_with_chords(100, 7))
+        assert np.diff(adj.indptr)[0] > SPMM_SLICES
+        nodes = np.asarray(nodes)
+        H = np.random.default_rng(1).normal(size=(100, 5))
+        assert spmm(adj.rows(nodes), H).tobytes() == spmm(adj, H)[nodes].tobytes()
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(operators(max_row=3 * SPMM_SLICES), st.integers(0, 4), st.data())
+    def test_equals_the_full_product_rows(self, adj, d, data):
+        picked = data.draw(st.sets(st.integers(0, adj.num_nodes - 1)))
+        nodes = np.array(sorted(picked), dtype=np.int64)
+        H = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(adj.num_nodes, d))
+        rows = adj.rows(nodes)
+        assert rows.indices.size == int(np.sum(np.diff(adj.indptr)[nodes]))
+        assert spmm(rows, H).tobytes() == spmm(adj, H)[nodes].tobytes()
+
+    def test_neither_builds_the_full_layout(self):
+        adj = normalize_adjacency(star_with_chords(40, 2))
+        spmm(adj.rows(np.array([0, 3])), np.ones((40, 1)))
+        assert "sums" not in vars(adj)
+        spmm(adj, np.ones((40, 1)))
+        assert "sums" in vars(adj)
 
 
 def test_malformed_operator_rejected():

@@ -19,6 +19,7 @@ from chainrisk.model import (
     GcnClassifier,
     Workspace,
     backward,
+    example_rows,
     gcn_backward,
     gcn_forward,
     head_backward,
@@ -634,6 +635,78 @@ class TestPropagated:
         params = init_gcn([3, 2], make_rng(1, 2))
         with pytest.raises(InvalidArgument):
             gcn_forward(normalize_adjacency(g), g.node_features, params, propagated=np.zeros((6, 2)))
+
+
+def every_node_logits(model, adj, X, examples, propagated=None):
+    """The scoring pass as it ran before `example_rows`: the encoder on every node, then the head."""
+    Q, _ = gcn_forward(adj, X, model.gcn, propagated=propagated)
+    logits = pair_logits if model.task == "pair" else node_logits
+    return logits(Q, examples, model.head)[0]
+
+
+class TestRestrictedScoring:
+    """A scoring-only pass runs the last layer and the head on the nodes its examples reach."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        g = random_graph(np.random.default_rng(8), 60, 0.08, num_features=3)
+        return g, normalize_adjacency(g)
+
+    @pytest.mark.parametrize("with_propagated", [False, True], ids=["spmm", "propagated"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("task", ["pair", "node"])
+    @pytest.mark.parametrize("count", [0, 1, 2, 17, 60])
+    def test_bit_identical_to_a_pass_over_every_node(self, graph, task, layers, with_propagated, count):
+        g, adj = graph
+        gen = np.random.default_rng(count)
+        model = init_classifier(task, 3, layers, 7, 5, 6, make_rng(3, 1))
+        if task == "pair":
+            examples = gen.integers(0, 60, size=(count, 2))
+            if count == 1:  # one pair whose endpoints are the same node: one reached node
+                examples[:, 1] = examples[:, 0]
+        else:
+            examples = gen.integers(0, 60, size=count) if count < 60 else np.arange(60)
+        propagated = spmm(adj, g.node_features) if with_propagated else None
+        expected = every_node_logits(model, adj, g.node_features, examples, propagated)
+        logits, caches = score_examples(model, adj, g.node_features, examples, propagated=propagated)
+        assert caches == (None, None)
+        assert logits.tobytes() == expected.tobytes()
+        again, _ = score_examples(model, adj, g.node_features, examples, propagated=propagated,
+                                  rows=example_rows(adj, examples), ws=Workspace())
+        assert again.tobytes() == expected.tobytes()
+
+    def test_rows_renumber_the_examples_into_the_reached_nodes(self, graph):
+        _, adj = graph
+        pairs = np.array([[7, 3], [3, 41], [59, 7]])
+        rows = example_rows(adj, pairs)
+        assert rows.nodes.tolist() == [3, 7, 41, 59] and rows.size == 4
+        assert np.array_equal(rows.nodes[rows.examples], pairs)
+        assert spmm(rows.op, np.eye(60)).tobytes() == spmm(adj, np.eye(60))[rows.nodes].tobytes()
+        for examples in ([], [5], [[5, 5]], np.arange(60)):  # fewer than two nodes, or every node
+            rows = example_rows(adj, examples)
+            assert (rows.nodes, rows.op, rows.size) == (slice(None), adj, 60)
+
+    def test_a_strict_subset_never_builds_the_full_layout(self, rng):
+        g = random_graph(rng, 40, 0.1, num_features=3)
+        adj = normalize_adjacency(g)
+        model = init_classifier("node", 3, 1, 6, 5, 4, make_rng(2, 1))
+        score_examples(model, adj, g.node_features, np.array([1, 8, 30]))
+        assert "sums" not in vars(adj)
+        score_examples(model, adj, g.node_features, np.arange(40))
+        assert "sums" in vars(adj)
+
+    def test_rows_of_other_examples_rejected(self, graph):
+        g, adj = graph
+        model = init_classifier("pair", 3, 1, 6, 5, 4, make_rng(2, 1))
+        with pytest.raises(InvalidArgument):
+            score_examples(model, adj, g.node_features, np.array([[0, 1], [2, 3]]),
+                           rows=example_rows(adj, np.array([[0, 1]])))
+
+    def test_out_of_range_ids_rejected(self, graph):
+        g, adj = graph
+        model = init_classifier("node", 3, 1, 6, 5, 4, make_rng(2, 1))
+        with pytest.raises(InvalidArgument, match="node id out of range"):
+            score_examples(model, adj, g.node_features, np.array([0, 60]))
 
 
 class TestBackward:
