@@ -15,10 +15,13 @@ The run first makes and stores its economy:
                both label files and the ground truth), into a temporary
                directory
     read_cold  what `chainrisk train` reads of those files (read_graph and
-               both label readers): each text is parsed and its table saved
-               as a binary copy in the parsed-input cache, emptied before
-               each call
-    read_warm  the same reads again, each loading its copy
+               both label readers), with the parsed-input cache emptied
+               before each call: each text is parsed; read_graph builds the
+               graph, its normalized adjacency and its model inputs and
+               saves them as the graph copy, and each label table is saved
+               as its own copy
+    read_warm  the same reads again, each loading its copy (the graph copy
+               with the adjacency and model inputs)
 
 Each read phase is the median of REPEATS calls (`repeats` holds them all).
 
@@ -26,7 +29,9 @@ It then calls `pipeline.run_stage1_mining`, and each step the runner takes
 through `pipeline` is one phase:
 
     build      from the runner call to its first step: the config check and
-               pipeline.TaskData.build on the pair set
+               pipeline.TaskData.build on the pair set, which takes the
+               adjacency and model inputs from the generated graph (it
+               builds them here, on their first use)
     train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
                every run has EPOCHS epochs)
     evaluate   pipeline.evaluate_model (gives the test AUC)
@@ -45,7 +50,9 @@ and then `pipeline.run_stage2_default` on the enriched graph, whose steps
 are:
 
     stage2_build      from the runner call to its first step: the enriched
-                      view and pipeline.TaskData.build on the node set
+                      view, which builds its own adjacency and takes the
+                      base graph's model inputs, and pipeline.TaskData.build
+                      on the node set
     stage2_train_task pipeline.train_task, EPOCHS epochs
     stage2_evaluate   pipeline.evaluate_model
     stage2_scoring    model.score_examples over every node
@@ -264,8 +271,8 @@ def read_phases(phases, economy, out):
     cache = os.path.join(out, dataio.CACHE_DIR)
     check_read(phases.median("read_cold", read_files, out, before=lambda: shutil.rmtree(cache, ignore_errors=True)),
                economy)
-    if len(os.listdir(cache)) != 4:
-        raise SystemExit("the cold read did not save a binary copy of each file")
+    if len(os.listdir(cache)) != 3:
+        raise SystemExit("the cold read did not save the graph copy and a binary copy of each label file")
     check_read(phases.median("read_warm", read_files, out), economy)
 
 

@@ -19,7 +19,7 @@ the graph WRITE_CHUNK nodes at a time), so a writer's working set does not
 grow with the file.
 
 The files a command reads (nodes, edges, both label files and mined edges)
-go through one table reader, `_read_table`. It parses a file in one numpy
+go through one table parser, `_parse_table`. It parses a file in one numpy
 pass when the file is in the canonical grammar the writers produce:
 
   - lines end in LF; no line is blank and no CR appears anywhere;
@@ -51,21 +51,31 @@ dict as `digests`, it also stores `path: hex digest` there for every file
 it read, on either path, so a manifest can list its inputs without reading
 them again.
 
-Parsed-input cache: a file the bulk path reads is parsed once. The table
-it gives, if the file's check accepts it, is saved as a binary copy in
-CACHE_DIR beside the file (`data/.chainrisk-cache/nodes.csv.npy`), after a
-format tag (`_COPY_MAGIC`) and the SHA-256 of the text it was parsed from.
-The nodes.csv copy stores each kind as its int8 index in NODE_KINDS, and a
-label file's copy each label as an int8. Every later read hashes the text
-it has just read and loads the copy, with `np.load(allow_pickle=False)`,
-when the digest, the table's dtype and its size all match and the file's
-check accepts the loaded table; its header is checked against the copy's
-size before the table is allocated. Any other copy is ignored and
-rewritten. A copy is written to a temporary file and moved into place
-with `os.replace`; a failed write (read-only directory, full disk) only
-costs the next read a parse. Files that go to the row parser are never
-cached. Deleting the directory is always safe, and manifests still record
-the digests of the text files.
+Parsed-input cache: a file the bulk path reads is parsed once. What a
+command derives from it is saved, if the file's check accepts it, as a
+binary copy in CACHE_DIR beside the file: `data/.chainrisk-cache/` holds
+`graph.npy` for nodes.csv and edges.tsv together, and `labels_dp.tsv.npy`
+and the like for a label file or mined edges. A copy is a format tag
+(`_COPY_MAGIC`), the SHA-256 of each text it was made from, and its arrays
+in the version 1.0 `.npy` format. The graph copy holds the CSR graph
+(indptr, indices, node and edge features, each kind as its int8 index in
+NODE_KINDS), its normalized adjacency (indptr, indices, values) and its
+model inputs (`graph.prepare_features`), all computed from the parsed text
+as `SmeGraph` computes them; a table copy holds the table, each label as an
+int8. Every later read hashes the texts it has just read and uses the copy
+only when both digests match and so does each array's dtype and header,
+the file ending with the last array. The copy is mapped into memory
+read-only, and its arrays are read-only views of it. A loaded table must
+pass its file's check; a loaded graph must have the shapes its sizes give
+each array and pass the checks that need no sort: both CSR layouts in
+bounds, ids rising strictly within each row, no graph row holding its own
+id, known kind codes, and finite features, values and model inputs. Any
+other copy is ignored and rewritten. A copy is written to a temporary file
+and moved into place with `os.replace`, never rewritten in place; a failed
+write (read-only directory, full disk) only costs the next read a parse.
+Files that go to the row parser are never cached, nor is a graph one of
+whose files does. Deleting the directory is always safe, and manifests
+still record the digests of the text files.
 """
 
 import contextlib
@@ -73,6 +83,8 @@ import hashlib
 import io
 import itertools
 import json
+import math
+import mmap
 import os
 import re
 import time
@@ -81,7 +93,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidInput
-from .graph import NODE_KINDS, SmeGraph, first_row
+from .graph import NODE_KINDS, NormalizedAdjacency, SmeGraph, first_row
 from .labels import GroundTruth, first_invalid_example
 
 # bytes of a bulk-read line besides its separator: number characters and LF
@@ -91,10 +103,16 @@ _NUMBER_BYTES = b"0123456789+-.eE\n"
 _KIND_TEXT = f"U{max(map(len, NODE_KINDS)) + 1}"
 # lines per write, and rows per `.tolist()` call, of the writers
 WRITE_CHUNK = 1024
-# the parsed-input cache: its directory beside each file, and the first bytes of a
-# copy, followed by the SHA-256 of the text and a version 1.0 `.npy` table
+# the parsed-input cache: its directory beside each file, the name of the graph's
+# copy there, and the first bytes of a copy, followed by the SHA-256 of each text
+# it was made from and its arrays as version 1.0 `.npy` arrays
 CACHE_DIR = ".chainrisk-cache"
+GRAPH_COPY = "graph.npy"
 _COPY_MAGIC = b"CHRKTBL3"
+# the arrays of the graph copy: the graph's indptr, indices, node and edge
+# features, its normalized adjacency's indptr, indices and values, its model
+# inputs, and each node's kind as its int8 index in NODE_KINDS
+_GRAPH_DTYPES = [np.dtype(code) for code in ("i8", "i8", "f8", "f8", "i8", "i8", "f8", "f8", "i1")]
 
 
 def _write_lines(path, lines):
@@ -215,27 +233,20 @@ def _line_error(path, row, reason, header=False):
     return InvalidInput(f"{path}:{row + 1 + header}: {reason}")
 
 
-def _read_table(path, data, digest, sep, text, check, tags=(None, ()), header=False):
-    """The 1-d table of the lines of `path`, past its header line if it has
-    one, once `check` accepts it.
+def _parse_table(path, data, sep, text, check, tags=(None, ()), header=False):
+    """(table, bulk): the 1-d table of the lines of `path`, past its header
+    line if it has one, once `check` accepts it, and whether the bulk path
+    read it.
 
-    `data` holds the bytes of `path` and `digest` their SHA-256. `text` is
-    the structured dtype of a line's cells: integers, floats, and text in
-    the column `tags[0]`, which the table holds as each cell's int8 index in
-    `tags[1]` (-1 for another cell). The binary copy of the table is loaded
-    if it matches and `check` accepts it; else the bulk path parses the
-    file, or the row parser when the bulk path declines. `check(table)` gives
-    (row, reason) for the first row that breaks a rule of the file, or None;
-    a breach raises InvalidInput naming `path:line`. Only a bulk parse is
-    saved as the copy.
+    `data` holds the bytes of `path`. `text` is the structured dtype of a
+    line's cells: integers, floats, and text in the column `tags[0]`, which
+    the table holds as each cell's int8 index in `tags[1]` (-1 for another
+    cell). The bulk path parses the file, or the row parser when the bulk
+    path declines. `check(table)` gives (row, reason) for the first row that
+    breaks a rule of the file, or None; a breach raises InvalidInput naming
+    `path:line`.
     """
-    text = np.dtype(text)
     column, names = tags
-    dtype = np.dtype([(name, "i1" if name == column else text[name]) for name in text.names])
-    copy = os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".npy")
-    table = _load_copy(copy, digest, dtype)
-    if table is not None and check(table) is None:
-        return table
     head, _, body = data.partition(b"\n") if header else (b"", b"", data)
     table = None if b"\r" in head else _bulk_rows(body, sep, text, "".join(names).encode())
     bulk = table is not None
@@ -244,42 +255,75 @@ def _read_table(path, data, digest, sep, text, check, tags=(None, ()), header=Fa
         rows = _parse_rows(path, data, sep, parse, width, header)
         table = np.array(rows, [(name, "O" if name == column else text[name]) for name in text.names])
     if column is not None:
-        table = _tag_codes(table, dtype, column, names)
+        table = _tag_codes(table, _coded(text, column), column, names)
     bad = check(table)
     if bad is not None:
         raise _line_error(path, *bad, header)
+    return table, bulk
+
+
+def _coded(text, column):
+    """The structured dtype `text` with its text `column` as int8 codes."""
+    return np.dtype([(name, "i1" if name == column else text[name]) for name in text.names])
+
+
+def _read_table(path, data, digest, sep, text, check, tags=(None, ())):
+    """`_parse_table` of a headerless file, through its binary copy.
+
+    `digest` is the SHA-256 of `data`. The copy is loaded if it matches and
+    `check` accepts it; else the file is parsed, and a bulk parse is saved
+    as the copy.
+    """
+    text = np.dtype(text)
+    copy = os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".npy")
+    loaded = _load_copy(copy, digest, [_coded(text, tags[0])])
+    if loaded is not None and loaded[0].ndim == 1 and check(loaded[0]) is None:
+        return loaded[0]
+    table, bulk = _parse_table(path, data, sep, text, check, tags)
     if bulk:
         _save_copy(copy, digest, table)
     return table
 
 
-def _load_copy(copy, digest, dtype):
-    """The 1-d `dtype` table saved in `copy` from text of SHA-256 `digest`, or None."""
+def _load_copy(copy, digest, dtypes):
+    """The arrays saved in `copy` from text of SHA-256 `digest`, one of each of
+    `dtypes` in order, or None.
+
+    The file is mapped into memory read-only and each array is a read-only
+    view of its bytes there, so nothing is copied: a copy is only ever
+    replaced, never rewritten in place. Each array's header is checked
+    against its dtype and the bytes left in the file before the view is
+    made, and the file must end with the last array.
+    """
     try:
         with open(copy, "rb") as fh:
-            if fh.read(len(_COPY_MAGIC) + len(digest)) != _COPY_MAGIC + digest:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        if data.read(len(_COPY_MAGIC) + len(digest)) != _COPY_MAGIC + digest:
+            return None
+        arrays = []
+        for dtype in dtypes:
+            if np.lib.format.read_magic(data) != (1, 0):
                 return None
-            start = fh.tell()
-            if np.lib.format.read_magic(fh) != (1, 0):
+            shape, fortran, stored = np.lib.format.read_array_header_1_0(data)
+            start, count = data.tell(), math.prod(shape)
+            if stored != dtype or fortran or start + count * dtype.itemsize > len(data):
                 return None
-            shape, _, stored = np.lib.format.read_array_header_1_0(fh)
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
-            if stored != dtype or len(shape) != 1 or shape[0] * dtype.itemsize != size:
-                return None
-            fh.seek(start)
-            return np.load(fh, allow_pickle=False)
+            arrays.append(np.frombuffer(data, dtype, count, start).reshape(shape))
+            data.seek(start + count * dtype.itemsize)
+        return arrays if data.tell() == len(data) else None
     except (OSError, ValueError, EOFError):
         return None
 
 
-def _save_copy(copy, digest, table):
-    """Save `table` as `copy` atomically; on OSError leave no copy and no temporary file."""
+def _save_copy(copy, digest, *arrays):
+    """Save `arrays` as `copy` atomically; on OSError leave no copy and no temporary file."""
     tmp = f"{copy}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(copy), exist_ok=True)
         with open(tmp, "wb") as fh:
             fh.write(_COPY_MAGIC + digest)
-            np.lib.format.write_array(fh, table, version=(1, 0), allow_pickle=False)
+            for array in arrays:
+                np.lib.format.write_array(fh, array, version=(1, 0), allow_pickle=False)
         os.replace(tmp, copy)
     except OSError:
         with contextlib.suppress(OSError):
@@ -334,41 +378,105 @@ def _first_line(data):
     return re.match(rb"[^\r\n]*", data)[0]
 
 
-def _read_nodes(path, digests):
-    """(kinds, X) of nodes.csv."""
-    data, digest = _read(path, digests)
+def _parse_nodes(path, data):
+    """(kind codes, X, bulk) of nodes.csv: `_parse_table` of its bytes `data`."""
     try:
         header = _first_line(data).decode("utf-8").split(",")
     except UnicodeDecodeError:
         raise InvalidInput(f"{path}:1: not UTF-8 text") from None
     if header[:2] != ["id", "kind"]:
         raise InvalidInput(f"{path}:1: expected header starting with id,kind")
-    text = [("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))]
-    table = _read_table(path, data, digest, ",", text, _node_rules, ("kind", NODE_KINDS), header=True)
-    return np.asarray(NODE_KINDS)[table["kind"]], np.ascontiguousarray(table["f"])
+    text = np.dtype([("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))])
+    table, bulk = _parse_table(path, data, ",", text, _node_rules, ("kind", NODE_KINDS), header=True)
+    return np.ascontiguousarray(table["kind"]), np.ascontiguousarray(table["f"]), bulk
 
 
-def _read_edges(path, digests):
-    """(pairs, features) of edges.tsv."""
-    data, digest = _read(path, digests)
+def _parse_edges(path, data):
+    """(pairs, features, bulk) of edges.tsv: `_parse_table` of its bytes `data`."""
     width = max(2, _first_line(data).count(b"\t") + 1)  # a shorter first line fails the cell count
-    table = _read_table(path, data, digest, "\t", [("uv", "i8", (2,)), ("f", "f8", (width - 2,))],
-                        lambda t: first_row(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"))
-    return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
+    text = np.dtype([("uv", "i8", (2,)), ("f", "f8", (width - 2,))])
+    table, bulk = _parse_table(path, data, "\t", text,
+                               lambda t: first_row(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"))
+    return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"]), bulk
+
+
+def _sorted_csr(n, indptr, indices, own_ids):
+    """Whether `indptr` and `indices` lay out n CSR rows whose ids lie in
+    [0, n) and rise strictly within each row, and, unless `own_ids`, no row
+    holds its own id."""
+    counts = np.diff(indptr)
+    if indptr[0] != 0 or indptr[-1] != indices.size or np.any(counts < 0):
+        return False
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        return False
+    first = np.zeros(indices.size, dtype=bool)  # the first entry of each row
+    first[indptr[:-1][counts > 0]] = True
+    if not np.all((np.diff(indices) > 0) | first[1:]):
+        return False
+    return own_ids or not np.any(indices == np.repeat(np.arange(n), counts))
+
+
+def _load_graph(copy, digest):
+    """The graph saved in the graph copy `copy` from texts of SHA-256s
+    `digest`, with its adjacency and model inputs set, or None.
+
+    The arrays must have the shapes the graph's sizes give them and pass the
+    checks that need no sort: both CSR layouts in bounds and in order, no
+    graph row holding its own id, known kind codes, and finite features,
+    values and model inputs.
+    """
+    arrays = _load_copy(copy, digest, _GRAPH_DTYPES)
+    if arrays is None:
+        return None
+    indptr, indices, X, E, adj_indptr, adj_indices, values, inputs, kinds = arrays
+    if kinds.ndim != 1 or X.ndim != 2 or E.ndim != 2:
+        return None
+    n, m, f = kinds.size, E.shape[0], X.shape[1]
+    shapes = [(n + 1,), (2 * m,), (n, f), E.shape, (n + 1,), (2 * m + n,), (2 * m + n,), (n, f + 1), (n,)]
+    if [a.shape for a in arrays] != shapes:
+        return None
+    if not (_sorted_csr(n, indptr, indices, False) and _sorted_csr(n, adj_indptr, adj_indices, True)):
+        return None
+    if np.any((kinds < 0) | (kinds >= len(NODE_KINDS))):
+        return None
+    if not all(np.isfinite(a).all() for a in (X, E, values, inputs)):
+        return None
+    g = SmeGraph(n, indptr, indices, X, E, np.asarray(NODE_KINDS)[kinds])
+    g.adjacency = NormalizedAdjacency(n, adj_indptr, adj_indices, values)
+    g.model_inputs = inputs
+    return g
 
 
 def read_graph(data_dir, *, digests=None):
     """The graph of `data_dir`'s nodes.csv and edges.tsv; a row that breaks a
-    rule of `SmeGraph.from_edge_list` is an InvalidInput naming its line."""
+    rule of `SmeGraph.from_edge_list` is an InvalidInput naming its line.
+
+    The graph comes from its binary copy, with its adjacency and model
+    inputs, when the copy matches both texts; else from the text, and when
+    both files took the bulk path the graph, its adjacency and its model
+    inputs are saved as the copy.
+    """
     paths = {"nodes": os.path.join(data_dir, "nodes.csv"), "edges": os.path.join(data_dir, "edges.tsv")}
-    kinds, X = _read_nodes(paths["nodes"], digests)
-    pairs, feats = _read_edges(paths["edges"], digests)
+    (nodes, node_digest), (edges, edge_digest) = _read(paths["nodes"], digests), _read(paths["edges"], digests)
+    copy = os.path.join(data_dir, CACHE_DIR, GRAPH_COPY)
+    g = _load_graph(copy, node_digest + edge_digest)
+    if g is not None:
+        return g
+    kinds, X, bulk = _parse_nodes(paths["nodes"], nodes)
+    pairs, feats, edges_bulk = _parse_edges(paths["edges"], edges)
+    del nodes, edges  # parsed: the graph and its derived arrays are built without the texts held
     try:
-        return SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats, node_kind=kinds)
+        g = SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats,
+                                    node_kind=np.asarray(NODE_KINDS)[kinds])
     except InvalidInput as err:
         if err.row is None:
             raise
         raise _line_error(paths[err.table], err.row, err, header=err.table == "nodes") from None
+    if bulk and edges_bulk:
+        adj = g.adjacency
+        _save_copy(copy, node_digest + edge_digest, g.indptr, g.indices, g.node_features, g.edge_features,
+                   adj.indptr, adj.indices, adj.values, g.model_inputs, kinds)
+    return g
 
 
 def write_node_labels(path, nodes, labels):

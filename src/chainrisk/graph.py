@@ -5,7 +5,8 @@ strictly increasing within each row. The raw adjacency is unweighted and
 stores both directions of every undirected edge; edge features are a plain
 table with one row per undirected edge, in the order of
 `SmeGraph.undirected_edges()`. Normalization produces the symmetric
-operator with self-loops that the propagation step multiplies by. Both
+operator with self-loops that the propagation step multiplies by; a
+graph builds it, and the model's input features, once and keeps them. Both
 sparse row sums, `spmm` and the head's backward scatter (`scatter_plans`),
 are `RowSums.apply` over a layout of sliced CSR rows, in one summation
 order. `candidate_pairs`, the stage-1 candidate search, is a frontier join
@@ -25,6 +26,8 @@ NODE_KINDS = ("sme", "owner", "consumer")
 def standardize_columns(X):
     """Zero-mean, unit-variance per column; constant columns map to zeros."""
     X = np.asarray(X, dtype=np.float64)
+    if not X.shape[0]:  # no rows to standardize; numpy warns on the mean of none
+        return X.copy()
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     out = X - mean
@@ -137,7 +140,14 @@ def sample_pair_keys(gen, n, count, forbidden, draws, nodes=None, max_rounds=Non
 
 @dataclass
 class SmeGraph:
-    """Undirected enterprise graph with node and per-edge feature tables."""
+    """Undirected enterprise graph with node and per-edge feature tables.
+
+    It owns two read-only arrays derived from those, each built on first
+    use: `adjacency`, the normalized operator (`normalize_adjacency`), and
+    `model_inputs`, the encoder's input rows (`prepare_features`). A reader
+    that saved them may set both instead (`dataio.read_graph`). The graph's
+    own arrays must not be changed once either is built.
+    """
 
     num_nodes: int
     indptr: np.ndarray
@@ -197,6 +207,43 @@ class SmeGraph:
 
     def degrees(self):
         return np.diff(self.indptr)
+
+    @cached_property
+    def adjacency(self):
+        """The self-looped adjacency scaled by inverse square-root degrees.
+
+        Entry (u, v) becomes 1 / sqrt((1 + deg(u)) (1 + deg(v))); the diagonal
+        is always present, so an isolated node maps to a lone 1.0. Each row's
+        self-loop goes into the sorted CSR rows in one pass, with no sort:
+        entry k of row r moves r places on, one more when its id exceeds r, and
+        the one place left in each row takes the row's own id.
+        """
+        n = self.num_nodes
+        deg = self.degrees()
+        rows = np.repeat(np.arange(n), deg)
+        indptr = self.indptr + np.arange(n + 1)
+        moved = np.arange(self.indices.size) + rows + (self.indices > rows)
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        loops = np.ones(indices.size, dtype=bool)
+        loops[moved] = False
+        indices[moved] = self.indices
+        indices[loops] = np.arange(n)
+        dtilde = deg.astype(np.float64) + 1.0
+        # single square root of the degree product keeps (u,v) and (v,u) bitwise equal
+        values = 1.0 / np.sqrt(dtilde[np.repeat(np.arange(n), deg + 1)] * dtilde[indices])
+        return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values)
+
+    @cached_property
+    def model_inputs(self):
+        """The node features standardized per column, with a constant-one column appended.
+
+        Encoder layers have no bias term; the appended one also lets degree leak
+        into the aggregation, which node scoring relies on.
+        """
+        X = standardize_columns(self.node_features)
+        X = np.hstack([X, np.ones((X.shape[0], 1))])
+        X.flags.writeable = False
+        return X
 
     def undirected_edges(self):
         """(m, 2) array of edges with u < v in key order, plus the feature table."""
@@ -301,10 +348,10 @@ SPMM_SLICES = 32
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops, CSR with values.
 
-    Construction checks the CSR arrays. `sums`, the `RowSums` layout `spmm`
-    runs over at depth SPMM_SLICES, is built on first use, and `rows` lays
-    out a subset of the rows the same way; both rely on the checks, so the
-    arrays must not be changed afterwards.
+    Construction checks the CSR arrays and makes them read-only. `sums`,
+    the `RowSums` layout `spmm` runs over at depth SPMM_SLICES, is built on
+    first use, and `rows` lays out a subset of the rows the same way; both
+    rely on the checks.
     """
 
     num_nodes: int
@@ -319,6 +366,8 @@ class NormalizedAdjacency:
             raise InvalidArgument("malformed CSR operator")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise InvalidArgument("column index out of range")
+        for array in (indptr, indices, self.values):
+            array.flags.writeable = False
 
     @cached_property
     def sums(self):
@@ -350,21 +399,15 @@ class AdjacencyRows:
 
 
 def normalize_adjacency(g):
-    """Scale the self-looped adjacency by inverse square-root degrees.
+    """The graph's normalized adjacency, `g.adjacency`: built on the first
+    call and kept on the graph (read-only)."""
+    return g.adjacency
 
-    Entry (u, v) becomes 1 / sqrt((1 + deg(u)) (1 + deg(v))); the diagonal
-    is always present, so an isolated node maps to a lone 1.0.
-    """
-    n = g.num_nodes
-    deg = g.degrees()
-    dtilde = deg.astype(np.float64) + 1.0
-    rows = np.concatenate([np.repeat(np.arange(n), deg), np.arange(n)])
-    cols = np.concatenate([g.indices, np.arange(n)])
-    indptr, indices = _csr_from_directed(n, rows, cols)
-    entry_rows = np.repeat(np.arange(n), np.diff(indptr))
-    # single square root of the degree product keeps (u,v) and (v,u) bitwise equal
-    values = 1.0 / np.sqrt(dtilde[entry_rows] * dtilde[indices])
-    return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values)
+
+def prepare_features(g):
+    """The graph's model inputs, `g.model_inputs`: built on the first call
+    and kept on the graph (read-only)."""
+    return g.model_inputs
 
 
 def spmm(adj, H, out=None, work=None):
@@ -412,7 +455,8 @@ class EnrichedGraph:
 
     def graph(self):
         """Combined view used for propagation: `base` itself when nothing
-        was mined, else base plus mined edges, which carry zero feature rows."""
+        was mined, else base plus mined edges, which carry zero feature rows.
+        The view has the base's node features, so it takes the base's model inputs."""
         if self.num_mined == 0:
             return self.base
         if self._view is None:
@@ -424,6 +468,7 @@ class EnrichedGraph:
                 edge_features=np.vstack([base_feats, np.zeros((self.num_mined, base_feats.shape[1]))]),
                 node_kind=self.base.node_kind,
             )
+            self._view.model_inputs = self.base.model_inputs
         return self._view
 
 

@@ -65,12 +65,13 @@ A scoring-only forward (training=False) keeps no cache: the head forms
 the `Q W0` blocks once and scores the examples in blocks of `SCORE_BLOCK`
 rows, so its memory is set by the block size rather than the row count.
 It runs the last encoder layer and the head on the nodes its examples
-reach (`example_rows`), with the examples renumbered into them; the
-layers before run on every node. `gcn_forward` takes the first
-propagation `spmm(adj, X)` precomputed (`propagated`) when that layer has
-no dropout; `TaskData.propagated` in `pipeline` holds it once per task. A
-one-layer validation pass copies the reached rows of it, outside the
-workspace.
+reach (`example_rows`); the head renumbers each block of examples into
+them through an n-sized position table, so no renumbered copy of every
+example is held. The layers before run on every node. `gcn_forward`
+takes the first propagation `spmm(adj, X)` precomputed (`propagated`)
+when that layer has no dropout; `TaskData.propagated` in `pipeline`
+holds it once per task. A one-layer validation pass copies the reached
+rows of it, outside the workspace.
 
 Each change above keeps every value's arithmetic as it was, so same-seed
 outputs stay bit-identical (scoring blocks on one BLAS thread: see `SCORE_BLOCK`;
@@ -306,12 +307,13 @@ def _first_layer(blocks, examples, bias, out=None, buf=None):
     return Z
 
 
-def _head_logits(Q, examples, head, dropout_rate, rng, training, ws=None):
+def _head_logits(Q, examples, head, dropout_rate, rng, training, ws=None, position=None):
     """Score rows of k endpoint ids from [q_e1 ; ... ; q_ek], factored per endpoint.
 
     The first layer runs once over the node rows of Q. A training forward
     returns the cache `head_backward` needs; a scoring-only one returns
-    None for it and works through SCORE_BLOCK rows at a time.
+    None for it and works through SCORE_BLOCK rows at a time, each block's
+    ids taken through `position` (node id -> row of Q) when given.
     """
     n, d = Q.shape
     W0, W1 = head.weights
@@ -323,6 +325,8 @@ def _head_logits(Q, examples, head, dropout_rate, rng, training, ws=None):
         logits = np.empty(examples.shape[0])
         for start in range(0, examples.shape[0], SCORE_BLOCK):
             part = examples[start:start + SCORE_BLOCK]
+            if position is not None:
+                part = position[part]
             Z = _first_layer(blocks, part, b0, out=_take(ws, "rows", (len(part), width)),
                              buf=_take(ws, "spare", (min(GATHER_ROWS, len(part)), width)))
             np.maximum(Z, 0.0, out=Z)
@@ -345,16 +349,22 @@ def _head_logits(Q, examples, head, dropout_rate, rng, training, ws=None):
     return logits, {"Q": Q, "examples": examples, "H": H, "keep": keep, "rate": rate, "ws": ws}
 
 
-def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False, ws=None):
-    """Score node pairs from concatenated embeddings [q_u ; q_v]."""
-    pairs = check_ids(pairs, Q.shape[0]).reshape(-1, 2)
-    return _head_logits(Q, pairs, head, dropout_rate, rng, training, ws)
+def _ids(examples, Q, position):
+    """`examples` checked against the ids `position` maps (the rows of Q without one)."""
+    return check_ids(examples, Q.shape[0] if position is None else position.size)
 
 
-def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False, ws=None):
-    """Score single nodes from their embeddings."""
-    nodes = check_ids(nodes, Q.shape[0]).reshape(-1, 1)
-    return _head_logits(Q, nodes, head, dropout_rate, rng, training, ws)
+def pair_logits(Q, pairs, head, dropout_rate=0.0, rng=None, training=False, ws=None, position=None):
+    """Score node pairs from concatenated embeddings [q_u ; q_v]; `position`,
+    if given, maps node ids to rows of Q (a scoring-only pass)."""
+    pairs = _ids(pairs, Q, position).reshape(-1, 2)
+    return _head_logits(Q, pairs, head, dropout_rate, rng, training, ws, position)
+
+
+def node_logits(Q, nodes, head, dropout_rate=0.0, rng=None, training=False, ws=None, position=None):
+    """Score single nodes from their embeddings; `position` as in `pair_logits`."""
+    nodes = _ids(nodes, Q, position).reshape(-1, 1)
+    return _head_logits(Q, nodes, head, dropout_rate, rng, training, ws, position)
 
 
 def head_backward(dlogits, cache, head, plans=None):
@@ -408,7 +418,13 @@ class ExampleRows:
     nodes: object  # the sorted reached ids, or slice(None) for every node
     op: object  # the adjacency's rows `nodes` (`NormalizedAdjacency.rows`), or the adjacency
     size: int  # the number of rows
-    examples: np.ndarray  # the examples renumbered into positions of `nodes`
+    ids: np.ndarray  # the examples as range-checked int64 node ids
+    position: np.ndarray = None  # n entries: each reached id's place in `nodes`; None for every node
+
+    @property
+    def examples(self):
+        """The examples renumbered into positions of `nodes` (a new array but for every node)."""
+        return self.ids if self.position is None else self.position[self.ids]
 
 
 def example_rows(adj, examples):
@@ -428,7 +444,7 @@ def example_rows(adj, examples):
     if size < 2 or size == n:
         return ExampleRows(slice(None), adj, n, ids)
     nodes = np.flatnonzero(reached)
-    return ExampleRows(nodes, adj.rows(nodes), size, (np.cumsum(reached) - 1)[ids])
+    return ExampleRows(nodes, adj.rows(nodes), size, ids, np.cumsum(reached) - 1)
 
 
 def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, propagated=None,
@@ -444,23 +460,22 @@ def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training
     A scoring-only pass (training=False) runs the last encoder layer and
     the head on the nodes the examples reach only, through their
     `ExampleRows`: `rows` if the caller holds `example_rows(adj, examples)`,
-    else one built here. In a GEMM of two or more rows each output row
-    depends on its input row alone, and each sparse row sums its entries in
-    the same order, so the logits equal those of a pass over every node bit
-    for bit.
+    else one built here; the head renumbers the examples one SCORE_BLOCK at
+    a time through its position table. In a GEMM of two or more rows each
+    output row depends on its input row alone, and each sparse row sums its
+    entries in the same order, so the logits equal those of a pass over
+    every node bit for bit.
     """
     if training:
-        rows = None
+        rows = position = None
     else:
         rows = example_rows(adj, examples) if rows is None else rows
-        if rows.examples.shape != np.shape(examples):
-            raise InvalidArgument(f"rows are for examples of shape {rows.examples.shape}, got {np.shape(examples)}")
-        examples = rows.examples
+        if rows.ids.shape != np.shape(examples):
+            raise InvalidArgument(f"rows are for examples of shape {rows.ids.shape}, got {np.shape(examples)}")
+        examples, position = rows.ids, rows.position
     Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated, ws=ws, rows=rows)
-    if model.task == "pair":
-        logits, head_cache = pair_logits(Q, examples, model.head, dropout_rate, rng, training, ws=ws)
-    else:
-        logits, head_cache = node_logits(Q, examples, model.head, dropout_rate, rng, training, ws=ws)
+    logits_of = pair_logits if model.task == "pair" else node_logits
+    logits, head_cache = logits_of(Q, examples, model.head, dropout_rate, rng, training, ws=ws, position=position)
     return logits, (gcn_cache, head_cache)
 
 

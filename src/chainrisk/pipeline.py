@@ -26,9 +26,9 @@ from .graph import (
     candidate_pairs,
     enrich,
     normalize_adjacency,
+    prepare_features,
     scatter_plans,
     spmm,
-    standardize_columns,
 )
 from .labels import SPLIT_NAMES, TEST, TRAIN, VAL, config_fields
 from .metrics import EvalReport, auc
@@ -104,16 +104,6 @@ class GridSpec:
         return list(product(self.learning_rates, self.dropouts, self.layer_counts))
 
 
-def prepare_features(X):
-    """Standardize columns and append a constant-one column.
-
-    Encoder layers have no bias term; the appended one also lets degree leak
-    into the aggregation, which node scoring relies on.
-    """
-    X = standardize_columns(X)
-    return np.hstack([X, np.ones((X.shape[0], 1))])
-
-
 @dataclass(frozen=True)
 class TaskData:
     """Everything one training run needs, already in tensor form.
@@ -141,11 +131,12 @@ class TaskData:
 
     @classmethod
     def build(cls, g_view, labeled):
-        """Normalized adjacency, prepared features and the examples of a LabeledSet."""
+        """The graph's normalized adjacency and model inputs, which it builds
+        once and keeps, and the examples of a LabeledSet."""
         labeled.validate()
         return cls(
             adj=normalize_adjacency(g_view),
-            X=prepare_features(g_view.node_features),
+            X=prepare_features(g_view),
             examples=np.asarray(labeled.examples, dtype=np.int64),
             labels=np.asarray(labeled.labels, dtype=np.float64),
             split=np.asarray(labeled.split),

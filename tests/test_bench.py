@@ -82,7 +82,7 @@ def test_every_cold_read_parses_and_no_warm_read_does(tmp_path, monkeypatch):
     monkeypatch.setattr(bench.dataio, "_save_copy", lambda *args: saves.append(args[0]) or save(*args))
     phases = bench.Phases()
     bench.read_phases(phases, economy, str(tmp_path))
-    assert len(saves) == 4 * bench.REPEATS  # the graph's two files and both label files, per cold call
+    assert len(saves) == 3 * bench.REPEATS  # the graph copy and both label files, per cold call
     assert sorted(phases.out) == ["read_cold", "read_warm"]
 
 

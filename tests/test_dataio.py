@@ -11,7 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from chainrisk import dataio
+from chainrisk import dataio, graph
 from chainrisk.cli import main
 from chainrisk.errors import InvalidInput
 from chainrisk.graph import NODE_KINDS, SmeGraph
@@ -183,8 +183,9 @@ def rows_only():
 
 def _arrays(out):
     if isinstance(out, SmeGraph):
+        adj = out.adjacency
         return [np.asarray(out.num_nodes), out.indptr, out.indices, out.node_features, out.edge_features,
-                out.node_kind]
+                out.node_kind, adj.indptr, adj.indices, adj.values, out.model_inputs]
     return list(out)
 
 
@@ -485,14 +486,80 @@ def test_generate_and_writers_working_set(tmp_path):
     assert above_kept[20000] <= 1.2 * above_kept[5000], above_kept
 
 
+GRAPH_FILES = ("nodes.csv", "edges.tsv")
+
+
 def copy_of(path):
-    """Where the parsed-input cache keeps the binary copy of `path`'s table."""
-    return path.parent / dataio.CACHE_DIR / f"{path.name}.npy"
+    """Where the parsed-input cache keeps the binary copy of `path`'s table,
+    or for nodes.csv and edges.tsv the copy of their graph."""
+    return path.parent / dataio.CACHE_DIR / (dataio.GRAPH_COPY if path.name in GRAPH_FILES else f"{path.name}.npy")
+
+
+def copy_key(path):
+    """The tag and SHA-256 digests a copy of `path`'s current text starts with
+    (of both graph files for either of them)."""
+    texts = [path.parent / name for name in GRAPH_FILES] if path.name in GRAPH_FILES else [path]
+    return dataio._COPY_MAGIC + b"".join(hashlib.sha256(text.read_bytes()).digest() for text in texts)
+
+
+def copy_arrays(data):
+    """The `.npy` arrays, one after another, in the bytes `data`."""
+    fh, arrays = io.BytesIO(data), []
+    while fh.tell() < len(data):
+        arrays.append(np.load(fh, allow_pickle=False))
+    return arrays
 
 
 def no_parse():
     """Readers run with every bulk parse an error, so only binary copies are read."""
     return mock.patch.object(dataio, "_bulk_rows", side_effect=AssertionError("the bulk path parsed a file"))
+
+
+# the arrays of the graph copy, in the order it holds them
+GRAPH_ARRAYS = ("indptr", "indices", "node_features", "edge_features", "adj_indptr", "adj_indices", "adj_values",
+                "model_inputs", "kinds")
+
+
+def _forged(change):
+    """A damage that saves the graph copy's arrays, under the right tag and
+    digests, with the arrays `change(arrays)` returns by name in place of
+    those."""
+    def damage(good, arrays):
+        return {**arrays, **change(arrays)}
+    return damage
+
+
+def _set(name, pos, value):
+    """A damage that sets the elements `pos` of the flattened array `name` to `value`."""
+    def change(arrays):
+        array = arrays[name].copy()
+        array.reshape(-1)[pos] = value
+        return {name: array}
+    return _forged(change)
+
+
+# the small dataset's graph rows: 0: 1 5, 1: 0 2, 2: 1 7, 3: 4, 4: 3 6, 5: 0, 6: 4, 7: 2
+GRAPH_COPY_DAMAGE = {
+    "truncated": lambda good, arrays: good[:-8],
+    "garbage": lambda good, arrays: bytes(range(256)),
+    "trailing bytes": lambda good, arrays: good + bytes(8),
+    "narrow dtype": _forged(lambda arrays: {"indices": arrays["indices"].astype(np.int32)}),
+    # positive int64 bits read as float64 are finite, so only the dtype check stops them
+    "wrong dtype": _forged(lambda arrays: {"edge_features": np.abs(arrays["edge_features"]).astype(np.int64)}),
+    "wrong shape": _forged(lambda arrays: {"model_inputs": arrays["model_inputs"][:, :-1].copy()}),
+    "self-loop": _set("indices", 9, 5),
+    "repeated id": _set("indices", 1, 1),
+    "out-of-range id": _set("indices", 11, 8),
+    "indptr past the ids": _set("indptr", 8, 13),
+    "adjacency out of order": _set("adj_indices", [0, 1], [1, 0]),
+    "adjacency out-of-range id": _set("adj_indices", -1, 8),
+    "unknown kind code": _set("kinds", 3, len(NODE_KINDS)),
+    "negative kind code": _set("kinds", 3, -1),
+    "non-finite node feature": _set("node_features", 0, np.nan),
+    "non-finite edge feature": _set("edge_features", 0, np.inf),
+    "non-finite adjacency value": _set("adj_values", 0, np.nan),
+    "non-finite model input": _set("model_inputs", 0, -np.inf),
+}
 
 
 class TestParsedInputCache:
@@ -507,8 +574,7 @@ class TestParsedInputCache:
         target = files if whole_dir else files / name
         assert not copy_of(files / name).exists()
         parsed = read(target)
-        assert copy_of(files / name).read_bytes().startswith(
-            dataio._COPY_MAGIC + hashlib.sha256((files / name).read_bytes()).digest())
+        assert copy_of(files / name).read_bytes().startswith(copy_key(files / name))
         with no_parse():
             cached = read(target)
         assert_same_arrays(cached, parsed)
@@ -543,7 +609,7 @@ class TestParsedInputCache:
         else:  # a header that claims more rows than the file holds
             assert good.count(b"'shape': (2,)") == 1
             copy.write_bytes(good.replace(b"'shape': (2,)", b"'shape': (9,)"))
-        with mock.patch.object(np, "load", side_effect=AssertionError("a bad copy was loaded")):
+        with mock.patch.object(np, "frombuffer", side_effect=AssertionError("a bad copy was loaded")):
             assert_same_arrays(dataio.read_mined_edges(path), want)
         assert copy.read_bytes() == good
 
@@ -607,24 +673,74 @@ class TestParsedInputCache:
             str(tmp_path / f): hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in read_files}
 
     def test_nodes_copy_holds_kind_codes_under_its_own_tag(self, small_dataset, tmp_path):
-        """The nodes.csv copy stores int8 indices into NODE_KINDS; a copy of the
-        same text and table under another tag is ignored and rewritten."""
+        """The graph copy stores each node's kind as its int8 index into
+        NODE_KINDS; a copy of the same texts and arrays under another tag is
+        ignored and rewritten."""
         _, files = small_dataset
         for fname, data in files.items():
             (tmp_path / fname).write_bytes(data)
         want = dataio.read_graph(tmp_path)
-        copy = copy_of(tmp_path / "nodes.csv")
+        copy, key = copy_of(tmp_path / "nodes.csv"), copy_key(tmp_path / "nodes.csv")
         good = copy.read_bytes()
-        digest = hashlib.sha256(files["nodes.csv"]).digest()
-        table = np.load(io.BytesIO(good[len(dataio._COPY_MAGIC) + len(digest):]), allow_pickle=False)
-        assert table.dtype["kind"] == np.int8
-        assert [NODE_KINDS[code] for code in table["kind"]] == want.node_kind.tolist()
-        table["kind"] = NODE_KINDS.index("owner")
+        *_, kinds = arrays = copy_arrays(good[len(key):])
+        assert kinds.dtype == np.int8
+        assert [NODE_KINDS[code] for code in kinds] == want.node_kind.tolist()
+        kinds[:] = NODE_KINDS.index("owner")
         forged = io.BytesIO()
-        np.lib.format.write_array(forged, table, version=(1, 0))
-        copy.write_bytes(b"CHRKTBL1" + digest + forged.getvalue())
+        for array in arrays:
+            np.lib.format.write_array(forged, array, version=(1, 0))
+        copy.write_bytes(b"CHRKTBL1" + key[len(dataio._COPY_MAGIC):] + forged.getvalue())
         assert_same_arrays(dataio.read_graph(tmp_path), want)
         assert copy.read_bytes() == good
+
+    @pytest.mark.parametrize("name", GRAPH_FILES)
+    def test_changing_one_graph_file_rebuilds_the_copy(self, small_dataset, tmp_path, name):
+        _, files = small_dataset
+        for fname in GRAPH_FILES:
+            (tmp_path / fname).write_bytes(files[fname])
+        before = dataio.read_graph(tmp_path)
+        if name == "nodes.csv":
+            (tmp_path / name).write_bytes(files[name].replace(b"\n0,sme,", b"\n0,owner,", 1))
+        else:
+            (tmp_path / name).write_bytes(b"".join(files[name].splitlines(keepends=True)[:-1]))
+        with rows_only():
+            want = dataio.read_graph(tmp_path)
+        assert (want.node_kind[0], want.indices.size) != (before.node_kind[0], before.indices.size)
+        assert_same_arrays(dataio.read_graph(tmp_path), want)
+        assert copy_of(tmp_path / name).read_bytes().startswith(copy_key(tmp_path / name))
+        with no_parse():
+            assert_same_arrays(dataio.read_graph(tmp_path), want)
+
+    @pytest.mark.parametrize("damage", sorted(GRAPH_COPY_DAMAGE))
+    def test_bad_graph_copy_is_never_used_and_is_rewritten(self, small_dataset, tmp_path, damage):
+        _, files = small_dataset
+        for fname in GRAPH_FILES:
+            (tmp_path / fname).write_bytes(files[fname])
+        want = dataio.read_graph(tmp_path)
+        copy, key = copy_of(tmp_path / "nodes.csv"), copy_key(tmp_path / "nodes.csv")
+        good = copy.read_bytes()
+        damaged = GRAPH_COPY_DAMAGE[damage](good, dict(zip(GRAPH_ARRAYS, copy_arrays(good[len(key):]))))
+        if isinstance(damaged, dict):
+            dataio._save_copy(str(copy), key[len(dataio._COPY_MAGIC):], *damaged.values())
+        else:
+            copy.write_bytes(damaged)
+        assert copy.read_bytes() != good
+        assert_same_arrays(dataio.read_graph(tmp_path), want)
+        assert copy.read_bytes() == good
+
+    def test_failed_graph_write_leaves_the_read_intact(self, small_dataset, tmp_path, monkeypatch):
+        _, files = small_dataset
+        for fname in GRAPH_FILES:
+            (tmp_path / fname).write_bytes(files[fname])
+        with rows_only():
+            want = dataio.read_graph(tmp_path)
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(dataio.os, "replace", refuse)
+        assert_same_arrays(dataio.read_graph(tmp_path), want)
+        assert list((tmp_path / dataio.CACHE_DIR).iterdir()) == []  # no copy and no temporary file
 
     def test_table_rejected_after_parsing_is_never_cached(self, tmp_path):
         path = tmp_path / "labels_dp.tsv"
@@ -632,6 +748,31 @@ class TestParsedInputCache:
         with pytest.raises(InvalidInput, match="labels_dp.tsv:2"):
             dataio.read_node_labels(path)
         assert not copy_of(path).exists()
+
+
+def test_second_eval_without_enrichment_builds_nothing(tmp_path):
+    """A --no-enrich eval on an unchanged data directory parses no file and
+    builds neither the graph nor its model inputs: both come from the copies."""
+    gen, train = tmp_path / "gen.json", tmp_path / "train.json"
+    gen.write_text(json.dumps({"preset": "paper-calibrated", "num_smes": 300, "seed": 7, "sector_size": 50}))
+    train.write_text(json.dumps({"max_epochs": 5, "patience": 4, "hidden_dim": 16, "embed_dim": 16,
+                                 "head_hidden": 16, "seed": 3}))
+    data, dp = str(tmp_path / "data"), str(tmp_path / "dp")
+    assert main(["generate", "--config", str(gen), "--out", data]) == 0
+    assert main(["train", "dp", "--data", data, "--config", str(train), "--out", dp, "--no-enrich"]) == 0
+    evaluate = ["eval", "--checkpoint", os.path.join(dp, "checkpoint_dp.bin"), "--data", data, "--no-enrich"]
+    reports = []
+    for out in ("ev1", "ev2"):
+        with contextlib.ExitStack() as stack:
+            if out == "ev2":
+                stack.enter_context(no_parse())
+                stack.enter_context(mock.patch.object(SmeGraph, "from_edge_list",
+                                                      side_effect=AssertionError("a graph was built")))
+                stack.enter_context(mock.patch.object(graph, "standardize_columns",
+                                                      side_effect=AssertionError("features were standardized")))
+            assert main([*evaluate, "--out", str(tmp_path / out)]) == 0
+        reports.append((tmp_path / out / "eval_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_second_eval_parses_nothing(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from chainrisk.graph import (
     enrich,
     in_sorted,
     normalize_adjacency,
+    prepare_features,
     sample_pair_keys,
     sorted_unique,
     spmm,
@@ -30,6 +33,11 @@ class TestStandardize:
         assert np.allclose(out[:, 1], 0.0)
         assert abs(out[:, 0].mean()) < 1e-12
         assert abs(out[:, 0].std() - 1.0) < 1e-12
+
+    def test_no_rows_give_no_rows_and_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert standardize_columns(np.zeros((0, 3))).shape == (0, 3)
 
     def test_bit_identical_to_masked_column_division(self):
         """The masked division it replaced, on columns of mixed signs with a constant
@@ -136,6 +144,46 @@ class TestNormalization:
             eigs = np.linalg.eigvalsh(dense)
             assert eigs.min() >= -1.0 - 1e-9
             assert eigs.max() <= 1.0 + 1e-9
+
+
+    def test_built_once_kept_on_the_graph_and_read_only(self, rng):
+        g = random_graph(rng, 12, edge_prob=0.3, num_features=2)
+        adj = normalize_adjacency(g)
+        assert normalize_adjacency(g) is adj is g.adjacency
+        assert prepare_features(g) is prepare_features(g) is g.model_inputs
+        for array in (adj.indptr, adj.indices, adj.values, g.model_inputs):
+            assert not array.flags.writeable
+
+    def test_model_inputs_standardize_and_append_a_ones_column(self, rng):
+        g = random_graph(rng, 9, edge_prob=0.3, num_features=3)
+        want = np.hstack([standardize_columns(g.node_features), np.ones((9, 1))])
+        assert prepare_features(g).tobytes() == want.tobytes() and prepare_features(g).shape == (9, 4)
+
+
+def sorted_normalization(g):
+    """The normalized adjacency as it was built by sorting every entry with the self-loops appended."""
+    n, deg = g.num_nodes, g.degrees()
+    rows = np.concatenate([np.repeat(np.arange(n), deg), np.arange(n)])
+    cols = np.concatenate([g.indices, np.arange(n)])
+    indptr, indices = _csr_from_directed(n, rows, cols)
+    dtilde = deg.astype(np.float64) + 1.0
+    values = 1.0 / np.sqrt(dtilde[np.repeat(np.arange(n), np.diff(indptr))] * dtilde[indices])
+    return indptr, indices, values
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(1, 30), st.data())
+@example(1, None)  # one node
+@example(6, None)  # no edges
+def test_normalization_matches_the_sorted_construction(n, data):
+    """Self-loops inserted into the sorted rows give the sort's arrays byte for
+    byte, with isolated nodes, hubs and empty graphs among the draws."""
+    pairs = [] if data is None else data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    keys = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    g = SmeGraph.from_edge_list(n, np.array(keys, dtype=np.int64).reshape(-1, 2), np.zeros((n, 1)))
+    adj = normalize_adjacency(g)
+    for got, want in zip((adj.indptr, adj.indices, adj.values), sorted_normalization(g), strict=True):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 class TestSpmm:
@@ -418,6 +466,12 @@ class TestEnrich:
         assert view is g
         assert np.array_equal(view.indptr, g.indptr)
         assert np.array_equal(view.indices, g.indices)
+
+    def test_view_takes_the_base_model_inputs_and_its_own_adjacency(self):
+        g = self._graph()
+        view = enrich(g, as_arrays([(0, 3, 0.9)]), tau=0.5).graph()
+        assert prepare_features(view) is prepare_features(g)
+        assert normalize_adjacency(view).indices.size == normalize_adjacency(g).indices.size + 2
 
     def test_observed_duplicates_are_dropped(self):
         g = self._graph()
