@@ -28,10 +28,12 @@ Each read phase is the median of REPEATS calls (`repeats` holds them all).
 It then calls `pipeline.run_stage1_mining`, and each step the runner takes
 through `pipeline` is one phase:
 
-    build      from the runner call to its first step: the config check and
-               pipeline.TaskData.build on the pair set, which takes the
-               adjacency and model inputs from the generated graph (it
-               builds them here, on their first use)
+    build      from the runner call to its first step:
+               pipeline.TaskData.build on the pair set, which checks that
+               each split holds both classes (the set checked its examples
+               when it was made) and takes the adjacency and model inputs
+               from the generated graph (it builds them here, on their
+               first use)
     train_task pipeline.train_task, EPOCHS epochs (patience = EPOCHS - 1, so
                every run has EPOCHS epochs)
     evaluate   pipeline.evaluate_model (gives the test AUC)

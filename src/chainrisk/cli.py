@@ -91,7 +91,7 @@ def _train_config(args, raw):
     grid_section = raw.pop("grid", None) if isinstance(raw, dict) else None
     config = _parse_config(args.config, TrainConfig.from_dict, raw)
     overrides = {"seed": args.seed, "tau": args.tau}
-    config = replace(config, **{k: v for k, v in overrides.items() if v is not None}).validate()
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     return config, _grid_spec(args.config, grid_section, config) if args.grid else None
 
 
@@ -99,7 +99,7 @@ def _grid_spec(path, section, config):
     """GridSpec from the config's optional `grid` object of axis lists, each
     value checked as that field of `config`."""
     if section is None:
-        return GridSpec().validate()
+        return GridSpec()
     known = [f.name for f in fields(GridSpec)]
     if not isinstance(section, dict):
         raise InvalidConfig(f"{path}: grid must be an object with keys {known}")
@@ -115,13 +115,13 @@ def _grid_spec(path, section, config):
                 TrainConfig.from_dict({**config.to_dict(), key[axis]: value})
             except InvalidConfig as err:
                 raise InvalidConfig(f"{path}: grid axis {axis}: {err}") from None
-    return GridSpec(**{k: tuple(v) for k, v in section.items()}).validate()
+    return GridSpec(**{k: tuple(v) for k, v in section.items()})
 
 
 def cmd_generate(args):
     config = _parse_config(args.config, gen_config_from_dict, _load_json(args.config))
     if args.seed is not None:
-        config = replace(config, seed=args.seed).validate()
+        config = replace(config, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     manifest = _manifest_skeleton("generate", config.to_dict(), {args.config: dataio.sha256_file(args.config)})
 
@@ -149,7 +149,8 @@ def _read_node_ids(read, path, num_nodes, digests):
     bad = np.argwhere((ids < 0) | (ids >= num_nodes))
     if bad.size:
         at = tuple(bad[0])
-        raise InvalidInput(f"{path}:{at[0] + 1}: node id {ids[at]} is out of range for a graph of {num_nodes} nodes")
+        raise dataio.row_error(path, InvalidInput(
+            f"node id {ids[at]} is out of range for a graph of {num_nodes} nodes", row=at[0]))
     return ids, values
 
 
@@ -161,10 +162,12 @@ def _task_inputs(args, stage, config):
     negatives per positive among the SMEs, the nodes candidate search scores.
     Stage dp reads the node labels and enriches the graph from --mined, or
     uses the base graph with --no-enrich. The readers check each file's own
-    rules (canonical, unrepeated label examples among them); this checks
-    that every node id read lies in the graph, and names the line of a
-    --mined row that `enrich` rejects (a score outside [0, 1]). A breach
-    exits naming its `path:line`.
+    cell rules; this checks that every node id read lies in the graph, and
+    names the line of a label example the LabeledSet rejects (a pair not in
+    canonical order, a repeated example) or of a --mined row that `enrich`
+    rejects (a score outside [0, 1]), and the label file whose labels cannot
+    be split into train, val and test sets that each hold both classes.
+    A breach exits naming its `path:line`, or its path.
     Returns (view, labeled, inputs, num_mined), where `inputs` maps each file
     read to the SHA-256 hex digest its reader took.
     """
@@ -177,13 +180,13 @@ def _task_inputs(args, stage, config):
         path = os.path.join(args.data, "labels_sc.tsv")
         examples, labels = _read_node_ids(dataio.read_pair_labels, path, g.num_nodes, inputs)
         if not labels.any():
-            raise InvalidInput("labels_sc.tsv has no positive pairs")
+            raise InvalidInput(f"{path} has no positive pairs")
         if labels.min() == 1:
             sme = np.flatnonzero(g.node_kind == "sme")
             negatives = sample_negatives(g, examples, config.neg_ratio, config.seed, nodes=sme)
             if not len(negatives):
                 raise InvalidInput(f"neg_ratio {config.neg_ratio} samples no negatives for the "
-                                   f"{len(examples)} positives of labels_sc.tsv")
+                                   f"{len(examples)} positives of {path}")
             examples = np.vstack([examples, negatives])
             labels = np.r_[labels, np.zeros(len(negatives), dtype=labels.dtype)]
     else:
@@ -196,9 +199,13 @@ def _task_inputs(args, stage, config):
             try:
                 enriched = enrich(g, mined, config.tau)
             except InvalidInput as err:
-                raise dataio.mined_edges_error(args.mined, err) from None
+                raise dataio.row_error(args.mined, err) from None
             view, num_mined = enriched.graph(), enriched.num_mined
-    labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
+    try:
+        labeled = LabeledSet(examples=examples, labels=labels, split=stratified_split(labels, seed=config.seed))
+        labeled.validate()
+    except InvalidInput as err:
+        raise dataio.row_error(path, err) from None
     return view, labeled, inputs, num_mined
 
 

@@ -38,13 +38,14 @@ A tag cell (a node kind, a label) becomes its index in its tags, -1 for
 any other text. Then one check per file runs on the table, however it was
 read, and reports the first row that breaks a rule as `path:line`:
 nodes.csv ids are 0, 1, 2, ... in order and every kind is known; edges
-have u < v; a label is 0 or 1, and the examples are the node ids or
-canonical, unrepeated pairs `labels.first_invalid_example` accepts.
-`read_graph` also names the line of a row `SmeGraph.from_edge_list`
-rejects (an endpoint outside the graph, a repeated edge, a non-finite
-feature), and `mined_edges_error` that of a mined-edges row `enrich`
-rejects (a score outside [0, 1]). `read_ground_truth`, which no command
-calls, uses the row parser only.
+have u < v; a label is 0 or 1. `read_graph` also names the line of a row
+`SmeGraph.from_edge_list` rejects (an endpoint outside the graph, a
+repeated edge, a non-finite feature). For a headerless file, `row_error`
+names the line of a row that a later rule rejects: a label example the
+`LabeledSet` built of it rejects (a pair not in canonical order, a
+repeated example), or a mined-edges row `enrich` rejects (a score outside
+[0, 1]). `read_ground_truth`, which no command calls, uses the row parser
+only.
 
 Each of these readers hashes the bytes it reads once, with SHA-256. Given a
 dict as `digests`, it also stores `path: hex digest` there for every file
@@ -94,7 +95,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .graph import NODE_KINDS, NormalizedAdjacency, SmeGraph, first_row
-from .labels import GroundTruth, first_invalid_example
+from .labels import GroundTruth
 
 # bytes of a bulk-read line besides its separator: number characters and LF
 _NUMBER_BYTES = b"0123456789+-.eE\n"
@@ -491,16 +492,12 @@ def _label(cell, form):
 
 def _read_labels(path, num_ids, form, digests):
     """(ids, int8 labels) of a label file whose lines are `num_ids` integer
-    cells and a 0/1 cell, `form` in the errors. Its examples are the node ids
-    (one cell) or canonical pairs (two) a LabeledSet accepts."""
+    cells and a 0/1 cell, `form` in the errors. Its examples are checked by
+    the LabeledSet a command builds of them; `row_error` names the line of
+    one the set rejects."""
     data, digest = _read(path, digests)
-
-    def rules(table):
-        labels, ids = table["label"], table["ids"]
-        return (first_row((labels < 0) | (labels > 1), f"expected `{form}`")
-                or first_invalid_example(ids if num_ids == 2 else ids[:, 0]))
-
-    table = _read_table(path, data, digest, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")], rules,
+    table = _read_table(path, data, digest, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")],
+                        lambda t: first_row((t["label"] < 0) | (t["label"] > 1), f"expected `{form}`"),
                         ("label", ("0", "1")))
     return np.ascontiguousarray(table["ids"]), np.ascontiguousarray(table["label"])
 
@@ -575,11 +572,11 @@ def read_mined_edges(path, *, digests=None):
     return np.ascontiguousarray(table["pair"]), table["score"].copy()
 
 
-def mined_edges_error(path, err):
-    """The InvalidInput to raise for `err`, a rule broken by the pairs and
-    scores `read_mined_edges(path)` gave: it names the line of the row `err`
-    records, if it records one."""
-    return err if err.row is None else _line_error(path, err.row, err)
+def row_error(path, err):
+    """The InvalidInput to raise for `err`, a rule broken by what a reader
+    gave of the headerless file `path` (a label file, mined edges): it names
+    the line of the row `err` records, or else the file."""
+    return InvalidInput(f"{path}: {err}") if err.row is None else _line_error(path, err.row, err)
 
 
 def write_roc_points(path, points):

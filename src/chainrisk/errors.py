@@ -17,7 +17,9 @@ class InvalidInput(ChainriskError):
     name its line.
     """
 
-    table = row = None
+    def __init__(self, message, row=None, table=None):
+        super().__init__(message)
+        self.row, self.table = row, table
 
 
 class InvalidConfig(ChainriskError):

@@ -81,9 +81,7 @@ def _check_rows(bad, message, table=None):
     recording that row and its `table` on it; do nothing if none is set."""
     breach = first_row(bad, message)
     if breach is not None:
-        err = InvalidInput(message)
-        err.table, err.row = table, breach[0]
-        raise err
+        raise InvalidInput(message, breach[0], table)
 
 
 def sorted_unique(keys):

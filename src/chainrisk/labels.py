@@ -9,6 +9,7 @@ and train/val/test tags. `stratified_split` draws the tags and
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -21,38 +22,53 @@ SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)  # train, val, test
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledSet:
     """Supervised examples with 0/1 labels and split tags.
 
     `examples` is an (n, 2) array of node pairs (u < v) for pair tasks or a
-    1-d array of node ids for node tasks; `kind` follows its rank.
+    1-d array of node ids for node tasks; `kind` follows its rank. A set
+    checks its examples, labels and split when it is made: a rejected
+    example raises InvalidInput with its `row`. `validate` checks that every
+    split holds both classes, which a set need not do to exist.
     """
 
     examples: np.ndarray
     labels: np.ndarray
     split: np.ndarray
 
-    @property
-    def kind(self):
-        return "pair" if np.ndim(self.examples) == 2 else "node"
-
-    def validate(self):
+    def __post_init__(self):
         examples = np.asarray(self.examples)
         if self.kind == "pair" and examples.shape[1] != 2:
             raise InvalidInput("pairs must be an (n, 2) array")
         bad = first_invalid_example(examples)
         if bad is not None:
-            raise InvalidInput(f"example {bad[0]}: {bad[1]}")
+            raise InvalidInput(bad[1], row=bad[0])
         labels, split = np.asarray(self.labels), np.asarray(self.split)
         if labels.shape != (examples.shape[0],) or split.shape != labels.shape:
             raise InvalidInput("labels and split must align with the entries")
         if not np.all(np.isin(labels, (0, 1))):
             raise InvalidInput("labels must be 0 or 1")
+
+    @property
+    def kind(self):
+        return "pair" if np.ndim(self.examples) == 2 else "node"
+
+    def validate(self):
+        """Raise InvalidInput unless every split holds both classes."""
+        if self._split_breach is not None:
+            raise InvalidInput(self._split_breach)
+
+    @cached_property
+    def _split_breach(self):
+        """The per-split rule's message for the first split without both
+        classes, or None; worked out once per set."""
+        labels, split = np.asarray(self.labels), np.asarray(self.split)
         for tag, name in SPLIT_NAMES.items():
             part = labels[split == tag]
             if part.size == 0 or part.min() == part.max():
-                raise InvalidInput(f"split {name} must contain both classes")
+                return f"split {name} must contain both classes"
+        return None
 
 
 def first_invalid_example(examples):

@@ -421,11 +421,6 @@ class ExampleRows:
     ids: np.ndarray  # the examples as range-checked int64 node ids
     position: np.ndarray = None  # n entries: each reached id's place in `nodes`; None for every node
 
-    @property
-    def examples(self):
-        """The examples renumbered into positions of `nodes` (a new array but for every node)."""
-        return self.ids if self.position is None else self.position[self.ids]
-
 
 def example_rows(adj, examples):
     """The `ExampleRows` of `examples` (pairs or node ids) on `adj`.

@@ -40,9 +40,10 @@ from .rng import DROPOUT, INIT, make_rng
 MIN_IMPROVEMENT = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """One training cell plus the shared protocol knobs."""
+    """One training cell plus the shared protocol knobs; a config that
+    breaks a rule raises InvalidConfig when it is made, by `replace` too."""
 
     learning_rate: float = 0.01
     dropout: float = 0.1
@@ -58,7 +59,7 @@ class TrainConfig:
     embed_dim: int = 32
     head_hidden: int = 32
 
-    def validate(self):
+    def __post_init__(self):
         if self.learning_rate < 0:
             raise InvalidConfig("learning_rate must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
@@ -77,28 +78,26 @@ class TrainConfig:
             raise InvalidConfig("model widths must be positive")
         if self.seed < 0:
             raise InvalidConfig("seed must be non-negative")
-        return self
 
     def to_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**config_fields(cls, d, "training")).validate()
+        return cls(**config_fields(cls, d, "training"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
-    """Hyperparameter grid for `grid_search`."""
+    """Hyperparameter grid for `grid_search`; every axis must be non-empty."""
 
     learning_rates: tuple = (0.001, 0.005, 0.01)
     dropouts: tuple = (0.1, 0.3, 0.5)
     layer_counts: tuple = (1, 2, 3)
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.learning_rates and self.dropouts and self.layer_counts):
             raise InvalidConfig("every grid axis must be non-empty")
-        return self
 
     def cells(self):
         return list(product(self.learning_rates, self.dropouts, self.layer_counts))
@@ -132,7 +131,8 @@ class TaskData:
     @classmethod
     def build(cls, g_view, labeled):
         """The graph's normalized adjacency and model inputs, which it builds
-        once and keeps, and the examples of a LabeledSet."""
+        once and keeps, and the examples of a LabeledSet, whose every split
+        must hold both classes."""
         labeled.validate()
         return cls(
             adj=normalize_adjacency(g_view),
@@ -162,7 +162,6 @@ def train_task(data, config):
     validation loss by more than 1e-6, and restores the best epoch's
     parameters. The trace records train and validation loss per epoch.
     """
-    config.validate()
     tr = data.split == TRAIN
     va = data.split == VAL
     if not tr.any() or not va.any():
@@ -253,7 +252,6 @@ def grid_search(grid, data, config, max_workers=1):
     dropout. Cells that diverge are recorded and skipped; if every cell
     diverges the search fails.
     """
-    grid.validate()
     cells = grid.cells()
     va = data.split == VAL
     ex_va, y_va = data.examples[va], data.labels[va].astype(int)
@@ -310,9 +308,8 @@ class StageResult:
 
 
 def _fit(view, labeled, config):
-    """(data, StageResult) of one stage's common part: validate the config,
-    build the task data, train, and report on every split."""
-    config.validate()
+    """(data, StageResult) of one stage's common part: build the task data,
+    train, and report on every split."""
     data = TaskData.build(view, labeled)
     result = train_task(data, config)
     _, reports = evaluate_model(result.model, data)

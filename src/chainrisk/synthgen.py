@@ -23,7 +23,7 @@ gathers only the linked pairs, and the hard-negative pool is filtered block
 by block. No step holds a table of every admissible pair.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,7 +44,8 @@ NUM_FEATURE_COLUMNS = 3 + PROFILE_DIM + 2 * len(ATTRIBUTES)
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Knobs of the synthetic economy; `validate` rejects infeasible values."""
+    """Knobs of the synthetic economy; a config with an infeasible value
+    raises InvalidConfig when it is made, by `replace` too."""
 
     num_smes: int
     seed: int = 0
@@ -64,7 +65,7 @@ class GenConfig:
     profile_noise: float = 0.03         # observation noise on the latent profile
     accept_breadth: float = 3.0         # accepted circle size relative to the proposal budget
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_smes < 12:
             raise InvalidConfig("num_smes must be at least 12")
         if self.seed < 0:
@@ -93,7 +94,6 @@ class GenConfig:
             raise InvalidConfig("accept_breadth must be at least 1")
         if self.label_noise_sigma < 0:
             raise InvalidConfig("label_noise_sigma must be non-negative")
-        return self
 
     def to_dict(self):
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -111,13 +111,12 @@ def paper_calibrated(num_smes=5000, seed=0, **overrides):
     revenue variance, and a shareholder-availability edge for socially tied
     firms.
     """
-    return replace(GenConfig(num_smes=num_smes, seed=seed), **overrides).validate()
+    return GenConfig(num_smes=num_smes, seed=seed, **overrides)
 
 
 def null_preset(num_smes=2000, seed=0, **overrides):
     """Same economy, but default labels independent of the graph."""
-    cfg = GenConfig(num_smes=num_smes, seed=seed, partner_protection=0.0)
-    return replace(cfg, **overrides).validate()
+    return GenConfig(num_smes=num_smes, seed=seed, **{"partner_protection": 0.0, **overrides})
 
 
 PRESETS = {"paper-calibrated": paper_calibrated, "null": null_preset}
@@ -130,7 +129,7 @@ def gen_config_from_dict(d):
     d = dict(d)
     preset = d.pop("preset", None)
     if preset is None:
-        return GenConfig(**config_fields(GenConfig, d, "generator")).validate()
+        return GenConfig(**config_fields(GenConfig, d, "generator"))
     if not isinstance(preset, str) or preset not in PRESETS:
         raise InvalidConfig(f"unknown preset {preset!r}, have {sorted(PRESETS)}")
     return PRESETS[preset](**config_fields(GenConfig, d, "generator"))
@@ -142,7 +141,6 @@ def generate(config):
     Pure function of the config (the seed lives inside it); identical
     configs produce bit-identical outputs.
     """
-    config.validate()
     n = config.num_smes
     gen = make_rng(config.seed, GENERATOR)
 

@@ -84,6 +84,16 @@ def test_task_data_for_pairs_accepts_generated_pair_set():
     assert data.X.shape[0] == g.num_nodes
 
 
+@pytest.mark.parametrize("shape", ["MINE", "CLI"])
+def test_benchmark_train_configs_pass_the_config_rules(perfbench_path, shape):
+    # a TrainConfig checks itself when it is made, so a rule that rejects a
+    # benchmark shape fails here rather than in a benchmark run
+    import workloads
+
+    config = workloads.train_config(3, getattr(workloads, shape))
+    assert isinstance(config, pipeline.TrainConfig) and config.patience == config.max_epochs - 1
+
+
 def test_score_examples_keeps_the_positions_layers_reads():
     # layers.score_call reads the examples at a[3] and the training flag at a[6]
     names = list(inspect.signature(model.score_examples).parameters)

@@ -692,6 +692,55 @@ def test_invalid_label_example_exits_two_with_path_and_line(tmp_path, dataset, t
     assert f"{path}:{lineno}: {message}" in err
 
 
+def test_repeated_example_names_the_same_line_cold_and_warm(tmp_path, dataset, train_config, capsys):
+    """The label file's cells parse, so its copy is saved; the set built from
+    the copy rejects the same line."""
+    path = os.path.join(dataset, "labels_sc.tsv")
+    lines = open(path, encoding="utf-8").read().split("\n")
+    lineno, text, message = invalid_example("repeated-line", lines)
+    lines[lineno - 1] = text
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+    copy = os.path.join(dataset, dataio.CACHE_DIR, "labels_sc.tsv.npy")
+    errors = []
+    for _ in range(2):
+        code = main(["train", "sc", "--data", dataset, "--config", train_config, "--out", str(tmp_path / "o")])
+        errors.append(capsys.readouterr().err)
+        assert code == 2 and os.path.exists(copy)
+    assert errors[0] == errors[1] == f"error: {path}:{lineno}: {message}\n"
+
+
+def unsplittable_labels(case, path):
+    """Rewrite the label file `path` as `case`; returns the expected message after the path."""
+    if case == "sc-no-positive":
+        pairs, labels = dataio.read_pair_labels(path)
+        dataio.write_pair_labels(path, pairs[labels == 0], labels[labels == 0])
+        return " has no positive pairs"
+    nodes, labels = dataio.read_node_labels(path)
+    if case == "dp-empty":
+        nodes, labels = nodes[:0], labels[:0]
+    elif case == "dp-one-class":
+        labels = np.zeros_like(labels)
+    else:  # two positives
+        labels = np.zeros_like(labels)
+        labels[[3, 8]] = 1
+    dataio.write_node_labels(path, nodes, labels)
+    if case == "dp-two-positives":
+        return ": every class needs at least 3 examples to split"
+    return ": split train must contain both classes"
+
+
+@pytest.mark.parametrize("case", ["dp-empty", "dp-one-class", "dp-two-positives", "sc-no-positive"])
+def test_labels_that_cannot_be_split_name_the_label_file(tmp_path, dataset, train_config, capsys, case):
+    stage = case[:2]
+    path = os.path.join(dataset, f"labels_{stage}.tsv")
+    message = unsplittable_labels(case, path)
+    enrichment = ["--no-enrich"] if stage == "dp" else []
+    code = main(["train", stage, *enrichment, "--data", dataset, "--config", train_config,
+                 "--out", str(tmp_path / "o")])
+    assert code == 2 and capsys.readouterr().err == f"error: {path}{message}\n"
+
+
 # (file, line, cell, its new value, message) of a row a graph or mined-edge rule
 # rejects; the cell None makes the line a copy of the line numbered by the value
 GRAPH_FAULTS = {

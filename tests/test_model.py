@@ -680,7 +680,7 @@ class TestRestrictedScoring:
         pairs = np.array([[7, 3], [3, 41], [59, 7]])
         rows = example_rows(adj, pairs)
         assert rows.nodes.tolist() == [3, 7, 41, 59] and rows.size == 4
-        assert np.array_equal(rows.nodes[rows.examples], pairs)
+        assert np.array_equal(rows.nodes[rows.position[rows.ids]], pairs)
         assert spmm(rows.op, np.eye(60)).tobytes() == spmm(adj, np.eye(60))[rows.nodes].tobytes()
         for examples in ([], [5], [[5, 5]], np.arange(60)):  # fewer than two nodes, or every node
             rows = example_rows(adj, examples)
