@@ -18,13 +18,15 @@ and write WRITE_CHUNK lines at a time (nodes.csv and edges.tsv go through
 the graph WRITE_CHUNK nodes at a time), so a writer's working set does not
 grow with the file.
 
-The files a command reads (nodes, edges, both label files and mined edges)
-go through one table parser, `_parse_table`. It parses a file in one numpy
-pass when the file is in the canonical grammar the writers produce:
+Every file this module reads (nodes, edges, both label files, mined edges
+and ground truth) goes through one table parser, `_parse_table`. It parses
+a file in one numpy pass when the file is in the canonical grammar the
+writers produce:
 
   - lines end in LF; no line is blank and no CR appears anywhere;
   - past the nodes.csv header, every byte is an ASCII digit, `+`, `-`, `.`,
-    `e`, `E`, the separator, LF or a letter of a tag (a node kind);
+    `e`, `E`, the separator, LF or a letter of a tag (a node kind, a
+    ground-truth record type);
   - every line has the cell count of the header (nodes.csv), of the first
     line (edges.tsv) or of the format; an integer cell is `[+-]?[0-9]+`
     within int64 and a float cell is a number `float` reads in that
@@ -34,35 +36,38 @@ When this bulk path declines a file, the row parser `_parse_rows` reads
 it. It accepts Python `int`/`float` syntax (surrounding whitespace, `_`
 digit separators, `nan`, CR and CRLF line breaks), reports the first line
 it cannot convert as `path:line`, and gives the table the bulk path would.
-A tag cell (a node kind, a label) becomes its index in its tags, -1 for
-any other text. Then one check per file runs on the table, however it was
-read, and reports the first row that breaks a rule as `path:line`:
+A tag cell (a node kind, a label, a record type, a ground-truth flag)
+becomes its index in its tags, -1 for any other text, so a label or flag
+is exactly `0` or `1`. Then one check per file runs on the table, however
+it was read, and reports the first row that breaks a rule as `path:line`:
 nodes.csv ids are 0, 1, 2, ... in order and every kind is known; edges
-have u < v; a label is 0 or 1. `read_graph` also names the line of a row
-`SmeGraph.from_edge_list` rejects (an endpoint outside the graph, a
-repeated edge, a non-finite feature). For a headerless file, `row_error`
-names the line of a row that a later rule rejects: a label example the
-`LabeledSet` built of it rejects (a pair not in canonical order, a
-repeated example), or a mined-edges row `enrich` rejects (a score outside
-[0, 1]). `read_ground_truth`, which no command calls, uses the row parser
-only.
+have u < v; a label is 0 or 1; in ground_truth.tsv every record is
+`supply` or `node`, node ids are 0, 1, 2, ... in node-row order, a tier
+(an integer cell) is 0, 1 or 2 and every flag is 0 or 1. `read_graph`
+also names the line of a row `SmeGraph.from_edge_list` rejects (an
+endpoint outside the graph, a repeated edge, a non-finite feature). For a
+headerless file, `row_error` names the line of a row that a later rule
+rejects: a label example the `LabeledSet` built of it rejects (a pair not
+in canonical order, a repeated example), or a mined-edges row `enrich`
+rejects (a score outside [0, 1]).
 
 Each of these readers hashes the bytes it reads once, with SHA-256. Given a
 dict as `digests`, it also stores `path: hex digest` there for every file
 it read, on either path, so a manifest can list its inputs without reading
 them again.
 
-Parsed-input cache: a file the bulk path reads is parsed once. What a
-command derives from it is saved, if the file's check accepts it, as a
+Parsed-input cache: each text is parsed once, by whichever parser. What a
+command derives from it is saved, once the file's check accepts it, as a
 binary copy in CACHE_DIR beside the file: `data/.chainrisk-cache/` holds
-`graph.npy` for nodes.csv and edges.tsv together, and `labels_dp.tsv.npy`
-and the like for a label file or mined edges. A copy is a format tag
+`graph.npy` for nodes.csv and edges.tsv together, once
+`SmeGraph.from_edge_list` accepts them, and `labels_dp.tsv.npy` and the
+like for a label file, mined edges or ground truth. A copy is a format tag
 (`_COPY_MAGIC`), the SHA-256 of each text it was made from, and its arrays
 in the version 1.0 `.npy` format. The graph copy holds the CSR graph
 (indptr, indices, node and edge features, each kind as its int8 index in
 NODE_KINDS), its normalized adjacency (indptr, indices, values) and its
 model inputs (`graph.prepare_features`), all computed from the parsed text
-as `SmeGraph` computes them; a table copy holds the table, each label as an
+as `SmeGraph` computes them; a table copy holds the table, each tag as an
 int8. Every later read hashes the texts it has just read and uses the copy
 only when both digests match and so does each array's dtype and header,
 the file ending with the last array. The copy is mapped into memory
@@ -74,9 +79,8 @@ id, known kind codes, and finite features, values and model inputs. Any
 other copy is ignored and rewritten. A copy is written to a temporary file
 and moved into place with `os.replace`, never rewritten in place; a failed
 write (read-only directory, full disk) only costs the next read a parse.
-Files that go to the row parser are never cached, nor is a graph one of
-whose files does. Deleting the directory is always safe, and manifests
-still record the digests of the text files.
+Deleting the directory is always safe, and manifests still record the
+digests of the text files.
 """
 
 import contextlib
@@ -99,9 +103,6 @@ from .labels import GroundTruth
 
 # bytes of a bulk-read line besides its separator: number characters and LF
 _NUMBER_BYTES = b"0123456789+-.eE\n"
-# one character wider than the longest tag, so that a longer kind, cut to this
-# width, matches no tag
-_KIND_TEXT = f"U{max(map(len, NODE_KINDS)) + 1}"
 # lines per write, and rows per `.tolist()` call, of the writers
 WRITE_CHUNK = 1024
 # the parsed-input cache: its directory beside each file, the name of the graph's
@@ -177,35 +178,43 @@ def _read(path, digests):
     return data, digest
 
 
-def _parse_rows(path, data, sep, parse, width, header=False):
-    """[parse(cells) for each line of `data`, the bytes of `path`, split on
-    `sep`], past the first line when there is a `header`.
+def _parse_rows(path, data, sep, text, tags, header=False):
+    """The lines of `data`, the bytes of `path`, split on `sep`, past the
+    first line when there is a `header`, as a 1-d table of the structured
+    dtype `text`, whose columns in `tags` hold each cell's text unchanged.
 
-    Lines end at LF, CR or CRLF. Every line must have `width` cells. A wrong
-    count, bytes that are not UTF-8, or a ValueError from `parse` (a cell
-    that is not a number, a row that breaks the format) raises InvalidInput
-    naming `path:line`.
+    Lines end at LF, CR or CRLF. A line holds the cells of one row: an
+    integer cell is read by `int` within int64, a float cell by `float`. A
+    wrong cell count, bytes that are not UTF-8, or a cell that does not
+    convert raises InvalidInput naming `path:line`.
     """
     try:
-        text = data.decode("utf-8")
+        decoded = data.decode("utf-8")
     except UnicodeDecodeError as err:
         head = data[: err.start].decode("utf-8")
         lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
         raise InvalidInput(f"{path}:{lineno}: not UTF-8 text") from None
+    spans, width = [], 0
+    for name in text.names:
+        field = text[name]
+        size = field.shape[0] if field.shape else 1
+        spans.append((_CELL[field.base.kind], width, width + size, bool(field.shape)))
+        width += size
     rows = []
-    lines = io.StringIO(text, newline=None)
+    lines = io.StringIO(decoded, newline=None)
     for lineno, line in enumerate(itertools.islice(lines, int(header), None), start=1 + header):
         cells = line.rstrip("\n").split(sep)
         try:
             if len(cells) != width:
                 raise ValueError(f"expected {width} cells, got {len(cells)}")
-            rows.append(parse(cells))
+            rows.append(tuple([read(c) for c in cells[lo:hi]] if many else read(cells[lo])
+                              for read, lo, hi, many in spans))
         except ValueError as err:
             raise InvalidInput(f"{path}:{lineno}: {err}") from None
-    return rows
+    return np.array(rows, _retyped(text, dict.fromkeys(tags, "O")))
 
 
-def _bulk_rows(data, sep, dtype, letters=b""):
+def _bulk_rows(data, sep, dtype, letters):
     """The lines of `data` (bytes) as a structured array of `dtype`, or None.
 
     None declines the file: a byte other than a number character, `sep`, LF
@@ -234,55 +243,52 @@ def _line_error(path, row, reason, header=False):
     return InvalidInput(f"{path}:{row + 1 + header}: {reason}")
 
 
-def _parse_table(path, data, sep, text, check, tags=(None, ()), header=False):
-    """(table, bulk): the 1-d table of the lines of `path`, past its header
-    line if it has one, once `check` accepts it, and whether the bulk path
-    read it.
+def _parse_table(path, data, sep, text, check, tags, header=False):
+    """The 1-d table of the lines of `path`, past its header line if it has
+    one, once `check` accepts it.
 
     `data` holds the bytes of `path`. `text` is the structured dtype of a
-    line's cells: integers, floats, and text in the column `tags[0]`, which
-    the table holds as each cell's int8 index in `tags[1]` (-1 for another
-    cell). The bulk path parses the file, or the row parser when the bulk
-    path declines. `check(table)` gives (row, reason) for the first row that
-    breaks a rule of the file, or None; a breach raises InvalidInput naming
-    `path:line`.
+    line's cells: integers, floats, and text in the columns of `tags`, a
+    dict {column: names}, which the table holds as each cell's int8 index in
+    its names (-1 for another cell). A tag cell is read as text one
+    character wider than the column's longest name, so a longer cell cut to
+    that width matches no name. The bulk path parses the file, or the row
+    parser when the bulk path declines. `check(table)` gives (row, reason)
+    for the first row that breaks a rule of the file, or None; a breach
+    raises InvalidInput naming `path:line`.
     """
-    column, names = tags
+    text = _retyped(text, {column: f"U{max(map(len, names)) + 1}" for column, names in tags.items()})
     head, _, body = data.partition(b"\n") if header else (b"", b"", data)
-    table = None if b"\r" in head else _bulk_rows(body, sep, text, "".join(names).encode())
-    bulk = table is not None
-    if not bulk:
-        parse, width = _row_parse(text)
-        rows = _parse_rows(path, data, sep, parse, width, header)
-        table = np.array(rows, [(name, "O" if name == column else text[name]) for name in text.names])
-    if column is not None:
-        table = _tag_codes(table, _coded(text, column), column, names)
+    letters = "".join("".join(names) for names in tags.values()).encode()
+    table = None if b"\r" in head else _bulk_rows(body, sep, text, letters)
+    if table is None:
+        table = _parse_rows(path, data, sep, text, tags, header)
+    table = _tag_codes(table, tags)
     bad = check(table)
     if bad is not None:
         raise _line_error(path, *bad, header)
-    return table, bulk
+    return table
 
 
-def _coded(text, column):
-    """The structured dtype `text` with its text `column` as int8 codes."""
-    return np.dtype([(name, "i1" if name == column else text[name]) for name in text.names])
+def _retyped(text, types):
+    """The structured dtype `text` with each column in the dict `types` of the dtype it gives."""
+    return np.dtype([(name, types.get(name, text[name])) for name in text.names])
 
 
-def _read_table(path, data, digest, sep, text, check, tags=(None, ())):
+def _read_table(path, data, digest, sep, text, check, tags):
     """`_parse_table` of a headerless file, through its binary copy.
 
     `digest` is the SHA-256 of `data`. The copy is loaded if it matches and
-    `check` accepts it; else the file is parsed, and a bulk parse is saved
-    as the copy.
+    `check` accepts it; else the file is parsed and its table saved as the
+    copy.
     """
     text = np.dtype(text)
     copy = os.path.join(os.path.dirname(path), CACHE_DIR, os.path.basename(path) + ".npy")
-    loaded = _load_copy(copy, digest, [_coded(text, tags[0])])
+    loaded = _load_copy(copy, digest, [_retyped(text, dict.fromkeys(tags, "i1"))])
     if loaded is not None and loaded[0].ndim == 1 and check(loaded[0]) is None:
         return loaded[0]
-    table, bulk = _parse_table(path, data, sep, text, check, tags)
-    if bulk:
-        _save_copy(copy, digest, table)
+    table = _parse_table(path, data, sep, text, check, tags)
+    _save_copy(copy, digest, table)
     return table
 
 
@@ -342,35 +348,30 @@ def _int(cell):
 _CELL = {"i": _int, "f": float, "U": str}
 
 
-def _row_parse(text):
-    """(parse, width): the `_parse_rows` parse that gives a line's cells as
-    one row of the structured dtype `text`, and the line's cell count."""
-    spans, width = [], 0
-    for name in text.names:
-        field = text[name]
-        size = field.shape[0] if field.shape else 1
-        spans.append((_CELL[field.base.kind], width, width + size, bool(field.shape)))
-        width += size
-    return (lambda cells: tuple([read(c) for c in cells[lo:hi]] if many else read(cells[lo])
-                                for read, lo, hi, many in spans)), width
-
-
-def _tag_codes(table, dtype, column, tags):
-    """`table`, with `column` as text, as a `dtype` table whose `column` holds
-    each cell's index in `tags` (-1 for another tag)."""
-    coded = np.empty(table.size, dtype)
+def _tag_codes(table, tags):
+    """`table` with each column of `tags`, held as text, turned into each
+    cell's int8 index in the column's names (-1 for another cell)."""
+    if not tags:
+        return table
+    coded = np.empty(table.size, _retyped(table.dtype, dict.fromkeys(tags, "i1")))
     for name in coded.dtype.names:
-        coded[name] = -1 if name == column else table[name]
-    for code, tag in enumerate(tags):
-        coded[column][table[column] == tag] = code
+        coded[name] = -1 if name in tags else table[name]
+    for column, names in tags.items():
+        for code, name in enumerate(names):
+            coded[column][table[column] == name] = code
     return coded
 
 
 def _node_rules(table):
     """The first row of a nodes.csv table whose id is not its row number or whose kind is unknown."""
     kinds = table["kind"]
-    breaches = [first_row(table["id"] != np.arange(table.size), "ids must be dense and ordered"),
-                first_row((kinds < 0) | (kinds >= len(NODE_KINDS)), f"node kind must be one of {NODE_KINDS}")]
+    return _first_breach(first_row(table["id"] != np.arange(table.size), "ids must be dense and ordered"),
+                         first_row((kinds < 0) | (kinds >= len(NODE_KINDS)), f"node kind must be one of {NODE_KINDS}"))
+
+
+def _first_breach(*breaches):
+    """The (row, reason) of the earliest row among `breaches`, `first_row`
+    results of a file's rules (the first rule given wins a tie), or None."""
     return min(filter(None, breaches), key=lambda breach: breach[0], default=None)
 
 
@@ -380,25 +381,25 @@ def _first_line(data):
 
 
 def _parse_nodes(path, data):
-    """(kind codes, X, bulk) of nodes.csv: `_parse_table` of its bytes `data`."""
+    """(kind codes, X) of nodes.csv: `_parse_table` of its bytes `data`."""
     try:
         header = _first_line(data).decode("utf-8").split(",")
     except UnicodeDecodeError:
         raise InvalidInput(f"{path}:1: not UTF-8 text") from None
     if header[:2] != ["id", "kind"]:
         raise InvalidInput(f"{path}:1: expected header starting with id,kind")
-    text = np.dtype([("id", "i8"), ("kind", _KIND_TEXT), ("f", "f8", (len(header) - 2,))])
-    table, bulk = _parse_table(path, data, ",", text, _node_rules, ("kind", NODE_KINDS), header=True)
-    return np.ascontiguousarray(table["kind"]), np.ascontiguousarray(table["f"]), bulk
+    text = np.dtype([("id", "i8"), ("kind", "U"), ("f", "f8", (len(header) - 2,))])
+    table = _parse_table(path, data, ",", text, _node_rules, {"kind": NODE_KINDS}, header=True)
+    return np.ascontiguousarray(table["kind"]), np.ascontiguousarray(table["f"])
 
 
 def _parse_edges(path, data):
-    """(pairs, features, bulk) of edges.tsv: `_parse_table` of its bytes `data`."""
+    """(pairs, features) of edges.tsv: `_parse_table` of its bytes `data`."""
     width = max(2, _first_line(data).count(b"\t") + 1)  # a shorter first line fails the cell count
     text = np.dtype([("uv", "i8", (2,)), ("f", "f8", (width - 2,))])
-    table, bulk = _parse_table(path, data, "\t", text,
-                               lambda t: first_row(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"))
-    return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"]), bulk
+    table = _parse_table(path, data, "\t", text,
+                         lambda t: first_row(t["uv"][:, 0] >= t["uv"][:, 1], "edges must satisfy u < v"), {})
+    return np.ascontiguousarray(table["uv"]), np.ascontiguousarray(table["f"])
 
 
 def _sorted_csr(n, indptr, indices, own_ids):
@@ -453,9 +454,8 @@ def read_graph(data_dir, *, digests=None):
     rule of `SmeGraph.from_edge_list` is an InvalidInput naming its line.
 
     The graph comes from its binary copy, with its adjacency and model
-    inputs, when the copy matches both texts; else from the text, and when
-    both files took the bulk path the graph, its adjacency and its model
-    inputs are saved as the copy.
+    inputs, when the copy matches both texts; else from the text, and the
+    graph, its adjacency and its model inputs are saved as the copy.
     """
     paths = {"nodes": os.path.join(data_dir, "nodes.csv"), "edges": os.path.join(data_dir, "edges.tsv")}
     (nodes, node_digest), (edges, edge_digest) = _read(paths["nodes"], digests), _read(paths["edges"], digests)
@@ -463,8 +463,8 @@ def read_graph(data_dir, *, digests=None):
     g = _load_graph(copy, node_digest + edge_digest)
     if g is not None:
         return g
-    kinds, X, bulk = _parse_nodes(paths["nodes"], nodes)
-    pairs, feats, edges_bulk = _parse_edges(paths["edges"], edges)
+    kinds, X = _parse_nodes(paths["nodes"], nodes)
+    pairs, feats = _parse_edges(paths["edges"], edges)
     del nodes, edges  # parsed: the graph and its derived arrays are built without the texts held
     try:
         g = SmeGraph.from_edge_list(len(kinds), pairs, node_features=X, edge_features=feats,
@@ -473,21 +473,14 @@ def read_graph(data_dir, *, digests=None):
         if err.row is None:
             raise
         raise _line_error(paths[err.table], err.row, err, header=err.table == "nodes") from None
-    if bulk and edges_bulk:
-        adj = g.adjacency
-        _save_copy(copy, node_digest + edge_digest, g.indptr, g.indices, g.node_features, g.edge_features,
-                   adj.indptr, adj.indices, adj.values, g.model_inputs, kinds)
+    adj = g.adjacency
+    _save_copy(copy, node_digest + edge_digest, g.indptr, g.indices, g.node_features, g.edge_features,
+               adj.indptr, adj.indices, adj.values, g.model_inputs, kinds)
     return g
 
 
 def write_node_labels(path, nodes, labels):
     _write_lines(path, (f"{u}\t{y}" for u, y in _rows((nodes, np.int64), (labels, np.int64))))
-
-
-def _label(cell, form):
-    if cell not in ("0", "1"):
-        raise ValueError(f"expected `{form}`")
-    return int(cell)
 
 
 def _read_labels(path, num_ids, form, digests):
@@ -496,9 +489,9 @@ def _read_labels(path, num_ids, form, digests):
     the LabeledSet a command builds of them; `row_error` names the line of
     one the set rejects."""
     data, digest = _read(path, digests)
-    table = _read_table(path, data, digest, "\t", [("ids", "i8", (num_ids,)), ("label", "U2")],
+    table = _read_table(path, data, digest, "\t", [("ids", "i8", (num_ids,)), ("label", "U")],
                         lambda t: first_row((t["label"] < 0) | (t["label"] > 1), f"expected `{form}`"),
-                        ("label", ("0", "1")))
+                        {"label": ("0", "1")})
     return np.ascontiguousarray(table["ids"]), np.ascontiguousarray(table["label"])
 
 
@@ -535,29 +528,36 @@ def write_dataset(out_dir, graph, pair_set, node_set, truth):
     return paths
 
 
-def read_ground_truth(path):
-    supply, hidden, tiers, labels = [], [], [], []
+# the tags of a ground_truth.tsv row: its record type and its flag (hidden, default label)
+_TRUTH_TAGS = {"record": ("supply", "node"), "flag": ("0", "1")}
 
-    def record(cells):
-        if cells[0] == "supply":
-            supply.append((_int(cells[1]), _int(cells[2])))
-            hidden.append(_label(cells[3], "supply<TAB>u<TAB>v<TAB>0|1"))
-        elif cells[0] == "node":
-            if int(cells[1]) != len(tiers):
-                raise ValueError("node ids must be dense and ordered")
-            if cells[2] not in ("0", "1", "2"):
-                raise ValueError("a tier is 0, 1 or 2")
-            tiers.append(int(cells[2]))
-            labels.append(_label(cells[3], "node<TAB>id<TAB>tier<TAB>0|1"))
-        else:
-            raise ValueError(f"unknown record {cells[0]!r}")
 
-    _parse_rows(path, _read_bytes(path), "\t", record, width=4)
+def _truth_rules(table):
+    """The first row of a ground_truth.tsv table of unknown record type, a
+    node row whose id is not its place among the node rows or whose tier is
+    outside 0-2, or a row whose flag is not 0 or 1."""
+    record, (ids, tiers), bad_flag = table["record"], table["cells"].T, table["flag"] < 0
+    node = record == 1
+    rank = np.cumsum(node) - 1  # each node row's place among the node rows
+    return _first_breach(first_row(record < 0, f"unknown record, expected one of {_TRUTH_TAGS['record']}"),
+                         first_row(node & (ids != rank), "node ids must be dense and ordered"),
+                         first_row(node & ((tiers < 0) | (tiers > 2)), "a tier is 0, 1 or 2"),
+                         first_row((record == 0) & bad_flag, "expected `supply<TAB>u<TAB>v<TAB>0|1`"),
+                         first_row(node & bad_flag, "expected `node<TAB>id<TAB>tier<TAB>0|1`"))
+
+
+def read_ground_truth(path, *, digests=None):
+    """The GroundTruth of ground_truth.tsv: its supply rows in file order,
+    then its node rows' tiers and default labels."""
+    data, digest = _read(path, digests)
+    table = _read_table(path, data, digest, "\t", [("record", "U"), ("cells", "i8", (2,)), ("flag", "U")],
+                        _truth_rules, _TRUTH_TAGS)
+    supply, nodes = table[table["record"] == 0], table[table["record"] == 1]
     return GroundTruth(
-        supply_edges=np.asarray(supply, dtype=np.int64).reshape(-1, 2),
-        hidden_mask=np.asarray(hidden, dtype=bool),
-        tiers=np.asarray(tiers, dtype=np.int8),
-        default_labels=np.asarray(labels, dtype=np.int8),
+        supply_edges=np.ascontiguousarray(supply["cells"]),
+        hidden_mask=supply["flag"] == 1,
+        tiers=nodes["cells"][:, 1].astype(np.int8),
+        default_labels=np.ascontiguousarray(nodes["flag"]),
     )
 
 
@@ -568,7 +568,7 @@ def write_mined_edges(path, pairs, scores):
 def read_mined_edges(path, *, digests=None):
     """(pairs, scores): a (k, 2) int64 array and k float64 scores."""
     data, digest = _read(path, digests)
-    table = _read_table(path, data, digest, "\t", [("pair", "i8", (2,)), ("score", "f8")], lambda t: None)
+    table = _read_table(path, data, digest, "\t", [("pair", "i8", (2,)), ("score", "f8")], lambda t: None, {})
     return np.ascontiguousarray(table["pair"]), table["score"].copy()
 
 

@@ -444,7 +444,6 @@ class EnrichedGraph:
     base: SmeGraph
     mined_pairs: np.ndarray
     mined_scores: np.ndarray
-    tau: float
     _view: SmeGraph = field(default=None, repr=False, compare=False)
 
     @property
@@ -485,7 +484,7 @@ def enrich(g, mined, tau):
     if scores.size != arr.shape[0]:
         raise InvalidArgument("need one score per mined pair")
     if not scores.size:
-        return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0), tau)
+        return EnrichedGraph(g, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
     _check_rows(~((scores >= 0.0) & (scores <= 1.0)), "mined scores must lie in [0, 1]")
     keys = pair_keys(arr, g.num_nodes)
     keep = (arr[:, 0] != arr[:, 1]) & (scores >= tau) & ~in_sorted(keys, g.edge_keys())
@@ -494,7 +493,7 @@ def enrich(g, mined, tau):
     order = np.lexsort((-scores, keys))
     keys, first = np.unique(keys[order], return_index=True)
     scores = scores[order][first]
-    return EnrichedGraph(g, key_pairs(keys, g.num_nodes), scores, tau)
+    return EnrichedGraph(g, key_pairs(keys, g.num_nodes), scores)
 
 
 # SME sources per frontier join in `candidate_pairs`; keys are `src * n + node`, so

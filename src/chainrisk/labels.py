@@ -228,12 +228,5 @@ class GroundTruth:
     tiers: np.ndarray
     default_labels: np.ndarray
 
-    @property
-    def num_nodes(self):
-        return self.tiers.size
-
-    def observed_supply(self):
-        return self.supply_edges[~self.hidden_mask]
-
     def hidden_supply(self):
         return self.supply_edges[self.hidden_mask]

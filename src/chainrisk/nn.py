@@ -27,6 +27,8 @@ DROPOUT_CHUNK = 1 << 15
 # 16-bit lanes per Philox word, and the values a lane takes
 _LANES = 4
 _LANE_VALUES = 1 << 16
+# Adam's moment decay rates and the term that keeps its step finite
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def relu(x, out=None):
@@ -135,10 +137,7 @@ def _scale_survivors(x, mask, rate, out):
 class AdamState:
     """Per-parameter moment buffers plus the shared step counter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -161,10 +160,10 @@ def adam_step(params, grads, state, lr, weight_decay=0.0):
             raise TrainingDivergence("non-finite gradient in adam_step")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = g + weight_decay * p
-        m[:] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[:] = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m[:] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -152,7 +152,6 @@ class TrainResult:
     model: object
     trace: list
     best_epoch: int
-    best_val_loss: float
 
 
 def train_task(data, config):
@@ -225,7 +224,7 @@ def train_task(data, config):
 
     if best_params is not None:
         model.load_parameters(best_params)
-    return TrainResult(model=model, trace=trace, best_epoch=best_epoch, best_val_loss=float(best_val))
+    return TrainResult(model=model, trace=trace, best_epoch=best_epoch)
 
 
 def evaluate_model(model, data):

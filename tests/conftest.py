@@ -52,7 +52,7 @@ PARTNER_BUCKETS = (("0-2", 0, 2), ("3-5", 3, 5), ("6-10", 6, 10), (">10", 11, No
 
 def supply_graph(truth):
     """The full supply network of a GroundTruth as a bare graph (for partner-count analyses)."""
-    return SmeGraph.from_edge_list(truth.num_nodes, truth.supply_edges, np.zeros((truth.num_nodes, 0)))
+    return SmeGraph.from_edge_list(truth.tiers.size, truth.supply_edges, np.zeros((truth.tiers.size, 0)))
 
 
 def attribute_availability(g, attribute, rf_depth):

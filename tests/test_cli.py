@@ -93,7 +93,7 @@ class TestGenerate:
         pairs, labels = dataio.read_pair_labels(os.path.join(dataset, "labels_sc.tsv"))
         assert labels.min() == 0 and labels.max() == 1
         truth = dataio.read_ground_truth(os.path.join(dataset, "ground_truth.tsv"))
-        assert truth.num_nodes == g.num_nodes
+        assert truth.tiers.size == g.num_nodes
 
     def test_identical_digests_across_runs(self, tmp_path, gen_config, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")

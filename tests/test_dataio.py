@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -15,6 +16,7 @@ from chainrisk import dataio, graph
 from chainrisk.cli import main
 from chainrisk.errors import InvalidInput
 from chainrisk.graph import NODE_KINDS, SmeGraph
+from chainrisk.labels import GroundTruth
 from chainrisk.synthgen import generate, paper_calibrated
 
 from conftest import check_graph, random_graph
@@ -115,6 +117,34 @@ class TestGroundTruthFile:
         with pytest.raises(InvalidInput):
             dataio.read_ground_truth(path)
 
+    @pytest.mark.parametrize("reader", ["bulk first", "row parser"])
+    @pytest.mark.parametrize("line,reason", [("node\t1\t3\t0", "a tier is 0, 1 or 2"),
+                                             ("node\t1\t2\t2", "expected `node<TAB>id<TAB>tier<TAB>0|1`"),
+                                             ("supply\t0\t1\t2", "expected `supply<TAB>u<TAB>v<TAB>0|1`"),
+                                             ("supplyX\t0\t1\t1", "unknown record"),
+                                             ("node\t2\t1\t0", "node ids must be dense and ordered")],
+                             ids=["tier", "label", "hidden", "record", "id"])
+    def test_rule_breach_names_its_line_on_both_parsers(self, tmp_path, reader, line, reason):
+        path = tmp_path / "ground_truth.tsv"
+        path.write_text(f"supply\t0\t1\t0\nnode\t0\t0\t1\n{line}\nnode\t2\t0\t0\n")
+        with rows_only() if reader == "row parser" else contextlib.nullcontext():
+            with pytest.raises(InvalidInput, match=re.escape(f"{path}:3: {reason}")):
+                dataio.read_ground_truth(path)
+        assert not (tmp_path / dataio.CACHE_DIR).exists()
+
+    def test_integer_cells_read_as_integers_and_flags_as_exact_tags(self, tmp_path):
+        path = tmp_path / "ground_truth.tsv"
+        path.write_text("node\t+0\t02\t1\nsupply\t0\t1\t1\nnode\t1\t0\t0\n")
+        truth = dataio.read_ground_truth(path)
+        assert truth.tiers.tolist() == [2, 0] and truth.default_labels.tolist() == [1, 0]
+        assert truth.supply_edges.tolist() == [[0, 1]] and truth.hidden_mask.tolist() == [True]
+        assert [a.dtype for a in (truth.supply_edges, truth.hidden_mask, truth.tiers, truth.default_labels)] == [
+            np.int64, np.bool_, np.int8, np.int8]
+        for flag in ("01", "+1", "1.0"):
+            path.write_text(f"node\t0\t0\t{flag}\n")
+            with pytest.raises(InvalidInput, match=re.escape(f"{path}:1: expected `node<TAB>id<TAB>tier<TAB>0|1`")):
+                dataio.read_ground_truth(path)
+
     @pytest.mark.parametrize("line", ["node\t0\t300\t1", "supply\t0\t1\t7", "node\t0\t1\t5"],
                              ids=["tier", "hidden", "label"])
     def test_out_of_range_cell_reports_position(self, tmp_path, line):
@@ -176,9 +206,10 @@ def bulk_only():
 
 
 def rows_only():
-    """Readers run with the bulk path declining every file, binary copies included."""
+    """Readers run with the bulk path declining every file, binary copies
+    included, and saving no copy, so a later read parses again."""
     return mock.patch.multiple(dataio, _bulk_rows=mock.Mock(return_value=None),
-                               _load_copy=mock.Mock(return_value=None))
+                               _load_copy=mock.Mock(return_value=None), _save_copy=mock.Mock())
 
 
 def _arrays(out):
@@ -186,6 +217,8 @@ def _arrays(out):
         adj = out.adjacency
         return [np.asarray(out.num_nodes), out.indptr, out.indices, out.node_features, out.edge_features,
                 out.node_kind, adj.indptr, adj.indices, adj.values, out.model_inputs]
+    if isinstance(out, GroundTruth):
+        return [out.supply_edges, out.hidden_mask, out.tiers, out.default_labels]
     return list(out)
 
 
@@ -194,10 +227,12 @@ def assert_same_arrays(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-def write_dataset(out, g, pairs=None, pair_labels=None, nodes=None, node_labels=None, rng=None):
-    """Writer output of one dataset: the graph, label files when given, and
-    mined edges scored by `rng` on the labeled pairs."""
+def write_dataset(out, g, pairs=None, pair_labels=None, nodes=None, node_labels=None, rng=None, truth=None):
+    """Writer output of one dataset: the graph, label files and ground truth
+    when given, and mined edges scored by `rng` on the labeled pairs."""
     dataio.write_graph(out, g)
+    if truth is not None:
+        dataio.write_ground_truth(out / "ground_truth.tsv", truth)
     if nodes is not None:
         dataio.write_node_labels(out / "labels_dp.tsv", nodes, node_labels)
     if pairs is not None:
@@ -212,13 +247,14 @@ BULK_READERS = {
     "labels_dp.tsv": (dataio.read_node_labels, False),
     "labels_sc.tsv": (dataio.read_pair_labels, False),
     "mined_edges.tsv": (dataio.read_mined_edges, False),
+    "ground_truth.tsv": (dataio.read_ground_truth, False),
 }
 
 
 def _economy(name):
-    g, pair_set, node_set, _ = generate(paper_calibrated(**GENERATE_DIGESTS[name][0]))
+    g, pair_set, node_set, truth = generate(paper_calibrated(**GENERATE_DIGESTS[name][0]))
     return dict(g=g, pairs=pair_set.examples, pair_labels=pair_set.labels,
-                nodes=node_set.examples, node_labels=node_set.labels)
+                nodes=node_set.examples, node_labels=node_set.labels, truth=truth)
 
 
 def _mixed_kinds():
@@ -263,16 +299,21 @@ def small_dataset(tmp_path_factory):
         edge_features=rng.normal(size=(6, 1)) * 1e5,
         node_kind=["sme", "owner", "consumer", "sme", "sme", "owner", "sme", "consumer"],
     )
+    truth = GroundTruth(supply_edges=np.array([[0, 1], [1, 2], [3, 4], [2, 7]]),
+                        hidden_mask=np.array([False, False, False, True]),
+                        tiers=np.array([0, 1, 2, 0, 1, 2, 0, 2], dtype=np.int8),
+                        default_labels=np.array([0, 1] * 4, dtype=np.int8))
     write_dataset(out, g, pairs=[(0, 1), (2, 7), (3, 6)], pair_labels=[1, 0, 1],
-                  nodes=np.arange(8), node_labels=[0, 1] * 4, rng=rng)
+                  nodes=np.arange(8), node_labels=[0, 1] * 4, rng=rng, truth=truth)
     return out, {p.name: p.read_bytes() for p in out.iterdir()}
 
 
 # cells that each parser may read differently: signs, separators, digit
-# separators, non-finite and non-ASCII numbers, over-long kinds, line breaks
+# separators, non-finite and non-ASCII numbers, over-long kinds and record
+# types, line breaks
 TOKENS = ["", " ", "x", "1_0", "+1", "-1", "01", "-0", "nan", "inf", "1.0", "1e3", ".5", "5.", "1e", "\u0663",
-          "9" * 20, "0", "1", "2", "7", "sme", "owner", "consumerXYZ", "consumers", "sme ", "\t", ",", "\r",
-          "\r\n", "\n"]
+          "9" * 20, "0", "1", "2", "3", "7", "sme", "owner", "consumerXYZ", "consumers", "sme ", "supply", "node",
+          "supplyX", "nodes", "\t", ",", "\r", "\r\n", "\n"]
 
 
 @st.composite
@@ -643,16 +684,21 @@ class TestParsedInputCache:
         assert list((tmp_path / dataio.CACHE_DIR).iterdir()) == []  # no copy and no temporary file
 
     @pytest.mark.parametrize("name", sorted(BULK_READERS))
-    def test_crlf_file_is_never_cached(self, small_dataset, tmp_path, name):
+    def test_crlf_file_is_cached_like_any_other(self, small_dataset, tmp_path, name):
+        """A file the row parser reads is saved as a copy once its check
+        accepts it, and its next read neither parses nor reaches the row parser."""
         _, files = small_dataset
         for fname, data in files.items():
             (tmp_path / fname).write_bytes(data.replace(b"\n", b"\r\n") if fname == name else data)
         read, whole_dir = BULK_READERS[name]
+        target = tmp_path if whole_dir else tmp_path / name
         with rows_only():
-            want = read(tmp_path if whole_dir else tmp_path / name)
-        assert_same_arrays(read(tmp_path if whole_dir else tmp_path / name), want)
+            want = read(target)
         assert not copy_of(tmp_path / name).exists()
-
+        assert_same_arrays(read(target), want)
+        assert copy_of(tmp_path / name).read_bytes().startswith(copy_key(tmp_path / name))
+        with no_parse(), bulk_only():
+            assert_same_arrays(read(target), want)
 
     @pytest.mark.parametrize("route", ["parse", "copy", "row parser"])
     @pytest.mark.parametrize("name", sorted(BULK_READERS))

@@ -166,7 +166,7 @@ class TestTrainTask:
         assert auc(sigmoid(logits), data.labels[tr].astype(int)) == 1.0
         # validation loss of the selected epoch is the running minimum
         best = min(row["val_loss"] for row in result.trace)
-        assert result.best_val_loss == best
+        assert result.trace[result.best_epoch - 1]["val_loss"] == best
 
     def test_frozen_learning_rate_stops_after_patience(self):
         g, node_set = toy_node_task()

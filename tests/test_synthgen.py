@@ -117,7 +117,7 @@ class TestGenerate:
     def test_observed_plus_hidden_partition_supply(self, small_economy):
         _, (_, _, _, gt) = small_economy
         total = gt.supply_edges.shape[0]
-        assert gt.observed_supply().shape[0] + gt.hidden_supply().shape[0] == total
+        assert np.count_nonzero(~gt.hidden_mask) + gt.hidden_supply().shape[0] == total
 
     def test_splits_cover_both_label_sets(self, small_economy):
         _, (_, d_sc, d_dp, _) = small_economy
