@@ -17,11 +17,11 @@ The run first makes and stores its economy:
     read_cold  what `chainrisk train` reads of those files (read_graph and
                both label readers), with the parsed-input cache emptied
                before each call: each text is parsed; read_graph builds the
-               graph, its normalized adjacency and its model inputs and
-               saves them as the graph copy, and each label table is saved
-               as its own copy
+               graph, its normalized adjacency, its model inputs and their
+               product and saves them as the graph copy, and each label
+               table is saved as its own copy
     read_warm  the same reads again, each loading its copy (the graph copy
-               with the adjacency and model inputs)
+               with the adjacency, model inputs and product)
 
 Each read phase is the median of REPEATS calls (`repeats` holds them all).
 
@@ -46,7 +46,8 @@ After the runner returns, one phase scores the test split as `chainrisk
 eval` does, the median of REPEATS calls:
 
     eval       model.score_examples on the test examples with the stage's
-               model and task data, without `propagated`
+               model and task data; a one-layer pass reads rows of the
+               product the adjacency keeps and runs no spmm
 
 and then `pipeline.run_stage2_default` on the enriched graph, whose steps
 are:

@@ -1,9 +1,10 @@
 """Command-line driver: generate data, train either stage, evaluate.
 
-Exit codes: 0 ok, 2 input/config error, 3 training divergence, 4 checkpoint
-version mismatch. Every run writes a manifest listing its inputs, outputs,
-and their content digests; with identical inputs and seed the output
-digests are identical (set SOURCE_DATE_EPOCH to also pin the timestamps).
+Exit codes: 0 ok, 2 input/config error (a path that cannot be read or
+written included), 3 training divergence, 4 checkpoint version mismatch.
+Every run writes a manifest listing its inputs, outputs, and their content
+digests; with identical inputs and seed the output digests are identical
+(set SOURCE_DATE_EPOCH to also pin the timestamps).
 """
 
 import argparse
@@ -47,6 +48,8 @@ def _load_json(path):
         raise InvalidInput(f"config file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise InvalidConfig(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except UnicodeDecodeError:
+        raise InvalidConfig(f"{path}: not UTF-8 text") from None
 
 
 def _threads():
@@ -378,8 +381,9 @@ def main(argv=None):
     except CheckpointVersionError as err:
         print(f"checkpoint version mismatch: {err}", file=sys.stderr)
         return 4
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except OSError as err:  # a path that cannot be read or written as asked: missing, a directory, a file
+        where = "" if err.filename is None else f"{err.filename}: "
+        print(f"error: {where}{err.strerror or err}", file=sys.stderr)
         return 2
 
 

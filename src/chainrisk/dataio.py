@@ -16,7 +16,8 @@ written with shortest round-trip repr, so a load-save cycle is lossless.
 The writers stream: they turn WRITE_CHUNK rows at a time into Python values
 and write WRITE_CHUNK lines at a time (nodes.csv and edges.tsv go through
 the graph WRITE_CHUNK nodes at a time), so a writer's working set does not
-grow with the file.
+grow with the file. roc_points.tsv, at most one line per scored example
+and one more, is built in one piece (`write_roc_points`).
 
 Every file this module reads (nodes, edges, both label files, mined edges
 and ground truth) goes through one table parser, `_parse_table`. It parses
@@ -65,9 +66,10 @@ like for a label file, mined edges or ground truth. A copy is a format tag
 (`_COPY_MAGIC`), the SHA-256 of each text it was made from, and its arrays
 in the version 1.0 `.npy` format. The graph copy holds the CSR graph
 (indptr, indices, node and edge features, each kind as its int8 index in
-NODE_KINDS), its normalized adjacency (indptr, indices, values) and its
-model inputs (`graph.prepare_features`), all computed from the parsed text
-as `SmeGraph` computes them; a table copy holds the table, each tag as an
+NODE_KINDS), its normalized adjacency (indptr, indices, values), its model
+inputs (`graph.prepare_features`) and the adjacency's product with them
+(`NormalizedAdjacency.propagated`), all computed from the parsed text as
+`SmeGraph` computes them; a table copy holds the table, each tag as an
 int8. Every later read hashes the texts it has just read and uses the copy
 only when both digests match and so does each array's dtype and header,
 the file ending with the last array. The copy is mapped into memory
@@ -75,10 +77,11 @@ read-only, and its arrays are read-only views of it. A loaded table must
 pass its file's check; a loaded graph must have the shapes its sizes give
 each array and pass the checks that need no sort: both CSR layouts in
 bounds, ids rising strictly within each row, no graph row holding its own
-id, known kind codes, and finite features, values and model inputs. Any
-other copy is ignored and rewritten. A copy is written to a temporary file
-and moved into place with `os.replace`, never rewritten in place; a failed
-write (read-only directory, full disk) only costs the next read a parse.
+id, known kind codes, and finite features, values, model inputs and
+product. Any other copy is ignored and rewritten. A copy is written to a
+temporary file and moved into place with `os.replace`, never rewritten in
+place; a failed write (read-only directory, full disk) only costs the next
+read a parse.
 Deleting the directory is always safe, and manifests still record the
 digests of the text files.
 """
@@ -110,11 +113,14 @@ WRITE_CHUNK = 1024
 # it was made from and its arrays as version 1.0 `.npy` arrays
 CACHE_DIR = ".chainrisk-cache"
 GRAPH_COPY = "graph.npy"
-_COPY_MAGIC = b"CHRKTBL3"
+# the graph copy stores spmm's output (`propagated`), so a change to spmm's summation order
+# (`graph.SPMM_SLICES`, the `RowSums` layout) must bump this tag, or warm reads would serve other bytes
+_COPY_MAGIC = b"CHRKTBL4"
 # the arrays of the graph copy: the graph's indptr, indices, node and edge
 # features, its normalized adjacency's indptr, indices and values, its model
-# inputs, and each node's kind as its int8 index in NODE_KINDS
-_GRAPH_DTYPES = [np.dtype(code) for code in ("i8", "i8", "f8", "f8", "i8", "i8", "f8", "f8", "i1")]
+# inputs and their product with the adjacency, and each node's kind as its
+# int8 index in NODE_KINDS
+_GRAPH_DTYPES = [np.dtype(code) for code in ("i8", "i8", "f8", "f8", "i8", "i8", "f8", "f8", "f8", "i1")]
 
 
 def _write_lines(path, lines):
@@ -420,32 +426,34 @@ def _sorted_csr(n, indptr, indices, own_ids):
 
 def _load_graph(copy, digest):
     """The graph saved in the graph copy `copy` from texts of SHA-256s
-    `digest`, with its adjacency and model inputs set, or None.
+    `digest`, with its adjacency, model inputs and their product set, or None.
 
     The arrays must have the shapes the graph's sizes give them and pass the
     checks that need no sort: both CSR layouts in bounds and in order, no
     graph row holding its own id, known kind codes, and finite features,
-    values and model inputs.
+    values, model inputs and product.
     """
     arrays = _load_copy(copy, digest, _GRAPH_DTYPES)
     if arrays is None:
         return None
-    indptr, indices, X, E, adj_indptr, adj_indices, values, inputs, kinds = arrays
+    indptr, indices, X, E, adj_indptr, adj_indices, values, inputs, product, kinds = arrays
     if kinds.ndim != 1 or X.ndim != 2 or E.ndim != 2:
         return None
     n, m, f = kinds.size, E.shape[0], X.shape[1]
-    shapes = [(n + 1,), (2 * m,), (n, f), E.shape, (n + 1,), (2 * m + n,), (2 * m + n,), (n, f + 1), (n,)]
+    shapes = [(n + 1,), (2 * m,), (n, f), E.shape, (n + 1,), (2 * m + n,), (2 * m + n,), (n, f + 1), (n, f + 1),
+              (n,)]
     if [a.shape for a in arrays] != shapes:
         return None
     if not (_sorted_csr(n, indptr, indices, False) and _sorted_csr(n, adj_indptr, adj_indices, True)):
         return None
     if np.any((kinds < 0) | (kinds >= len(NODE_KINDS))):
         return None
-    if not all(np.isfinite(a).all() for a in (X, E, values, inputs)):
+    if not all(np.isfinite(a).all() for a in (X, E, values, inputs, product)):
         return None
     g = SmeGraph(n, indptr, indices, X, E, np.asarray(NODE_KINDS)[kinds])
-    g.adjacency = NormalizedAdjacency(n, adj_indptr, adj_indices, values)
     g.model_inputs = inputs
+    g.adjacency = NormalizedAdjacency(n, adj_indptr, adj_indices, values, inputs)
+    g.adjacency.propagated = product
     return g
 
 
@@ -453,9 +461,10 @@ def read_graph(data_dir, *, digests=None):
     """The graph of `data_dir`'s nodes.csv and edges.tsv; a row that breaks a
     rule of `SmeGraph.from_edge_list` is an InvalidInput naming its line.
 
-    The graph comes from its binary copy, with its adjacency and model
-    inputs, when the copy matches both texts; else from the text, and the
-    graph, its adjacency and its model inputs are saved as the copy.
+    The graph comes from its binary copy, with its adjacency, model inputs
+    and their product, when the copy matches both texts; else from the
+    text, and the graph, its adjacency, its model inputs and the product
+    (computed here) are saved as the copy.
     """
     paths = {"nodes": os.path.join(data_dir, "nodes.csv"), "edges": os.path.join(data_dir, "edges.tsv")}
     (nodes, node_digest), (edges, edge_digest) = _read(paths["nodes"], digests), _read(paths["edges"], digests)
@@ -475,7 +484,7 @@ def read_graph(data_dir, *, digests=None):
         raise _line_error(paths[err.table], err.row, err, header=err.table == "nodes") from None
     adj = g.adjacency
     _save_copy(copy, node_digest + edge_digest, g.indptr, g.indices, g.node_features, g.edge_features,
-               adj.indptr, adj.indices, adj.values, g.model_inputs, kinds)
+               adj.indptr, adj.indices, adj.values, g.model_inputs, adj.propagated, kinds)
     return g
 
 
@@ -580,7 +589,14 @@ def row_error(path, err):
 
 
 def write_roc_points(path, points):
-    _write_lines(path, (f"{fpr!r}\t{tpr!r}" for ((fpr, tpr),) in _rows((points, np.float64))))
+    """One `fpr<TAB>tpr` line per row of the (k, 2) `points`, built in one
+    piece: each distinct value, by its float64 bits (so -0.0 keeps its own
+    text), is formatted once, and the lines are joined in C."""
+    points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 2)
+    bits, inverse = np.unique(points.view(np.int64).reshape(-1), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    lines = "\n".join(map("\t".join, text[inverse.reshape(-1, 2)].tolist()))
+    _write_lines(path, [lines] if lines else [])
 
 
 def write_scores(path, scores):

@@ -6,7 +6,8 @@ stores both directions of every undirected edge; edge features are a plain
 table with one row per undirected edge, in the order of
 `SmeGraph.undirected_edges()`. Normalization produces the symmetric
 operator with self-loops that the propagation step multiplies by; a
-graph builds it, and the model's input features, once and keeps them. Both
+graph builds it, and the model's input features, once and keeps them, and
+the operator keeps its product with those inputs once it is asked for. Both
 sparse row sums, `spmm` and the head's backward scatter (`scatter_plans`),
 are `RowSums.apply` over a layout of sliced CSR rows, in one summation
 order. `candidate_pairs`, the stage-1 candidate search, is a frontier join
@@ -141,10 +142,11 @@ class SmeGraph:
     """Undirected enterprise graph with node and per-edge feature tables.
 
     It owns two read-only arrays derived from those, each built on first
-    use: `adjacency`, the normalized operator (`normalize_adjacency`), and
-    `model_inputs`, the encoder's input rows (`prepare_features`). A reader
-    that saved them may set both instead (`dataio.read_graph`). The graph's
-    own arrays must not be changed once either is built.
+    use: `adjacency`, the normalized operator (`normalize_adjacency`), which
+    keeps its product with the model inputs (`NormalizedAdjacency.propagated`),
+    and `model_inputs`, the encoder's input rows (`prepare_features`). A
+    reader that saved them may set both instead (`dataio.read_graph`). The
+    graph's own arrays must not be changed once either is built.
     """
 
     num_nodes: int
@@ -214,7 +216,8 @@ class SmeGraph:
         is always present, so an isolated node maps to a lone 1.0. Each row's
         self-loop goes into the sorted CSR rows in one pass, with no sort:
         entry k of row r moves r places on, one more when its id exceeds r, and
-        the one place left in each row takes the row's own id.
+        the one place left in each row takes the row's own id. Its `inputs`
+        are the graph's model inputs.
         """
         n = self.num_nodes
         deg = self.degrees()
@@ -229,7 +232,8 @@ class SmeGraph:
         dtilde = deg.astype(np.float64) + 1.0
         # single square root of the degree product keeps (u,v) and (v,u) bitwise equal
         values = 1.0 / np.sqrt(dtilde[np.repeat(np.arange(n), deg + 1)] * dtilde[indices])
-        return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values)
+        return NormalizedAdjacency(num_nodes=n, indptr=indptr, indices=indices, values=values,
+                                   inputs=self.model_inputs)
 
     @cached_property
     def model_inputs(self):
@@ -338,7 +342,9 @@ class RowSums:
         return np.take(head, self.rank, axis=0, out=out, mode="clip")
 
 
-# entry positions k < SPMM_SLICES run as one slice each; later ones (hub rows only) share one pass
+# entry positions k < SPMM_SLICES run as one slice each; later ones (hub rows only) share one pass.
+# This sets spmm's summation order, whose bytes the graph copy stores (`propagated`): a change to
+# that order (this depth, the `RowSums` layout) must bump `dataio._COPY_MAGIC`.
 SPMM_SLICES = 32
 
 
@@ -346,16 +352,24 @@ SPMM_SLICES = 32
 class NormalizedAdjacency:
     """Symmetrically normalized adjacency with self-loops, CSR with values.
 
-    Construction checks the CSR arrays and makes them read-only. `sums`,
-    the `RowSums` layout `spmm` runs over at depth SPMM_SLICES, is built on
-    first use, and `rows` lays out a subset of the rows the same way; both
-    rely on the checks.
+    Construction checks the CSR arrays and makes them, and `inputs`,
+    read-only. `sums`, the `RowSums` layout `spmm` runs over at depth
+    SPMM_SLICES, is built on first use, and `rows` lays out a subset of the
+    rows the same way; both rely on the checks.
+
+    `inputs`, if given, are the n rows of model inputs whose product
+    `propagated` keeps (a graph's model inputs). `keeps(X)` tells whether
+    X is those inputs, and `product_for` when a pass may read `propagated`
+    in place of `spmm(self, X)`.
     """
 
     num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    inputs: np.ndarray = field(default=None, repr=False, compare=False)
+    # whether a pass over some nodes has asked `product_for` for `propagated` before
+    asked: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, indptr, indices = self.num_nodes, self.indptr, self.indices
@@ -364,12 +378,41 @@ class NormalizedAdjacency:
             raise InvalidArgument("malformed CSR operator")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise InvalidArgument("column index out of range")
-        for array in (indptr, indices, self.values):
-            array.flags.writeable = False
+        for array in (indptr, indices, self.values, self.inputs):
+            if array is not None:
+                array.flags.writeable = False
 
     @cached_property
     def sums(self):
         return RowSums(self.indptr, self.indices, self.num_nodes, SPMM_SLICES, self.values)
+
+    @cached_property
+    def propagated(self):
+        """spmm(self, inputs), computed on first use and kept read-only; a
+        reader that saved it may set it instead (`dataio.read_graph`)."""
+        product = spmm(self, self.inputs)
+        product.flags.writeable = False
+        return product
+
+    def keeps(self, X):
+        """Whether `propagated` is spmm(self, X): X is `inputs` itself."""
+        return X is self.inputs
+
+    def product_for(self, X, every):
+        """`propagated`, computed if need be, when a pass over X may read it in
+        place of spmm(self, X), else None.
+
+        X must be `inputs` itself. A pass over every node (`every`) takes the
+        product, which it would form anyway. A pass over some nodes takes it
+        once it is held or on its second ask, so a graph scored once pays no
+        full spmm and one scored again pays it once.
+        """
+        if not self.keeps(X):
+            return None
+        if every or self.asked or "propagated" in vars(self):
+            return self.propagated
+        self.asked = True
+        return None
 
     def rows(self, nodes):
         """The operator of rows `nodes` (distinct ids) of this one, over all its columns.

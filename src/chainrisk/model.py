@@ -57,8 +57,8 @@ The encoder keeps relu(Z), not Z: its relu gradient reads H > 0, which
 holds exactly where Z > 0, and is written over the upstream gradient.
 
 A forward that would reuse a workspace whose head cache has not fed its
-backward raises ChainriskError instead. `TaskData.propagated` is only
-ever read. Without a workspace every array is allocated, as numpy's
+backward raises ChainriskError instead. The adjacency's kept product is
+only ever read. Without a workspace every array is allocated, as numpy's
 `out=None` does.
 
 A scoring-only forward (training=False) keeps no cache: the head forms
@@ -67,11 +67,23 @@ rows, so its memory is set by the block size rather than the row count.
 It runs the last encoder layer and the head on the nodes its examples
 reach (`example_rows`); the head renumbers each block of examples into
 them through an n-sized position table, so no renumbered copy of every
-example is held. The layers before run on every node. `gcn_forward`
-takes the first propagation `spmm(adj, X)` precomputed (`propagated`)
-when that layer has no dropout; `TaskData.propagated` in `pipeline`
-holds it once per task. A one-layer validation pass copies the reached
-rows of it, outside the workspace.
+example is held. The layers before run on every node.
+
+When X is the graph's read-only model inputs, the first propagation
+`spmm(adj, X)` depends on the graph alone, so the adjacency keeps it
+(`NormalizedAdjacency.propagated`, stored in the graph copy too) and a
+first layer without dropout reads its rows instead of multiplying. A
+pass on every node computes it if it is not held yet, at the cost of the
+product it would form anyway. A pass on some nodes reads it once it is
+held (a warm `read_graph` loads it) or on the second such pass on the
+graph, which computes it; the first multiplies by its reached rows. So
+a one-shot pass on a new graph, such as the enriched view of `chainrisk
+eval --mined`, pays no full spmm, and a graph scored again, such as by
+every validation pass of `train_task`, pays it once. Any other X, a
+writeable one included, is multiplied. A one-layer scoring pass on a
+held product runs no spmm; it copies the reached rows of the kept
+product, outside the workspace, and the reached rows of the operator
+are laid out (`ExampleRows.op`) only when a layer multiplies by them.
 
 Each change above keeps every value's arithmetic as it was, so same-seed
 outputs stay bit-identical (scoring blocks on one BLAS thread: see `SCORE_BLOCK`;
@@ -85,6 +97,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -219,14 +232,14 @@ def _take(ws, role, shape, dtype=np.float64):
     return None if ws is None else ws.take(role, shape, dtype)
 
 
-def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, propagated=None, ws=None,
-                rows=None):
+def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, ws=None, rows=None):
     """Run the encoder; returns (embeddings, cache for backward).
 
     Every relu is applied in place; a scoring-only forward (training=False)
-    keeps no cache. `propagated`, if given, must be `spmm(adj, X)`; the
-    first layer uses it in place of its own product whenever it applies no
-    dropout. `ws`, a Workspace, supplies every array the pass writes.
+    keeps no cache. The first layer reads rows of `adj.propagated` in
+    place of its own product whenever it applies no dropout and
+    `adj.product_for` gives it. `ws`, a Workspace, supplies every array
+    the pass writes.
     `rows`, an `ExampleRows` of a scoring-only forward, limits the last
     layer to its nodes, whose embeddings come back in their order.
     """
@@ -237,22 +250,22 @@ def gcn_forward(adj, X, params, dropout_rate=0.0, rng=None, training=False, prop
         raise InvalidArgument(
             f"X width {X.shape[1]} does not match W0 input {params.weights[0].shape[0]}"
         )
-    if propagated is not None and np.shape(propagated) != X.shape:
-        raise InvalidArgument(f"propagated features have shape {np.shape(propagated)}, X has {X.shape}")
     drops = training and dropout_rate > 0.0
-    every = (adj.num_nodes, slice(None), adj)
     H = X
     layers = []
     for l, W in enumerate(params.weights):
         # layers before the last run on every node; the last runs on `rows`
-        n, nodes, op = (rows.size, rows.nodes, rows.op) if rows is not None and l == params.num_layers - 1 else every
+        part = rows if l == params.num_layers - 1 else None
+        n, nodes = (adj.num_nodes, slice(None)) if part is None else (part.size, part.nodes)
         # the dropped input is spent once S is formed, so it takes Z's bytes
         out = (_take(ws, ("Z", l), H.shape), _take(ws, ("mask", l), H.shape, bool)) if drops else (None, None)
         D, mask = dropout(H, dropout_rate, rng, training, out=out)
-        if l == 0 and mask is None and propagated is not None:
-            S = propagated[nodes]
+        kept = adj.product_for(X, part is None or part.position is None) if l == 0 and mask is None else None
+        if kept is not None:
+            S = kept[nodes]
         else:
-            S = spmm(op, D, out=_take(ws, ("S", l), (n, D.shape[1])), work=_take(ws, "spare", (n + 1, D.shape[1])))
+            S = spmm(adj if part is None else part.op, D, out=_take(ws, ("S", l), (n, D.shape[1])),
+                     work=_take(ws, "spare", (n + 1, D.shape[1])))
         Z = np.matmul(S, W, out=_take(ws, ("Z", l), (n, W.shape[1])))
         H = relu(Z, out=Z)
         if training:
@@ -415,11 +428,17 @@ def head_backward(dlogits, cache, head, plans=None):
 class ExampleRows:
     """The node rows a scoring pass over some examples reaches (`example_rows`)."""
 
+    adj: object  # the NormalizedAdjacency the examples are on
     nodes: object  # the sorted reached ids, or slice(None) for every node
-    op: object  # the adjacency's rows `nodes` (`NormalizedAdjacency.rows`), or the adjacency
     size: int  # the number of rows
     ids: np.ndarray  # the examples as range-checked int64 node ids
     position: np.ndarray = None  # n entries: each reached id's place in `nodes`; None for every node
+
+    @cached_property
+    def op(self):
+        """The adjacency's rows `nodes` (`NormalizedAdjacency.rows`), laid out
+        on first use, or the adjacency itself for every node."""
+        return self.adj if self.position is None else self.adj.rows(self.nodes)
 
 
 def example_rows(adj, examples):
@@ -429,7 +448,8 @@ def example_rows(adj, examples):
     reached ids and each id's position among them. Fewer than two reached
     nodes count as every node, since numpy sends a one-row product to gemv,
     whose sums differ from gemm's; a set that reaches every node is every
-    node too, so its pass copies no rows.
+    node too, so its pass copies no rows. The rows of the operator are laid
+    out only when a layer multiplies by them (`ExampleRows.op`).
     """
     n = adj.num_nodes
     ids = check_ids(examples, n)
@@ -437,20 +457,17 @@ def example_rows(adj, examples):
     reached[ids] = True
     size = int(np.count_nonzero(reached))
     if size < 2 or size == n:
-        return ExampleRows(slice(None), adj, n, ids)
-    nodes = np.flatnonzero(reached)
-    return ExampleRows(nodes, adj.rows(nodes), size, ids, np.cumsum(reached) - 1)
+        return ExampleRows(adj, slice(None), n, ids)
+    return ExampleRows(adj, np.flatnonzero(reached), size, ids, np.cumsum(reached) - 1)
 
 
-def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, propagated=None,
-                   ws=None, rows=None):
+def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training=False, ws=None, rows=None):
     """Full forward pass: encoder then the model's head on `examples`.
 
     Returns (logits, caches). Only a training forward's caches can go to
     `backward`, and only once; at dropout_rate 0 it draws nothing from `rng`.
-    `propagated` is `spmm(adj, X)` if the caller holds it. With a Workspace
-    `ws` the pass, and the backward of its caches, write into the arrays of
-    the previous pass that used it.
+    With a Workspace `ws` the pass, and the backward of its caches, write
+    into the arrays of the previous pass that used it.
 
     A scoring-only pass (training=False) runs the last encoder layer and
     the head on the nodes the examples reach only, through their
@@ -468,7 +485,7 @@ def score_examples(model, adj, X, examples, dropout_rate=0.0, rng=None, training
         if rows.ids.shape != np.shape(examples):
             raise InvalidArgument(f"rows are for examples of shape {rows.ids.shape}, got {np.shape(examples)}")
         examples, position = rows.ids, rows.position
-    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, propagated, ws=ws, rows=rows)
+    Q, gcn_cache = gcn_forward(adj, X, model.gcn, dropout_rate, rng, training, ws=ws, rows=rows)
     logits_of = pair_logits if model.task == "pair" else node_logits
     logits, head_cache = logits_of(Q, examples, model.head, dropout_rate, rng, training, ws=ws, position=position)
     return logits, (gcn_cache, head_cache)

@@ -10,7 +10,6 @@ splits come from `labels`, candidate search from `graph`.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -28,7 +27,7 @@ from .graph import (
     normalize_adjacency,
     prepare_features,
     scatter_plans,
-    spmm,
+    spmm,  # noqa: F401 -- unused here; perfbench/layers.py still wraps this name
 )
 from .labels import SPLIT_NAMES, TEST, TRAIN, VAL, config_fields
 from .metrics import EvalReport, auc
@@ -105,9 +104,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class TaskData:
-    """Everything one training run needs, already in tensor form.
+    """Everything one training run needs, already in tensor form (frozen).
 
-    Frozen, and X is made read-only, so `propagated` cannot go stale.
+    When X is the graph's model inputs, as `build` gives it, `adj` keeps
+    their product (`NormalizedAdjacency.propagated`) for every pass.
     """
 
     adj: object
@@ -116,17 +116,6 @@ class TaskData:
     labels: np.ndarray
     split: np.ndarray
     kind: str
-
-    def __post_init__(self):
-        self.X.flags.writeable = False
-
-    @cached_property
-    def propagated(self):
-        """spmm(adj, X), computed on first use and shared by every pass whose
-        first encoder layer applies no dropout (read-only)."""
-        product = spmm(self.adj, self.X)
-        product.flags.writeable = False
-        return product
 
     @classmethod
     def build(cls, g_view, labeled):
@@ -192,9 +181,8 @@ def train_task(data, config):
     best_epoch = 0
     stagnant = 0
     for epoch in range(1, config.max_epochs + 1):
-        logits, caches = score_examples(
-            model, data.adj, data.X, ex_tr, config.dropout, drop_rng, training=True, propagated=data.propagated, ws=ws
-        )
+        logits, caches = score_examples(model, data.adj, data.X, ex_tr, config.dropout, drop_rng, training=True,
+                                        ws=ws)
         probs = sigmoid(logits)
         train_loss = bce_loss(probs, y_tr)
         if not np.isfinite(train_loss):
@@ -205,8 +193,7 @@ def train_task(data, config):
         except TrainingDivergence as err:
             raise TrainingDivergence(str(err), epoch=epoch) from None
 
-        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, propagated=data.propagated, ws=ws,
-                                       rows=val_rows)
+        val_logits, _ = score_examples(model, data.adj, data.X, ex_va, ws=ws, rows=val_rows)
         val_loss = bce_loss(sigmoid(val_logits), y_va)
         if not np.isfinite(val_loss):
             raise TrainingDivergence(f"non-finite validation loss at epoch {epoch}", epoch=epoch)
@@ -229,7 +216,7 @@ def train_task(data, config):
 
 def evaluate_model(model, data):
     """Probabilities for every labeled example plus one report per split."""
-    logits, _ = score_examples(model, data.adj, data.X, data.examples, propagated=data.propagated)
+    logits, _ = score_examples(model, data.adj, data.X, data.examples)
     probs = sigmoid(logits)
     reports = {}
     for tag, name in SPLIT_NAMES.items():
@@ -262,8 +249,7 @@ def grid_search(grid, data, config, max_workers=1):
         row = {"learning_rate": lr, "dropout": dr, "num_layers": layers}
         try:
             result = train_task(data, cfg)
-            logits, _ = score_examples(result.model, data.adj, data.X, ex_va, propagated=data.propagated,
-                                       rows=val_rows)
+            logits, _ = score_examples(result.model, data.adj, data.X, ex_va, rows=val_rows)
             row["val_auc"] = auc(sigmoid(logits), y_va)
             row["best_epoch"] = result.best_epoch
             row["status"] = "ok"
@@ -330,7 +316,7 @@ def run_stage1_mining(g, pair_set, config):
     cands = candidate_pairs(g, extra_pairs=test_pairs, max_hops=config.candidate_hops)
     probs = np.zeros(0)
     if cands.shape[0]:
-        logits, _ = score_examples(stage.model, data.adj, data.X, cands, propagated=data.propagated)
+        logits, _ = score_examples(stage.model, data.adj, data.X, cands)
         probs = sigmoid(logits)
     known = data.examples[(data.labels == 1) & (data.split != TEST)]
     mined = (np.vstack([cands, known]), np.concatenate([probs, np.ones(known.shape[0])]))
@@ -343,7 +329,6 @@ def run_stage2_default(g_sc, node_set, config):
     """Train a fresh node scorer on the enriched view; emit every node's score."""
     g_view = g_sc.graph() if isinstance(g_sc, EnrichedGraph) else g_sc
     data, stage = _fit(g_view, node_set, config)
-    all_logits, _ = score_examples(stage.model, data.adj, data.X, np.arange(g_view.num_nodes),
-                                   propagated=data.propagated)
+    all_logits, _ = score_examples(stage.model, data.adj, data.X, np.arange(g_view.num_nodes))
     stage.scores = sigmoid(all_logits)
     return stage

@@ -788,3 +788,51 @@ def test_positive_only_negatives_are_drawn_among_smes(tmp_path):
     negatives = labeled.examples[labeled.labels == 0]
     assert negatives.shape == (12, 2)
     assert np.all(kinds[negatives] == "sme")
+
+
+def _boundary_argv(case, root, data, checkpoint):
+    """(argv, path the message must name) of one invocation that once raised
+    out of `main` instead of exiting 2."""
+    a_file, a_dir = root / "a_file", root / "a_dir"
+    a_file.write_text("x")
+    a_dir.mkdir(exist_ok=True)
+    config = root / "train.json"
+    config.write_text(json.dumps({"max_epochs": 2, "patience": 1, "num_layers": 1, "seed": 3}))
+    evaluate = ["eval", "--checkpoint", checkpoint, "--data", data, "--no-enrich", "--out", str(root / "ev")]
+    if case == "data is a file":
+        return [*evaluate[:4], str(a_file), *evaluate[5:]], str(a_file)
+    if case == "eval out is a file":
+        return [*evaluate[:-1], str(a_file)], str(a_file)
+    if case == "generate out is a file":
+        gen = root / "gen.json"
+        gen.write_text(json.dumps({"preset": "paper-calibrated", "num_smes": 300, "seed": 7, "sector_size": 50}))
+        return ["generate", "--config", str(gen), "--out", str(a_file)], str(a_file)
+    if case == "checkpoint is a directory":
+        return [*evaluate[:2], str(a_dir), *evaluate[3:]], str(a_dir)
+    if case == "config is a directory":
+        return ["train", "dp", "--data", data, "--config", str(a_dir), "--out", str(root / "o"), "--no-enrich"], \
+            str(a_dir)
+    if case == "label file is a directory":
+        copy = root / "data"
+        copy.mkdir(exist_ok=True)
+        for name in ("nodes.csv", "edges.tsv"):
+            (copy / name).write_bytes(open(os.path.join(data, name), "rb").read())
+        (copy / "labels_dp.tsv").mkdir(exist_ok=True)
+        return ["train", "dp", "--data", str(copy), "--config", str(config), "--out", str(root / "o"),
+                "--no-enrich"], str(copy / "labels_dp.tsv")
+    assert case == "config is not UTF-8"
+    config.write_bytes(b'{"seed": "\xff"}')
+    return ["train", "dp", "--data", data, "--config", str(config), "--out", str(root / "o"), "--no-enrich"], \
+        str(config)
+
+
+@pytest.mark.parametrize("case", ["data is a file", "eval out is a file", "generate out is a file",
+                                  "checkpoint is a directory", "config is a directory", "label file is a directory",
+                                  "config is not UTF-8"])
+def test_unusable_path_exits_two_naming_it(tmp_path, trained_dp, capsys, case):
+    data, _, _, checkpoint = trained_dp
+    argv, path = _boundary_argv(case, tmp_path, data, checkpoint)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err, err

@@ -164,6 +164,13 @@ class TestMinedAndMisc:
         assert got_pairs.dtype == np.int64 and got_pairs.tolist() == pairs.tolist()
         assert got_scores.dtype == np.float64 and got_scores.tolist() == scores.tolist()
 
+    def test_roc_points_keep_the_repr_of_each_bit_pattern(self, tmp_path):
+        points = np.array([[0.0, -0.0], [-0.0, 0.1], [0.1, 1 / 3], [1 / 3, 1.0], [1.0, 1.0]])
+        path = tmp_path / "roc_points.tsv"
+        dataio.write_roc_points(path, points)
+        assert path.read_text() == ("0.0\t-0.0\n-0.0\t0.1\n0.1\t0.3333333333333333\n"
+                                    "0.3333333333333333\t1.0\n1.0\t1.0\n")
+
     def test_grid_table_leaves_diverged_cells_empty(self, tmp_path):
         rows = [{"learning_rate": 0.01, "dropout": 0.1, "num_layers": 2, "val_auc": 0.75, "best_epoch": 12,
                  "status": "ok"},
@@ -216,7 +223,7 @@ def _arrays(out):
     if isinstance(out, SmeGraph):
         adj = out.adjacency
         return [np.asarray(out.num_nodes), out.indptr, out.indices, out.node_features, out.edge_features,
-                out.node_kind, adj.indptr, adj.indices, adj.values, out.model_inputs]
+                out.node_kind, adj.indptr, adj.indices, adj.values, out.model_inputs, adj.propagated]
     if isinstance(out, GroundTruth):
         return [out.supply_edges, out.hidden_mask, out.tiers, out.default_labels]
     return list(out)
@@ -558,7 +565,7 @@ def no_parse():
 
 # the arrays of the graph copy, in the order it holds them
 GRAPH_ARRAYS = ("indptr", "indices", "node_features", "edge_features", "adj_indptr", "adj_indices", "adj_values",
-                "model_inputs", "kinds")
+                "model_inputs", "propagated", "kinds")
 
 
 def _forged(change):
@@ -588,6 +595,7 @@ GRAPH_COPY_DAMAGE = {
     # positive int64 bits read as float64 are finite, so only the dtype check stops them
     "wrong dtype": _forged(lambda arrays: {"edge_features": np.abs(arrays["edge_features"]).astype(np.int64)}),
     "wrong shape": _forged(lambda arrays: {"model_inputs": arrays["model_inputs"][:, :-1].copy()}),
+    "wrong product shape": _forged(lambda arrays: {"propagated": arrays["propagated"][:-1].copy()}),
     "self-loop": _set("indices", 9, 5),
     "repeated id": _set("indices", 1, 1),
     "out-of-range id": _set("indices", 11, 8),
@@ -600,6 +608,7 @@ GRAPH_COPY_DAMAGE = {
     "non-finite edge feature": _set("edge_features", 0, np.inf),
     "non-finite adjacency value": _set("adj_values", 0, np.nan),
     "non-finite model input": _set("model_inputs", 0, -np.inf),
+    "non-finite product": _set("propagated", 5, np.nan),
 }
 
 
@@ -739,6 +748,35 @@ class TestParsedInputCache:
         assert_same_arrays(dataio.read_graph(tmp_path), want)
         assert copy.read_bytes() == good
 
+    def test_warm_read_loads_the_product_of_the_adjacency_and_model_inputs(self, small_dataset, tmp_path):
+        _, files = small_dataset
+        for fname in GRAPH_FILES:
+            (tmp_path / fname).write_bytes(files[fname])
+        dataio.read_graph(tmp_path)
+        with no_parse(), mock.patch.object(graph, "spmm", side_effect=AssertionError("spmm ran")):
+            g = dataio.read_graph(tmp_path)
+            product = g.adjacency.propagated
+        assert g.adjacency.keeps(g.model_inputs) and not product.flags.writeable
+        want = graph.spmm(g.adjacency, g.model_inputs)
+        assert (product.shape, product.tobytes()) == (want.shape, want.tobytes())
+
+    def test_copy_of_the_previous_format_is_ignored_and_rewritten(self, small_dataset, tmp_path):
+        """A CHRKTBL3 graph copy (no product) of the same texts is parsed past and replaced."""
+        _, files = small_dataset
+        for fname in GRAPH_FILES:
+            (tmp_path / fname).write_bytes(files[fname])
+        want = dataio.read_graph(tmp_path)
+        copy, key = copy_of(tmp_path / "nodes.csv"), copy_key(tmp_path / "nodes.csv")
+        good = copy.read_bytes()
+        arrays = copy_arrays(good[len(key):])
+        del arrays[GRAPH_ARRAYS.index("propagated")]
+        old = io.BytesIO()
+        for array in arrays:
+            np.lib.format.write_array(old, array, version=(1, 0))
+        copy.write_bytes(b"CHRKTBL3" + key[len(dataio._COPY_MAGIC):] + old.getvalue())
+        assert_same_arrays(dataio.read_graph(tmp_path), want)
+        assert copy.read_bytes() == good
+
     @pytest.mark.parametrize("name", GRAPH_FILES)
     def test_changing_one_graph_file_rebuilds_the_copy(self, small_dataset, tmp_path, name):
         _, files = small_dataset
@@ -798,7 +836,8 @@ class TestParsedInputCache:
 
 def test_second_eval_without_enrichment_builds_nothing(tmp_path):
     """A --no-enrich eval on an unchanged data directory parses no file and
-    builds neither the graph nor its model inputs: both come from the copies."""
+    builds neither the graph nor its model inputs, nor the full layout the
+    first propagation would multiply by: all come from the copies."""
     gen, train = tmp_path / "gen.json", tmp_path / "train.json"
     gen.write_text(json.dumps({"preset": "paper-calibrated", "num_smes": 300, "seed": 7, "sector_size": 50}))
     train.write_text(json.dumps({"max_epochs": 5, "patience": 4, "hidden_dim": 16, "embed_dim": 16,
@@ -816,6 +855,8 @@ def test_second_eval_without_enrichment_builds_nothing(tmp_path):
                                                       side_effect=AssertionError("a graph was built")))
                 stack.enter_context(mock.patch.object(graph, "standardize_columns",
                                                       side_effect=AssertionError("features were standardized")))
+                stack.enter_context(mock.patch.object(graph.NormalizedAdjacency, "sums", property(
+                    lambda adj: pytest.fail("the full spmm layout was built"))))
             assert main([*evaluate, "--out", str(tmp_path / out)]) == 0
         reports.append((tmp_path / out / "eval_report.json").read_bytes())
     assert reports[0] == reports[1]

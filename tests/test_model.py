@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainrisk import graph as graph_module
 from chainrisk import model as model_module
 from chainrisk import pipeline
 from chainrisk.errors import ChainriskError, CheckpointVersionError, InvalidArgument, InvalidInput
-from chainrisk.graph import SmeGraph, normalize_adjacency, spmm
+from chainrisk.graph import NormalizedAdjacency, SmeGraph, normalize_adjacency, spmm
 from chainrisk.labels import TEST, TRAIN, VAL, LabeledSet
 from chainrisk.model import (
     GcnClassifier,
@@ -504,14 +505,14 @@ class TestTrainingWorkingSet:
         config = TrainConfig(num_layers=2, hidden_dim=width, embed_dim=width, head_hidden=8, dropout=0.1,
                              max_epochs=2, patience=1, seed=0)
         data = encoder_task(n, 1000)
-        _ = data.propagated  # computed once per task, before training
+        _ = data.adj.propagated  # computed once per graph, before training
         peak, _ = traced_peak(data, config)
         assert peak <= 9.2 * n * width * 8, peak / (n * width * 8)
 
     @pytest.mark.parametrize("kind", ["pair", "node"])
     def test_peak_does_not_grow_with_epochs(self, kind):
         data = working_set_task(6000) if kind == "pair" else encoder_task(2000, 1000)
-        _ = data.propagated
+        _ = data.adj.propagated
         peaks = []
         for epochs in (2, 6):
             config = TrainConfig(num_layers=2, hidden_dim=32, embed_dim=16, head_hidden=32, dropout=0.1,
@@ -525,15 +526,13 @@ class TestTrainingWorkingSet:
 
 def reuse_run(task, layers, rate, with_propagated, ws, epochs=3):
     """Bytes of every logit and gradient of `epochs` training steps, each followed by a
-    validation pass, on a 30-node graph; `ws` goes to every forward."""
+    validation pass, on a 30-node graph; `ws` goes to every forward. X is the graph's
+    model inputs, whose product the adjacency keeps, or a writeable copy of them."""
     gen = np.random.default_rng(4)
     g = random_graph(gen, 30, 0.15, num_features=3)
     adj = normalize_adjacency(g)
-    propagated = None
-    if with_propagated:
-        propagated = spmm(adj, g.node_features)
-        propagated.flags.writeable = False
-    model = init_classifier(task, 3, layers, 7, 5, 6, make_rng(1, 1))
+    X = g.model_inputs if with_propagated else g.model_inputs.copy()
+    model = init_classifier(task, 4, layers, 7, 5, 6, make_rng(1, 1))
     if task == "pair":
         u, v = np.triu_indices(30, 1)
         examples = np.column_stack([u, v])[gen.choice(u.size, 60, replace=False)]
@@ -547,16 +546,17 @@ def reuse_run(task, layers, rate, with_propagated, ws, epochs=3):
     drop_rng = make_rng(2, 3)
     out = []
     for _ in range(epochs):
-        logits, caches = score_examples(model, adj, g.node_features, train, rate, drop_rng, training=True,
-                                        propagated=propagated, ws=ws)
+        logits, caches = score_examples(model, adj, X, train, rate, drop_rng, training=True, ws=ws)
         grads = backward(model, bce_logit_grad(sigmoid(logits), y), caches, plans)
         out += [logits.tobytes()] + [grad.tobytes() for grad in grads]
         adam_step(params, grads, state, 0.05)
-        val_logits, _ = score_examples(model, adj, g.node_features, val, propagated=propagated, ws=ws)
+        val_logits, _ = score_examples(model, adj, X, val, ws=ws)
         out.append(val_logits.tobytes())
     if with_propagated:
-        assert not propagated.flags.writeable
-        assert propagated.tobytes() == spmm(adj, g.node_features).tobytes()
+        assert not adj.propagated.flags.writeable
+        assert adj.propagated.tobytes() == spmm(adj, X).tobytes()
+    else:
+        assert "propagated" not in vars(adj)  # a writeable X is never kept
     return out
 
 
@@ -609,37 +609,85 @@ class TestWorkspace:
             gcn_backward(np.ones((12, 5)), caches[0], model.gcn)
 
 
+def kept_graph(rng):
+    """A 25-node graph, its adjacency and a one-layer node model over its model inputs."""
+    g = random_graph(rng, 25, 0.2, num_features=3)
+    return g, normalize_adjacency(g), init_classifier("node", 4, 1, 6, 5, 4, make_rng(2, 1))
+
+
+def wrong_product(adj):
+    """Set the adjacency's kept product to a wrong one, so a pass that reads it shows."""
+    adj.propagated = np.full(adj.inputs.shape, 7.0)
+
+
 class TestPropagated:
+    """The adjacency keeps spmm(adj, X) for the graph's read-only model inputs."""
+
     @pytest.mark.parametrize("layers", [1, 2])
     def test_precomputed_first_propagation_changes_nothing(self, rng, layers):
         g = random_graph(rng, 25, 0.2, num_features=3)
         adj = normalize_adjacency(g)
-        model = init_classifier("node", 3, layers, 6, 5, 4, make_rng(2, 1))
+        model = init_classifier("node", 4, layers, 6, 5, 4, make_rng(2, 1))
         nodes = np.arange(25)
-        plain, _ = score_examples(model, adj, g.node_features, nodes)
-        cached, _ = score_examples(model, adj, g.node_features, nodes, propagated=spmm(adj, g.node_features))
+        plain, _ = score_examples(model, adj, g.model_inputs.copy(), nodes)
+        assert "propagated" not in vars(adj)
+        cached, _ = score_examples(model, adj, g.model_inputs, nodes)
+        assert "propagated" in vars(adj) and adj.keeps(g.model_inputs)
         assert plain.tobytes() == cached.tobytes()
 
     def test_dropout_forward_ignores_it(self, rng):
-        g = random_graph(rng, 25, 0.2, num_features=3)
-        adj = normalize_adjacency(g)
-        model = init_classifier("node", 3, 1, 6, 5, 4, make_rng(2, 1))
-        wrong = np.full((25, 3), 7.0)
-        a, _ = score_examples(model, adj, g.node_features, np.arange(25), 0.3, make_rng(1, 5), training=True)
-        b, _ = score_examples(model, adj, g.node_features, np.arange(25), 0.3, make_rng(1, 5), training=True,
-                              propagated=wrong)
+        g, adj, model = kept_graph(rng)
+        a, _ = score_examples(model, adj, g.model_inputs, np.arange(25), 0.3, make_rng(1, 5), training=True)
+        wrong_product(adj)
+        b, _ = score_examples(model, adj, g.model_inputs, np.arange(25), 0.3, make_rng(1, 5), training=True)
         assert a.tobytes() == b.tobytes()
 
     def test_wrong_shape_rejected(self, rng):
-        g = random_graph(rng, 6, 0.4, num_features=3)
-        params = init_gcn([3, 2], make_rng(1, 2))
+        base = normalize_adjacency(random_graph(rng, 6, 0.4, num_features=3))
+        X = np.zeros((5, 2))
+        X.flags.writeable = False
+        adj = NormalizedAdjacency(6, base.indptr, base.indices, base.values, inputs=X)
         with pytest.raises(InvalidArgument):
-            gcn_forward(normalize_adjacency(g), g.node_features, params, propagated=np.zeros((6, 2)))
+            gcn_forward(adj, X, init_gcn([2, 3], make_rng(1, 2)))
+        with pytest.raises(InvalidArgument):
+            _ = adj.propagated
+
+    def test_another_x_is_not_served_the_kept_product(self, rng):
+        g, adj, model = kept_graph(rng)
+        nodes = np.array([2, 9, 17])
+        want, _ = score_examples(model, adj, g.model_inputs.copy(), nodes)
+        wrong_product(adj)
+        other = g.model_inputs.copy()
+        other.flags.writeable = False
+        assert not adj.keeps(other)
+        got, _ = score_examples(model, adj, other, nodes)
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_writeable_x_is_never_kept(self, rng):
+        g, adj, model = kept_graph(rng)
+        X = g.model_inputs.copy()
+        assert X.flags.writeable and not adj.keeps(X)
+        score_examples(model, adj, X, np.arange(25))
+        assert "propagated" not in vars(adj)
+        # an adjacency made around inputs makes them read-only
+        NormalizedAdjacency(25, adj.indptr, adj.indices, adj.values, inputs=X)
+        assert not X.flags.writeable
+
+    def test_one_layer_restricted_pass_runs_no_spmm_and_lays_out_no_rows(self, rng, monkeypatch):
+        g, adj, model = kept_graph(rng)
+        nodes = np.array([2, 9, 17])
+        want, _ = score_examples(model, adj, g.model_inputs.copy(), nodes)
+        _ = adj.propagated
+        for owner in (model_module, graph_module):
+            monkeypatch.setattr(owner, "spmm", lambda *a, **k: pytest.fail("spmm ran"))
+        monkeypatch.setattr(graph_module, "AdjacencyRows", lambda *a, **k: pytest.fail("rows were laid out"))
+        got, _ = score_examples(model, adj, g.model_inputs, nodes)
+        assert got.tobytes() == want.tobytes()
 
 
-def every_node_logits(model, adj, X, examples, propagated=None):
+def every_node_logits(model, adj, X, examples):
     """The scoring pass as it ran before `example_rows`: the encoder on every node, then the head."""
-    Q, _ = gcn_forward(adj, X, model.gcn, propagated=propagated)
+    Q, _ = gcn_forward(adj, X, model.gcn)
     logits = pair_logits if model.task == "pair" else node_logits
     return logits(Q, examples, model.head)[0]
 
@@ -659,20 +707,23 @@ class TestRestrictedScoring:
     def test_bit_identical_to_a_pass_over_every_node(self, graph, task, layers, with_propagated, count):
         g, adj = graph
         gen = np.random.default_rng(count)
-        model = init_classifier(task, 3, layers, 7, 5, 6, make_rng(3, 1))
+        model = init_classifier(task, 4, layers, 7, 5, 6, make_rng(3, 1))
         if task == "pair":
             examples = gen.integers(0, 60, size=(count, 2))
             if count == 1:  # one pair whose endpoints are the same node: one reached node
                 examples[:, 1] = examples[:, 0]
         else:
             examples = gen.integers(0, 60, size=count) if count < 60 else np.arange(60)
-        propagated = spmm(adj, g.node_features) if with_propagated else None
-        expected = every_node_logits(model, adj, g.node_features, examples, propagated)
-        logits, caches = score_examples(model, adj, g.node_features, examples, propagated=propagated)
+        # the graph's model inputs are kept by the adjacency, whose product is held here; a
+        # writeable copy is multiplied
+        X = g.model_inputs if with_propagated else g.model_inputs.copy()
+        if with_propagated:
+            _ = adj.propagated
+        expected = every_node_logits(model, adj, g.model_inputs.copy(), examples)
+        logits, caches = score_examples(model, adj, X, examples)
         assert caches == (None, None)
         assert logits.tobytes() == expected.tobytes()
-        again, _ = score_examples(model, adj, g.node_features, examples, propagated=propagated,
-                                  rows=example_rows(adj, examples), ws=Workspace())
+        again, _ = score_examples(model, adj, X, examples, rows=example_rows(adj, examples), ws=Workspace())
         assert again.tobytes() == expected.tobytes()
 
     def test_rows_renumber_the_examples_into_the_reached_nodes(self, graph):
@@ -687,13 +738,28 @@ class TestRestrictedScoring:
             assert (rows.nodes, rows.op, rows.size) == (slice(None), adj, 60)
 
     def test_a_strict_subset_never_builds_the_full_layout(self, rng):
+        """The first one-layer pass over a strict subset multiplies by the
+        reached rows alone, also for the kept X; the second computes the kept
+        product, which builds the full layout once, and reads its rows, as does
+        every later pass, and none lays out rows."""
         g = random_graph(rng, 40, 0.1, num_features=3)
         adj = normalize_adjacency(g)
-        model = init_classifier("node", 3, 1, 6, 5, 4, make_rng(2, 1))
-        score_examples(model, adj, g.node_features, np.array([1, 8, 30]))
-        assert "sums" not in vars(adj)
-        score_examples(model, adj, g.node_features, np.arange(40))
-        assert "sums" in vars(adj)
+        model = init_classifier("node", 4, 1, 6, 5, 4, make_rng(2, 1))
+        nodes = np.array([1, 8, 30])
+        want, _ = score_examples(model, adj, g.model_inputs.copy(), nodes)
+        laid_out = []
+        for _ in range(3):
+            rows = example_rows(adj, nodes)
+            got, _ = score_examples(model, adj, g.model_inputs, nodes, rows=rows)
+            assert got.tobytes() == want.tobytes()
+            laid_out.append(("op" in vars(rows), "sums" in vars(adj), "propagated" in vars(adj)))
+        assert laid_out == [(True, False, False), (False, True, True), (False, True, True)]
+
+    def test_a_pass_over_every_node_keeps_the_product(self, rng):
+        g = random_graph(rng, 40, 0.1, num_features=3)
+        adj = normalize_adjacency(g)
+        score_examples(init_classifier("node", 4, 1, 6, 5, 4, make_rng(2, 1)), adj, g.model_inputs, np.arange(40))
+        assert adj.propagated.tobytes() == spmm(adj, g.model_inputs).tobytes()
 
     def test_rows_of_other_examples_rejected(self, graph):
         g, adj = graph

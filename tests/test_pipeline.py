@@ -140,12 +140,13 @@ class TestTaskData:
 
         g, node_set = toy_node_task()
         data = TaskData.build(g, node_set)
-        assert data.propagated.tobytes() == spmm(data.adj, data.X).tobytes()
-        assert data.propagated is data.propagated
+        assert data.adj.keeps(data.X)
+        assert data.adj.propagated.tobytes() == spmm(data.adj, data.X).tobytes()
+        assert data.adj.propagated is TaskData.build(g, node_set).adj.propagated
         with pytest.raises(ValueError):
             data.X[0, 0] = 1.0
         with pytest.raises(ValueError):
-            data.propagated[0, 0] = 1.0
+            data.adj.propagated[0, 0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.X = np.zeros_like(data.X)
 
@@ -167,6 +168,22 @@ class TestTrainTask:
         # validation loss of the selected epoch is the running minimum
         best = min(row["val_loss"] for row in result.trace)
         assert result.trace[result.best_epoch - 1]["val_loss"] == best
+
+    def test_the_second_validation_pass_computes_the_product(self, monkeypatch):
+        """With dropout no training pass reads the product and validation
+        passes run on some nodes: the first multiplies by its rows, the second
+        computes the product, and every later pass finds it held."""
+        from chainrisk import model as model_module
+
+        g, node_set = toy_node_task()
+        data = TaskData.build(g, node_set)
+        held = []
+        real = model_module.gcn_forward
+        monkeypatch.setattr(model_module, "gcn_forward",
+                            lambda adj, X, *a, **k: held.append("propagated" in vars(adj)) or real(adj, X, *a, **k))
+        train_task(data, TrainConfig(seed=1, num_layers=1, dropout=0.3, max_epochs=3, patience=2, hidden_dim=8,
+                                     embed_dim=4, head_hidden=4))
+        assert held == [False, False, False, False, True, True]
 
     def test_frozen_learning_rate_stops_after_patience(self):
         g, node_set = toy_node_task()
